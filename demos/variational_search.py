@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Find extremal-fluctuation states by projected gradient search.
+"""Find extremal-fluctuation states by Riemannian conjugate-gradient search
+with an exact line search on great circles of the state sphere.
 
 Maximizing the total variance over the unit sphere lands on completely
 entangled states (all observable expectations vanish); minimizing lands on

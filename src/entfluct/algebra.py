@@ -7,6 +7,7 @@ numerics never have to re-check them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,7 +103,11 @@ class StateVector:
         a = np.array(self.amplitudes, dtype=complex).reshape(-1)
         if a.size == 0:
             raise ValueError("empty state vector")
-        if abs(np.sum(np.abs(a) ** 2) - 1.0) > NORM_TOL:
+        norm2 = float(np.sum(np.abs(a) ** 2))
+        # a NaN or infinite amplitude makes the squared norm NaN or infinite
+        if not math.isfinite(norm2):
+            raise ValueError("state vector has a non-finite amplitude")
+        if abs(norm2 - 1.0) > NORM_TOL:
             raise ValueError("state vector is not normalized within 1e-12")
         a.setflags(write=False)
         object.__setattr__(self, "amplitudes", a)
@@ -118,7 +123,8 @@ class StateVector:
             n = np.linalg.norm(a)
             if n == 0.0:
                 raise ValueError("cannot normalize the zero vector")
-            a = a / n
+            if math.isfinite(n):  # else the constructor rejects the amplitudes
+                a = a / n
         return cls(a, basis_label)
 
 

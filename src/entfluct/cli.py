@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -81,6 +82,8 @@ def _read_state(args) -> tuple:
 
 def _normalize_amps(amps, normalize: bool):
     norm = float(np.linalg.norm(amps))
+    if not math.isfinite(norm):
+        raise UsageError("state has a non-finite component")
     if abs(norm - 1.0) <= 1e-12:
         return amps, None
     if not normalize:
@@ -295,7 +298,6 @@ def cmd_search(args) -> int:
             restarts=args.restarts,
             max_iterations=args.max_iter,
             step_tolerance=args.step_tol,
-            value_tolerance=args.value_tol,
             seed=args.seed,
             mode=args.mode,
         )
@@ -450,7 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-iter", type=int, default=2000)
     p.add_argument("--step-tol", type=float, default=1e-12)
-    p.add_argument("--value-tol", type=float, default=1e-11)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("preset", help="catalog of physical example states")

@@ -2,9 +2,12 @@
 state space: maximizers are the completely entangled states, minimizers the
 generalized coherent states.
 
-Projected gradient ascent/descent with Armijo backtracking and seeded random
-restarts. Restarts are seeded independently (counter-based generator keyed by
-seed XOR restart index), so results do not depend on execution order.
+Riemannian conjugate gradient (Polak-Ribiere+, exact parallel transport) with
+an exact line search: on a great circle a cos t + d sin t each <O> is
+m + u cos 2t + r sin 2t, so V = <C> - sum_i <O_i>^2 (C = sum_i O_i^2) is a
+trigonometric polynomial of degree 2 in s = 2t. Restarts advance together as
+the rows of one (R, d) array and every operation acts row by row, so restart k
+of seed s is exactly the one-restart search with seed s ^ k, whatever the order.
 """
 
 from __future__ import annotations
@@ -15,14 +18,11 @@ import numpy as np
 
 from .algebra import ObservableBasis, StateVector
 
-ARMIJO_C = 1e-4
-MIN_STEP = 1e-20
-# |Delta V| below this is indistinguishable from rounding in the objective;
-# past it the line search falls back to contracting the gradient norm.
-NOISE_FLOOR = 1e-14
-GRAD_SHRINK = 0.9
+STOP_REASONS = ("gradient", "stall", "cap")
 
-_MODES = ("maximize", "minimize")
+# seeds the global extremum of V on the circle (two local maxima at most)
+_GRID = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
+_NEWTON_STEPS = 4
 
 
 @dataclass(frozen=True)
@@ -30,149 +30,155 @@ class SearchConfig:
     restarts: int = 16
     max_iterations: int = 2000
     step_tolerance: float = 1e-12
-    value_tolerance: float = 1e-11
     seed: int = 0
     mode: str = "maximize"
 
     def __post_init__(self):
         if self.restarts < 1 or self.max_iterations < 1:
             raise ValueError("restarts and max_iterations must be positive")
-        if self.step_tolerance <= 0 or self.value_tolerance <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}")
+        if not 0 < self.step_tolerance < np.inf:
+            raise ValueError("step_tolerance must be positive and finite")
+        if self.mode not in ("maximize", "minimize"):
+            raise ValueError("mode must be 'maximize' or 'minimize'")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
 
 
 @dataclass(frozen=True)
 class SearchResult:
+    """`converged`: the returned restart stopped on the gradient. Per restart: final
+    value, stop reason (one of STOP_REASONS), tangent-gradient norm at the end."""
+
     best_state: StateVector
     best_value: float
     converged: bool
     iterations_used: int
     restart_values: np.ndarray
+    restart_stop: tuple
+    restart_gradients: np.ndarray
+
+
+def _operators(basis: ObservableBasis) -> np.ndarray:
+    """(k + 1, d, d): the basis elements followed by C = sum_i O_i^2."""
+    mats = np.stack([o.entries for o in basis])
+    return np.concatenate([mats, np.sum(mats @ mats, axis=0)[None]])
+
+
+def _apply(ops: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """O x for every operator and row, (R, k + 1, d). A broadcast sum rather
+    than a matrix product, so each row is rounded alike whatever R is."""
+    return (ops[None] * x[:, None, None, :]).sum(axis=-1)
+
+
+def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise <x|y> over the last axis."""
+    return (x.conj() * y).sum(axis=-1)
+
+
+def _value_and_gradient(a: np.ndarray, ops: np.ndarray):
+    """V, the gradient 2[(C - <C>) a - 2 sum_i <O_i>(O_i - <O_i>) a], O a and
+    <O> (last column <C>) for every unit row of a (R, d)."""
+    oa = _apply(ops, a)
+    e = _inner(a[:, None, :], oa).real
+    value = e[:, -1] - (e[:, :-1] ** 2).sum(axis=-1)
+    centred = oa - e[..., None] * a[:, None, :]
+    grad = 2.0 * (centred[:, -1] - 2.0 * (e[:, :-1, None] * centred[:, :-1]).sum(axis=1))
+    return value, grad, oa, e
 
 
 def gradient_total_variance(psi: StateVector, basis: ObservableBasis) -> np.ndarray:
     """Unconstrained gradient of V_tot(psi/|psi|) with respect to the complex
-    amplitudes: 2 sum_i [(O_i^2 - <O_i^2>) psi - 2 <O_i> (O_i - <O_i>) psi].
-
-    The directional derivative along a perturbation d is Re(vdot(d, grad)).
-    Callers on the sphere project out the component along psi afterwards.
-    """
+    amplitudes; the directional derivative along d is Re(vdot(d, grad)).
+    Callers on the sphere project out the component along psi afterwards."""
     if psi.dim != basis.dim:
         raise ValueError(f"dimension mismatch: state {psi.dim}, basis {basis.dim}")
-    a = psi.amplitudes
-    grad = np.zeros_like(a)
-    for o in basis:
-        oa = o.entries @ a
-        e1 = np.vdot(a, oa).real
-        e2 = np.vdot(oa, oa).real
-        grad += 2.0 * ((o.entries @ oa - e2 * a) - 2.0 * e1 * (oa - e1 * a))
-    return grad
+    return _value_and_gradient(psi.amplitudes[None], _operators(basis))[1][0]
 
 
-def _value_and_grad(a: np.ndarray, mats, sqmats):
-    v = 0.0
-    grad = np.zeros_like(a)
-    for m, m2 in zip(mats, sqmats):
-        ma = m @ a
-        e1 = np.vdot(a, ma).real
-        e2 = np.vdot(ma, ma).real
-        v += e2 - e1 * e1
-        grad += 2.0 * ((m2 @ a - e2 * a) - 2.0 * e1 * (ma - e1 * a))
-    return v, grad
+def _line(coef: np.ndarray, s: np.ndarray):
+    """V(s) - V(0) and its first two s-derivatives from the line coefficients
+    (c1, s1, c2, s2), with cos x - 1 = -2 sin^2(x/2) so no term of size V cancels."""
+    c1, s1, c2, s2 = (c[:, None] for c in coef.T)
+    sn, cs, sn2, cs2 = np.sin(s), np.cos(s), np.sin(2 * s), np.cos(2 * s)
+    gain = -2.0 * c1 * np.sin(s / 2) ** 2 + s1 * sn - 2.0 * c2 * sn**2 + s2 * sn2
+    d1 = s1 * cs - c1 * sn + 2 * (s2 * cs2 - c2 * sn2)
+    return gain, d1, -(c1 * cs + s1 * sn) - 4 * (c2 * cs2 + s2 * sn2)
 
 
-def _value(a: np.ndarray, mats):
-    v = 0.0
-    for m in mats:
-        ma = m @ a
-        e1 = np.vdot(a, ma).real
-        v += np.vdot(ma, ma).real - e1 * e1
-    return v
+def _line_coefficients(a, d, oa, e, ops) -> np.ndarray:
+    """(c1, s1, c2, s2) of V(a cos t + d sin t) = c0 + c1 cos s + s1 sin s
+    + c2 cos 2s + s2 sin 2s, s = 2t, for every row; (R, 4)."""
+    od = _apply(ops, d)
+    m = (e + _inner(d[:, None, :], od).real) / 2
+    u, r = e - m, _inner(oa, d[:, None, :]).real  # r = Re<a|O|d>, O Hermitian
+    mo, uo, ro = m[:, :-1], u[:, :-1], r[:, :-1]
+    return np.stack([u[:, -1] - 2.0 * (mo * uo).sum(axis=-1),
+                     r[:, -1] - 2.0 * (mo * ro).sum(axis=-1),
+                     -(uo**2 - ro**2).sum(axis=-1) / 2, -(uo * ro).sum(axis=-1)], axis=-1)
 
 
-def _run_restart(a0: np.ndarray, mats, sqmats, sign: float, config: SearchConfig):
-    a = a0
-    v, grad = _value_and_grad(a, mats, sqmats)
-    converged = False
-    iterations = 0
-    for iterations in range(1, config.max_iterations + 1):
-        gt = grad - np.vdot(a, grad) * a
-        gn = np.linalg.norm(gt)
-        if gn <= config.step_tolerance:
-            # stationary (includes constant landscapes)
-            converged = True
+def _best_angle(coef: np.ndarray, sign: float):
+    """Global maximizer s of sign * (V(s) - V(0)) on the circle and its gain."""
+    grid_gain = sign * _line(coef, _GRID)[0]
+    k = grid_gain.argmax(axis=-1)[:, None]
+    s = _GRID[k]
+    for _ in range(_NEWTON_STEPS):
+        _, d1, d2 = _line(coef, s)
+        step = np.divide(-d1, d2, out=np.zeros_like(d1), where=sign * d2 < 0)
+        s = s + np.clip(step, -_GRID[1], _GRID[1])
+    polished, grid_best = sign * _line(coef, s)[0], np.take_along_axis(grid_gain, k, -1)
+    better = polished > grid_best
+    return np.where(better, s, _GRID[k])[:, 0], np.where(better, polished, grid_best)[:, 0]
+
+
+def _search(basis: ObservableBasis, config: SearchConfig, mode: str, state_label: str):
+    config = config or SearchConfig(mode=mode)
+    if config.mode != mode:
+        raise ValueError(f"config.mode must be {mode!r}")
+    ops, sign, seed = _operators(basis), (1.0 if mode == "maximize" else -1.0), int(config.seed)
+    rngs = [np.random.Generator(np.random.Philox(key=seed ^ k)) for k in range(config.restarts)]
+    a = np.array([rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim) for rng in rngs])
+    a = a / np.sqrt(_inner(a, a).real)[:, None]
+    stop = np.full(config.restarts, -1)  # index into STOP_REASONS once stopped
+    iterations = np.zeros(config.restarts, dtype=int)
+    # a stopped row takes steps of 0, so the last evaluation holds its final state
+    for n in range(1, config.max_iterations + 2):
+        v, g, oa, e = _value_and_gradient(a, ops)
+        xi = sign * (g - _inner(a, g)[:, None] * a)  # tangent ascent direction of sign * V
+        gnorm = np.sqrt(_inner(xi, xi).real)
+        running = stop < 0
+        iterations[running] = min(n, config.max_iterations)
+        stop[running & (gnorm <= config.step_tolerance)] = 0
+        if n > config.max_iterations or (stop >= 0).all():
             break
-        direction = sign * gt
+        direction = xi
+        if n > 1:  # Polak-Ribiere+ (a moving row had norm_old > tol), reset unless ascending
+            beta = _inner(xi, xi - xi_old).real / np.maximum(norm_old, config.step_tolerance) ** 2
+            direction = xi + np.maximum(beta, 0.0)[:, None] * d_old
+            direction = direction - _inner(a, direction)[:, None] * a
+            direction = np.where((_inner(direction, xi).real > 0)[:, None], direction, xi)
+        dn = np.sqrt(_inner(direction, direction).real)[:, None]
+        d = np.divide(direction, dn, out=np.zeros_like(direction), where=dn > 0)
+        s, gain = _best_angle(_line_coefficients(a, d, oa, e, ops), sign)
+        stop[(stop < 0) & ~(gain > 0)] = 1
+        t = np.where(stop < 0, s, 0.0)[:, None] / 2
+        velocity = -a * np.sin(t) + d * np.cos(t)  # transport along the geodesic
+        xi_old = xi + _inner(d, xi).real[:, None] * (velocity - d)
+        d_old, norm_old = dn * velocity, gnorm
+        a = a * np.cos(t) + d * np.sin(t)
+    stop[stop < 0] = 2
 
-        def _try(alpha):
-            cand = a + alpha * direction
-            cand = cand / np.linalg.norm(cand)
-            return cand, _value(cand, mats)
-
-        alpha = 1.0
-        accepted = False
-        while alpha > MIN_STEP:
-            cand, vc = _try(alpha)
-            if sign * (vc - v) >= ARMIJO_C * alpha * gn * gn:
-                # sufficient increase reached; keep halving while it helps,
-                # since the first Armijo step can sit at the stability limit
-                while alpha / 2 > MIN_STEP:
-                    cand2, vc2 = _try(alpha / 2)
-                    if sign * (vc2 - vc) <= 0:
-                        break
-                    alpha /= 2
-                    cand, vc = cand2, vc2
-                accepted = True
-                break
-            if abs(vc - v) <= NOISE_FLOOR * max(1.0, abs(v)):
-                # objective change below rounding; contract the gradient instead
-                _, gc = _value_and_grad(cand, mats, sqmats)
-                gtc = gc - np.vdot(cand, gc) * cand
-                if np.linalg.norm(gtc) <= GRAD_SHRINK * gn:
-                    accepted = True
-                    break
-            alpha *= 0.5
-        if not accepted:
-            break
-        step_norm = np.linalg.norm(cand - a)
-        dv = abs(vc - v)
-        a, v = cand, vc
-        _, grad = _value_and_grad(a, mats, sqmats)
-        if step_norm <= config.step_tolerance and dv <= config.value_tolerance:
-            converged = True
-            break
-    return a, v, converged, iterations
-
-
-def _search(basis: ObservableBasis, config: SearchConfig, state_label: str):
-    mats = [o.entries for o in basis]
-    sqmats = [m @ m for m in mats]
-    sign = 1.0 if config.mode == "maximize" else -1.0
-    dim = basis.dim
-    results = []
-    for k in range(config.restarts):
-        rng = np.random.Generator(np.random.Philox(key=int(config.seed) ^ k))
-        a0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        a0 = a0 / np.linalg.norm(a0)
-        results.append(_run_restart(a0, mats, sqmats, sign, config))
-    restart_values = np.array([r[1] for r in results])
-    # strict inequality keeps the lowest restart index on ties
-    best_k = 0
-    for k in range(1, config.restarts):
-        if sign * (restart_values[k] - restart_values[best_k]) > 0:
-            best_k = k
-    a, v, conv, iters = results[best_k]
-    restart_values.setflags(write=False)
+    best_k = int(np.argmax(sign * v))  # first index on ties
+    v.setflags(write=False)
+    gnorm.setflags(write=False)
     return SearchResult(
-        best_state=StateVector(a, state_label),
-        best_value=float(v),
-        converged=any(r[2] for r in results),
-        iterations_used=iters,
-        restart_values=restart_values,
+        best_state=StateVector(a[best_k], state_label),
+        best_value=float(v[best_k]),
+        converged=bool(stop[best_k] == 0),
+        iterations_used=int(iterations[best_k]),
+        restart_values=v,
+        restart_stop=tuple(STOP_REASONS[c] for c in stop),
+        restart_gradients=gnorm,
     )
 
 
@@ -180,19 +186,11 @@ def maximize_total_variance(
     basis: ObservableBasis, config: SearchConfig = None, state_label: str = "spherical"
 ) -> SearchResult:
     """Search for the state of maximal total variance (a CE state)."""
-    if config is None:
-        config = SearchConfig(mode="maximize")
-    if config.mode != "maximize":
-        raise ValueError("config.mode must be 'maximize'")
-    return _search(basis, config, state_label)
+    return _search(basis, config, "maximize", state_label)
 
 
 def minimize_total_variance(
     basis: ObservableBasis, config: SearchConfig = None, state_label: str = "spherical"
 ) -> SearchResult:
     """Search for the state of minimal total variance (a coherent state)."""
-    if config is None:
-        config = SearchConfig(mode="minimize")
-    if config.mode != "minimize":
-        raise ValueError("config.mode must be 'minimize'")
-    return _search(basis, config, state_label)
+    return _search(basis, config, "minimize", state_label)

@@ -148,6 +148,13 @@ class TestContainers:
         with pytest.raises(ValueError):
             StateVector(np.array([1.0, 1.0, 0.0]), "spherical")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_state_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            StateVector([bad, 1.0, 0.0], "spherical")
+        with pytest.raises(ValueError, match="non-finite"):
+            StateVector.from_components([bad, 1.0, 0.0], "spherical", normalize=True)
+
     def test_state_rejects_bad_label(self):
         with pytest.raises(ValueError):
             StateVector(np.array([1.0, 0.0, 0.0]), "cylindrical")

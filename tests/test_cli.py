@@ -95,6 +95,14 @@ class TestAnalyze:
         doc = json.loads(out)
         assert doc["input"]["original_norm"] == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("flags", [[], ["--normalize"]])
+    def test_non_finite_component_exits_2(self, capsys, monkeypatch, flags):
+        stdin = '{"basis": "spherical", "components": [[NaN, 0], [1, 0], [0, 0]]}'
+        code, out, err = run(capsys, monkeypatch, ["analyze", *flags], stdin)
+        assert code == 2
+        assert out == ""
+        assert "non-finite" in err
+
     def test_wrong_dimension_exits_2(self, capsys, monkeypatch):
         code, _, _ = run(
             capsys, monkeypatch, ["analyze"], state_json([1, 0, 0, 0], "qubit-pair")
@@ -164,6 +172,17 @@ class TestSearch:
         code, _, _ = run(capsys, monkeypatch, ["search", "--restarts", "0"])
         assert code == 2
         code, _, _ = run(capsys, monkeypatch, ["search", "--mode", "sideways"])
+        assert code == 2
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-1"])
+    def test_non_finite_step_tol_exit_2(self, capsys, monkeypatch, bad):
+        code, out, err = run(capsys, monkeypatch, ["search", f"--step-tol={bad}"])
+        assert code == 2
+        assert out == ""
+        assert "step_tolerance" in err
+
+    def test_value_tol_removed(self, capsys, monkeypatch):
+        code, _, _ = run(capsys, monkeypatch, ["search", "--value-tol", "1e-11"])
         assert code == 2
 
 

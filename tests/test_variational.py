@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from entfluct import (
+    Observable,
+    ObservableBasis,
     SearchConfig,
     StateVector,
     canonical_form,
@@ -14,6 +16,7 @@ from entfluct import (
     to_cartesian,
     total_variance,
 )
+from entfluct.variational import _line, _line_coefficients, _operators, _value_and_gradient
 from util import random_state
 
 SPIN1 = spin_generators(1)
@@ -45,6 +48,9 @@ class TestGradient:
     @pytest.mark.parametrize("basis,dim,label", [
         (SPIN1, 3, "spherical"),
         (local_two_qubit_basis(), 4, "qubit-pair"),
+        (spin_generators(1.5), 4, "spherical"),
+        (spin_generators(3), 7, "spherical"),
+        (spin_generators(10), 21, "spherical"),
     ])
     def test_matches_finite_differences(self, basis, dim, label):
         rng = np.random.default_rng(42)
@@ -55,6 +61,31 @@ class TestGradient:
             analytic = np.vdot(delta, g).real
             fd = directional_derivative(psi, basis, delta)
             assert abs(fd - analytic) <= 1e-5 * max(1.0, abs(analytic))
+
+
+class TestLineCoefficients:
+    @pytest.mark.parametrize("basis,label", [
+        (SPIN1, "spherical"),
+        (spin_generators(1.5), "spherical"),
+        (spin_generators(3), "spherical"),
+        (spin_generators(10), "spherical"),
+        (local_two_qubit_basis(), "qubit-pair"),
+    ])
+    def test_reproduce_v_on_the_great_circle(self, basis, label):
+        rng = np.random.default_rng(77)
+        ops = _operators(basis)
+        for _ in range(50):
+            a = random_state(rng, basis.dim, label).amplitudes
+            d = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+            d = d - np.vdot(a, d) * a
+            d = d / np.linalg.norm(d)
+            v0, _, oa, e = _value_and_gradient(a[None], ops)
+            coef = _line_coefficients(a[None], d[None], oa, e, ops)
+            t = rng.uniform(0, 2 * np.pi, size=8)
+            line = v0[0] + _line(coef, 2 * t)[0][0]
+            direct = [total_variance(StateVector(a * np.cos(x) + d * np.sin(x), label), basis)
+                      for x in t]
+            assert np.max(np.abs(line - direct)) <= 1e-12
 
 
 class TestMaximize:
@@ -107,7 +138,79 @@ class TestMinimize:
         assert result.best_value == pytest.approx(j * (j + 1) - j * j, abs=1e-7)
 
 
+class TestExtremes:
+    """Maxima are anticoherent states, V = j(j+1); minima spin coherent
+    states, V = j; every restart reaches its target on the gradient test."""
+
+    @pytest.mark.parametrize("j", [2, 2.5, 3, 10])
+    @pytest.mark.parametrize("mode", ["maximize", "minimize"])
+    def test_every_restart_reaches_target(self, j, mode):
+        config = SearchConfig(restarts=16, seed=3, mode=mode)
+        run = maximize_total_variance if mode == "maximize" else minimize_total_variance
+        result = run(spin_generators(j), config)
+        target = j * (j + 1) if mode == "maximize" else j
+        assert np.max(np.abs(result.restart_values - target)) <= 1e-9
+        assert result.restart_stop == ("gradient",) * 16
+        assert np.all(result.restart_gradients <= config.step_tolerance)
+        assert result.converged
+
+    def test_spin3_maximize_reaches_anticoherent_value(self):
+        result = maximize_total_variance(spin_generators(3))
+        assert result.best_value == pytest.approx(12.0, abs=1e-9)
+        assert np.all(result.restart_gradients <= SearchConfig().step_tolerance)
+
+
+class TestConvergedFlag:
+    # a random three-observable basis on C^4 with two local maxima of V: with
+    # this seed restart 0 settles on the lower one within the cap, while
+    # restart 1 is still climbing towards the higher one when the cap stops it
+    @staticmethod
+    def _basis():
+        rng = np.random.default_rng(11)
+        mats = []
+        for _ in range(3):
+            m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            mats.append(Observable((m + m.conj().T) / 2))
+        return ObservableBasis(tuple(mats))
+
+    def test_capped_best_restart_is_not_converged(self):
+        config = SearchConfig(restarts=2, seed=8, max_iterations=22)
+        result = maximize_total_variance(self._basis(), config, state_label="qubit-pair")
+        assert result.restart_stop == ("gradient", "cap")
+        assert result.best_value == result.restart_values[1] > result.restart_values[0] + 1
+        assert result.iterations_used == 22
+        assert not result.converged
+        g = gradient_total_variance(result.best_state, self._basis())
+        a = result.best_state.amplitudes
+        assert np.linalg.norm(g - np.vdot(a, g) * a) > config.step_tolerance
+
+    def test_flag_follows_returned_restart(self):
+        config = SearchConfig(restarts=4, seed=0, max_iterations=300)
+        result = maximize_total_variance(spin_generators(3), config)
+        best = int(np.argmax(result.restart_values))
+        assert result.converged == (result.restart_stop[best] == "gradient")
+        assert result.restart_gradients[best] <= config.step_tolerance
+
+
 class TestDeterminismAndConsistency:
+    @pytest.mark.parametrize("j", [1.5, 3])
+    @pytest.mark.parametrize("mode", ["maximize", "minimize"])
+    def test_batched_restart_equals_single_restart(self, j, mode):
+        basis = spin_generators(j)
+        run = maximize_total_variance if mode == "maximize" else minimize_total_variance
+        seed = 2024
+        batch = run(basis, SearchConfig(restarts=8, seed=seed, mode=mode))
+        best = int(np.argmax(batch.restart_values if mode == "maximize" else -batch.restart_values))
+        for k in range(8):
+            one = run(basis, SearchConfig(restarts=1, seed=seed ^ k, mode=mode))
+            assert one.best_value == batch.restart_values[k]
+            assert one.restart_stop[0] == batch.restart_stop[k]
+            assert one.restart_gradients[0] == batch.restart_gradients[k]
+            if k == best:
+                assert np.array_equal(one.best_state.amplitudes, batch.best_state.amplitudes)
+                assert one.iterations_used == batch.iterations_used
+
+
     def test_identical_config_identical_restart_values(self):
         c = SearchConfig(seed=123, restarts=8)
         r1 = maximize_total_variance(SPIN1, c)
@@ -135,3 +238,8 @@ class TestDeterminismAndConsistency:
             SearchConfig(step_tolerance=0.0)
         with pytest.raises(ValueError):
             SearchConfig(mode="wander")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_config_rejects_non_finite_tolerance(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            SearchConfig(step_tolerance=bad)
