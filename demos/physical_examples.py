@@ -32,7 +32,7 @@ print()
 print("== Pion flavor states ==")
 for pid in ("pion-plus", "pion-minus", "pion-zero"):
     p = PRESETS[pid]
-    flag, _ = is_completely_entangled(p.state.as_state_vector(), local, 1e-9)
+    flag, _ = is_completely_entangled(p.state, local, 1e-9)
     print(f"{pid:<12} C = {pure_concurrence(p.state):.3f}   CE: {flag}")
 print("pi0 sits at maximal fluctuations, consistent with it being far less")
 print("stable than the coherent charged pions.")

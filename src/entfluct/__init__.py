@@ -23,6 +23,7 @@ from .fluctuations import (
     expectation_vector,
     fluctuation_report,
     is_completely_entangled,
+    moments,
     total_variance,
     variance_concurrence,
 )
@@ -39,7 +40,6 @@ from .spin1 import (
     zero_projection_axis,
 )
 from .twoqubit import (
-    TwoQubitState,
     embed_symmetric,
     project_spin1,
     pure_concurrence,
@@ -66,6 +66,7 @@ __all__ = [
     "FluctuationReport",
     "expectation",
     "expectation_vector",
+    "moments",
     "total_variance",
     "is_completely_entangled",
     "variance_concurrence",
@@ -80,7 +81,6 @@ __all__ = [
     "concurrence_from_phi",
     "zero_projection_axis",
     "ce_basis",
-    "TwoQubitState",
     "embed_symmetric",
     "project_spin1",
     "singlet",

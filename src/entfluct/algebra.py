@@ -7,8 +7,9 @@ numerics never have to re-check them.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,13 +18,18 @@ NORM_TOL = 1e-12
 COMMUTATOR_TOL = 1e-10
 ORTHOGONALITY_TOL = 1e-10
 
-STATE_BASIS_LABELS = ("spherical", "cartesian", "qubit-pair")
+_SQ2 = np.sqrt(2.0)
+
+# state basis label -> the dimension it requires (None: any, as spin j takes 2j + 1)
+STATE_BASIS_LABELS = {"spherical": None, "cartesian": 3, "qubit-pair": 4}
 
 
 def _frozen_complex_matrix(entries) -> np.ndarray:
     m = np.array(entries, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix has a non-finite entry")
     m.setflags(write=False)
     return m
 
@@ -45,16 +51,14 @@ class Observable:
         return self.entries.shape[0]
 
 
-def _is_su2_label(label: str) -> bool:
-    return label.startswith("su2-spin-") and ":" not in label
-
-
 @dataclass(frozen=True)
 class ObservableBasis:
-    """Ordered basis of the algebra of essential observables."""
+    """Ordered basis of the algebra of essential observables. `operators` stacks
+    the elements followed by their Casimir sum C = sum_i O_i^2, (k + 1, d, d)."""
 
     elements: tuple
     label: str = ""
+    operators: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         elems = tuple(self.elements)
@@ -67,8 +71,12 @@ class ObservableBasis:
             if o.dim != dim:
                 raise ValueError("dimension mismatch among basis elements")
         object.__setattr__(self, "elements", elems)
-        if _is_su2_label(self.label):
+        if self.label.startswith("su2-spin-") and ":" not in self.label:
             self._check_su2_commutation(elems)
+        mats = np.stack([o.entries for o in elems])
+        ops = np.concatenate([mats, np.sum(mats @ mats, axis=0)[None]])
+        ops.setflags(write=False)
+        object.__setattr__(self, "operators", ops)
 
     @staticmethod
     def _check_su2_commutation(elems):
@@ -92,7 +100,8 @@ class ObservableBasis:
 
 @dataclass(frozen=True)
 class StateVector:
-    """A normalized pure state over a labeled basis."""
+    """A normalized pure state over a labeled basis; `cartesian` (spin 1) needs
+    3 amplitudes, `qubit-pair` (order uu, ud, du, dd) 4."""
 
     amplitudes: np.ndarray
     basis_label: str
@@ -103,6 +112,9 @@ class StateVector:
         a = np.array(self.amplitudes, dtype=complex).reshape(-1)
         if a.size == 0:
             raise ValueError("empty state vector")
+        need = STATE_BASIS_LABELS[self.basis_label]
+        if need is not None and a.size != need:
+            raise ValueError(f"a {self.basis_label} state needs {need} amplitudes, got {a.size}")
         norm2 = float(np.sum(np.abs(a) ** 2))
         # a NaN or infinite amplitude makes the squared norm NaN or infinite
         if not math.isfinite(norm2):
@@ -136,12 +148,18 @@ def spin_generators(j) -> ObservableBasis:
     """{S_x, S_y, S_z} for spin j, S_z diagonal with m = +j first.
 
     Ladder matrix elements are real non-negative (Condon-Shortley phases).
+    Built once per spin: every call with the same j returns the same basis.
     """
     jj = float(j)
     two_j = round(2 * jj)
     if two_j <= 0 or abs(2 * jj - two_j) > 1e-12:
         raise ValueError(f"j must be a positive half-integer, got {j}")
-    dim = two_j + 1
+    return _spin_generators(two_j)
+
+
+@functools.lru_cache(maxsize=None)
+def _spin_generators(two_j: int) -> ObservableBasis:
+    jj, dim = two_j / 2, two_j + 1
     m = jj - np.arange(dim)
     # <m+1| S+ |m> = sqrt(j(j+1) - m(m+1)); superdiagonal in descending-m order
     sp = np.diag(np.sqrt(jj * (jj + 1) - m[1:] * (m[1:] + 1)), k=1).astype(complex)
@@ -155,7 +173,13 @@ def spin_generators(j) -> ObservableBasis:
 
 
 def local_two_qubit_basis() -> ObservableBasis:
-    """{s_a (x) I, I (x) s_a} on the qubit pair, basis order uu, ud, du, dd."""
+    """{s_a (x) I, I (x) s_a} on the qubit pair, basis order uu, ud, du, dd;
+    built once."""
+    return _local_two_qubit_basis()
+
+
+@functools.lru_cache(maxsize=None)
+def _local_two_qubit_basis() -> ObservableBasis:
     half = spin_generators(0.5)
     eye = np.eye(2)
     elems = [Observable(np.kron(o.entries, eye)) for o in half]
@@ -165,10 +189,7 @@ def local_two_qubit_basis() -> ObservableBasis:
 
 def casimir(basis: ObservableBasis) -> Observable:
     """Sum of squares of the basis elements (scalar on irreducible representations)."""
-    total = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for o in basis:
-        total += o.entries @ o.entries
-    return Observable(total)
+    return Observable(basis.operators[-1])
 
 
 def rotate_basis(basis: ObservableBasis, rotation) -> ObservableBasis:
@@ -180,8 +201,5 @@ def rotate_basis(basis: ObservableBasis, rotation) -> ObservableBasis:
         raise ValueError(f"rotation must be 3x3, got shape {r.shape}")
     if np.max(np.abs(r.T @ r - np.eye(3))) > ORTHOGONALITY_TOL:
         raise ValueError("rotation matrix is not orthogonal within 1e-10")
-    mats = [o.entries for o in basis]
-    new = tuple(
-        Observable(sum(r[a, b] * mats[b] for b in range(3))) for a in range(3)
-    )
-    return ObservableBasis(new, label=f"rotated:{basis.label}")
+    mixed = np.einsum("ab,bij->aij", r, basis.operators[:3])
+    return ObservableBasis(tuple(Observable(m) for m in mixed), label=f"rotated:{basis.label}")

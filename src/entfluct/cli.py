@@ -2,8 +2,8 @@
 
 Subcommands: analyze, search, preset, convert, decompose. States are read from
 stdin or --file as JSON {"basis": "spherical"|"cartesian"|"qubit-pair",
-"components": [[re, im], ...]}. Exit codes: 0 success, 1 non-convergence or
-internal cross-check failure, 2 usage/validation errors.
+"components": [[re, im], ...]}. Exit codes: 0 success, 1 non-convergence,
+a failed cross-check or an internal error, 2 usage/validation errors.
 """
 
 from __future__ import annotations
@@ -12,14 +12,15 @@ import argparse
 import json
 import math
 import sys
+import traceback
 
 import numpy as np
 
-from .algebra import StateVector, casimir, local_two_qubit_basis, spin_generators
-from .fluctuations import fluctuation_report, variance_concurrence
+from .algebra import NORM_TOL, STATE_BASIS_LABELS, StateVector, local_two_qubit_basis, spin_generators
+from .fluctuations import fluctuation_report
 from .presets import PRESETS
 from .spin1 import canonical_form, concurrence_from_phi, concurrence_spherical, to_cartesian, to_spherical
-from .twoqubit import TwoQubitState, embed_symmetric, pure_concurrence, sector_split
+from .twoqubit import embed_symmetric, project_spin1, pure_concurrence, sector_split
 from .variational import SearchConfig, maximize_total_variance, minimize_total_variance
 
 CROSS_CHECK_TOL = 1e-9
@@ -35,16 +36,12 @@ class UsageError(Exception):
     pass
 
 
-class InconsistencyError(Exception):
-    pass
-
-
-def _complex_pairs(amplitudes) -> list:
-    return [[float(c.real), float(c.imag)] for c in amplitudes]
-
-
 def _state_json(amplitudes, basis_label: str) -> dict:
-    return {"basis": basis_label, "components": _complex_pairs(amplitudes)}
+    return {"basis": basis_label, "components": [[float(c.real), float(c.imag)] for c in amplitudes]}
+
+
+def _components_text(components, digits: int = 9) -> str:
+    return ", ".join(f"{re:+.{digits}g}{im:+.{digits}g}i" for re, im in components)
 
 
 def _parse_state_json(obj) -> tuple:
@@ -55,7 +52,7 @@ def _parse_state_json(obj) -> tuple:
         components = obj["components"]
     except (KeyError, TypeError):
         raise UsageError('state JSON needs "basis" and "components" fields')
-    if basis not in ("spherical", "cartesian", "qubit-pair"):
+    if basis not in STATE_BASIS_LABELS:
         raise UsageError(f"unknown basis label {basis!r}")
     try:
         amps = np.array([complex(re, im) for re, im in components])
@@ -65,6 +62,8 @@ def _parse_state_json(obj) -> tuple:
 
 
 def _read_state(args) -> tuple:
+    """(amplitudes, basis label, original norm or None) of the state JSON in
+    --file or on stdin; with --normalize a state of another norm is rescaled."""
     if getattr(args, "file", None):
         try:
             with open(args.file) as fh:
@@ -77,31 +76,26 @@ def _read_state(args) -> tuple:
         obj = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise UsageError(f"malformed state JSON: {exc}")
-    return _parse_state_json(obj)
-
-
-def _normalize_amps(amps, normalize: bool):
+    amps, basis_label = _parse_state_json(obj)
     norm = float(np.linalg.norm(amps))
     if not math.isfinite(norm):
         raise UsageError("state has a non-finite component")
-    if abs(norm - 1.0) <= 1e-12:
-        return amps, None
-    if not normalize:
+    if abs(norm * norm - 1.0) <= NORM_TOL:  # StateVector's test, on |a|^2
+        return amps, basis_label, None
+    if not args.normalize:
         raise UsageError(
             f"state has norm {norm!r}; pass --normalize to rescale explicitly"
         )
     if norm == 0.0:
         raise UsageError("cannot normalize the zero vector")
-    return amps / norm, norm
+    return amps / norm, basis_label, norm
 
 
-def _spin1_bounds(basis):
-    # Irreducible su(2): V_tot = <Casimir> - |<S>|^2, so the variance runs
-    # from j(j+1) - j^2 (coherent, |<S>| = j) up to j(j+1) (CE).
-    c = casimir(basis)
-    scalar = float(np.trace(c.entries).real) / basis.dim
-    j = (basis.dim - 1) / 2.0
-    return scalar - j * j, scalar
+def _state_vector(amps, basis_label: str) -> StateVector:
+    try:
+        return StateVector(amps, basis_label)
+    except ValueError as exc:
+        raise UsageError(str(exc))
 
 
 def _canonical_form_json(form) -> dict:
@@ -126,75 +120,17 @@ def _fluctuations_json(report, basis_label: str) -> dict:
     }
 
 
-def analyze_spin1(amps, basis_label: str, tol: float, input_echo: dict) -> dict:
-    psi = StateVector(amps, basis_label)
-    sph = to_spherical(psi) if basis_label == "cartesian" else psi
-    cart = psi if basis_label == "cartesian" else to_cartesian(psi)
-
-    spin_basis = spin_generators(1)
-    v_min, v_max = _spin1_bounds(spin_basis)
-    report = fluctuation_report(sph, spin_basis, v_min, v_max, ce_tol=tol)
-    form = canonical_form(cart)
-
-    concurrences = {
-        "spherical_formula": concurrence_spherical(sph),
-        "canonical_phi": concurrence_from_phi(form.phi),
-        "variance_ratio": variance_concurrence(sph, spin_basis, v_min, v_max),
-        "two_qubit_det": pure_concurrence(embed_symmetric(sph)),
-    }
-    exact = [
-        concurrences["spherical_formula"],
-        concurrences["canonical_phi"],
-        concurrences["two_qubit_det"],
-    ]
+def _concurrence_json(concurrences: dict) -> dict:
+    """Cross-check the exactly conditioned formulas against each other and the
+    variance ratio against each of them."""
+    exact = [v for name, v in concurrences.items() if name != "variance_ratio"]
     delta_exact = max(abs(a - b) for a in exact for b in exact)
     delta_variance = max(abs(concurrences["variance_ratio"] - v) for v in exact)
-    consistent = delta_exact <= CROSS_CHECK_TOL and delta_variance <= VARIANCE_CROSS_TOL
-    delta = max(delta_exact, delta_variance)
     return {
-        "schema_version": SCHEMA_VERSION,
-        "system": "spin1",
-        "input": input_echo,
-        "state": _state_json(psi.amplitudes, basis_label),
-        "fluctuations": _fluctuations_json(report, spin_basis.label),
-        "canonical_form": _canonical_form_json(form),
-        "concurrence": {
-            **concurrences,
-            "max_pairwise_delta": delta,
-            "cross_check_tolerance": CROSS_CHECK_TOL,
-            "consistent": consistent,
-        },
-        "ce": {
-            "completely_entangled": bool(report.ce_flag),
-            "residual": float(report.ce_residual),
-            "tolerance": tol,
-        },
-    }
-
-
-def analyze_two_qubit(amps, tol: float, input_echo: dict) -> dict:
-    chi = TwoQubitState(amps)
-    basis = local_two_qubit_basis()
-    report = fluctuation_report(chi.as_state_vector(), basis, ce_tol=tol)
-    conc = pure_concurrence(chi)
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "system": "two-qubit",
-        "input": input_echo,
-        "state": _state_json(chi.amplitudes, "qubit-pair"),
-        "fluctuations": _fluctuations_json(report, basis.label),
-        "canonical_form": None,
-        "concurrence": {
-            "two_qubit_det": conc,
-            "max_pairwise_delta": 0.0,
-            "cross_check_tolerance": CROSS_CHECK_TOL,
-            "consistent": True,
-        },
-        "ce": {
-            "completely_entangled": bool(report.ce_flag),
-            "residual": float(report.ce_residual),
-            "tolerance": tol,
-        },
+        **concurrences,
+        "max_pairwise_delta": max(delta_exact, delta_variance),
+        "cross_check_tolerance": CROSS_CHECK_TOL,
+        "consistent": delta_exact <= CROSS_CHECK_TOL and delta_variance <= VARIANCE_CROSS_TOL,
     }
 
 
@@ -202,13 +138,47 @@ def build_analysis(amps, basis_label: str, system: str, tol: float, original_nor
     echo = _state_json(amps, basis_label)
     if original_norm is not None:
         echo["original_norm"] = original_norm
+    psi = _state_vector(amps, basis_label)
+    form = None
     if system == "spin1":
-        if basis_label not in ("spherical", "cartesian") or len(amps) != 3:
+        if basis_label == "qubit-pair" or psi.dim != 3:
             raise UsageError("spin1 analysis needs a 3-component spherical or cartesian state")
-        return analyze_spin1(amps, basis_label, tol, echo)
-    if basis_label != "qubit-pair" or len(amps) != 4:
-        raise UsageError("two-qubit analysis needs a 4-component qubit-pair state")
-    return analyze_two_qubit(amps, tol, echo)
+        sph = to_spherical(psi) if basis_label == "cartesian" else psi
+        # irreducible su(2): V_tot = j(j+1) - |<S>|^2 runs from j (coherent,
+        # |<S>| = j) to j(j+1) (CE), here from 1 to 2
+        basis = spin_generators(1)
+        report = fluctuation_report(sph, basis, 1.0, 2.0, ce_tol=tol)
+        form = canonical_form(psi if basis_label == "cartesian" else to_cartesian(psi))
+        concurrences = {
+            "spherical_formula": concurrence_spherical(sph),
+            "canonical_phi": concurrence_from_phi(form.phi),
+            "variance_ratio": report.concurrence_variance,
+            "two_qubit_det": pure_concurrence(embed_symmetric(sph)),
+        }
+    else:
+        if basis_label != "qubit-pair":
+            raise UsageError("two-qubit analysis needs a 4-component qubit-pair state")
+        # local basis on a pure pair: V_tot = 1 + C^2 / 2, from 1 (product) to 3/2
+        basis = local_two_qubit_basis()
+        report = fluctuation_report(psi, basis, 1.0, 1.5, ce_tol=tol)
+        concurrences = {
+            "variance_ratio": report.concurrence_variance,
+            "two_qubit_det": pure_concurrence(psi),
+        }
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "system": system,
+        "input": echo,
+        "state": _state_json(psi.amplitudes, basis_label),
+        "fluctuations": _fluctuations_json(report, basis.label),
+        "canonical_form": None if form is None else _canonical_form_json(form),
+        "concurrence": _concurrence_json(concurrences),
+        "ce": {
+            "completely_entangled": bool(report.ce_flag),
+            "residual": float(report.ce_residual),
+            "tolerance": tol,
+        },
+    }
 
 
 def _fmt_float(x) -> str:
@@ -218,8 +188,7 @@ def _fmt_float(x) -> str:
 def _render_analysis_text(doc) -> str:
     lines = [f"system            {doc['system']}"]
     st = doc["state"]
-    comps = ", ".join(f"{re:+.9g}{im:+.9g}i" for re, im in st["components"])
-    lines.append(f"state [{st['basis']}]  ({comps})")
+    lines.append(f"state [{st['basis']}]  ({_components_text(st['components'])})")
     fl = doc["fluctuations"]
     lines.append(f"observable basis  {fl['basis']}")
     lines.append(f"expectations      ({', '.join(f'{e: .9g}' for e in fl['expectations'])})")
@@ -248,14 +217,17 @@ def _emit(doc, fmt: str, text_renderer):
         print(text_renderer(doc))
 
 
+def _emit_analysis(doc, fmt: str) -> int:
+    _emit(doc, fmt, _render_analysis_text)
+    if doc["concurrence"]["consistent"]:
+        return 0
+    print("inconsistency: concurrence cross-check failed", file=sys.stderr)
+    return 1
+
+
 def cmd_analyze(args) -> int:
-    amps, basis_label = _read_state(args)
-    amps, original_norm = _normalize_amps(amps, args.normalize)
-    doc = build_analysis(amps, basis_label, args.system, args.tol, original_norm)
-    _emit(doc, args.format, _render_analysis_text)
-    if not doc["concurrence"]["consistent"]:
-        raise InconsistencyError("concurrence cross-check failed")
-    return 0
+    amps, basis_label, original_norm = _read_state(args)
+    return _emit_analysis(build_analysis(amps, basis_label, args.system, args.tol, original_norm), args.format)
 
 
 def _search_doc(result, extra: dict) -> dict:
@@ -272,13 +244,12 @@ def _search_doc(result, extra: dict) -> dict:
 
 def _render_search_text(doc) -> str:
     st = doc["best_state"]
-    comps = ", ".join(f"{re:+.9g}{im:+.9g}i" for re, im in st["components"])
     return "\n".join(
         [
             f"system            {doc['system']}",
             f"mode              {doc['mode']}",
             f"best value        {doc['best_value']:.12g}",
-            f"best state        [{st['basis']}] ({comps})",
+            f"best state        [{st['basis']}] ({_components_text(st['components'])})",
             f"converged         {doc['converged']}",
             f"iterations        {doc['iterations_used']}",
             f"restart values    ({', '.join(f'{v:.9g}' for v in doc['restart_values'])})",
@@ -287,12 +258,6 @@ def _render_search_text(doc) -> str:
 
 
 def cmd_search(args) -> int:
-    if args.system == "spin1":
-        basis = spin_generators(1)
-        label = "spherical"
-    else:
-        basis = local_two_qubit_basis()
-        label = "qubit-pair"
     try:
         config = SearchConfig(
             restarts=args.restarts,
@@ -304,24 +269,22 @@ def cmd_search(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc))
     run = maximize_total_variance if args.mode == "maximize" else minimize_total_variance
-    result = run(basis, config, state_label=label)
+    if args.system == "spin1":
+        result = run(spin_generators(1), config, state_label="spherical")
+    else:
+        result = run(local_two_qubit_basis(), config, state_label="qubit-pair")
     doc = _search_doc(result, {"system": args.system, "mode": args.mode})
     _emit(doc, args.format, _render_search_text)
     return 0 if result.converged else 1
 
 
 def _preset_json(preset) -> dict:
-    if preset.state is None:
-        state = None
-    elif preset.system == "spin1":
-        state = _state_json(preset.state.amplitudes, preset.state.basis_label)
-    else:
-        state = _state_json(preset.state.amplitudes, "qubit-pair")
+    state = preset.state
     return {
         "id": preset.id,
         "description": preset.description,
         "system": preset.system,
-        "state": state,
+        "state": None if state is None else _state_json(state.amplitudes, state.basis_label),
         "expected_concurrence": preset.expected_concurrence,
         "source_note": preset.source_note,
     }
@@ -342,33 +305,21 @@ def cmd_preset(args) -> int:
     if preset is None:
         raise UsageError(f"unknown preset {args.id!r}")
     if args.action == "show":
-        if args.format == "json":
-            print(json.dumps(_preset_json(preset)))
-        else:
-            info = _preset_json(preset)
-            for key, val in info.items():
-                print(f"{key:<22}{val}")
+        _emit(_preset_json(preset), args.format,
+              lambda info: "\n".join(f"{key:<22}{val}" for key, val in info.items()))
         return 0
     # analyze
     if preset.state is None:
         raise UsageError(f"preset {preset.id!r} is label-only: {preset.source_note}")
-    if preset.system == "spin1":
-        amps, basis_label = preset.state.amplitudes, preset.state.basis_label
-    else:
-        amps, basis_label = preset.state.amplitudes, "qubit-pair"
-    doc = build_analysis(amps, basis_label, preset.system, args.tol, None)
-    _emit(doc, args.format, _render_analysis_text)
-    if not doc["concurrence"]["consistent"]:
-        raise InconsistencyError("concurrence cross-check failed")
-    return 0
+    doc = build_analysis(preset.state.amplitudes, preset.state.basis_label, preset.system, args.tol, None)
+    return _emit_analysis(doc, args.format)
 
 
 def cmd_convert(args) -> int:
-    amps, basis_label = _read_state(args)
-    amps, _ = _normalize_amps(amps, args.normalize)
-    if basis_label not in ("spherical", "cartesian") or len(amps) != 3:
+    amps, basis_label, _ = _read_state(args)
+    psi = _state_vector(amps, basis_label)
+    if basis_label == "qubit-pair" or psi.dim != 3:
         raise UsageError("convert expects a 3-component spherical or cartesian state")
-    psi = StateVector(amps, basis_label)
     if args.to == basis_label:
         out = psi
     elif args.to == "cartesian":
@@ -376,28 +327,21 @@ def cmd_convert(args) -> int:
     else:
         out = to_spherical(psi)
     doc = _state_json(out.amplitudes, out.basis_label)
-    if args.format == "json":
-        print(json.dumps(doc))
-    else:
-        comps = ", ".join(f"{re:+.12g}{im:+.12g}i" for re, im in doc["components"])
-        print(f"[{doc['basis']}] ({comps})")
+    _emit(doc, args.format, lambda d: f"[{d['basis']}] ({_components_text(d['components'], 12)})")
     return 0
 
 
 def cmd_decompose(args) -> int:
-    amps, basis_label = _read_state(args)
-    amps, _ = _normalize_amps(amps, args.normalize)
-    if basis_label != "qubit-pair" or len(amps) != 4:
+    amps, basis_label, _ = _read_state(args)
+    if basis_label != "qubit-pair":
         raise UsageError("decompose expects a 4-component qubit-pair state")
-    chi = TwoQubitState(amps)
+    chi = _state_vector(amps, basis_label)
     symmetric, anti = sector_split(chi)
     sym_weight = float(np.sum(np.abs(symmetric) ** 2))
     anti_weight = float(abs(anti) ** 2)
     spin1_state = None
-    if sym_weight > 1e-24:
-        p, mid, _, m = symmetric
-        sph = np.array([p, np.sqrt(2.0) * mid, m]) / np.sqrt(sym_weight)
-        spin1_state = _state_json(sph, "spherical")
+    if sym_weight > 1e-24:  # the normalized triplet part, whatever the singlet weight
+        spin1_state = _state_json(project_spin1(chi, tol=np.inf).amplitudes, "spherical")
     doc = {
         "schema_version": SCHEMA_VERSION,
         "symmetric_weight": sym_weight,
@@ -412,23 +356,25 @@ def cmd_decompose(args) -> int:
         print(f"antisymmetric weight {anti_weight:.12g}")
         print(f"singlet amplitude   {anti.real:+.12g}{anti.imag:+.12g}i")
         if spin1_state is not None:
-            comps = ", ".join(f"{re:+.9g}{im:+.9g}i" for re, im in spin1_state["components"])
-            print(f"spin-1 component    ({comps})")
+            print(f"spin-1 component    ({_components_text(spin1_state['components'])})")
         else:
             print("spin-1 component    none (pure singlet)")
     return 0
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
 
 
 def _add_common(parser):
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--normalize", action="store_true",
                         help="rescale non-normalized input states")
-    parser.add_argument("--tol", type=float, default=1e-9,
-                        help="CE residual tolerance (default 1e-9)")
-
-
-def _add_state_input(parser):
-    parser.add_argument("--file", help="read the state JSON from a file instead of stdin")
+    parser.add_argument("--tol", type=_positive_float, default=1e-9,
+                        help="CE residual tolerance, finite and > 0 (default 1e-9)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -440,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full fluctuation/concurrence report for a state")
     _add_common(p)
-    _add_state_input(p)
+    p.add_argument("--file", help="read the state JSON from a file instead of stdin")
     p.add_argument("--system", choices=("spin1", "two-qubit"), default="spin1")
     p.set_defaults(func=cmd_analyze)
 
@@ -462,13 +408,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("convert", help="spherical <-> cartesian spin-1 components")
     _add_common(p)
-    _add_state_input(p)
+    p.add_argument("--file", help="read the state JSON from a file instead of stdin")
     p.add_argument("--to", choices=("spherical", "cartesian"), required=True)
     p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("decompose", help="triplet/singlet split of a qubit-pair state")
     _add_common(p)
-    _add_state_input(p)
+    p.add_argument("--file", help="read the state JSON from a file instead of stdin")
     p.set_defaults(func=cmd_decompose)
 
     return parser
@@ -485,12 +431,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except InconsistencyError as exc:
-        print(f"inconsistency: {exc}", file=sys.stderr)
+    except Exception as exc:  # a failure in the numerics, not in the input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """Total variance of an observable basis, the CE criterion, and the variance
-concurrence.
+concurrence, all from one batched moments kernel.
 
-The total variance sum_i (<O_i^2> - <O_i>^2) measures how far a state sits from
+The total variance sum_i (<O_i^2> - <O_i>^2) = <C> - sum_i <O_i>^2, with the
+Casimir sum C = sum_i O_i^2, measures how far a state sits from
 classical reality; its maximizers are the completely entangled (CE) states,
 characterized by all basis expectations vanishing.
 """
@@ -23,39 +24,48 @@ BOUND_SLACK = 1e-9
 
 def expectation(psi: StateVector, obs: Observable) -> float:
     """Real expectation value <psi|O|psi>; rejects non-Hermitian leakage."""
-    if psi.dim != obs.dim:
-        raise ValueError(f"dimension mismatch: state {psi.dim}, observable {obs.dim}")
-    val = np.vdot(psi.amplitudes, obs.entries @ psi.amplitudes)
-    if abs(val.imag) > IMAG_TOL:
+    return float(expectation_vector(psi, ObservableBasis((obs,)))[0])
+
+
+def _apply(ops: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """O x for every operator and row, (N, k + 1, d). A broadcast sum rather
+    than a matrix product, so each row is rounded alike whatever N is."""
+    return (ops[None] * x[:, None, None, :]).sum(axis=-1)
+
+
+def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise <x|y> over the last axis."""
+    return (x.conj() * y).sum(axis=-1)
+
+
+def moments(a: np.ndarray, basis: ObservableBasis):
+    """(O a, <O>) for the rows of a (N, d): O a is (N, k + 1, d) and <O> the
+    real expectations (N, k + 1) of the basis elements followed by C = sum_i
+    O_i^2, taken in the normalized rows a / |a|."""
+    if a.ndim != 2 or a.shape[1] != basis.dim:
+        raise ValueError(f"dimension mismatch: state {a.shape[-1]}, basis {basis.dim}")
+    oa = _apply(basis.operators, a)
+    e = _inner(a[:, None, :], oa) / _inner(a, a).real[:, None]
+    if np.max(np.abs(e.imag)) > IMAG_TOL:
         raise ValueError("expectation has a non-negligible imaginary part")
-    return float(val.real)
+    return oa, e.real
+
+
+def variance(e: np.ndarray) -> np.ndarray:
+    """V_tot = <C> - sum_i <O_i>^2 for each row of moments' expectations."""
+    v = e[:, -1] - (e[:, :-1] ** 2).sum(axis=-1)
+    if np.min(v) < -VARIANCE_CLAMP:
+        raise ValueError("total variance is negative beyond tolerance")
+    return np.maximum(v, 0.0)
 
 
 def expectation_vector(psi: StateVector, basis: ObservableBasis) -> np.ndarray:
-    return np.array([expectation(psi, o) for o in basis])
-
-
-def _variance_terms(psi: StateVector, basis: ObservableBasis) -> np.ndarray:
-    if psi.dim != basis.dim:
-        raise ValueError(f"dimension mismatch: state {psi.dim}, basis {basis.dim}")
-    a = psi.amplitudes
-    terms = np.empty(len(basis))
-    for i, o in enumerate(basis):
-        oa = o.entries @ a
-        second = np.vdot(oa, oa).real  # <O^2> as |O psi|^2, exactly real
-        first = np.vdot(a, oa)
-        if abs(first.imag) > IMAG_TOL:
-            raise ValueError("expectation has a non-negligible imaginary part")
-        term = second - first.real**2
-        if term < -VARIANCE_CLAMP:
-            raise ValueError("variance summand is negative beyond tolerance")
-        terms[i] = max(term, 0.0)
-    return terms
+    return moments(psi.amplitudes[None], basis)[1][0, :-1]
 
 
 def total_variance(psi: StateVector, basis: ObservableBasis) -> float:
     """Sum of variances of the basis observables in the state psi."""
-    return float(np.sum(_variance_terms(psi, basis)))
+    return float(variance(moments(psi.amplitudes[None], basis)[1])[0])
 
 
 def is_completely_entangled(
@@ -66,25 +76,15 @@ def is_completely_entangled(
     Linearity of expectations makes checking the basis elements sufficient for
     the whole algebra.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    residual = float(np.max(np.abs(expectation_vector(psi, basis))))
-    return residual <= tol, residual
+    report = fluctuation_report(psi, basis, ce_tol=tol)
+    return report.ce_flag, report.ce_residual
 
 
 def variance_concurrence(
     psi: StateVector, basis: ObservableBasis, v_min: float, v_max: float
 ) -> float:
     """sqrt((V_tot - v_min) / (v_max - v_min)), clamped to [0, 1] near the edges."""
-    if v_max <= v_min:
-        raise ValueError("v_max must exceed v_min")
-    v = total_variance(psi, basis)
-    if v < v_min - BOUND_SLACK or v > v_max + BOUND_SLACK:
-        raise ValueError(
-            f"total variance {v} lies outside [{v_min}, {v_max}]: inconsistent bounds"
-        )
-    ratio = (v - v_min) / (v_max - v_min)
-    return float(np.sqrt(min(max(ratio, 0.0), 1.0)))
+    return fluctuation_report(psi, basis, v_min, v_max).concurrence_variance
 
 
 @dataclass(frozen=True)
@@ -111,12 +111,20 @@ def fluctuation_report(
 ) -> FluctuationReport:
     """Assemble the full report; the variance concurrence is included only when
     both bounds are supplied."""
-    exps = expectation_vector(psi, basis)
-    v = total_variance(psi, basis)
+    if not 0 < ce_tol < np.inf:
+        raise ValueError("tolerance must be positive and finite")
+    e = moments(psi.amplitudes[None], basis)[1]
+    exps, v = e[0, :-1], float(variance(e)[0])
     residual = float(np.max(np.abs(exps)))
     conc = None
     if v_min is not None and v_max is not None:
-        conc = variance_concurrence(psi, basis, v_min, v_max)
+        if v_max <= v_min:
+            raise ValueError("v_max must exceed v_min")
+        if v < v_min - BOUND_SLACK or v > v_max + BOUND_SLACK:
+            raise ValueError(
+                f"total variance {v} lies outside [{v_min}, {v_max}]: inconsistent bounds"
+            )
+        conc = float(np.sqrt(min(max((v - v_min) / (v_max - v_min), 0.0), 1.0)))
     exps.setflags(write=False)
     return FluctuationReport(
         expectations=exps,

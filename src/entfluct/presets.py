@@ -14,12 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from .algebra import StateVector
-from .twoqubit import TwoQubitState
-
-_SQ2 = np.sqrt(2.0)
+from .algebra import _SQ2, StateVector
 
 
 @dataclass(frozen=True)
@@ -27,7 +22,7 @@ class Preset:
     id: str
     description: str
     system: str  # "spin1" or "two-qubit"
-    state: Optional[object]  # StateVector or TwoQubitState; None for label-only
+    state: Optional[StateVector]  # None for label-only
     expected_concurrence: Optional[float]
     source_note: str
 
@@ -86,7 +81,7 @@ def _catalog():
             "pion-plus",
             "pi+ = u dbar (flavor product state)",
             "two-qubit",
-            TwoQubitState([0.0, 1.0, 0.0, 0.0]),
+            StateVector([0.0, 1.0, 0.0, 0.0], "qubit-pair"),
             0.0,
             "charged pions are coherent states of the quark isodoublet",
         ),
@@ -94,7 +89,7 @@ def _catalog():
             "pion-minus",
             "pi- = ubar d (flavor product state)",
             "two-qubit",
-            TwoQubitState([0.0, 0.0, 1.0, 0.0]),
+            StateVector([0.0, 0.0, 1.0, 0.0], "qubit-pair"),
             0.0,
             "charged pions are coherent states of the quark isodoublet",
         ),
@@ -102,7 +97,7 @@ def _catalog():
             "pion-zero",
             "pi0 = (u ubar - d dbar)/sqrt(2)",
             "two-qubit",
-            TwoQubitState([1 / _SQ2, 0.0, 0.0, -1 / _SQ2]),
+            StateVector([1 / _SQ2, 0.0, 0.0, -1 / _SQ2], "qubit-pair"),
             1.0,
             "the neutral pion is a completely entangled flavor state",
         ),

@@ -14,9 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import Observable, StateVector
-
-_SQ2 = np.sqrt(2.0)
+from .algebra import _SQ2, Observable, ObservableBasis, StateVector
 
 # Columns are the Cartesian images of |+1>, |0>, |-1> (Condon-Shortley):
 # |+1> = -(e_x + i e_y)/sqrt(2), |0> = e_z, |-1> = (e_x - i e_y)/sqrt(2)
@@ -173,8 +171,6 @@ def zero_projection_axis(psi: StateVector, tol: float = 1e-9) -> Optional[np.nda
 
 def cartesian_spin_generators():
     """{S_x, S_y, S_z} acting on Cartesian components (cross-product form)."""
-    from .algebra import ObservableBasis
-
     axes = np.eye(3)
     return ObservableBasis(
         tuple(spin_projection_operator(axes[a]) for a in range(3)),

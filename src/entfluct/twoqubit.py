@@ -2,51 +2,35 @@
 
 The pair space splits into the symmetric triplet (spin 1) and the
 antisymmetric singlet; embedding a spin-1 state into the triplet lets the
-two-qubit determinant concurrence 2|det| double as a spin-1 measure.
+two-qubit determinant concurrence 2|det| double as a spin-1 measure. Pair
+states are StateVector(amplitudes, "qubit-pair") over |uu>, |ud>, |du>, |dd>.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .algebra import StateVector
+from .algebra import _SQ2, StateVector
 
-_SQ2 = np.sqrt(2.0)
-NORM_TOL = 1e-12
 PROJECT_TOL_DEFAULT = 1e-9
 
 
-@dataclass(frozen=True)
-class TwoQubitState:
-    """Amplitudes over the product basis |uu>, |ud>, |du>, |dd>."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        a = np.array(self.amplitudes, dtype=complex).reshape(-1)
-        if a.size != 4:
-            raise ValueError(f"two-qubit state needs 4 amplitudes, got {a.size}")
-        if abs(np.sum(np.abs(a) ** 2) - 1.0) > NORM_TOL:
-            raise ValueError("two-qubit state is not normalized within 1e-12")
-        a.setflags(write=False)
-        object.__setattr__(self, "amplitudes", a)
-
-    def as_state_vector(self) -> StateVector:
-        return StateVector(self.amplitudes, "qubit-pair")
+def _require_pair(chi: StateVector):
+    if chi.basis_label != "qubit-pair":
+        raise ValueError(f"expected a qubit-pair state, got basis label {chi.basis_label!r}")
 
 
-def embed_symmetric(psi: StateVector) -> TwoQubitState:
+def embed_symmetric(psi: StateVector) -> StateVector:
     """Triplet embedding: |+1> -> |uu>, |0> -> (|ud>+|du>)/sqrt(2), |-1> -> |dd>."""
     if psi.dim != 3 or psi.basis_label != "spherical":
         raise ValueError("embed_symmetric expects a spherical spin-1 state")
     p, z, m = psi.amplitudes
-    return TwoQubitState(np.array([p, z / _SQ2, z / _SQ2, m]))
+    return StateVector(np.array([p, z / _SQ2, z / _SQ2, m]), "qubit-pair")
 
 
-def sector_split(chi: TwoQubitState):
+def sector_split(chi: StateVector):
     """(symmetric 4-vector, singlet amplitude); squared norms sum to one."""
+    _require_pair(chi)
     a = chi.amplitudes
     sym_mid = (a[1] + a[2]) / 2.0
     symmetric = np.array([a[0], sym_mid, sym_mid, a[3]])
@@ -54,7 +38,7 @@ def sector_split(chi: TwoQubitState):
     return symmetric, complex(antisymmetric)
 
 
-def project_spin1(chi: TwoQubitState, tol: float = PROJECT_TOL_DEFAULT) -> StateVector:
+def project_spin1(chi: StateVector, tol: float = PROJECT_TOL_DEFAULT) -> StateVector:
     """Inverse of embed_symmetric on the triplet sector, renormalized.
 
     Rejects states with an antisymmetric component above tol: they do not lie
@@ -72,16 +56,18 @@ def project_spin1(chi: TwoQubitState, tol: float = PROJECT_TOL_DEFAULT) -> State
     return StateVector(spherical, "spherical")
 
 
-def singlet() -> TwoQubitState:
+def singlet() -> StateVector:
     """The antisymmetric scalar (|ud> - |du>)/sqrt(2)."""
-    return TwoQubitState(np.array([0.0, 1.0, -1.0, 0.0]) / _SQ2)
+    return StateVector(np.array([0.0, 1.0, -1.0, 0.0]) / _SQ2, "qubit-pair")
 
 
-def swap_qubits(chi: TwoQubitState) -> TwoQubitState:
-    return TwoQubitState(chi.amplitudes[[0, 2, 1, 3]])
+def swap_qubits(chi: StateVector) -> StateVector:
+    _require_pair(chi)
+    return StateVector(chi.amplitudes[[0, 2, 1, 3]], "qubit-pair")
 
 
-def pure_concurrence(chi: TwoQubitState) -> float:
+def pure_concurrence(chi: StateVector) -> float:
     """2 |det| of the amplitude matrix: 2 |a_uu a_dd - a_ud a_du|."""
+    _require_pair(chi)
     a = chi.amplitudes
     return min(float(2.0 * abs(a[0] * a[3] - a[1] * a[2])), 1.0)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import ObservableBasis, StateVector
+from .fluctuations import _apply, _inner, moments, variance
 
 STOP_REASONS = ("gradient", "stall", "cap")
 
@@ -58,41 +59,20 @@ class SearchResult:
     restart_gradients: np.ndarray
 
 
-def _operators(basis: ObservableBasis) -> np.ndarray:
-    """(k + 1, d, d): the basis elements followed by C = sum_i O_i^2."""
-    mats = np.stack([o.entries for o in basis])
-    return np.concatenate([mats, np.sum(mats @ mats, axis=0)[None]])
-
-
-def _apply(ops: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """O x for every operator and row, (R, k + 1, d). A broadcast sum rather
-    than a matrix product, so each row is rounded alike whatever R is."""
-    return (ops[None] * x[:, None, None, :]).sum(axis=-1)
-
-
-def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Row-wise <x|y> over the last axis."""
-    return (x.conj() * y).sum(axis=-1)
-
-
-def _value_and_gradient(a: np.ndarray, ops: np.ndarray):
+def _value_and_gradient(a: np.ndarray, basis: ObservableBasis):
     """V, the gradient 2[(C - <C>) a - 2 sum_i <O_i>(O_i - <O_i>) a], O a and
     <O> (last column <C>) for every unit row of a (R, d)."""
-    oa = _apply(ops, a)
-    e = _inner(a[:, None, :], oa).real
-    value = e[:, -1] - (e[:, :-1] ** 2).sum(axis=-1)
+    oa, e = moments(a, basis)
     centred = oa - e[..., None] * a[:, None, :]
     grad = 2.0 * (centred[:, -1] - 2.0 * (e[:, :-1, None] * centred[:, :-1]).sum(axis=1))
-    return value, grad, oa, e
+    return variance(e), grad, oa, e
 
 
 def gradient_total_variance(psi: StateVector, basis: ObservableBasis) -> np.ndarray:
     """Unconstrained gradient of V_tot(psi/|psi|) with respect to the complex
     amplitudes; the directional derivative along d is Re(vdot(d, grad)).
     Callers on the sphere project out the component along psi afterwards."""
-    if psi.dim != basis.dim:
-        raise ValueError(f"dimension mismatch: state {psi.dim}, basis {basis.dim}")
-    return _value_and_gradient(psi.amplitudes[None], _operators(basis))[1][0]
+    return _value_and_gradient(psi.amplitudes[None], basis)[1][0]
 
 
 def _line(coef: np.ndarray, s: np.ndarray):
@@ -105,10 +85,10 @@ def _line(coef: np.ndarray, s: np.ndarray):
     return gain, d1, -(c1 * cs + s1 * sn) - 4 * (c2 * cs2 + s2 * sn2)
 
 
-def _line_coefficients(a, d, oa, e, ops) -> np.ndarray:
+def _line_coefficients(a, d, oa, e, basis: ObservableBasis) -> np.ndarray:
     """(c1, s1, c2, s2) of V(a cos t + d sin t) = c0 + c1 cos s + s1 sin s
     + c2 cos 2s + s2 sin 2s, s = 2t, for every row; (R, 4)."""
-    od = _apply(ops, d)
+    od = _apply(basis.operators, d)
     m = (e + _inner(d[:, None, :], od).real) / 2
     u, r = e - m, _inner(oa, d[:, None, :]).real  # r = Re<a|O|d>, O Hermitian
     mo, uo, ro = m[:, :-1], u[:, :-1], r[:, :-1]
@@ -135,7 +115,7 @@ def _search(basis: ObservableBasis, config: SearchConfig, mode: str, state_label
     config = config or SearchConfig(mode=mode)
     if config.mode != mode:
         raise ValueError(f"config.mode must be {mode!r}")
-    ops, sign, seed = _operators(basis), (1.0 if mode == "maximize" else -1.0), int(config.seed)
+    sign, seed = (1.0 if mode == "maximize" else -1.0), int(config.seed)
     rngs = [np.random.Generator(np.random.Philox(key=seed ^ k)) for k in range(config.restarts)]
     a = np.array([rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim) for rng in rngs])
     a = a / np.sqrt(_inner(a, a).real)[:, None]
@@ -143,7 +123,7 @@ def _search(basis: ObservableBasis, config: SearchConfig, mode: str, state_label
     iterations = np.zeros(config.restarts, dtype=int)
     # a stopped row takes steps of 0, so the last evaluation holds its final state
     for n in range(1, config.max_iterations + 2):
-        v, g, oa, e = _value_and_gradient(a, ops)
+        v, g, oa, e = _value_and_gradient(a, basis)
         xi = sign * (g - _inner(a, g)[:, None] * a)  # tangent ascent direction of sign * V
         gnorm = np.sqrt(_inner(xi, xi).real)
         running = stop < 0
@@ -159,7 +139,7 @@ def _search(basis: ObservableBasis, config: SearchConfig, mode: str, state_label
             direction = np.where((_inner(direction, xi).real > 0)[:, None], direction, xi)
         dn = np.sqrt(_inner(direction, direction).real)[:, None]
         d = np.divide(direction, dn, out=np.zeros_like(direction), where=dn > 0)
-        s, gain = _best_angle(_line_coefficients(a, d, oa, e, ops), sign)
+        s, gain = _best_angle(_line_coefficients(a, d, oa, e, basis), sign)
         stop[(stop < 0) & ~(gain > 0)] = 1
         t = np.where(stop < 0, s, 0.0)[:, None] / 2
         velocity = -a * np.sin(t) + d * np.cos(t)  # transport along the geodesic

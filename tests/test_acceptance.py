@@ -13,7 +13,6 @@ import pytest
 from entfluct import (
     SearchConfig,
     StateVector,
-    TwoQubitState,
     canonical_form,
     ce_basis,
     concurrence_from_phi,
@@ -138,7 +137,7 @@ def test_criterion_6_clebsch_gordan_integrity():
     except ValueError:
         pass
     for _ in range(500):
-        chi = TwoQubitState(random_state(rng, 4, "qubit-pair").amplitudes)
+        chi = random_state(rng, 4, "qubit-pair")
         symmetric, anti = sector_split(chi)
         total = np.sum(np.abs(symmetric) ** 2) + abs(anti) ** 2
         ok &= abs(total - 1.0) <= 1e-12

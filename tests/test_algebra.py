@@ -65,6 +65,22 @@ class TestSpinGenerators:
         assert spin_generators(1).label == "su2-spin-1"
 
 
+    def test_built_once_and_read_only(self):
+        basis = spin_generators(1)
+        assert spin_generators(1.0) is basis
+        assert local_two_qubit_basis() is local_two_qubit_basis()
+        for m in (basis.elements[0].entries, basis.operators):
+            with pytest.raises(ValueError):
+                m[0, 0] = 7.0
+
+    def test_operators_stack_elements_and_casimir(self):
+        basis = spin_generators(1.5)
+        assert basis.operators.shape == (4, 4, 4)
+        for o, m in zip(basis, basis.operators):
+            assert np.array_equal(o.entries, m)
+        assert np.max(np.abs(basis.operators[-1] - 15 / 4 * np.eye(4))) < 1e-12
+
+
 class TestLocalTwoQubitBasis:
     def test_element_count(self):
         assert len(local_two_qubit_basis()) == 6
@@ -129,6 +145,11 @@ class TestContainers:
         with pytest.raises(ValueError):
             Observable(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_observable_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            Observable([[bad, 0.0], [0.0, 1.0]])
+
     def test_observable_rejects_non_square(self):
         with pytest.raises(ValueError):
             Observable(np.zeros((2, 3)))
@@ -154,6 +175,20 @@ class TestContainers:
             StateVector([bad, 1.0, 0.0], "spherical")
         with pytest.raises(ValueError, match="non-finite"):
             StateVector.from_components([bad, 1.0, 0.0], "spherical", normalize=True)
+
+    @pytest.mark.parametrize("amps,label", [
+        ([1, 0, 0], "qubit-pair"),
+        ([1, 0, 0, 0, 0], "qubit-pair"),
+        ([1, 0, 0, 0], "cartesian"),
+        ([1, 0], "cartesian"),
+    ])
+    def test_state_rejects_wrong_dimension_for_label(self, amps, label):
+        with pytest.raises(ValueError, match="amplitudes"):
+            StateVector(amps, label)
+
+    def test_spherical_state_takes_any_dimension(self):
+        for dim in (2, 4, 21):
+            assert StateVector(np.eye(dim)[0], "spherical").dim == dim
 
     def test_state_rejects_bad_label(self):
         with pytest.raises(ValueError):

@@ -95,6 +95,16 @@ class TestAnalyze:
         doc = json.loads(out)
         assert doc["input"]["original_norm"] == pytest.approx(2.0)
 
+    def test_normalize_rescues_a_norm_just_outside_tolerance(self, capsys, monkeypatch):
+        # |a| - 1 = 8e-13 but |a|^2 - 1 = 1.6e-12, outside StateVector's 1e-12
+        stdin = '{"basis": "spherical", "components": [[1.0000000000008, 0], [0, 0], [0, 0]]}'
+        code, _, err = run(capsys, monkeypatch, ["analyze"], stdin)
+        assert code == 2
+        assert "--normalize" in err
+        code, out, _ = run(capsys, monkeypatch, ["analyze", "--normalize", "--format", "json"], stdin)
+        assert code == 0
+        assert json.loads(out)["input"]["original_norm"] == pytest.approx(1.0000000000008, abs=1e-15)
+
     @pytest.mark.parametrize("flags", [[], ["--normalize"]])
     def test_non_finite_component_exits_2(self, capsys, monkeypatch, flags):
         stdin = '{"basis": "spherical", "components": [[NaN, 0], [1, 0], [0, 0]]}'
@@ -108,6 +118,76 @@ class TestAnalyze:
             capsys, monkeypatch, ["analyze"], state_json([1, 0, 0, 0], "qubit-pair")
         )
         assert code == 2
+
+    def test_state_within_norm_tolerance_is_consistent(self, capsys, monkeypatch):
+        # |a|^2 - 1 = 1e-13 is accepted; the variance route must see a / |a|
+        stdin = '{"basis": "spherical", "components": [[1.00000000000005, 0], [0, 0], [0, 0]]}'
+        code, out, _ = run(capsys, monkeypatch, ["analyze", "--format", "json"], stdin)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["concurrence"]["consistent"] is True
+        assert doc["concurrence"]["variance_ratio"] <= 5e-8
+        assert doc["fluctuations"]["v_tot"] == pytest.approx(1.0, abs=1e-15)
+
+    def test_pair_within_norm_tolerance_stays_below_v_max(self, capsys, monkeypatch):
+        stdin = state_json([0.70710678118658, 0, 0, 0.70710678118658], "qubit-pair")
+        code, out, _ = run(capsys, monkeypatch, ["analyze", "--system", "two-qubit", "--format", "json"], stdin)
+        assert code == 0
+        fl = json.loads(out)["fluctuations"]
+        assert fl["v_tot"] <= fl["v_max"]
+        assert fl["v_tot"] == pytest.approx(1.5, abs=1e-15)
+
+    def test_two_qubit_variance_route_cross_checks_det(self, capsys, monkeypatch):
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            a = rng.normal(size=4) + 1j * rng.normal(size=4)
+            a /= np.linalg.norm(a)
+            code, out, _ = run(
+                capsys, monkeypatch,
+                ["analyze", "--system", "two-qubit", "--format", "json"],
+                state_json(a, "qubit-pair"),
+            )
+            assert code == 0
+            doc = json.loads(out)
+            fl, conc = doc["fluctuations"], doc["concurrence"]
+            assert (fl["v_min"], fl["v_max"]) == (1.0, 1.5)
+            det = 2 * abs(a[0] * a[3] - a[1] * a[2])
+            assert fl["v_tot"] == pytest.approx(1 + det**2 / 2, abs=1e-12)
+            assert conc["variance_ratio"] == pytest.approx(det, abs=5e-8)
+            assert conc["max_pairwise_delta"] == abs(conc["variance_ratio"] - conc["two_qubit_det"])
+            assert conc["consistent"] is True
+
+    def test_two_qubit_disagreement_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr("entfluct.cli.pure_concurrence", lambda chi: 0.5)
+        code, out, err = run(
+            capsys, monkeypatch,
+            ["analyze", "--system", "two-qubit", "--format", "json"],
+            state_json([1 / SQ2, 0, 0, 1 / SQ2], "qubit-pair"),
+        )
+        assert code == 1
+        assert "inconsistency" in err
+        conc = json.loads(out)["concurrence"]
+        assert conc["consistent"] is False
+        assert conc["max_pairwise_delta"] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("bad", ["-1", "0", "nan", "inf"])
+    def test_bad_tol_exits_2(self, capsys, monkeypatch, bad):
+        code, out, err = run(
+            capsys, monkeypatch, ["analyze", f"--tol={bad}"], state_json([1, 0, 0], "spherical")
+        )
+        assert code == 2
+        assert out == ""
+        assert "--tol" in err
+
+    def test_internal_error_exits_1(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("total variance is negative beyond tolerance")
+
+        monkeypatch.setattr("entfluct.cli.fluctuation_report", broken)
+        code, out, err = run(capsys, monkeypatch, ["analyze"], state_json([0, 1, 0], "spherical"))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("internal error:")
 
     def test_text_format(self, capsys, monkeypatch):
         code, out, _ = run(capsys, monkeypatch, ["analyze"], state_json([0, 1, 0], "spherical"))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entfluct import (
     Observable,
@@ -9,6 +10,8 @@ from entfluct import (
     expectation_vector,
     fluctuation_report,
     is_completely_entangled,
+    local_two_qubit_basis,
+    moments,
     rotate_basis,
     spin_generators,
     to_cartesian,
@@ -39,7 +42,7 @@ class TestExpectation:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            expectation(StateVector([1, 0], "qubit-pair"), SPIN1.elements[0])
+            expectation(StateVector([1, 0], "spherical"), SPIN1.elements[0])
 
     def test_vector_examples(self):
         assert np.allclose(expectation_vector(sph([0, 1, 0]), SPIN1), [0, 0, 0], atol=1e-14)
@@ -93,6 +96,77 @@ class TestTotalVariance:
         assert abs(total_variance(psi, SPIN1) - total_variance(shifted, SPIN1)) < 1e-12
 
 
+class TestSpinJProperties:
+    """V_tot = j(j+1) - |<S>|^2 (irreducibility), so j <= V_tot <= j(j+1)."""
+
+    @given(st.integers(1, 20), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_bounds_and_casimir_identity(self, two_j, seed):
+        j = two_j / 2
+        basis = spin_generators(j)
+        psi = random_state(np.random.default_rng(seed), basis.dim)
+        v = total_variance(psi, basis)
+        s = expectation_vector(psi, basis)
+        tol = 1e-12 * j * j
+        assert j - tol <= v <= j * (j + 1) + tol
+        assert abs(v - (j * (j + 1) - s @ s)) <= tol
+
+    @pytest.mark.parametrize("two_j", range(1, 21))
+    def test_extremes_at_the_poles(self, two_j):
+        j = two_j / 2
+        basis = spin_generators(j)
+        coherent = StateVector(np.eye(basis.dim)[0], "spherical")  # |m = j>
+        assert abs(total_variance(coherent, basis) - j) <= 1e-12 * j * j
+
+
+class TestMoments:
+    @pytest.mark.parametrize("basis", [
+        spin_generators(0.5), SPIN1, spin_generators(3), spin_generators(10), local_two_qubit_basis(),
+    ])
+    def test_batched_rows_equal_single_rows(self, basis):
+        rng = np.random.default_rng(12)
+        a = rng.normal(size=(7, basis.dim)) + 1j * rng.normal(size=(7, basis.dim))
+        oa, e = moments(a, basis)
+        assert oa.shape == (7, len(basis) + 1, basis.dim)
+        assert e.shape == (7, len(basis) + 1)
+        for k in range(7):
+            oa1, e1 = moments(a[k : k + 1], basis)
+            assert np.array_equal(oa1[0], oa[k]) and np.array_equal(e1[0], e[k])
+
+    @pytest.mark.parametrize("basis", [SPIN1, spin_generators(3), local_two_qubit_basis()])
+    def test_matches_the_per_observable_loop(self, basis):
+        # reference: sum_i (|O_i a|^2 - <a|O_i|a>^2), one observable at a time
+        rng = np.random.default_rng(14)
+        label = "qubit-pair" if basis.dim == 4 else "spherical"
+        for _ in range(50):
+            psi = random_state(rng, basis.dim, label)
+            a = psi.amplitudes
+            first = np.array([np.vdot(a, o.entries @ a).real for o in basis])
+            second = np.array([np.linalg.norm(o.entries @ a) ** 2 for o in basis])
+            _, e = moments(a[None], basis)
+            assert np.max(np.abs(e[0, :-1] - first)) <= 1e-14
+            assert abs(e[0, -1] - second.sum()) <= 1e-13
+            assert abs(total_variance(psi, basis) - (second - first**2).sum()) <= 1e-13
+
+    def test_expectations_of_the_normalized_state(self):
+        rng = np.random.default_rng(13)
+        a = random_state(rng, 3).amplitudes
+        _, unit = moments(a[None], SPIN1)
+        _, scaled = moments(3.0 * a[None], SPIN1)
+        assert np.max(np.abs(unit - scaled)) <= 1e-15
+        assert unit[0, -1] == pytest.approx(2.0, abs=1e-15)  # <C> = j(j+1)
+
+    def test_state_within_norm_tolerance(self):
+        # |a|^2 - 1 = 1e-13 is accepted; V_tot must still be that of a / |a|
+        psi = StateVector([1.00000000000005, 0, 0], "spherical")
+        assert total_variance(psi, SPIN1) == pytest.approx(1.0, abs=1e-15)
+        assert variance_concurrence(psi, SPIN1, 1.0, 2.0) <= 5e-8
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimension"):
+            moments(np.ones((2, 4)), SPIN1)
+
+
 class TestCompletelyEntangled:
     def test_m0_is_ce(self):
         flag, residual = is_completely_entangled(sph([0, 1, 0]), SPIN1, 1e-10)
@@ -120,6 +194,13 @@ class TestCompletelyEntangled:
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
             is_completely_entangled(sph([0, 1, 0]), SPIN1, 0.0)
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    def test_rejects_non_finite_or_negative_tol(self, bad):
+        with pytest.raises(ValueError, match="tolerance"):
+            is_completely_entangled(sph([0, 1, 0]), SPIN1, bad)
+        with pytest.raises(ValueError, match="tolerance"):
+            fluctuation_report(sph([0, 1, 0]), SPIN1, ce_tol=bad)
 
 
 class TestVarianceConcurrence:
@@ -159,6 +240,14 @@ class TestReport:
         report = fluctuation_report(sph([1, 0, 0]), SPIN1)
         assert report.concurrence_variance is None
         assert report.v_min is None and report.v_max is None
+
+    def test_negative_total_variance_rejected(self):
+        basis = rotate_basis(SPIN1, np.eye(3))
+        ops = basis.operators.copy()
+        ops[-1] = -np.eye(3)  # a corrupted Casimir sum: <C> < sum_i <O_i>^2
+        object.__setattr__(basis, "operators", ops)
+        with pytest.raises(ValueError, match="negative"):
+            total_variance(sph([1, 0, 0]), basis)
 
     def test_non_hermitian_leakage_rejected(self):
         # bypass the Observable check by corrupting entries after the fact

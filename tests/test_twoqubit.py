@@ -3,7 +3,6 @@ import pytest
 
 from entfluct import (
     StateVector,
-    TwoQubitState,
     concurrence_spherical,
     embed_symmetric,
     is_completely_entangled,
@@ -22,6 +21,10 @@ SQ2 = np.sqrt(2.0)
 
 def sph(components):
     return StateVector.from_components(components, "spherical")
+
+
+def pair(components):
+    return StateVector(components, "qubit-pair")
 
 
 class TestEmbedSymmetric:
@@ -55,7 +58,7 @@ class TestEmbedSymmetric:
 
 class TestProjectSpin1:
     def test_epr_maps_to_m0(self):
-        chi = TwoQubitState([0, 1 / SQ2, 1 / SQ2, 0])
+        chi = pair([0, 1 / SQ2, 1 / SQ2, 0])
         assert np.allclose(project_spin1(chi).amplitudes, [0, 1, 0])
 
     def test_singlet_rejected(self):
@@ -72,12 +75,12 @@ class TestProjectSpin1:
     def test_small_antisymmetric_part_renormalized(self):
         eps = 1e-10
         a = np.array([0, 1 / SQ2 + eps, 1 / SQ2 - eps, 0])
-        chi = TwoQubitState(a / np.linalg.norm(a))
+        chi = pair(a / np.linalg.norm(a))
         assert np.allclose(project_spin1(chi, tol=1e-9).amplitudes, [0, 1, 0], atol=1e-9)
 
     def test_large_antisymmetric_part_rejected(self):
         a = np.array([0.5, 0.7, 0.1, 0.5])
-        chi = TwoQubitState(a / np.linalg.norm(a))
+        chi = pair(a / np.linalg.norm(a))
         with pytest.raises(ValueError, match="antisymmetric"):
             project_spin1(chi, tol=1e-9)
 
@@ -102,10 +105,10 @@ class TestSinglet:
 
 class TestPureConcurrence:
     def test_product_state(self):
-        assert pure_concurrence(TwoQubitState([1, 0, 0, 0])) == 0.0
+        assert pure_concurrence(pair([1, 0, 0, 0])) == 0.0
 
     def test_pion_zero_flavor_state(self):
-        pi0 = TwoQubitState([1 / SQ2, 0, 0, -1 / SQ2])
+        pi0 = pair([1 / SQ2, 0, 0, -1 / SQ2])
         assert pure_concurrence(pi0) == pytest.approx(1.0)
 
     def test_transfers_spin1_concurrence(self):
@@ -121,13 +124,13 @@ class TestSectors:
     def test_norms_sum_to_one(self):
         rng = np.random.default_rng(26)
         for _ in range(50):
-            chi = TwoQubitState(random_state(rng, 4, "qubit-pair").amplitudes)
+            chi = random_state(rng, 4, "qubit-pair")
             symmetric, anti = sector_split(chi)
             total = np.sum(np.abs(symmetric) ** 2) + abs(anti) ** 2
             assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_up_down_splits_evenly(self):
-        symmetric, anti = sector_split(TwoQubitState([0, 1, 0, 0]))
+        symmetric, anti = sector_split(pair([0, 1, 0, 0]))
         assert np.sum(np.abs(symmetric) ** 2) == pytest.approx(0.5)
         assert abs(anti) ** 2 == pytest.approx(0.5)
 
@@ -139,12 +142,12 @@ class TestSectors:
         samples += [random_state(rng, 3) for _ in range(10)]
         for psi in samples:
             flag1, _ = is_completely_entangled(psi, spin1, 1e-8)
-            chi = embed_symmetric(psi).as_state_vector()
+            chi = embed_symmetric(psi)
             flag2, _ = is_completely_entangled(chi, local, 1e-8)
             assert flag1 == flag2
 
     def test_normalization_enforced(self):
         with pytest.raises(ValueError):
-            TwoQubitState([1, 1, 0, 0])
+            pair([1, 1, 0, 0])
         with pytest.raises(ValueError):
-            TwoQubitState([1, 0, 0])
+            pair([1, 0, 0])

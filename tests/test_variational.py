@@ -16,7 +16,7 @@ from entfluct import (
     to_cartesian,
     total_variance,
 )
-from entfluct.variational import _line, _line_coefficients, _operators, _value_and_gradient
+from entfluct.variational import _line, _line_coefficients, _value_and_gradient
 from util import random_state
 
 SPIN1 = spin_generators(1)
@@ -73,14 +73,13 @@ class TestLineCoefficients:
     ])
     def test_reproduce_v_on_the_great_circle(self, basis, label):
         rng = np.random.default_rng(77)
-        ops = _operators(basis)
         for _ in range(50):
             a = random_state(rng, basis.dim, label).amplitudes
             d = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
             d = d - np.vdot(a, d) * a
             d = d / np.linalg.norm(d)
-            v0, _, oa, e = _value_and_gradient(a[None], ops)
-            coef = _line_coefficients(a[None], d[None], oa, e, ops)
+            v0, _, oa, e = _value_and_gradient(a[None], basis)
+            coef = _line_coefficients(a[None], d[None], oa, e, basis)
             t = rng.uniform(0, 2 * np.pi, size=8)
             line = v0[0] + _line(coef, 2 * t)[0][0]
             direct = [total_variance(StateVector(a * np.cos(x) + d * np.sin(x), label), basis)
