@@ -13,10 +13,31 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-HERMITICITY_TOL = 1e-12
-NORM_TOL = 1e-12
-COMMUTATOR_TOL = 1e-10
-ORTHOGONALITY_TOL = 1e-10
+# Tolerances: every numeric threshold of the package, defined once (this block
+# runs to the next blank line; tests/test_tolerances.py keeps it the only home
+# of exponent-form float literals).
+HERMITICITY_TOL = 1e-12  # max |O - O^dagger| of an Observable
+NORM_TOL = 1e-12  # |<psi|psi> - 1| of a StateVector
+COMMUTATOR_TOL = 1e-10  # max |[S_a, S_b] - i S_c| of an su(2) basis
+ORTHOGONALITY_TOL = 1e-10  # max |R^T R - 1| of a basis rotation
+UNIT_VECTOR_TOL = 1e-10  # ||omega| - 1| of a spin projection direction
+HALF_INTEGER_TOL = 1e-12  # |2j - round(2j)| of a spin j
+PHI_SLACK = 1e-12  # rounding allowed outside [0, pi/4] for the canonical phi
+IMAG_TOL = 1e-10  # |Im <O>| accepted as rounding
+VARIANCE_CLAMP = 1e-12  # a negative total variance down to -VARIANCE_CLAMP is rounding, clamped to 0
+BOUND_SLACK = 1e-9  # V_tot may leave [V_min, V_max] by this much
+CE_TOL_DEFAULT = 1e-9  # CE verdict on max_i |<O_i>|, and on the canonical phi (--tol)
+NU_CUTOFF = 1e-9  # below this |Im| norm the canonical nu is undefined
+BILINEAR_ZERO = 1e-30  # |sum_k psi_k^2| below which the canonical phase is free
+PROJECT_TOL_DEFAULT = 1e-9  # largest singlet amplitude project_spin1 accepts
+SINGLET_NORM = 1e-12  # triplet-part norm below which a pair is a pure singlet
+STEP_TOL_DEFAULT = 1e-12  # tangent-gradient norm at which a search restart stops
+CROSS_CHECK_TOL = 1e-9  # agreement of the exactly conditioned concurrences
+# sqrt((V - V_min)/(V_max - V_min)) loses half the working precision when the
+# concurrence is near zero (V - V_min is then pure rounding noise ~ 1e-16, and
+# the square root inflates it to ~ 1e-8), so the variance route gets a wider
+# cross-check band than the exactly-conditioned formulas.
+VARIANCE_CROSS_TOL = 5e-8
 
 _SQ2 = np.sqrt(2.0)
 
@@ -43,7 +64,7 @@ class Observable:
     def __post_init__(self):
         m = _frozen_complex_matrix(self.entries)
         if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
-            raise ValueError("matrix is not Hermitian within 1e-12; refusing to symmetrize")
+            raise ValueError(f"matrix is not Hermitian within {HERMITICITY_TOL:g}; refusing to symmetrize")
         object.__setattr__(self, "entries", m)
 
     @property
@@ -120,7 +141,7 @@ class StateVector:
         if not math.isfinite(norm2):
             raise ValueError("state vector has a non-finite amplitude")
         if abs(norm2 - 1.0) > NORM_TOL:
-            raise ValueError("state vector is not normalized within 1e-12")
+            raise ValueError(f"state vector is not normalized within {NORM_TOL:g}")
         a.setflags(write=False)
         object.__setattr__(self, "amplitudes", a)
 
@@ -152,7 +173,7 @@ def spin_generators(j) -> ObservableBasis:
     """
     jj = float(j)
     two_j = round(2 * jj)
-    if two_j <= 0 or abs(2 * jj - two_j) > 1e-12:
+    if two_j <= 0 or abs(2 * jj - two_j) > HALF_INTEGER_TOL:
         raise ValueError(f"j must be a positive half-integer, got {j}")
     return _spin_generators(two_j)
 
@@ -200,6 +221,6 @@ def rotate_basis(basis: ObservableBasis, rotation) -> ObservableBasis:
     if r.shape != (3, 3):
         raise ValueError(f"rotation must be 3x3, got shape {r.shape}")
     if np.max(np.abs(r.T @ r - np.eye(3))) > ORTHOGONALITY_TOL:
-        raise ValueError("rotation matrix is not orthogonal within 1e-10")
+        raise ValueError(f"rotation matrix is not orthogonal within {ORTHOGONALITY_TOL:g}")
     mixed = np.einsum("ab,bij->aij", r, basis.operators[:3])
     return ObservableBasis(tuple(Observable(m) for m in mixed), label=f"rotated:{basis.label}")

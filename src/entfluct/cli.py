@@ -9,6 +9,7 @@ a failed cross-check or an internal error, 2 usage/validation errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -16,20 +17,26 @@ import traceback
 
 import numpy as np
 
-from .algebra import NORM_TOL, STATE_BASIS_LABELS, StateVector, local_two_qubit_basis, spin_generators
+from .algebra import (CE_TOL_DEFAULT, CROSS_CHECK_TOL, NORM_TOL, SINGLET_NORM, STATE_BASIS_LABELS, VARIANCE_CROSS_TOL,
+                      StateVector, local_two_qubit_basis, spin_generators)
 from .fluctuations import fluctuation_report
 from .presets import PRESETS
 from .spin1 import canonical_form, concurrence_from_phi, concurrence_spherical, to_cartesian, to_spherical
 from .twoqubit import embed_symmetric, project_spin1, pure_concurrence, sector_split
-from .variational import SearchConfig, maximize_total_variance, minimize_total_variance
+from .variational import MODES, SearchConfig, maximize_total_variance, minimize_total_variance
 
-CROSS_CHECK_TOL = 1e-9
-# sqrt((V - V_min)/(V_max - V_min)) loses half the working precision when the
-# concurrence is near zero (V - V_min is then pure rounding noise ~ 1e-16, and
-# the square root inflates it to ~ 1e-8), so the variance route gets a wider
-# cross-check band than the exactly-conditioned formulas.
-VARIANCE_CROSS_TOL = 5e-8
 SCHEMA_VERSION = 1
+
+# system -> (observable basis, state label, closed-form (V_min, V_max)). The
+# basis is built at call time through this module's names, where a tracer
+# that wraps them sees the call.
+_SYSTEMS = {
+    # irreducible su(2): V_tot = j(j+1) - |<S>|^2 runs from j (coherent,
+    # |<S>| = j) to j(j+1) (CE), here from 1 to 2
+    "spin1": (lambda: spin_generators(1), "spherical", (1.0, 2.0)),
+    # local basis on a pure pair: V_tot = 1 + C^2 / 2, from 1 (product) to 3/2
+    "two-qubit": (lambda: local_two_qubit_basis(), "qubit-pair", (1.0, 1.5)),
+}
 
 
 class UsageError(Exception):
@@ -44,27 +51,10 @@ def _components_text(components, digits: int = 9) -> str:
     return ", ".join(f"{re:+.{digits}g}{im:+.{digits}g}i" for re, im in components)
 
 
-def _parse_state_json(obj) -> tuple:
-    if not isinstance(obj, dict):
-        raise UsageError("state JSON must be an object")
-    try:
-        basis = obj["basis"]
-        components = obj["components"]
-    except (KeyError, TypeError):
-        raise UsageError('state JSON needs "basis" and "components" fields')
-    if basis not in STATE_BASIS_LABELS:
-        raise UsageError(f"unknown basis label {basis!r}")
-    try:
-        amps = np.array([complex(re, im) for re, im in components])
-    except (TypeError, ValueError):
-        raise UsageError('"components" must be a list of [re, im] pairs')
-    return amps, basis
-
-
 def _read_state(args) -> tuple:
     """(amplitudes, basis label, original norm or None) of the state JSON in
     --file or on stdin; with --normalize a state of another norm is rescaled."""
-    if getattr(args, "file", None):
+    if args.file:
         try:
             with open(args.file) as fh:
                 raw = fh.read()
@@ -76,7 +66,19 @@ def _read_state(args) -> tuple:
         obj = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise UsageError(f"malformed state JSON: {exc}")
-    amps, basis_label = _parse_state_json(obj)
+    if not isinstance(obj, dict):
+        raise UsageError("state JSON must be an object")
+    try:
+        basis_label = obj["basis"]
+        components = obj["components"]
+    except (KeyError, TypeError):
+        raise UsageError('state JSON needs "basis" and "components" fields')
+    if basis_label not in STATE_BASIS_LABELS:
+        raise UsageError(f"unknown basis label {basis_label!r}")
+    try:
+        amps = np.array([complex(re, im) for re, im in components])
+    except (TypeError, ValueError):
+        raise UsageError('"components" must be a list of [re, im] pairs')
     norm = float(np.linalg.norm(amps))
     if not math.isfinite(norm):
         raise UsageError("state has a non-finite component")
@@ -96,6 +98,11 @@ def _state_vector(amps, basis_label: str) -> StateVector:
         return StateVector(amps, basis_label)
     except ValueError as exc:
         raise UsageError(str(exc))
+
+
+def _require_spin1(psi: StateVector, needs: str):
+    if psi.dim != 3:  # a cartesian state has 3 amplitudes and a qubit pair 4
+        raise UsageError(f"{needs} a 3-component spherical or cartesian state")
 
 
 def _canonical_form_json(form) -> dict:
@@ -139,15 +146,13 @@ def build_analysis(amps, basis_label: str, system: str, tol: float, original_nor
     if original_norm is not None:
         echo["original_norm"] = original_norm
     psi = _state_vector(amps, basis_label)
+    make_basis, state_label, (v_min, v_max) = _SYSTEMS[system]
+    basis = make_basis()
     form = None
     if system == "spin1":
-        if basis_label == "qubit-pair" or psi.dim != 3:
-            raise UsageError("spin1 analysis needs a 3-component spherical or cartesian state")
+        _require_spin1(psi, "spin1 analysis needs")
         sph = to_spherical(psi) if basis_label == "cartesian" else psi
-        # irreducible su(2): V_tot = j(j+1) - |<S>|^2 runs from j (coherent,
-        # |<S>| = j) to j(j+1) (CE), here from 1 to 2
-        basis = spin_generators(1)
-        report = fluctuation_report(sph, basis, 1.0, 2.0, ce_tol=tol)
+        report = fluctuation_report(sph, basis, v_min, v_max, ce_tol=tol)
         form = canonical_form(psi if basis_label == "cartesian" else to_cartesian(psi))
         concurrences = {
             "spherical_formula": concurrence_spherical(sph),
@@ -156,11 +161,9 @@ def build_analysis(amps, basis_label: str, system: str, tol: float, original_nor
             "two_qubit_det": pure_concurrence(embed_symmetric(sph)),
         }
     else:
-        if basis_label != "qubit-pair":
+        if basis_label != state_label:
             raise UsageError("two-qubit analysis needs a 4-component qubit-pair state")
-        # local basis on a pure pair: V_tot = 1 + C^2 / 2, from 1 (product) to 3/2
-        basis = local_two_qubit_basis()
-        report = fluctuation_report(psi, basis, 1.0, 1.5, ce_tol=tol)
+        report = fluctuation_report(psi, basis, v_min, v_max, ce_tol=tol)
         concurrences = {
             "variance_ratio": report.concurrence_variance,
             "two_qubit_det": pure_concurrence(psi),
@@ -258,36 +261,22 @@ def _render_search_text(doc) -> str:
 
 
 def cmd_search(args) -> int:
-    try:
-        config = SearchConfig(
-            restarts=args.restarts,
-            max_iterations=args.max_iter,
-            step_tolerance=args.step_tol,
-            seed=args.seed,
-            mode=args.mode,
-        )
+    try:  # every search flag stores into the SearchConfig field it sets
+        config = SearchConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(SearchConfig)})
     except ValueError as exc:
         raise UsageError(str(exc))
     run = maximize_total_variance if args.mode == "maximize" else minimize_total_variance
-    if args.system == "spin1":
-        result = run(spin_generators(1), config, state_label="spherical")
-    else:
-        result = run(local_two_qubit_basis(), config, state_label="qubit-pair")
+    make_basis, state_label, _ = _SYSTEMS[args.system]
+    result = run(make_basis(), config, state_label=state_label)
     doc = _search_doc(result, {"system": args.system, "mode": args.mode})
     _emit(doc, args.format, _render_search_text)
     return 0 if result.converged else 1
 
 
 def _preset_json(preset) -> dict:
+    doc = {f.name: getattr(preset, f.name) for f in dataclasses.fields(preset)}  # in declaration order
     state = preset.state
-    return {
-        "id": preset.id,
-        "description": preset.description,
-        "system": preset.system,
-        "state": None if state is None else _state_json(state.amplitudes, state.basis_label),
-        "expected_concurrence": preset.expected_concurrence,
-        "source_note": preset.source_note,
-    }
+    return {**doc, "state": None if state is None else _state_json(state.amplitudes, state.basis_label)}
 
 
 def cmd_preset(args) -> int:
@@ -318,8 +307,7 @@ def cmd_preset(args) -> int:
 def cmd_convert(args) -> int:
     amps, basis_label, _ = _read_state(args)
     psi = _state_vector(amps, basis_label)
-    if basis_label == "qubit-pair" or psi.dim != 3:
-        raise UsageError("convert expects a 3-component spherical or cartesian state")
+    _require_spin1(psi, "convert expects")
     if args.to == basis_label:
         out = psi
     elif args.to == "cartesian":
@@ -337,29 +325,28 @@ def cmd_decompose(args) -> int:
         raise UsageError("decompose expects a 4-component qubit-pair state")
     chi = _state_vector(amps, basis_label)
     symmetric, anti = sector_split(chi)
-    sym_weight = float(np.sum(np.abs(symmetric) ** 2))
-    anti_weight = float(abs(anti) ** 2)
     spin1_state = None
-    if sym_weight > 1e-24:  # the normalized triplet part, whatever the singlet weight
+    if np.linalg.norm(symmetric) >= SINGLET_NORM:  # the normalized triplet part, whatever the singlet weight
         spin1_state = _state_json(project_spin1(chi, tol=np.inf).amplitudes, "spherical")
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "symmetric_weight": sym_weight,
-        "antisymmetric_weight": anti_weight,
+        "symmetric_weight": float(np.sum(np.abs(symmetric) ** 2)),
+        "antisymmetric_weight": float(abs(anti) ** 2),
         "singlet_amplitude": [float(anti.real), float(anti.imag)],
         "spin1_component": spin1_state,
     }
-    if args.format == "json":
-        print(json.dumps(doc))
-    else:
-        print(f"symmetric weight    {sym_weight:.12g}")
-        print(f"antisymmetric weight {anti_weight:.12g}")
-        print(f"singlet amplitude   {anti.real:+.12g}{anti.imag:+.12g}i")
-        if spin1_state is not None:
-            print(f"spin-1 component    ({_components_text(spin1_state['components'])})")
-        else:
-            print("spin-1 component    none (pure singlet)")
+    _emit(doc, args.format, _render_decompose_text)
     return 0
+
+
+def _render_decompose_text(doc) -> str:
+    spin1 = doc["spin1_component"]
+    return "\n".join([
+        f"symmetric weight    {doc['symmetric_weight']:.12g}",
+        f"antisymmetric weight {doc['antisymmetric_weight']:.12g}",
+        f"singlet amplitude   {_components_text([doc['singlet_amplitude']], 12)}",
+        "spin-1 component    " + ("none (pure singlet)" if spin1 is None else f"({_components_text(spin1['components'])})"),
+    ])
 
 
 def _positive_float(text: str) -> float:
@@ -369,12 +356,23 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _add_common(parser):
-    parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--normalize", action="store_true",
-                        help="rescale non-normalized input states")
-    parser.add_argument("--tol", type=_positive_float, default=1e-9,
-                        help="CE residual tolerance, finite and > 0 (default 1e-9)")
+# every flag, declared once; each subcommand registers those its command reads
+_FLAGS = {
+    "--format": dict(choices=("text", "json"), default="text"),
+    "--normalize": dict(action="store_true", help="rescale non-normalized input states"),
+    "--tol": dict(type=_positive_float, default=CE_TOL_DEFAULT,
+                  help="CE residual tolerance, finite and > 0 (default %(default)g)"),
+    "--file": dict(help="read the state JSON from a file instead of stdin"),
+    "--system": dict(choices=tuple(_SYSTEMS), default="spin1"),
+}
+
+
+def _subcommand(sub, name: str, func, help: str, *flags):
+    p = sub.add_parser(name, help=help)
+    for flag in ("--format", *flags):
+        p.add_argument(flag, **_FLAGS[flag])
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -383,40 +381,25 @@ def build_parser() -> argparse.ArgumentParser:
         description="Entanglement as extremal quantum fluctuations of an observable algebra",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    _subcommand(sub, "analyze", cmd_analyze, "full fluctuation/concurrence report for a state",
+                "--normalize", "--tol", "--file", "--system")
 
-    p = sub.add_parser("analyze", help="full fluctuation/concurrence report for a state")
-    _add_common(p)
-    p.add_argument("--file", help="read the state JSON from a file instead of stdin")
-    p.add_argument("--system", choices=("spin1", "two-qubit"), default="spin1")
-    p.set_defaults(func=cmd_analyze)
+    p = _subcommand(sub, "search", cmd_search, "variational search for extremal total variance", "--system")
+    defaults = SearchConfig()
+    p.add_argument("--mode", choices=MODES, default=defaults.mode)
+    p.add_argument("--restarts", type=int, default=defaults.restarts)
+    p.add_argument("--seed", type=int, default=defaults.seed)
+    p.add_argument("--max-iter", dest="max_iterations", type=int, default=defaults.max_iterations)
+    p.add_argument("--step-tol", dest="step_tolerance", type=float, default=defaults.step_tolerance)
 
-    p = sub.add_parser("search", help="variational search for extremal total variance")
-    _add_common(p)
-    p.add_argument("--system", choices=("spin1", "two-qubit"), default="spin1")
-    p.add_argument("--mode", choices=("maximize", "minimize"), default="maximize")
-    p.add_argument("--restarts", type=int, default=16)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iter", type=int, default=2000)
-    p.add_argument("--step-tol", type=float, default=1e-12)
-    p.set_defaults(func=cmd_search)
-
-    p = sub.add_parser("preset", help="catalog of physical example states")
-    _add_common(p)
+    p = _subcommand(sub, "preset", cmd_preset, "catalog of physical example states", "--tol")
     p.add_argument("action", choices=("list", "show", "analyze"))
     p.add_argument("id", nargs="?")
-    p.set_defaults(func=cmd_preset)
 
-    p = sub.add_parser("convert", help="spherical <-> cartesian spin-1 components")
-    _add_common(p)
-    p.add_argument("--file", help="read the state JSON from a file instead of stdin")
+    p = _subcommand(sub, "convert", cmd_convert, "spherical <-> cartesian spin-1 components", "--normalize", "--file")
     p.add_argument("--to", choices=("spherical", "cartesian"), required=True)
-    p.set_defaults(func=cmd_convert)
 
-    p = sub.add_parser("decompose", help="triplet/singlet split of a qubit-pair state")
-    _add_common(p)
-    p.add_argument("--file", help="read the state JSON from a file instead of stdin")
-    p.set_defaults(func=cmd_decompose)
-
+    _subcommand(sub, "decompose", cmd_decompose, "triplet/singlet split of a qubit-pair state", "--normalize", "--file")
     return parser
 
 

@@ -14,12 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import Observable, ObservableBasis, StateVector
-
-IMAG_TOL = 1e-10
-VARIANCE_CLAMP = 1e-12
-CE_TOL_DEFAULT = 1e-9
-BOUND_SLACK = 1e-9
+from .algebra import (BOUND_SLACK, CE_TOL_DEFAULT, IMAG_TOL, VARIANCE_CLAMP, Observable, ObservableBasis,
+                      StateVector)
 
 
 def expectation(psi: StateVector, obs: Observable) -> float:

@@ -14,7 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import _SQ2, Observable, ObservableBasis, StateVector
+from .algebra import (_SQ2, BILINEAR_ZERO, CE_TOL_DEFAULT, NU_CUTOFF, PHI_SLACK, UNIT_VECTOR_TOL, Observable,
+                      ObservableBasis, StateVector)
 
 # Columns are the Cartesian images of |+1>, |0>, |-1> (Condon-Shortley):
 # |+1> = -(e_x + i e_y)/sqrt(2), |0> = e_z, |-1> = (e_x - i e_y)/sqrt(2)
@@ -25,8 +26,6 @@ SPH_TO_CART = np.array(
         [0.0, 1.0, 0.0],
     ]
 )
-
-NU_CUTOFF = 1e-9
 
 
 def _require(psi: StateVector, label: str):
@@ -87,7 +86,7 @@ def canonical_form(psi: StateVector) -> CanonicalForm:
     _require(psi, "cartesian")
     a = psi.amplitudes
     w = np.sum(a * a)
-    if abs(w) < 1e-30:
+    if abs(w) < BILINEAR_ZERO:
         theta = 0.0  # w = 0 leaves the phase unconstrained
     else:
         theta = 0.5 * np.angle(w)
@@ -119,8 +118,8 @@ def spin_projection_operator(omega) -> Observable:
     """Spin projection onto a direction, acting on Cartesian components as the
     infinitesimal rotation x -> i omega x x."""
     w = np.asarray(omega, dtype=float).reshape(3)
-    if abs(np.linalg.norm(w) - 1.0) > 1e-10:
-        raise ValueError("direction must be a unit vector within 1e-10")
+    if abs(np.linalg.norm(w) - 1.0) > UNIT_VECTOR_TOL:
+        raise ValueError(f"direction must be a unit vector within {UNIT_VECTOR_TOL:g}")
     cross = np.array(
         [
             [0.0, -w[2], w[1]],
@@ -132,7 +131,7 @@ def spin_projection_operator(omega) -> Observable:
 
 
 def _check_phi(phi: float):
-    if not -1e-12 <= phi <= np.pi / 4 + 1e-12:
+    if not -PHI_SLACK <= phi <= np.pi / 4 + PHI_SLACK:
         raise ValueError("phi must lie in [0, pi/4]")
 
 
@@ -156,7 +155,7 @@ def concurrence_from_phi(phi: float) -> float:
     return float(np.cos(2.0 * phi))
 
 
-def zero_projection_axis(psi: StateVector, tol: float = 1e-9) -> Optional[np.ndarray]:
+def zero_projection_axis(psi: StateVector, tol: float = CE_TOL_DEFAULT) -> Optional[np.ndarray]:
     """Axis with (near-)vanishing spin projection, or None.
 
     CE states are exactly those with spin projection zero onto some direction;

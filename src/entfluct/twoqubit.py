@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import _SQ2, StateVector
-
-PROJECT_TOL_DEFAULT = 1e-9
+from .algebra import _SQ2, PROJECT_TOL_DEFAULT, SINGLET_NORM, StateVector
+from .spin1 import _require
 
 
 def _require_pair(chi: StateVector):
@@ -22,8 +21,7 @@ def _require_pair(chi: StateVector):
 
 def embed_symmetric(psi: StateVector) -> StateVector:
     """Triplet embedding: |+1> -> |uu>, |0> -> (|ud>+|du>)/sqrt(2), |-1> -> |dd>."""
-    if psi.dim != 3 or psi.basis_label != "spherical":
-        raise ValueError("embed_symmetric expects a spherical spin-1 state")
+    _require(psi, "spherical")
     p, z, m = psi.amplitudes
     return StateVector(np.array([p, z / _SQ2, z / _SQ2, m]), "qubit-pair")
 
@@ -46,7 +44,7 @@ def project_spin1(chi: StateVector, tol: float = PROJECT_TOL_DEFAULT) -> StateVe
     """
     symmetric, anti = sector_split(chi)
     sym_norm = np.linalg.norm(symmetric)
-    if sym_norm < 1e-12:
+    if sym_norm < SINGLET_NORM:
         raise ValueError("state has zero symmetric part (pure singlet)")
     if abs(anti) > tol:
         raise ValueError(

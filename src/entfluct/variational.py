@@ -16,10 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import ObservableBasis, StateVector
+from .algebra import STEP_TOL_DEFAULT, ObservableBasis, StateVector
 from .fluctuations import _apply, _inner, moments, variance
 
 STOP_REASONS = ("gradient", "stall", "cap")
+MODES = ("maximize", "minimize")
 
 # seeds the global extremum of V on the circle (two local maxima at most)
 _GRID = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
@@ -30,7 +31,7 @@ _NEWTON_STEPS = 4
 class SearchConfig:
     restarts: int = 16
     max_iterations: int = 2000
-    step_tolerance: float = 1e-12
+    step_tolerance: float = STEP_TOL_DEFAULT
     seed: int = 0
     mode: str = "maximize"
 
@@ -39,7 +40,7 @@ class SearchConfig:
             raise ValueError("restarts and max_iterations must be positive")
         if not 0 < self.step_tolerance < np.inf:
             raise ValueError("step_tolerance must be positive and finite")
-        if self.mode not in ("maximize", "minimize"):
+        if self.mode not in MODES:
             raise ValueError("mode must be 'maximize' or 'minimize'")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")

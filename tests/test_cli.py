@@ -404,3 +404,74 @@ class TestDecompose:
             capsys, monkeypatch, ["decompose"], state_json([0, 1, 0], "spherical")
         )
         assert code == 2
+
+    @pytest.mark.parametrize("triplet,has_spin1", [(1e-13, False), (1e-11, True)])
+    def test_pure_singlet_cutoff_on_the_triplet_norm(self, capsys, monkeypatch, triplet, has_spin1):
+        # a singlet with a |uu> admixture of norm `triplet`; the cutoff is 1e-12
+        code, out, _ = run(
+            capsys, monkeypatch, ["decompose", "--format", "json"],
+            state_json([triplet, 1 / SQ2, -1 / SQ2, 0], "qubit-pair"),
+        )
+        assert code == 0
+        spin1 = json.loads(out)["spin1_component"]
+        if has_spin1:
+            assert np.allclose(spin1["components"], [[1, 0], [0, 0], [0, 0]], rtol=0, atol=1e-15)
+        else:
+            assert spin1 is None
+
+
+class TestFlags:
+    """Each subcommand takes only the flags its command reads."""
+
+    @pytest.mark.parametrize("argv", [
+        ["search", "--normalize"],
+        ["search", "--tol", "1e-3"],
+        ["preset", "list", "--normalize"],
+        ["convert", "--to", "cartesian", "--tol", "1e-3"],
+        ["decompose", "--tol", "1e-3"],
+    ], ids=["search-normalize", "search-tol", "preset-normalize", "convert-tol", "decompose-tol"])
+    def test_flag_the_command_does_not_read_exits_2(self, capsys, monkeypatch, argv):
+        stdin = state_json([0, 1, 0], "spherical") if argv[0] == "convert" else state_json([1, 0, 0, 0], "qubit-pair")
+        code, out, err = run(capsys, monkeypatch, argv, stdin)
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments" in err
+
+    def test_preset_analyze_reads_tol(self, capsys, monkeypatch):
+        # |m=+1> has CE residual 1: CE only under a tolerance above it
+        for tol, verdict in (("0.5", False), ("2", True)):
+            code, out, _ = run(
+                capsys, monkeypatch, ["preset", "analyze", "coherent-plus1", "--tol", tol, "--format", "json"]
+            )
+            assert code == 0
+            ce = json.loads(out)["ce"]
+            assert (ce["tolerance"], ce["completely_entangled"]) == (float(tol), verdict)
+
+    @pytest.mark.parametrize("argv,stdin,key", [
+        (["analyze"], state_json([2, 0, 0], "spherical"), "input"),
+        (["convert", "--to", "spherical"], state_json([2, 0, 0], "cartesian"), "components"),
+        (["decompose"], state_json([2, 0, 0, 0], "qubit-pair"), "symmetric_weight"),
+    ], ids=["analyze", "convert", "decompose"])
+    def test_state_readers_take_normalize_and_file(self, capsys, monkeypatch, tmp_path, argv, stdin, key):
+        code, _, err = run(capsys, monkeypatch, [*argv, "--format", "json"], stdin)
+        assert code == 2
+        assert "--normalize" in err
+        path = tmp_path / "state.json"
+        path.write_text(stdin)
+        code, out, _ = run(capsys, monkeypatch, [*argv, "--normalize", "--file", str(path), "--format", "json"])
+        assert code == 0
+        assert key in json.loads(out)
+        code, _, err = run(capsys, monkeypatch, [*argv, "--file", str(tmp_path / "missing.json")])
+        assert code == 2
+        assert "cannot read" in err
+
+    def test_defaults_come_from_the_code_that_reads_them(self):
+        from entfluct.algebra import CE_TOL_DEFAULT
+        from entfluct.cli import build_parser
+        from entfluct.variational import SearchConfig
+
+        parser = build_parser()
+        search = vars(parser.parse_args(["search"]))
+        assert {k: search[k] for k in vars(SearchConfig())} == vars(SearchConfig())
+        assert parser.parse_args(["analyze"]).tol == CE_TOL_DEFAULT
+        assert parser.parse_args(["preset", "list"]).tol == CE_TOL_DEFAULT
