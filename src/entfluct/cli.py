@@ -1,9 +1,12 @@
 """Command-line front end.
 
-Subcommands: analyze, search, preset, convert, decompose. States are read from
-stdin or --file as JSON {"basis": "spherical"|"cartesian"|"qubit-pair",
-"components": [[re, im], ...]}. Exit codes: 0 success, 1 non-convergence,
-a failed cross-check or an internal error, 2 usage/validation errors.
+Subcommands: analyze, search, preset (list, show, analyze), convert, decompose.
+States are read from stdin or --file as JSON {"basis": "spherical"|"cartesian"|
+"qubit-pair", "components": [[re, im], ...]}. Each command builds one JSON
+document; --format json prints it as is, --format text prints every leaf of it
+as an aligned `dotted.key value` line. Exit codes: 0 success, 1
+non-convergence, a failed cross-check or an internal error, 2 usage/validation
+errors.
 """
 
 from __future__ import annotations
@@ -47,10 +50,6 @@ def _state_json(amplitudes, basis_label: str) -> dict:
     return {"basis": basis_label, "components": [[float(c.real), float(c.imag)] for c in amplitudes]}
 
 
-def _components_text(components, digits: int = 9) -> str:
-    return ", ".join(f"{re:+.{digits}g}{im:+.{digits}g}i" for re, im in components)
-
-
 def _read_state(args) -> tuple:
     """(amplitudes, basis label, original norm or None) of the state JSON in
     --file or on stdin; with --normalize a state of another norm is rescaled."""
@@ -62,23 +61,14 @@ def _read_state(args) -> tuple:
             raise UsageError(f"cannot read {args.file}: {exc}")
     else:
         raw = sys.stdin.read()
-    try:
+    try:  # a JSONDecodeError is a ValueError; an integer too large for a float, an OverflowError
         obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"malformed state JSON: {exc}")
-    if not isinstance(obj, dict):
-        raise UsageError("state JSON must be an object")
-    try:
         basis_label = obj["basis"]
-        components = obj["components"]
-    except (KeyError, TypeError):
-        raise UsageError('state JSON needs "basis" and "components" fields')
-    if basis_label not in STATE_BASIS_LABELS:
-        raise UsageError(f"unknown basis label {basis_label!r}")
-    try:
-        amps = np.array([complex(re, im) for re, im in components])
-    except (TypeError, ValueError):
-        raise UsageError('"components" must be a list of [re, im] pairs')
+        if basis_label not in STATE_BASIS_LABELS:
+            raise UsageError(f"unknown basis label {basis_label!r}")
+        amps = np.array([complex(re, im) for re, im in obj["components"]])
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        raise UsageError(f'malformed state JSON, want {{"basis": label, "components": [[re, im], ...]}}: {exc!r}')
     norm = float(np.linalg.norm(amps))
     if not math.isfinite(norm):
         raise UsageError("state has a non-finite component")
@@ -100,9 +90,9 @@ def _state_vector(amps, basis_label: str) -> StateVector:
         raise UsageError(str(exc))
 
 
-def _require_spin1(psi: StateVector, needs: str):
+def _require_spin1(psi: StateVector, needs: str, hint: str = ""):
     if psi.dim != 3:  # a cartesian state has 3 amplitudes and a qubit pair 4
-        raise UsageError(f"{needs} a 3-component spherical or cartesian state")
+        raise UsageError(f"{needs} a 3-component spherical or cartesian state{hint}")
 
 
 def _canonical_form_json(form) -> dict:
@@ -150,7 +140,8 @@ def build_analysis(amps, basis_label: str, system: str, tol: float, original_nor
     basis = make_basis()
     form = None
     if system == "spin1":
-        _require_spin1(psi, "spin1 analysis needs")
+        hint = "; for a qubit pair pass --system two-qubit" if basis_label == "qubit-pair" else ""
+        _require_spin1(psi, "spin1 analysis needs", hint)
         sph = to_spherical(psi) if basis_label == "cartesian" else psi
         report = fluctuation_report(sph, basis, v_min, v_max, ce_tol=tol)
         form = canonical_form(psi if basis_label == "cartesian" else to_cartesian(psi))
@@ -184,80 +175,45 @@ def build_analysis(amps, basis_label: str, system: str, tol: float, original_nor
     }
 
 
-def _fmt_float(x) -> str:
-    return "None" if x is None else f"{x: .12g}"
+def _text_value(key: str, value) -> str:
+    if key == "components":
+        return ", ".join(f"{x:+.12g}{y:+.12g}i" for x, y in value)
+    if isinstance(value, list):
+        return ", ".join(_text_value(key, v) for v in value)
+    return f"{value:.12g}" if isinstance(value, float) else str(value)
 
 
-def _render_analysis_text(doc) -> str:
-    lines = [f"system            {doc['system']}"]
-    st = doc["state"]
-    lines.append(f"state [{st['basis']}]  ({_components_text(st['components'])})")
-    fl = doc["fluctuations"]
-    lines.append(f"observable basis  {fl['basis']}")
-    lines.append(f"expectations      ({', '.join(f'{e: .9g}' for e in fl['expectations'])})")
-    lines.append(f"V_tot             {_fmt_float(fl['v_tot'])}")
-    lines.append(f"V_min / V_max     {_fmt_float(fl['v_min'])} / {_fmt_float(fl['v_max'])}")
-    cf = doc["canonical_form"]
-    if cf is not None:
-        lines.append(f"theta             {_fmt_float(cf['theta'])}")
-        lines.append(f"phi               {_fmt_float(cf['phi'])}")
-        lines.append(f"mu                ({', '.join(f'{v: .9g}' for v in cf['mu'])})")
-        nu = "undefined" if not cf["nu_defined"] else "(" + ", ".join(f"{v: .9g}" for v in cf["nu"]) + ")"
-        lines.append(f"nu                {nu}")
-    for name, val in doc["concurrence"].items():
-        if name in ("consistent", "cross_check_tolerance"):
-            continue
-        lines.append(f"C[{name}]".ljust(18) + _fmt_float(val))
-    ce = doc["ce"]
-    lines.append(f"CE verdict        {ce['completely_entangled']} (residual {ce['residual']:.3e}, tol {ce['tolerance']:.1e})")
-    return "\n".join(lines)
+def _leaves(doc: dict, prefix: str = ""):
+    """(dotted key path, text) of every value of doc that is not a dict, in document order."""
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key, _text_value(key, value)
 
 
-def _emit(doc, fmt: str, text_renderer):
-    if fmt == "json":
-        print(json.dumps(doc))
-    else:
-        print(text_renderer(doc))
+def _as_text(doc: dict) -> str:
+    leaves = list(_leaves(doc))
+    width = max(len(path) for path, _ in leaves)
+    return "\n".join(f"{path:<{width}}  {text}" for path, text in leaves)
+
+
+def _emit(doc: dict, fmt: str, failure: str | None = None) -> int:
+    """Print doc; a failure is one line on stderr and makes the exit code 1."""
+    print(json.dumps(doc) if fmt == "json" else _as_text(doc))
+    if failure is None:
+        return 0
+    print(failure, file=sys.stderr)
+    return 1
 
 
 def _emit_analysis(doc, fmt: str) -> int:
-    _emit(doc, fmt, _render_analysis_text)
-    if doc["concurrence"]["consistent"]:
-        return 0
-    print("inconsistency: concurrence cross-check failed", file=sys.stderr)
-    return 1
+    return _emit(doc, fmt, None if doc["concurrence"]["consistent"] else "inconsistency: concurrence cross-check failed")
 
 
 def cmd_analyze(args) -> int:
     amps, basis_label, original_norm = _read_state(args)
     return _emit_analysis(build_analysis(amps, basis_label, args.system, args.tol, original_norm), args.format)
-
-
-def _search_doc(result, extra: dict) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        **extra,
-        "best_value": float(result.best_value),
-        "best_state": _state_json(result.best_state.amplitudes, result.best_state.basis_label),
-        "converged": bool(result.converged),
-        "iterations_used": int(result.iterations_used),
-        "restart_values": [float(v) for v in result.restart_values],
-    }
-
-
-def _render_search_text(doc) -> str:
-    st = doc["best_state"]
-    return "\n".join(
-        [
-            f"system            {doc['system']}",
-            f"mode              {doc['mode']}",
-            f"best value        {doc['best_value']:.12g}",
-            f"best state        [{st['basis']}] ({_components_text(st['components'])})",
-            f"converged         {doc['converged']}",
-            f"iterations        {doc['iterations_used']}",
-            f"restart values    ({', '.join(f'{v:.9g}' for v in doc['restart_values'])})",
-        ]
-    )
 
 
 def cmd_search(args) -> int:
@@ -268,9 +224,20 @@ def cmd_search(args) -> int:
     run = maximize_total_variance if args.mode == "maximize" else minimize_total_variance
     make_basis, state_label, _ = _SYSTEMS[args.system]
     result = run(make_basis(), config, state_label=state_label)
-    doc = _search_doc(result, {"system": args.system, "mode": args.mode})
-    _emit(doc, args.format, _render_search_text)
-    return 0 if result.converged else 1
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "system": args.system,
+        "mode": args.mode,
+        "best_value": float(result.best_value),
+        "best_state": _state_json(result.best_state.amplitudes, result.best_state.basis_label),
+        "converged": bool(result.converged),
+        "iterations_used": int(result.iterations_used),
+        "restart_values": [float(v) for v in result.restart_values],
+    }
+    failure = None if result.converged else (
+        f"not converged: the best restart's tangent gradient did not reach --step-tol {args.step_tolerance:g}"
+        f" within --max-iter {args.max_iterations}")
+    return _emit(doc, args.format, failure)
 
 
 def _preset_json(preset) -> dict:
@@ -279,25 +246,22 @@ def _preset_json(preset) -> dict:
     return {**doc, "state": None if state is None else _state_json(state.amplitudes, state.basis_label)}
 
 
-def cmd_preset(args) -> int:
-    if args.action == "list":
-        if args.format == "json":
-            print(json.dumps([_preset_json(p) for p in PRESETS.values()]))
-        else:
-            for p in PRESETS.values():
-                expected = "-" if p.expected_concurrence is None else f"{p.expected_concurrence:g}"
-                print(f"{p.id:<18} {p.system:<10} C={expected:<4} {p.description}")
-        return 0
-    if not args.id:
-        raise UsageError(f"preset {args.action} requires an id")
-    preset = PRESETS.get(args.id)
-    if preset is None:
-        raise UsageError(f"unknown preset {args.id!r}")
-    if args.action == "show":
-        _emit(_preset_json(preset), args.format,
-              lambda info: "\n".join(f"{key:<22}{val}" for key, val in info.items()))
-        return 0
-    # analyze
+def cmd_preset_list(args) -> int:
+    if args.format == "json":
+        print(json.dumps([_preset_json(p) for p in PRESETS.values()]))
+    else:
+        for p in PRESETS.values():
+            expected = "-" if p.expected_concurrence is None else f"{p.expected_concurrence:g}"
+            print(f"{p.id:<18} {p.system:<10} C={expected:<4} {p.description}")
+    return 0
+
+
+def cmd_preset_show(args) -> int:
+    return _emit(_preset_json(PRESETS[args.id]), args.format)
+
+
+def cmd_preset_analyze(args) -> int:
+    preset = PRESETS[args.id]
     if preset.state is None:
         raise UsageError(f"preset {preset.id!r} is label-only: {preset.source_note}")
     doc = build_analysis(preset.state.amplitudes, preset.state.basis_label, preset.system, args.tol, None)
@@ -314,9 +278,7 @@ def cmd_convert(args) -> int:
         out = to_cartesian(psi)
     else:
         out = to_spherical(psi)
-    doc = _state_json(out.amplitudes, out.basis_label)
-    _emit(doc, args.format, lambda d: f"[{d['basis']}] ({_components_text(d['components'], 12)})")
-    return 0
+    return _emit(_state_json(out.amplitudes, out.basis_label), args.format)
 
 
 def cmd_decompose(args) -> int:
@@ -335,18 +297,7 @@ def cmd_decompose(args) -> int:
         "singlet_amplitude": [float(anti.real), float(anti.imag)],
         "spin1_component": spin1_state,
     }
-    _emit(doc, args.format, _render_decompose_text)
-    return 0
-
-
-def _render_decompose_text(doc) -> str:
-    spin1 = doc["spin1_component"]
-    return "\n".join([
-        f"symmetric weight    {doc['symmetric_weight']:.12g}",
-        f"antisymmetric weight {doc['antisymmetric_weight']:.12g}",
-        f"singlet amplitude   {_components_text([doc['singlet_amplitude']], 12)}",
-        "spin-1 component    " + ("none (pure singlet)" if spin1 is None else f"({_components_text(spin1['components'])})"),
-    ])
+    return _emit(doc, args.format)
 
 
 def _positive_float(text: str) -> float:
@@ -356,8 +307,9 @@ def _positive_float(text: str) -> float:
     return value
 
 
-# every flag, declared once; each subcommand registers those its command reads
+# every flag and argument, declared once; each subcommand registers those its command reads
 _FLAGS = {
+    "id": dict(choices=tuple(PRESETS), metavar="ID"),
     "--format": dict(choices=("text", "json"), default="text"),
     "--normalize": dict(action="store_true", help="rescale non-normalized input states"),
     "--tol": dict(type=_positive_float, default=CE_TOL_DEFAULT,
@@ -392,9 +344,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iter", dest="max_iterations", type=int, default=defaults.max_iterations)
     p.add_argument("--step-tol", dest="step_tolerance", type=float, default=defaults.step_tolerance)
 
-    p = _subcommand(sub, "preset", cmd_preset, "catalog of physical example states", "--tol")
-    p.add_argument("action", choices=("list", "show", "analyze"))
-    p.add_argument("id", nargs="?")
+    actions = sub.add_parser("preset", help="catalog of physical example states").add_subparsers(
+        dest="action", required=True)
+    _subcommand(actions, "list", cmd_preset_list, "every preset, one line each")
+    _subcommand(actions, "show", cmd_preset_show, "the fields of one preset", "id")
+    _subcommand(actions, "analyze", cmd_preset_analyze, "full report for a preset's state", "id", "--tol")
 
     p = _subcommand(sub, "convert", cmd_convert, "spherical <-> cartesian spin-1 components", "--normalize", "--file")
     p.add_argument("--to", choices=("spherical", "cartesian"), required=True)

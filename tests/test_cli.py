@@ -190,10 +190,53 @@ class TestAnalyze:
         assert err.startswith("internal error:")
 
     def test_text_format(self, capsys, monkeypatch):
-        code, out, _ = run(capsys, monkeypatch, ["analyze"], state_json([0, 1, 0], "spherical"))
-        assert code == 0
-        assert "V_tot" in out
-        assert "CE verdict" in out
+        """Text output states the JSON document: each leaf key path on one line, in
+        document order, the float leaves to 12 digits, with the same exit code."""
+        def leaves(doc, prefix=""):
+            for key, value in doc.items():
+                if isinstance(value, dict):
+                    yield from leaves(value, f"{prefix}{key}.")
+                else:
+                    yield prefix + key, value
+
+        singlet = state_json([0, 1 / SQ2, -1 / SQ2, 0], "qubit-pair")
+        cases = [
+            (["analyze", "--normalize"], state_json([1.2, 1.6j, 0], "spherical")),  # norm 2
+            (["analyze", "--system", "two-qubit"], singlet),
+            (["search", "--restarts", "2"], ""),
+            (["convert", "--to", "cartesian"], state_json([0.6, 0, 0.8j], "spherical")),
+            (["decompose"], singlet),  # spin1_component is None
+            (["decompose"], state_json([0, 1, 0, 0], "qubit-pair")),
+            (["preset", "show", "pion-zero"], ""),
+            (["preset", "show", "he3-B"], ""),  # label-only: state is None
+        ]
+        for argv, stdin in cases:
+            code, out, _ = run(capsys, monkeypatch, [*argv, "--format", "json"], stdin)
+            text_code, text, _ = run(capsys, monkeypatch, argv, stdin)
+            assert text_code == code, argv
+            expected = list(leaves(json.loads(out)))
+            lines = [line.split(maxsplit=1) for line in text.splitlines()]
+            assert [path for path, _ in lines] == [path for path, _ in expected], argv
+            for (_, shown), (path, value) in zip(lines, expected):
+                if isinstance(value, float):
+                    assert float(shown) == pytest.approx(value, rel=1e-11), (argv, path)
+
+    def test_qubit_pair_as_spin1_names_the_two_qubit_system(self, capsys, monkeypatch):
+        code, out, err = run(capsys, monkeypatch, ["analyze"], state_json([1, 0, 0, 0], "qubit-pair"))
+        assert (code, out) == (2, "")
+        assert "--system two-qubit" in err
+        code, _, err = run(capsys, monkeypatch, ["analyze"], state_json([1, 0, 0, 0], "spherical"))
+        assert code == 2
+        assert "--system" not in err
+
+    @pytest.mark.parametrize("stdin", [
+        '{"basis": ["spherical"], "components": [[1, 0], [0, 0], [0, 0]]}',
+        '{"basis": "spherical", "components": [[1' + "0" * 400 + ', 0], [0, 0], [0, 0]]}',
+    ], ids=["unhashable-label", "integer-beyond-float"])
+    def test_malformed_state_exits_2_not_1(self, capsys, monkeypatch, stdin):
+        code, out, err = run(capsys, monkeypatch, ["analyze", "--normalize"], stdin)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: malformed state JSON")
 
     def test_json_round_trip(self, capsys, monkeypatch):
         code, out1, _ = run(
@@ -261,6 +304,18 @@ class TestSearch:
         assert out == ""
         assert "step_tolerance" in err
 
+    def test_not_converged_says_why(self, capsys, monkeypatch):
+        argv = ["search", "--step-tol", "1e-300", "--max-iter", "5", "--format", "json"]
+        code, out, err = run(capsys, monkeypatch, argv)
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["converged"] is False
+        _, converged, _ = run(capsys, monkeypatch, ["search", "--format", "json"])
+        assert list(doc) == list(json.loads(converged))
+        assert err.startswith("not converged:")
+        assert len(err.splitlines()) == 1
+        assert "--step-tol 1e-300" in err and "--max-iter 5" in err
+
     def test_value_tol_removed(self, capsys, monkeypatch):
         code, _, _ = run(capsys, monkeypatch, ["search", "--value-tol", "1e-11"])
         assert code == 2
@@ -313,6 +368,11 @@ class TestPreset:
     def test_unknown_id_exits_2(self, capsys, monkeypatch):
         code, _, _ = run(capsys, monkeypatch, ["preset", "analyze", "no-such-preset"])
         assert code == 2
+
+    @pytest.mark.parametrize("action", ["show", "analyze"])
+    def test_action_without_id_exits_2(self, capsys, monkeypatch, action):
+        code, out, _ = run(capsys, monkeypatch, ["preset", action, "--format", "json"])
+        assert (code, out) == (2, "")
 
     def test_label_only_preset_exits_2(self, capsys, monkeypatch):
         code, _, err = run(capsys, monkeypatch, ["preset", "analyze", "he3-B"])
@@ -429,7 +489,11 @@ class TestFlags:
         ["preset", "list", "--normalize"],
         ["convert", "--to", "cartesian", "--tol", "1e-3"],
         ["decompose", "--tol", "1e-3"],
-    ], ids=["search-normalize", "search-tol", "preset-normalize", "convert-tol", "decompose-tol"])
+        ["preset", "list", "no-such-id"],
+        ["preset", "list", "--tol", "1e-3"],
+        ["preset", "show", "pion-zero", "--tol", "1e-3"],
+    ], ids=["search-normalize", "search-tol", "preset-normalize", "convert-tol", "decompose-tol",
+            "preset-list-id", "preset-list-tol", "preset-show-tol"])
     def test_flag_the_command_does_not_read_exits_2(self, capsys, monkeypatch, argv):
         stdin = state_json([0, 1, 0], "spherical") if argv[0] == "convert" else state_json([1, 0, 0, 0], "qubit-pair")
         code, out, err = run(capsys, monkeypatch, argv, stdin)
@@ -474,4 +538,4 @@ class TestFlags:
         search = vars(parser.parse_args(["search"]))
         assert {k: search[k] for k in vars(SearchConfig())} == vars(SearchConfig())
         assert parser.parse_args(["analyze"]).tol == CE_TOL_DEFAULT
-        assert parser.parse_args(["preset", "list"]).tol == CE_TOL_DEFAULT
+        assert parser.parse_args(["preset", "analyze", "ce-psi0"]).tol == CE_TOL_DEFAULT
