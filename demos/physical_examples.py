@@ -10,7 +10,7 @@ import numpy as np
 
 from entfluct import (
     embed_symmetric,
-    is_completely_entangled,
+    fluctuation_report,
     local_two_qubit_basis,
     pure_concurrence,
     sector_split,
@@ -32,7 +32,7 @@ print()
 print("== Pion flavor states ==")
 for pid in ("pion-plus", "pion-minus", "pion-zero"):
     p = PRESETS[pid]
-    flag, _ = is_completely_entangled(p.state, local, 1e-9)
+    flag = fluctuation_report(p.state, local, ce_tol=1e-9).ce_flag
     print(f"{pid:<12} C = {pure_concurrence(p.state):.3f}   CE: {flag}")
 print("pi0 sits at maximal fluctuations, consistent with it being far less")
 print("stable than the coherent charged pions.")
@@ -45,7 +45,7 @@ for pid, p in PRESETS.items():
     if p.state is None:
         print(f"{pid:<18} {p.source_note}")
         continue
-    flag, _ = is_completely_entangled(p.state, spin1, 1e-9)
+    flag = fluctuation_report(p.state, spin1, ce_tol=1e-9).ce_flag
     kind = "completely entangled" if flag else "coherent"
     print(f"{pid:<18} {kind}")
 

@@ -20,10 +20,10 @@ from entfluct import (
     concurrence_from_phi,
     concurrence_spherical,
     embed_symmetric,
+    fluctuation_report,
     pure_concurrence,
     spin_generators,
     to_cartesian,
-    variance_concurrence,
 )
 
 rng = np.random.default_rng(2024)
@@ -46,7 +46,7 @@ for psi in samples:
     values = (
         concurrence_spherical(psi),
         concurrence_from_phi(form.phi),
-        variance_concurrence(psi, basis, 1.0, 2.0),
+        fluctuation_report(psi, basis, 1.0, 2.0).concurrence_variance,
         pure_concurrence(embed_symmetric(psi)),
     )
     comps = " ".join(f"{c.real:+.3f}{c.imag:+.3f}i" for c in psi.amplitudes)

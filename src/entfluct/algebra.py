@@ -1,4 +1,5 @@
-"""Observable algebras: spin-j generators, the local two-qubit set, Casimir sums.
+"""Observable algebras: spin-j generators and the local two-qubit set, each
+stacked with its Casimir sum C = sum_i O_i^2 as `operators[-1]`.
 
 All containers are immutable after construction and validate their defining
 invariants (Hermiticity, unit norm, su(2) commutation) up front, so downstream
@@ -149,16 +150,13 @@ class StateVector:
     def dim(self) -> int:
         return self.amplitudes.size
 
-    @classmethod
-    def from_components(cls, components, basis_label: str, normalize: bool = False):
-        a = np.array(components, dtype=complex).reshape(-1)
-        if normalize:
-            n = np.linalg.norm(a)
-            if n == 0.0:
-                raise ValueError("cannot normalize the zero vector")
-            if math.isfinite(n):  # else the constructor rejects the amplitudes
-                a = a / n
-        return cls(a, basis_label)
+    def require(self, label: str, dim: int | None = None) -> np.ndarray:
+        """The amplitudes, if the state carries this basis label (and, when
+        given, this dimension); else ValueError."""
+        if self.basis_label != label or dim not in (None, self.dim):
+            want = label if dim is None else f"{dim}-component {label}"
+            raise ValueError(f"expected a {want} state, got a {self.dim}-component {self.basis_label} state")
+        return self.amplitudes
 
 
 def _spin_label(two_j: int) -> str:
@@ -206,11 +204,6 @@ def _local_two_qubit_basis() -> ObservableBasis:
     elems = [Observable(np.kron(o.entries, eye)) for o in half]
     elems += [Observable(np.kron(eye, o.entries)) for o in half]
     return ObservableBasis(tuple(elems), label="local-2qubit")
-
-
-def casimir(basis: ObservableBasis) -> Observable:
-    """Sum of squares of the basis elements (scalar on irreducible representations)."""
-    return Observable(basis.operators[-1])
 
 
 def rotate_basis(basis: ObservableBasis, rotation) -> ObservableBasis:

@@ -5,8 +5,8 @@ States are read from stdin or --file as JSON {"basis": "spherical"|"cartesian"|
 "qubit-pair", "components": [[re, im], ...]}. Each command builds one JSON
 document; --format json prints it as is, --format text prints every leaf of it
 as an aligned `dotted.key value` line. Exit codes: 0 success, 1
-non-convergence, a failed cross-check or an internal error, 2 usage/validation
-errors.
+non-convergence, a failed cross-check, a stdout closed by its reader or an
+internal error, 2 usage/validation errors.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 import traceback
 
@@ -66,7 +67,11 @@ def _read_state(args) -> tuple:
         basis_label = obj["basis"]
         if basis_label not in STATE_BASIS_LABELS:
             raise UsageError(f"unknown basis label {basis_label!r}")
-        amps = np.array([complex(re, im) for re, im in obj["components"]])
+        pairs = obj["components"]
+        # JSON true/false load as bool, an int subclass that complex() takes
+        if not isinstance(pairs, list) or not pairs or any(type(x) not in (int, float) for pair in pairs for x in pair):
+            raise ValueError("components must be a non-empty list of [re, im] pairs of numbers")
+        amps = np.array([complex(re, im) for re, im in pairs])
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise UsageError(f'malformed state JSON, want {{"basis": label, "components": [[re, im], ...]}}: {exc!r}')
     norm = float(np.linalg.norm(amps))
@@ -100,18 +105,18 @@ def _canonical_form_json(form) -> dict:
         "theta": float(form.theta),
         "phi": float(form.phi),
         "mu": [float(v) for v in form.mu],
-        "nu": [float(v) for v in form.nu] if form.nu_defined else None,
-        "nu_defined": bool(form.nu_defined),
+        "nu": None if form.nu is None else [float(v) for v in form.nu],
+        "nu_defined": form.nu is not None,
     }
 
 
-def _fluctuations_json(report, basis_label: str) -> dict:
+def _fluctuations_json(report, basis_label: str, v_min: float, v_max: float) -> dict:
     return {
         "basis": basis_label,
         "expectations": [float(e) for e in report.expectations],
         "v_tot": float(report.v_tot),
-        "v_min": report.v_min,
-        "v_max": report.v_max,
+        "v_min": v_min,
+        "v_max": v_max,
         "ce_residual": float(report.ce_residual),
         "concurrence_variance": report.concurrence_variance,
     }
@@ -164,7 +169,7 @@ def build_analysis(amps, basis_label: str, system: str, tol: float, original_nor
         "system": system,
         "input": echo,
         "state": _state_json(psi.amplitudes, basis_label),
-        "fluctuations": _fluctuations_json(report, basis.label),
+        "fluctuations": _fluctuations_json(report, basis.label, v_min, v_max),
         "canonical_form": None if form is None else _canonical_form_json(form),
         "concurrence": _concurrence_json(concurrences),
         "ce": {
@@ -364,7 +369,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that closed early shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # nobody reads the output: exit 1, quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the exit flush of what is buffered
+        return 1
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

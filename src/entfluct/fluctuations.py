@@ -1,10 +1,10 @@
-"""Total variance of an observable basis, the CE criterion, and the variance
-concurrence, all from one batched moments kernel.
+"""Total variance of an observable basis, from one batched moments kernel.
 
 The total variance sum_i (<O_i^2> - <O_i>^2) = <C> - sum_i <O_i>^2, with the
 Casimir sum C = sum_i O_i^2, measures how far a state sits from
 classical reality; its maximizers are the completely entangled (CE) states,
-characterized by all basis expectations vanishing.
+characterized by all basis expectations vanishing. `fluctuation_report` is the
+one place a state's CE verdict and variance concurrence come from.
 """
 
 from __future__ import annotations
@@ -14,13 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import (BOUND_SLACK, CE_TOL_DEFAULT, IMAG_TOL, VARIANCE_CLAMP, Observable, ObservableBasis,
-                      StateVector)
-
-
-def expectation(psi: StateVector, obs: Observable) -> float:
-    """Real expectation value <psi|O|psi>; rejects non-Hermitian leakage."""
-    return float(expectation_vector(psi, ObservableBasis((obs,)))[0])
+from .algebra import BOUND_SLACK, CE_TOL_DEFAULT, IMAG_TOL, VARIANCE_CLAMP, ObservableBasis, StateVector
 
 
 def _apply(ops: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -64,37 +58,16 @@ def total_variance(psi: StateVector, basis: ObservableBasis) -> float:
     return float(variance(moments(psi.amplitudes[None], basis)[1])[0])
 
 
-def is_completely_entangled(
-    psi: StateVector, basis: ObservableBasis, tol: float = CE_TOL_DEFAULT
-):
-    """(flag, residual): residual is max_i |<O_i>|; flag is residual <= tol.
-
-    Linearity of expectations makes checking the basis elements sufficient for
-    the whole algebra.
-    """
-    report = fluctuation_report(psi, basis, ce_tol=tol)
-    return report.ce_flag, report.ce_residual
-
-
-def variance_concurrence(
-    psi: StateVector, basis: ObservableBasis, v_min: float, v_max: float
-) -> float:
-    """sqrt((V_tot - v_min) / (v_max - v_min)), clamped to [0, 1] near the edges."""
-    return fluctuation_report(psi, basis, v_min, v_max).concurrence_variance
-
-
 @dataclass(frozen=True)
 class FluctuationReport:
     """Expectations, total variance, CE residual and (optionally) the variance
-    concurrence for a single state."""
+    concurrence for a single state. The CE residual is max_i |<O_i>|, and
+    linearity makes the basis elements suffice for the whole algebra."""
 
     expectations: np.ndarray
     v_tot: float
-    v_min: Optional[float]
-    v_max: Optional[float]
     ce_residual: float
     ce_flag: bool
-    ce_tol: float
     concurrence_variance: Optional[float]
 
 
@@ -105,8 +78,9 @@ def fluctuation_report(
     v_max: Optional[float] = None,
     ce_tol: float = CE_TOL_DEFAULT,
 ) -> FluctuationReport:
-    """Assemble the full report; the variance concurrence is included only when
-    both bounds are supplied."""
+    """Assemble the full report. ce_flag is ce_residual <= ce_tol; the variance
+    concurrence sqrt((V_tot - v_min) / (v_max - v_min)), clamped to [0, 1],
+    is included only when both bounds are supplied."""
     if not 0 < ce_tol < np.inf:
         raise ValueError("tolerance must be positive and finite")
     e = moments(psi.amplitudes[None], basis)[1]
@@ -125,10 +99,7 @@ def fluctuation_report(
     return FluctuationReport(
         expectations=exps,
         v_tot=v,
-        v_min=v_min,
-        v_max=v_max,
         ce_residual=residual,
         ce_flag=residual <= ce_tol,
-        ce_tol=ce_tol,
         concurrence_variance=conc,
     )

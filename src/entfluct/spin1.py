@@ -14,8 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import (_SQ2, BILINEAR_ZERO, CE_TOL_DEFAULT, NU_CUTOFF, PHI_SLACK, UNIT_VECTOR_TOL, Observable,
-                      ObservableBasis, StateVector)
+from .algebra import _SQ2, BILINEAR_ZERO, CE_TOL_DEFAULT, NU_CUTOFF, PHI_SLACK, UNIT_VECTOR_TOL, Observable, StateVector
 
 # Columns are the Cartesian images of |+1>, |0>, |-1> (Condon-Shortley):
 # |+1> = -(e_x + i e_y)/sqrt(2), |0> = e_z, |-1> = (e_x - i e_y)/sqrt(2)
@@ -28,43 +27,34 @@ SPH_TO_CART = np.array(
 )
 
 
-def _require(psi: StateVector, label: str):
-    if psi.dim != 3:
-        raise ValueError(f"expected a spin-1 state (dim 3), got dim {psi.dim}")
-    if psi.basis_label != label:
-        raise ValueError(f"expected basis label {label!r}, got {psi.basis_label!r}")
-
-
 def to_cartesian(psi: StateVector) -> StateVector:
     """Spherical components (psi_+1, psi_0, psi_-1) to Cartesian (x, y, z)."""
-    _require(psi, "spherical")
-    return StateVector(SPH_TO_CART @ psi.amplitudes, "cartesian")
+    return StateVector(SPH_TO_CART @ psi.require("spherical", 3), "cartesian")
 
 
 def to_spherical(psi: StateVector) -> StateVector:
     """Exact inverse of to_cartesian."""
-    _require(psi, "cartesian")
-    return StateVector(SPH_TO_CART.conj().T @ psi.amplitudes, "spherical")
+    return StateVector(SPH_TO_CART.conj().T @ psi.require("cartesian"), "spherical")
 
 
 @dataclass(frozen=True)
 class CanonicalForm:
-    """(theta, phi, mu, nu) with psi = e^{i theta}(cos phi mu + i sin phi nu)."""
+    """(theta, phi, mu, nu) with psi = e^{i theta}(cos phi mu + i sin phi nu);
+    nu is None where phi ~ 0 leaves it undetermined."""
 
     theta: float
     phi: float
     mu: np.ndarray
     nu: Optional[np.ndarray]
-    nu_defined: bool
 
     def reconstruct(self) -> StateVector:
         """Rebuild the Cartesian state; any axis orthogonal to mu stands in for
         nu when it is undetermined (phi ~ 0)."""
-        nu = self.nu if self.nu_defined else _any_orthogonal_unit(self.mu)
+        nu = _any_orthogonal_unit(self.mu) if self.nu is None else self.nu
         amps = np.exp(1j * self.theta) * (
             np.cos(self.phi) * self.mu + 1j * np.sin(self.phi) * nu
         )
-        return StateVector.from_components(amps, "cartesian", normalize=True)
+        return StateVector(amps / np.linalg.norm(amps), "cartesian")
 
 
 def _any_orthogonal_unit(v: np.ndarray) -> np.ndarray:
@@ -83,8 +73,7 @@ def canonical_form(psi: StateVector) -> CanonicalForm:
     e^{-i theta} psi are automatically orthogonal with |real| >= |imag|.
     atan2 gives phi stably near 0.
     """
-    _require(psi, "cartesian")
-    a = psi.amplitudes
+    a = psi.require("cartesian")
     w = np.sum(a * a)
     if abs(w) < BILINEAR_ZERO:
         theta = 0.0  # w = 0 leaves the phase unconstrained
@@ -106,12 +95,11 @@ def canonical_form(psi: StateVector) -> CanonicalForm:
             x, y = -x, -y
     phi = min(float(np.arctan2(ny, nx)), np.pi / 4)
     mu = x / nx
-    nu_defined = ny > NU_CUTOFF
-    nu = y / ny if nu_defined else None
+    nu = y / ny if ny > NU_CUTOFF else None
     mu.setflags(write=False)
     if nu is not None:
         nu.setflags(write=False)
-    return CanonicalForm(theta=float(theta), phi=phi, mu=mu, nu=nu, nu_defined=nu_defined)
+    return CanonicalForm(theta=float(theta), phi=phi, mu=mu, nu=nu)
 
 
 def spin_projection_operator(omega) -> Observable:
@@ -144,8 +132,7 @@ def expectation_magnitude_canonical(phi: float) -> float:
 
 def concurrence_spherical(psi: StateVector) -> float:
     """2 |psi_+1 psi_-1 - psi_0^2 / 2| in spherical components."""
-    _require(psi, "spherical")
-    p, z, m = psi.amplitudes
+    p, z, m = psi.require("spherical", 3)
     return min(float(2.0 * abs(p * m - z * z / 2.0)), 1.0)
 
 
@@ -166,15 +153,6 @@ def zero_projection_axis(psi: StateVector, tol: float = CE_TOL_DEFAULT) -> Optio
     if form.phi <= tol:
         return form.mu
     return None
-
-
-def cartesian_spin_generators():
-    """{S_x, S_y, S_z} acting on Cartesian components (cross-product form)."""
-    axes = np.eye(3)
-    return ObservableBasis(
-        tuple(spin_projection_operator(axes[a]) for a in range(3)),
-        label="su2-spin-1",
-    )
 
 
 def ce_basis():

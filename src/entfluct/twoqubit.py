@@ -11,25 +11,17 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import _SQ2, PROJECT_TOL_DEFAULT, SINGLET_NORM, StateVector
-from .spin1 import _require
-
-
-def _require_pair(chi: StateVector):
-    if chi.basis_label != "qubit-pair":
-        raise ValueError(f"expected a qubit-pair state, got basis label {chi.basis_label!r}")
 
 
 def embed_symmetric(psi: StateVector) -> StateVector:
     """Triplet embedding: |+1> -> |uu>, |0> -> (|ud>+|du>)/sqrt(2), |-1> -> |dd>."""
-    _require(psi, "spherical")
-    p, z, m = psi.amplitudes
+    p, z, m = psi.require("spherical", 3)
     return StateVector(np.array([p, z / _SQ2, z / _SQ2, m]), "qubit-pair")
 
 
 def sector_split(chi: StateVector):
     """(symmetric 4-vector, singlet amplitude); squared norms sum to one."""
-    _require_pair(chi)
-    a = chi.amplitudes
+    a = chi.require("qubit-pair")
     sym_mid = (a[1] + a[2]) / 2.0
     symmetric = np.array([a[0], sym_mid, sym_mid, a[3]])
     antisymmetric = (a[1] - a[2]) / _SQ2
@@ -60,12 +52,10 @@ def singlet() -> StateVector:
 
 
 def swap_qubits(chi: StateVector) -> StateVector:
-    _require_pair(chi)
-    return StateVector(chi.amplitudes[[0, 2, 1, 3]], "qubit-pair")
+    return StateVector(chi.require("qubit-pair")[[0, 2, 1, 3]], "qubit-pair")
 
 
 def pure_concurrence(chi: StateVector) -> float:
     """2 |det| of the amplitude matrix: 2 |a_uu a_dd - a_ud a_du|."""
-    _require_pair(chi)
-    a = chi.amplitudes
+    a = chi.require("qubit-pair")
     return min(float(2.0 * abs(a[0] * a[3] - a[1] * a[2])), 1.0)

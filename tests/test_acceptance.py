@@ -18,8 +18,8 @@ from entfluct import (
     concurrence_from_phi,
     concurrence_spherical,
     embed_symmetric,
+    fluctuation_report,
     gradient_total_variance,
-    is_completely_entangled,
     local_two_qubit_basis,
     maximize_total_variance,
     minimize_total_variance,
@@ -32,7 +32,6 @@ from entfluct import (
     spin_projection_operator,
     to_cartesian,
     total_variance,
-    variance_concurrence,
 )
 from entfluct.cli import main as cli_main
 from entfluct.presets import PRESETS
@@ -55,7 +54,7 @@ def test_criterion_1_four_oracle_concurrence_agreement():
         values = [
             concurrence_spherical(psi),
             concurrence_from_phi(canonical_form(to_cartesian(psi)).phi),
-            variance_concurrence(psi, SPIN1, 1.0, 2.0),
+            fluctuation_report(psi, SPIN1, 1.0, 2.0).concurrence_variance,
             pure_concurrence(embed_symmetric(psi)),
         ]
         worst = max(worst, max(abs(a - b) for a in values for b in values))
@@ -67,7 +66,7 @@ def test_criterion_2_variational_extremality():
     for seed in (0, 1, 2):
         rmax = maximize_total_variance(SPIN1, SearchConfig(seed=seed, restarts=16))
         ok &= abs(rmax.best_value - 2.0) <= 1e-8
-        flag, _ = is_completely_entangled(rmax.best_state, SPIN1, 1e-8)
+        flag = fluctuation_report(rmax.best_state, SPIN1, ce_tol=1e-8).ce_flag
         ok &= flag
         rmin = minimize_total_variance(
             SPIN1, SearchConfig(seed=seed, restarts=16, mode="minimize")
@@ -81,7 +80,7 @@ def test_criterion_2_variational_extremality():
 def test_criterion_3_ce_basis_certification():
     ok = True
     for psi in ce_basis():
-        _, residual = is_completely_entangled(psi, SPIN1, 1e-12)
+        residual = fluctuation_report(psi, SPIN1, ce_tol=1e-12).ce_residual
         ok &= residual <= 1e-12
         ok &= abs(concurrence_spherical(psi) - 1.0) <= 1e-12
         cart = to_cartesian(psi)
@@ -217,8 +216,7 @@ def test_criterion_9_canonical_form_robustness():
         rebuilt = form.reconstruct()
         ok &= np.max(np.abs(rebuilt.amplitudes - psi.amplitudes)) <= 1e-9
         r = random_orthogonal(rng)
-        rotated = StateVector.from_components(
-            r @ psi.amplitudes, "cartesian", normalize=True
-        )
+        a = r @ psi.amplitudes
+        rotated = StateVector(a / np.linalg.norm(a), "cartesian")
         ok &= abs(canonical_form(rotated).phi - form.phi) <= 1e-9
     report(9, "canonical form reconstruction and rotation invariance", ok)

@@ -5,10 +5,18 @@ from entfluct import (
     Observable,
     ObservableBasis,
     StateVector,
-    casimir,
+    canonical_form,
+    concurrence_spherical,
+    embed_symmetric,
     local_two_qubit_basis,
+    project_spin1,
+    pure_concurrence,
     rotate_basis,
+    sector_split,
     spin_generators,
+    swap_qubits,
+    to_cartesian,
+    to_spherical,
 )
 from util import random_orthogonal
 
@@ -39,8 +47,8 @@ class TestSpinGenerators:
 
     @pytest.mark.parametrize("j", [0.5, 1, 1.5, 2])
     def test_casimir_scalar(self, j):
-        c = casimir(spin_generators(j))
-        assert np.max(np.abs(c.entries - j * (j + 1) * np.eye(c.dim))) < 1e-10
+        c = spin_generators(j).operators[-1]
+        assert np.max(np.abs(c - j * (j + 1) * np.eye(len(c)))) < 1e-10
 
     @pytest.mark.parametrize("j", [0.5, 1, 1.5])
     def test_eigenvalue_multiset(self, j):
@@ -118,10 +126,10 @@ class TestRotateBasis:
     def test_preserves_casimir(self):
         rng = np.random.default_rng(7)
         basis = spin_generators(1)
-        c0 = casimir(basis).entries
+        c0 = basis.operators[-1]
         for _ in range(10):
             rotated = rotate_basis(basis, random_orthogonal(rng))
-            assert np.max(np.abs(casimir(rotated).entries - c0)) < 1e-10
+            assert np.max(np.abs(rotated.operators[-1] - c0)) < 1e-10
 
     def test_rotation_preserves_commutation(self):
         rng = np.random.default_rng(8)
@@ -173,8 +181,6 @@ class TestContainers:
     def test_state_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="non-finite"):
             StateVector([bad, 1.0, 0.0], "spherical")
-        with pytest.raises(ValueError, match="non-finite"):
-            StateVector.from_components([bad, 1.0, 0.0], "spherical", normalize=True)
 
     @pytest.mark.parametrize("amps,label", [
         ([1, 0, 0], "qubit-pair"),
@@ -194,11 +200,46 @@ class TestContainers:
         with pytest.raises(ValueError):
             StateVector(np.array([1.0, 0.0, 0.0]), "cylindrical")
 
-    def test_from_components_normalize(self):
-        psi = StateVector.from_components([3.0, 4.0, 0.0], "spherical", normalize=True)
-        assert abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-15
+    def test_constructor_coerces_to_a_complex_vector(self):
+        psi = StateVector([[0.6], [0.8]], "spherical")
+        assert psi.amplitudes.dtype == complex and psi.amplitudes.shape == (2,)
 
     def test_amplitudes_are_read_only(self):
         psi = StateVector(np.array([1.0, 0.0, 0.0]), "spherical")
         with pytest.raises(ValueError):
             psi.amplitudes[0] = 0.0
+
+
+def _unit(dim, label):
+    return StateVector(np.eye(dim)[0], label)
+
+
+_SPIN1_REFUSES = [_unit(3, "cartesian"), _unit(4, "qubit-pair"), _unit(5, "spherical")]
+_CARTESIAN_REFUSES = [_unit(3, "spherical"), _unit(4, "qubit-pair")]
+_PAIR_REFUSES = [_unit(4, "spherical"), _unit(3, "cartesian")]
+_WRONG_STATES = [
+    *((fn, _SPIN1_REFUSES) for fn in (to_cartesian, concurrence_spherical, embed_symmetric)),
+    *((fn, _CARTESIAN_REFUSES) for fn in (to_spherical, canonical_form)),
+    *((fn, _PAIR_REFUSES) for fn in (sector_split, project_spin1, swap_qubits, pure_concurrence)),
+]
+
+
+class TestRequire:
+    """Every function that takes one kind of state checks it through StateVector.require."""
+
+    def test_returns_the_amplitudes(self):
+        psi = _unit(3, "spherical")
+        assert psi.require("spherical") is psi.amplitudes
+        assert psi.require("spherical", 3) is psi.amplitudes
+        with pytest.raises(ValueError, match="expected a 4-component spherical state"):
+            psi.require("spherical", 4)
+        with pytest.raises(ValueError, match="expected a cartesian state"):
+            psi.require("cartesian")
+
+    # each function with states it must refuse; a 4-component spherical state
+    # has a qubit pair's dimension and a 5-component one is no spin 1
+    @pytest.mark.parametrize("fn,wrong", _WRONG_STATES, ids=[fn.__name__ for fn, _ in _WRONG_STATES])
+    def test_wrong_state_is_refused(self, fn, wrong):
+        for psi in wrong:
+            with pytest.raises(ValueError, match="expected a"):
+                fn(psi)

@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -232,7 +236,12 @@ class TestAnalyze:
     @pytest.mark.parametrize("stdin", [
         '{"basis": ["spherical"], "components": [[1, 0], [0, 0], [0, 0]]}',
         '{"basis": "spherical", "components": [[1' + "0" * 400 + ', 0], [0, 0], [0, 0]]}',
-    ], ids=["unhashable-label", "integer-beyond-float"])
+        '{"basis": "spherical", "components": [[true, false], [0, 0], [0, 0]]}',
+        '{"basis": "spherical", "components": [[0, 0], [1, null], [0, 0]]}',
+        '{"basis": "spherical", "components": []}',
+        '{"basis": "spherical", "components": {"re": 1, "im": 0}}',
+    ], ids=["unhashable-label", "integer-beyond-float", "boolean-components", "null-component",
+            "empty-components", "components-not-a-list"])
     def test_malformed_state_exits_2_not_1(self, capsys, monkeypatch, stdin):
         code, out, err = run(capsys, monkeypatch, ["analyze", "--normalize"], stdin)
         assert (code, out) == (2, "")
@@ -539,3 +548,15 @@ class TestFlags:
         assert {k: search[k] for k in vars(SearchConfig())} == vars(SearchConfig())
         assert parser.parse_args(["analyze"]).tol == CE_TOL_DEFAULT
         assert parser.parse_args(["preset", "analyze", "ce-psi0"]).tol == CE_TOL_DEFAULT
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.Popen([sys.executable, "-m", "entfluct.cli", "preset", "list", "--format", "json"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()  # the reader goes away before the first write
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    for text in ("internal error", "Traceback", "Exception ignored"):
+        assert text not in err.decode()

@@ -4,21 +4,19 @@ from hypothesis import given, settings, strategies as st
 
 from entfluct import (
     Observable,
+    ObservableBasis,
     StateVector,
     canonical_form,
-    expectation,
     expectation_vector,
     fluctuation_report,
-    is_completely_entangled,
     local_two_qubit_basis,
     moments,
     rotate_basis,
+    spin_projection_operator,
     spin_generators,
     to_cartesian,
     total_variance,
-    variance_concurrence,
 )
-from entfluct.spin1 import cartesian_spin_generators
 from util import random_orthogonal, random_orthonormal_pair, random_state, state_from_canonical
 
 SQ2 = np.sqrt(2.0)
@@ -26,23 +24,23 @@ SPIN1 = spin_generators(1)
 
 
 def sph(components):
-    return StateVector.from_components(components, "spherical")
+    return StateVector(components, "spherical")
 
 
 class TestExpectation:
     def test_sz_eigenstate(self):
-        assert expectation(sph([1, 0, 0]), SPIN1.elements[2]) == pytest.approx(1.0)
+        assert expectation_vector(sph([1, 0, 0]), SPIN1)[2] == pytest.approx(1.0)
 
     def test_sx_on_m0(self):
-        assert expectation(sph([0, 1, 0]), SPIN1.elements[0]) == pytest.approx(0.0, abs=1e-14)
+        assert expectation_vector(sph([0, 1, 0]), SPIN1)[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_sz_on_symmetric_superposition(self):
         psi = sph([1 / SQ2, 0, 1 / SQ2])
-        assert expectation(psi, SPIN1.elements[2]) == pytest.approx(0.0, abs=1e-14)
+        assert expectation_vector(psi, SPIN1)[2] == pytest.approx(0.0, abs=1e-14)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            expectation(StateVector([1, 0], "spherical"), SPIN1.elements[0])
+            expectation_vector(StateVector([1, 0], "spherical"), SPIN1)
 
     def test_vector_examples(self):
         assert np.allclose(expectation_vector(sph([0, 1, 0]), SPIN1), [0, 0, 0], atol=1e-14)
@@ -50,7 +48,8 @@ class TestExpectation:
 
     def test_canonical_magnitude_is_sin_2phi(self):
         rng = np.random.default_rng(11)
-        basis = cartesian_spin_generators()
+        # {S_x, S_y, S_z} on Cartesian components, in the cross-product form
+        basis = ObservableBasis(tuple(spin_projection_operator(axis) for axis in np.eye(3)), label="su2-spin-1")
         for phi in np.linspace(0.0, np.pi / 4, 9):
             mu, nu = random_orthonormal_pair(rng)
             psi = state_from_canonical(0.3, phi, mu, nu)
@@ -160,7 +159,7 @@ class TestMoments:
         # |a|^2 - 1 = 1e-13 is accepted; V_tot must still be that of a / |a|
         psi = StateVector([1.00000000000005, 0, 0], "spherical")
         assert total_variance(psi, SPIN1) == pytest.approx(1.0, abs=1e-15)
-        assert variance_concurrence(psi, SPIN1, 1.0, 2.0) <= 5e-8
+        assert fluctuation_report(psi, SPIN1, 1.0, 2.0).concurrence_variance <= 5e-8
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
@@ -169,62 +168,60 @@ class TestMoments:
 
 class TestCompletelyEntangled:
     def test_m0_is_ce(self):
-        flag, residual = is_completely_entangled(sph([0, 1, 0]), SPIN1, 1e-10)
-        assert flag and residual < 1e-14
+        report = fluctuation_report(sph([0, 1, 0]), SPIN1, ce_tol=1e-10)
+        assert report.ce_flag and report.ce_residual < 1e-14
 
     def test_m_plus1_is_not(self):
-        flag, residual = is_completely_entangled(sph([1, 0, 0]), SPIN1, 1e-10)
-        assert not flag
-        assert residual == pytest.approx(1.0)
+        report = fluctuation_report(sph([1, 0, 0]), SPIN1, ce_tol=1e-10)
+        assert not report.ce_flag
+        assert report.ce_residual == pytest.approx(1.0)
 
     def test_symmetric_superposition_is_ce(self):
-        flag, _ = is_completely_entangled(sph([1 / SQ2, 0, 1 / SQ2]), SPIN1, 1e-10)
+        flag = fluctuation_report(sph([1 / SQ2, 0, 1 / SQ2]), SPIN1, ce_tol=1e-10).ce_flag
         assert flag
 
     def test_flag_matches_vector_magnitude(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
             psi = random_state(rng, 3)
-            flag, residual = is_completely_entangled(psi, SPIN1, 1e-3)
-            assert flag == (residual <= 1e-3)
-            assert residual == pytest.approx(
+            report = fluctuation_report(psi, SPIN1, ce_tol=1e-3)
+            assert report.ce_flag == (report.ce_residual <= 1e-3)
+            assert report.ce_residual == pytest.approx(
                 np.max(np.abs(expectation_vector(psi, SPIN1))), abs=1e-15
             )
 
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
-            is_completely_entangled(sph([0, 1, 0]), SPIN1, 0.0)
+            fluctuation_report(sph([0, 1, 0]), SPIN1, ce_tol=0.0)
 
     @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
     def test_rejects_non_finite_or_negative_tol(self, bad):
-        with pytest.raises(ValueError, match="tolerance"):
-            is_completely_entangled(sph([0, 1, 0]), SPIN1, bad)
         with pytest.raises(ValueError, match="tolerance"):
             fluctuation_report(sph([0, 1, 0]), SPIN1, ce_tol=bad)
 
 
 class TestVarianceConcurrence:
     def test_m0(self):
-        assert variance_concurrence(sph([0, 1, 0]), SPIN1, 1.0, 2.0) == pytest.approx(1.0)
+        assert fluctuation_report(sph([0, 1, 0]), SPIN1, 1.0, 2.0).concurrence_variance == pytest.approx(1.0)
 
     def test_m_plus1(self):
-        assert variance_concurrence(sph([1, 0, 0]), SPIN1, 1.0, 2.0) == pytest.approx(0.0, abs=1e-7)
+        assert fluctuation_report(sph([1, 0, 0]), SPIN1, 1.0, 2.0).concurrence_variance == pytest.approx(0.0, abs=1e-7)
 
     def test_matches_cos_2phi(self):
         rng = np.random.default_rng(9)
         for _ in range(50):
             psi = random_state(rng, 3)
-            c = variance_concurrence(psi, SPIN1, 1.0, 2.0)
+            c = fluctuation_report(psi, SPIN1, 1.0, 2.0).concurrence_variance
             phi = canonical_form(to_cartesian(psi)).phi
             assert c == pytest.approx(abs(np.cos(2 * phi)), abs=1e-9)
 
     def test_rejects_inverted_bounds(self):
         with pytest.raises(ValueError):
-            variance_concurrence(sph([0, 1, 0]), SPIN1, 2.0, 1.0)
+            fluctuation_report(sph([0, 1, 0]), SPIN1, 2.0, 1.0)
 
     def test_rejects_inconsistent_bounds(self):
         with pytest.raises(ValueError):
-            variance_concurrence(sph([0, 1, 0]), SPIN1, 3.0, 4.0)
+            fluctuation_report(sph([0, 1, 0]), SPIN1, 3.0, 4.0)
 
 
 class TestReport:
@@ -239,7 +236,6 @@ class TestReport:
     def test_report_without_bounds(self):
         report = fluctuation_report(sph([1, 0, 0]), SPIN1)
         assert report.concurrence_variance is None
-        assert report.v_min is None and report.v_max is None
 
     def test_negative_total_variance_rejected(self):
         basis = rotate_basis(SPIN1, np.eye(3))
@@ -254,4 +250,4 @@ class TestReport:
         obs = Observable(np.eye(3))
         object.__setattr__(obs, "entries", np.array([[0, 1j, 0], [0, 0, 0], [0, 0, 0]]))
         with pytest.raises(ValueError):
-            expectation(sph([1 / SQ2, 1 / SQ2, 0]), obs)
+            expectation_vector(sph([1 / SQ2, 1 / SQ2, 0]), ObservableBasis((obs,)))

@@ -9,7 +9,7 @@ from entfluct import (
     concurrence_from_phi,
     concurrence_spherical,
     expectation_magnitude_canonical,
-    is_completely_entangled,
+    fluctuation_report,
     spin_generators,
     spin_projection_operator,
     to_cartesian,
@@ -23,11 +23,11 @@ SQ2 = np.sqrt(2.0)
 
 
 def sph(components):
-    return StateVector.from_components(components, "spherical")
+    return StateVector(components, "spherical")
 
 
 def cart(components):
-    return StateVector.from_components(components, "cartesian")
+    return StateVector(components, "cartesian")
 
 
 amplitude_triples = st.lists(
@@ -40,9 +40,8 @@ amplitude_triples = st.lists(
 
 
 def _to_state(cs, label):
-    return StateVector.from_components(
-        [complex(re, im) for re, im in cs], label, normalize=True
-    )
+    a = np.array([complex(re, im) for re, im in cs])
+    return StateVector(a / np.linalg.norm(a), label)
 
 
 class TestConversion:
@@ -76,7 +75,7 @@ class TestCanonicalForm:
         assert form.theta == pytest.approx(0.0)
         assert form.phi == pytest.approx(0.0)
         assert np.allclose(form.mu, [0, 0, 1])
-        assert not form.nu_defined
+        assert form.nu is None
 
     def test_coherent_case(self):
         form = canonical_form(cart([1 / SQ2, 1j / SQ2, 0]))
@@ -95,7 +94,7 @@ class TestCanonicalForm:
         for _ in range(50):
             form = canonical_form(to_cartesian(random_state(rng, 3)))
             assert np.linalg.norm(form.mu) == pytest.approx(1.0, abs=1e-12)
-            if form.nu_defined:
+            if form.nu is not None:
                 assert np.linalg.norm(form.nu) == pytest.approx(1.0, abs=1e-12)
                 assert abs(np.dot(form.mu, form.nu)) < 1e-10
 
@@ -112,7 +111,8 @@ class TestCanonicalForm:
         phi0 = canonical_form(psi).phi
         for _ in range(10):
             r = random_orthogonal(rng)
-            rotated = StateVector.from_components(r @ psi.amplitudes, "cartesian", normalize=True)
+            a = r @ psi.amplitudes
+            rotated = StateVector(a / np.linalg.norm(a), "cartesian")
             assert canonical_form(rotated).phi == pytest.approx(phi0, abs=1e-9)
 
     def test_theta_in_range(self):
@@ -223,17 +223,17 @@ class TestZeroProjectionAxis:
         for _ in range(20):
             r = random_orthogonal(rng)
             theta = rng.uniform(0, np.pi)
-            psi_c = StateVector.from_components(
+            psi_c = StateVector(
                 np.exp(1j * theta) * (r @ np.array([0, 0, 1.0])), "cartesian"
             )
             assert zero_projection_axis(psi_c, 1e-9) is not None
-            flag, _ = is_completely_entangled(to_spherical(psi_c), basis, 1e-9)
+            flag = fluctuation_report(to_spherical(psi_c), basis, ce_tol=1e-9).ce_flag
             assert flag
         for _ in range(20):
             psi = random_state(rng, 3)
             psi_c = to_cartesian(psi)
             has_axis = zero_projection_axis(psi_c, 1e-9) is not None
-            flag, _ = is_completely_entangled(psi, basis, 1e-9)
+            flag = fluctuation_report(psi, basis, ce_tol=1e-9).ce_flag
             assert has_axis == flag
 
 
@@ -249,7 +249,7 @@ class TestCEBasis:
         basis = spin_generators(1)
         for psi in ce_basis():
             assert concurrence_spherical(psi) == pytest.approx(1.0, abs=1e-14)
-            flag, _ = is_completely_entangled(psi, basis, 1e-10)
+            flag = fluctuation_report(psi, basis, ce_tol=1e-10).ce_flag
             assert flag
 
 

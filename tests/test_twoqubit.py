@@ -5,7 +5,7 @@ from entfluct import (
     StateVector,
     concurrence_spherical,
     embed_symmetric,
-    is_completely_entangled,
+    fluctuation_report,
     local_two_qubit_basis,
     project_spin1,
     pure_concurrence,
@@ -20,7 +20,7 @@ SQ2 = np.sqrt(2.0)
 
 
 def sph(components):
-    return StateVector.from_components(components, "spherical")
+    return StateVector(components, "spherical")
 
 
 def pair(components):
@@ -141,9 +141,9 @@ class TestSectors:
         samples = [sph([0, 1, 0]), sph([1 / SQ2, 0, -1 / SQ2]), sph([1, 0, 0])]
         samples += [random_state(rng, 3) for _ in range(10)]
         for psi in samples:
-            flag1, _ = is_completely_entangled(psi, spin1, 1e-8)
+            flag1 = fluctuation_report(psi, spin1, ce_tol=1e-8).ce_flag
             chi = embed_symmetric(psi)
-            flag2, _ = is_completely_entangled(chi, local, 1e-8)
+            flag2 = fluctuation_report(chi, local, ce_tol=1e-8).ce_flag
             assert flag1 == flag2
 
     def test_normalization_enforced(self):

@@ -7,8 +7,8 @@ from entfluct import (
     SearchConfig,
     StateVector,
     canonical_form,
+    fluctuation_report,
     gradient_total_variance,
-    is_completely_entangled,
     local_two_qubit_basis,
     maximize_total_variance,
     minimize_total_variance,
@@ -91,7 +91,7 @@ class TestMaximize:
     def test_spin1_reaches_ce(self):
         result = maximize_total_variance(SPIN1)
         assert result.best_value == pytest.approx(2.0, abs=1e-8)
-        flag, _ = is_completely_entangled(result.best_state, SPIN1, 1e-8)
+        flag = fluctuation_report(result.best_state, SPIN1, ce_tol=1e-8).ce_flag
         assert flag
         assert result.converged
 

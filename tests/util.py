@@ -25,4 +25,4 @@ def random_orthonormal_pair(rng):
 
 def state_from_canonical(theta, phi, mu, nu):
     amps = np.exp(1j * theta) * (np.cos(phi) * mu + 1j * np.sin(phi) * nu)
-    return StateVector.from_components(amps, "cartesian", normalize=True)
+    return StateVector(amps / np.linalg.norm(amps), "cartesian")
