@@ -1,5 +1,6 @@
 """Observable algebras: spin-j generators and the local two-qubit set, each
-stacked with its Casimir sum C = sum_i O_i^2 as `operators[-1]`.
+stacked with its Casimir sum C = sum_i O_i^2 as `operators[-1]`, and with
+the scalar c recorded as `casimir` when C = c I.
 
 All containers are immutable after construction and validate their defining
 invariants (Hermiticity, unit norm, su(2) commutation) up front, so downstream
@@ -34,6 +35,7 @@ PROJECT_TOL_DEFAULT = 1e-9  # largest singlet amplitude project_spin1 accepts
 SINGLET_NORM = 1e-12  # triplet-part norm below which a pair is a pure singlet
 STEP_TOL_DEFAULT = 1e-12  # tangent-gradient norm at which a search restart stops
 CROSS_CHECK_TOL = 1e-9  # agreement of the exactly conditioned concurrences
+SCALAR_CASIMIR_TOL = 1e-12  # max |C - c I| / max(1, |c|) at which C = sum_i O_i^2 is recorded as the scalar c
 # sqrt((V - V_min)/(V_max - V_min)) loses half the working precision when the
 # concurrence is near zero (V - V_min is then pure rounding noise ~ 1e-16, and
 # the square root inflates it to ~ 1e-8), so the variance route gets a wider
@@ -76,11 +78,14 @@ class Observable:
 @dataclass(frozen=True)
 class ObservableBasis:
     """Ordered basis of the algebra of essential observables. `operators` stacks
-    the elements followed by their Casimir sum C = sum_i O_i^2, (k + 1, d, d)."""
+    the elements followed by their Casimir sum C = sum_i O_i^2, (k + 1, d, d).
+    `casimir` is c, the mean of the diagonal of C, when C = c I within
+    SCALAR_CASIMIR_TOL (spin j: j(j+1), the local qubit pair: 3/2), else None."""
 
     elements: tuple
     label: str = ""
     operators: np.ndarray = field(init=False, repr=False, compare=False)
+    casimir: float | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         elems = tuple(self.elements)
@@ -96,9 +101,13 @@ class ObservableBasis:
         if self.label.startswith("su2-spin-") and ":" not in self.label:
             self._check_su2_commutation(elems)
         mats = np.stack([o.entries for o in elems])
-        ops = np.concatenate([mats, np.sum(mats @ mats, axis=0)[None]])
+        c_op = np.sum(mats @ mats, axis=0)
+        c = float(np.trace(c_op).real) / dim
+        scalar = np.max(np.abs(c_op - c * np.eye(dim))) <= SCALAR_CASIMIR_TOL * max(1.0, abs(c))
+        ops = np.concatenate([mats, c_op[None]])
         ops.setflags(write=False)
         object.__setattr__(self, "operators", ops)
+        object.__setattr__(self, "casimir", c if scalar else None)
 
     @staticmethod
     def _check_su2_commutation(elems):

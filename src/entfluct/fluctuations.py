@@ -18,7 +18,7 @@ from .algebra import BOUND_SLACK, CE_TOL_DEFAULT, IMAG_TOL, VARIANCE_CLAMP, Obse
 
 
 def _apply(ops: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """O x for every operator and row, (N, k + 1, d). A broadcast sum rather
+    """O x for every operator and row, (N, len(ops), d). A broadcast sum rather
     than a matrix product, so each row is rounded alike whatever N is."""
     return (ops[None] * x[:, None, None, :]).sum(axis=-1)
 
@@ -29,16 +29,23 @@ def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def moments(a: np.ndarray, basis: ObservableBasis):
-    """(O a, <O>) for the rows of a (N, d): O a is (N, k + 1, d) and <O> the
-    real expectations (N, k + 1) of the basis elements followed by C = sum_i
-    O_i^2, taken in the normalized rows a / |a|."""
+    """(O a, <O>) for the rows of a (N, d): <O> holds the real expectations
+    (N, k + 1) of the basis elements followed by C = sum_i O_i^2, taken in the
+    normalized rows a / |a|. When C is the scalar c (`basis.casimir`), O a
+    is (N, k, d), the elements only, and <C> is c exactly; otherwise O a is
+    (N, k + 1, d) with C a last."""
     if a.ndim != 2 or a.shape[1] != basis.dim:
         raise ValueError(f"dimension mismatch: state {a.shape[-1]}, basis {basis.dim}")
-    oa = _apply(basis.operators, a)
+    c = basis.casimir
+    oa = _apply(basis.operators if c is None else basis.operators[:-1], a)
     e = _inner(a[:, None, :], oa) / _inner(a, a).real[:, None]
-    if np.max(np.abs(e.imag)) > IMAG_TOL:
+    if np.abs(e.imag).max() > IMAG_TOL:
         raise ValueError("expectation has a non-negligible imaginary part")
-    return oa, e.real
+    if c is None:
+        return oa, e.real
+    expectations = np.empty((len(a), len(basis) + 1))
+    expectations[:, :-1], expectations[:, -1] = e.real, c
+    return oa, expectations
 
 
 def variance(e: np.ndarray) -> np.ndarray:

@@ -5,13 +5,20 @@ generalized coherent states.
 Riemannian conjugate gradient (Polak-Ribiere+, exact parallel transport) with
 an exact line search: on a great circle a cos t + d sin t each <O> is
 m + u cos 2t + r sin 2t, so V = <C> - sum_i <O_i>^2 (C = sum_i O_i^2) is a
-trigonometric polynomial of degree 2 in s = 2t. Restarts advance together as
-the rows of one (R, d) array and every operation acts row by row, so restart k
-of seed s is exactly the one-restart search with seed s ^ k, whatever the order.
+trigonometric polynomial of degree 2 in s = 2t; when C is the scalar c, <C> = c
+all along the circle. The line search evaluates that polynomial on a 64-point
+grid, one broadcast product with a module table of the grid's four line terms,
+and polishes the best grid point of each of its (at most two) local maxima with
+clipped Newton steps that compute the first two derivatives alone; V itself is
+evaluated once more, to pick the best polished point. Restarts advance together
+as the rows of one (R, d) array and every operation acts row by row, so restart
+k of seed s is exactly the one-restart search with seed s ^ k, whatever the
+order.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,10 +28,6 @@ from .fluctuations import _apply, _inner, moments, variance
 
 STOP_REASONS = ("gradient", "stall", "cap")
 MODES = ("maximize", "minimize")
-
-# seeds the global extremum of V on the circle (two local maxima at most)
-_GRID = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
-_NEWTON_STEPS = 4
 
 
 @dataclass(frozen=True)
@@ -36,13 +39,18 @@ class SearchConfig:
     mode: str = "maximize"
 
     def __post_init__(self):
+        for name in ("restarts", "max_iterations", "seed"):
+            value = getattr(self, name)  # an int or numpy integer, not a bool, float or string
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.restarts < 1 or self.max_iterations < 1:
             raise ValueError("restarts and max_iterations must be positive")
         if not 0 < self.step_tolerance < np.inf:
             raise ValueError("step_tolerance must be positive and finite")
         if self.mode not in MODES:
             raise ValueError("mode must be 'maximize' or 'minimize'")
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
 
 
@@ -62,10 +70,14 @@ class SearchResult:
 
 def _value_and_gradient(a: np.ndarray, basis: ObservableBasis):
     """V, the gradient 2[(C - <C>) a - 2 sum_i <O_i>(O_i - <O_i>) a], O a and
-    <O> (last column <C>) for every unit row of a (R, d)."""
+    <O> (last column <C>) for every unit row of a (R, d). The (C - <C>) a term
+    is zero when C is the scalar c, and moments then leaves C a out of O a."""
     oa, e = moments(a, basis)
-    centred = oa - e[..., None] * a[:, None, :]
-    grad = 2.0 * (centred[:, -1] - 2.0 * (e[:, :-1, None] * centred[:, :-1]).sum(axis=1))
+    k, n = len(basis), oa.shape[1]  # n = k + 1 when C a is applied
+    centred = oa - e[:, :n, None] * a[:, None, :]
+    grad = -4.0 * (e[:, :k, None] * centred[:, :k]).sum(axis=1)
+    if n > k:
+        grad = 2.0 * centred[:, k] + grad
     return variance(e), grad, oa, e
 
 
@@ -76,48 +88,74 @@ def gradient_total_variance(psi: StateVector, basis: ObservableBasis) -> np.ndar
     return _value_and_gradient(psi.amplitudes[None], basis)[1][0]
 
 
-def _line(coef: np.ndarray, s: np.ndarray):
-    """V(s) - V(0) and its first two s-derivatives from the line coefficients
-    (c1, s1, c2, s2), with cos x - 1 = -2 sin^2(x/2) so no term of size V cancels."""
-    c1, s1, c2, s2 = (c[:, None] for c in coef.T)
-    sn, cs, sn2, cs2 = np.sin(s), np.cos(s), np.sin(2 * s), np.cos(2 * s)
-    gain = -2.0 * c1 * np.sin(s / 2) ** 2 + s1 * sn - 2.0 * c2 * sn**2 + s2 * sn2
-    d1 = s1 * cs - c1 * sn + 2 * (s2 * cs2 - c2 * sn2)
-    return gain, d1, -(c1 * cs + s1 * sn) - 4 * (c2 * cs2 + s2 * sn2)
-
-
 def _line_coefficients(a, d, oa, e, basis: ObservableBasis) -> np.ndarray:
     """(c1, s1, c2, s2) of V(a cos t + d sin t) = c0 + c1 cos s + s1 sin s
-    + c2 cos 2s + s2 sin 2s, s = 2t, for every row; (R, 4)."""
-    od = _apply(basis.operators, d)
-    m = (e + _inner(d[:, None, :], od).real) / 2
-    u, r = e - m, _inner(oa, d[:, None, :]).real  # r = Re<a|O|d>, O Hermitian
-    mo, uo, ro = m[:, :-1], u[:, :-1], r[:, :-1]
-    return np.stack([u[:, -1] - 2.0 * (mo * uo).sum(axis=-1),
-                     r[:, -1] - 2.0 * (mo * ro).sum(axis=-1),
-                     -(uo**2 - ro**2).sum(axis=-1) / 2, -(uo * ro).sum(axis=-1)], axis=-1)
+    + c2 cos 2s + s2 sin 2s, s = 2t, for every row; (R, 4). A scalar C has
+    <C> = c all along the circle, so its column drops out."""
+    k, n = len(basis), oa.shape[1]  # n = k + 1 when C a is applied
+    od = _apply(basis.operators[:n], d)
+    m = (e[:, :n] + _inner(d[:, None, :], od).real) / 2
+    u, r = e[:, :n] - m, _inner(oa, d[:, None, :]).real  # r = Re<a|O|d>, O Hermitian
+    mo, uo, ro = m[:, :k], u[:, :k], r[:, :k]
+    c1, s1 = -2.0 * (mo * uo).sum(axis=-1), -2.0 * (mo * ro).sum(axis=-1)
+    if n > k:
+        c1, s1 = u[:, k] + c1, r[:, k] + s1
+    return np.stack([c1, s1, -(uo**2 - ro**2).sum(axis=-1) / 2, -(uo * ro).sum(axis=-1)], axis=-1)
+
+
+_TERM_FREQ = np.array([0.5, 1.0, 1.0, 2.0])
+
+
+def _line_terms(s: np.ndarray) -> np.ndarray:
+    """cos s - 1, sin s, cos 2s - 1 and sin 2s stacked on a new first axis, with
+    cos x - 1 = -2 sin^2(x/2) so that V(s) - V(0) cancels no term of size V."""
+    terms = np.sin(np.multiply.outer(_TERM_FREQ, s))
+    terms[::2] *= -2.0 * terms[::2]
+    return terms
+
+
+_GRID = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
+_GRID_TERMS = _line_terms(_GRID)  # (4, 64)
+_NEWTON_STEPS = 4
+# sin s, cos s, sin 2s, cos 2s = sin(s * _NEWTON_FREQ + _NEWTON_PHASE)
+_NEWTON_FREQ = np.array([1.0, 1.0, 2.0, 2.0])[:, None, None]
+_NEWTON_PHASE = np.array([0.0, np.pi / 2, 0.0, np.pi / 2])[:, None, None]
+# d1 and -d2 of c1 cos s + s1 sin s + c2 cos 2s + s2 sin 2s are sums over those
+# four factors, each times a coefficient (index into c1, s1, c2, s2) and a weight
+_NEWTON_COEF = np.array([[0, 1, 2, 3], [1, 0, 3, 2]])
+_NEWTON_WEIGHT = np.array([[-1.0, 1.0, -2.0, 2.0], [1.0, 1.0, 4.0, 4.0]])[:, :, None, None]
 
 
 def _best_angle(coef: np.ndarray, sign: float):
-    """Global maximizer s of sign * (V(s) - V(0)) on the circle and its gain."""
-    grid_gain = sign * _line(coef, _GRID)[0]
-    k = grid_gain.argmax(axis=-1)[:, None]
-    s = _GRID[k]
+    """Global maximizer s of sign * (V(s) - V(0)) on the circle and its gain.
+    The gain on the grid is one broadcast product with its line terms; the
+    polynomial has two local maxima at most, and clipped Newton steps polish
+    the best grid point of each from d1 and d2 alone. The result is the best
+    of the top grid point and the two polished ones, the grid point on ties."""
+    rows = np.arange(len(coef))
+    grid_gain = sign * (coef.T[:, :, None] * _GRID_TERMS[:, None, :]).sum(axis=0)
+    cyclic = np.concatenate([grid_gain[:, -1:], grid_gain, grid_gain[:, :1]], axis=-1)
+    peaks = np.where(grid_gain >= np.maximum(cyclic[:, :-2], cyclic[:, 2:]), grid_gain, -np.inf)
+    top = peaks.argmax(axis=-1)
+    peaks[rows, top] = -np.inf
+    s = _GRID[np.stack([top, peaks.argmax(axis=-1)])]  # (2, R): one seed per local maximum
+    newton = _NEWTON_WEIGHT * (sign * coef.T)[_NEWTON_COEF][:, :, None, :]
     for _ in range(_NEWTON_STEPS):
-        _, d1, d2 = _line(coef, s)
-        step = np.divide(-d1, d2, out=np.zeros_like(d1), where=sign * d2 < 0)
-        s = s + np.clip(step, -_GRID[1], _GRID[1])
-    polished, grid_best = sign * _line(coef, s)[0], np.take_along_axis(grid_gain, k, -1)
-    better = polished > grid_best
-    return np.where(better, s, _GRID[k])[:, 0], np.where(better, polished, grid_best)[:, 0]
+        d1, bend = (newton * np.sin(_NEWTON_FREQ * s + _NEWTON_PHASE)).sum(axis=1)
+        step = d1 / np.where(bend > 0, bend, np.inf)  # no step where the curvature is not negative
+        s = s + np.minimum(np.maximum(step, -_GRID[1]), _GRID[1])
+    s = np.concatenate([_GRID[top][None], s])
+    gain = sign * (coef.T[:, None, :] * _line_terms(s)).sum(axis=0)
+    best = gain.argmax(axis=0)
+    return s[best, rows], gain[best, rows]
 
 
 def _search(basis: ObservableBasis, config: SearchConfig, mode: str, state_label: str):
     config = config or SearchConfig(mode=mode)
     if config.mode != mode:
         raise ValueError(f"config.mode must be {mode!r}")
-    sign, seed = (1.0 if mode == "maximize" else -1.0), int(config.seed)
-    rngs = [np.random.Generator(np.random.Philox(key=seed ^ k)) for k in range(config.restarts)]
+    sign = 1.0 if mode == "maximize" else -1.0
+    rngs = [np.random.Generator(np.random.Philox(key=config.seed ^ k)) for k in range(config.restarts)]
     a = np.array([rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim) for rng in rngs])
     a = a / np.sqrt(_inner(a, a).real)[:, None]
     stop = np.full(config.restarts, -1)  # index into STOP_REASONS once stopped
@@ -143,10 +181,11 @@ def _search(basis: ObservableBasis, config: SearchConfig, mode: str, state_label
         s, gain = _best_angle(_line_coefficients(a, d, oa, e, basis), sign)
         stop[(stop < 0) & ~(gain > 0)] = 1
         t = np.where(stop < 0, s, 0.0)[:, None] / 2
-        velocity = -a * np.sin(t) + d * np.cos(t)  # transport along the geodesic
+        sin_t, cos_t = np.sin(t), np.cos(t)
+        velocity = -a * sin_t + d * cos_t  # transport along the geodesic
         xi_old = xi + _inner(d, xi).real[:, None] * (velocity - d)
         d_old, norm_old = dn * velocity, gnorm
-        a = a * np.cos(t) + d * np.sin(t)
+        a = a * cos_t + d * sin_t
     stop[stop < 0] = 2
 
     best_k = int(np.argmax(sign * v))  # first index on ties

@@ -18,7 +18,7 @@ from entfluct import (
     to_cartesian,
     to_spherical,
 )
-from util import random_orthogonal
+from util import random_basis, random_orthogonal
 
 SQ2 = np.sqrt(2.0)
 
@@ -49,6 +49,11 @@ class TestSpinGenerators:
     def test_casimir_scalar(self, j):
         c = spin_generators(j).operators[-1]
         assert np.max(np.abs(c - j * (j + 1) * np.eye(len(c)))) < 1e-10
+
+    def test_casimir_recorded_exactly(self):
+        for two_j in range(1, 81):
+            j = two_j / 2
+            assert spin_generators(j).casimir == j * (j + 1)
 
     @pytest.mark.parametrize("j", [0.5, 1, 1.5])
     def test_eigenvalue_multiset(self, j):
@@ -106,6 +111,9 @@ class TestLocalTwoQubitBasis:
                 if i != k:
                     assert abs(np.trace(a.entries @ b.entries)) < 1e-12
 
+    def test_casimir_recorded(self):
+        assert local_two_qubit_basis().casimir == 1.5
+
 
 class TestRotateBasis:
     def test_identity(self):
@@ -130,6 +138,19 @@ class TestRotateBasis:
         for _ in range(10):
             rotated = rotate_basis(basis, random_orthogonal(rng))
             assert np.max(np.abs(rotated.operators[-1] - c0)) < 1e-10
+
+    def test_rotated_basis_keeps_the_scalar_casimir(self):
+        rng = np.random.default_rng(9)
+        for j in (1, 1.5, 3):
+            for _ in range(5):
+                rotated = rotate_basis(spin_generators(j), random_orthogonal(rng))
+                assert rotated.casimir == pytest.approx(j * (j + 1), rel=1e-15)
+
+    def test_random_basis_has_no_scalar_casimir(self):
+        basis = random_basis(np.random.default_rng(5), 4)
+        assert basis.casimir is None
+        c = basis.operators[-1]
+        assert np.max(np.abs(c - np.trace(c).real / 4 * np.eye(4))) > 1e-3
 
     def test_rotation_preserves_commutation(self):
         rng = np.random.default_rng(8)

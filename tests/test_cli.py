@@ -161,6 +161,20 @@ class TestAnalyze:
             assert conc["max_pairwise_delta"] == abs(conc["variance_ratio"] - conc["two_qubit_det"])
             assert conc["consistent"] is True
 
+    def test_two_qubit_variance_route_margin(self, capsys, monkeypatch):
+        # a product pair whose <C>, rounded from the operator sum, put the
+        # variance route 4.21e-8 from the determinant, near the 5e-8 band;
+        # with the exact Casimir 3/2 it is within 3e-8
+        pair = [(0.41191320682624416+0.01234871925283476j), (-0.053281088491878056-0.054399925755126984j),
+                (0.15734670377192356+0.8788639742338683j), (0.09160228840626346-0.13720766460583955j)]
+        code, out, _ = run(
+            capsys, monkeypatch, ["analyze", "--system", "two-qubit", "--format", "json"], state_json(pair, "qubit-pair")
+        )
+        assert code == 0
+        conc = json.loads(out)["concurrence"]
+        assert conc["consistent"] is True
+        assert conc["max_pairwise_delta"] <= 3e-8
+
     def test_two_qubit_disagreement_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr("entfluct.cli.pure_concurrence", lambda chi: 0.5)
         code, out, err = run(

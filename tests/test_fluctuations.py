@@ -17,7 +17,7 @@ from entfluct import (
     to_cartesian,
     total_variance,
 )
-from util import random_orthogonal, random_orthonormal_pair, random_state, state_from_canonical
+from util import random_basis, random_orthogonal, random_orthonormal_pair, random_state, state_from_canonical
 
 SQ2 = np.sqrt(2.0)
 SPIN1 = spin_generators(1)
@@ -121,12 +121,14 @@ class TestSpinJProperties:
 class TestMoments:
     @pytest.mark.parametrize("basis", [
         spin_generators(0.5), SPIN1, spin_generators(3), spin_generators(10), local_two_qubit_basis(),
+        random_basis(np.random.default_rng(5), 4),
     ])
     def test_batched_rows_equal_single_rows(self, basis):
         rng = np.random.default_rng(12)
         a = rng.normal(size=(7, basis.dim)) + 1j * rng.normal(size=(7, basis.dim))
         oa, e = moments(a, basis)
-        assert oa.shape == (7, len(basis) + 1, basis.dim)
+        # C a is applied only when C is not the scalar c
+        assert oa.shape == (7, len(basis) + (basis.casimir is None), basis.dim)
         assert e.shape == (7, len(basis) + 1)
         for k in range(7):
             oa1, e1 = moments(a[k : k + 1], basis)
@@ -242,6 +244,7 @@ class TestReport:
         ops = basis.operators.copy()
         ops[-1] = -np.eye(3)  # a corrupted Casimir sum: <C> < sum_i <O_i>^2
         object.__setattr__(basis, "operators", ops)
+        object.__setattr__(basis, "casimir", -1.0)
         with pytest.raises(ValueError, match="negative"):
             total_variance(sph([1, 0, 0]), basis)
 

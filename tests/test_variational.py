@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from entfluct import (
-    Observable,
-    ObservableBasis,
     SearchConfig,
     StateVector,
     canonical_form,
@@ -16,8 +14,8 @@ from entfluct import (
     to_cartesian,
     total_variance,
 )
-from entfluct.variational import _line, _line_coefficients, _value_and_gradient
-from util import random_state
+from entfluct.variational import _best_angle, _line_coefficients, _line_terms, _value_and_gradient
+from util import random_basis, random_state
 
 SPIN1 = spin_generators(1)
 
@@ -51,6 +49,7 @@ class TestGradient:
         (spin_generators(1.5), 4, "spherical"),
         (spin_generators(3), 7, "spherical"),
         (spin_generators(10), 21, "spherical"),
+        (random_basis(np.random.default_rng(5), 4), 4, "qubit-pair"),
     ])
     def test_matches_finite_differences(self, basis, dim, label):
         rng = np.random.default_rng(42)
@@ -70,6 +69,7 @@ class TestLineCoefficients:
         (spin_generators(3), "spherical"),
         (spin_generators(10), "spherical"),
         (local_two_qubit_basis(), "qubit-pair"),
+        (random_basis(np.random.default_rng(5), 4), "qubit-pair"),
     ])
     def test_reproduce_v_on_the_great_circle(self, basis, label):
         rng = np.random.default_rng(77)
@@ -81,10 +81,49 @@ class TestLineCoefficients:
             v0, _, oa, e = _value_and_gradient(a[None], basis)
             coef = _line_coefficients(a[None], d[None], oa, e, basis)
             t = rng.uniform(0, 2 * np.pi, size=8)
-            line = v0[0] + _line(coef, 2 * t)[0][0]
+            line = v0[0] + (coef[0][:, None] * _line_terms(2 * t)).sum(axis=0)
             direct = [total_variance(StateVector(a * np.cos(x) + d * np.sin(x), label), basis)
                       for x in t]
             assert np.max(np.abs(line - direct)) <= 1e-12
+
+
+class TestLineSearch:
+    """_best_angle against a dense circle: the gain it returns is the global one."""
+
+    DENSE = np.linspace(0.0, 2 * np.pi, 4096, endpoint=False)
+
+    def check_global(self, coef, sign):
+        s, gain = _best_angle(coef, sign)
+        dense = sign * sum(c[:, None] * term for c, term in zip(coef.T, _line_terms(self.DENSE)))
+        row_scale = np.abs(coef).max(axis=1)
+        assert np.all(gain >= dense.max(axis=1) - 1e-15 * row_scale)
+        assert np.all(gain >= 0)
+        assert np.array_equal(gain, sign * (coef.T * _line_terms(s)).sum(axis=0))
+
+    @pytest.mark.parametrize("scale", [1e-8, 1e-4, 1e-1, 1.0, 10.0])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_gain_reaches_the_dense_maximum(self, scale, sign):
+        rng = np.random.default_rng(round(-np.log10(scale)) + 10)
+        coef = scale * rng.normal(size=(1000, 4))
+        coef[::4, 2:] = 0.0  # c2 = s2 = 0: a single sinusoid, one maximum
+        self.check_global(coef, sign)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_nearly_tied_maxima(self, sign):
+        # cos 2(s - phi) has two equal maxima; a small eps cos(s - psi) lifts
+        # one of them by about 2 eps, less than the grid's sampling error
+        rng = np.random.default_rng(20)
+        phi, psi = rng.uniform(0.0, 2 * np.pi, size=(2, 1000))
+        eps = 10.0 ** rng.uniform(-6.0, -2.0, size=1000)
+        coef = np.stack([eps * np.cos(psi), eps * np.sin(psi), np.cos(2 * phi), np.sin(2 * phi)], axis=-1)
+        self.check_global(sign * coef, sign)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_zero_row_has_no_gain(self, sign):
+        # a flat line gains nothing, so the restart stops on "stall"
+        s, gain = _best_angle(np.zeros((2, 4)), sign)
+        assert np.all(gain == 0) and not np.any(gain > 0)
+        assert np.all(s == 0)
 
 
 class TestMaximize:
@@ -153,6 +192,15 @@ class TestExtremes:
         assert np.all(result.restart_gradients <= config.step_tolerance)
         assert result.converged
 
+    @pytest.mark.parametrize("j", [None, 1, 1.5, 3])
+    def test_restarts_never_exceed_the_maximum(self, j):
+        # V = c - sum_i <O_i>^2 with the exact Casimir c is at most c
+        basis = local_two_qubit_basis() if j is None else spin_generators(j)
+        v_max = 1.5 if j is None else j * (j + 1)
+        for seed in range(20):
+            result = maximize_total_variance(basis, SearchConfig(seed=seed))
+            assert np.all(result.restart_values <= v_max)
+
     def test_spin3_maximize_reaches_anticoherent_value(self):
         result = maximize_total_variance(spin_generators(3))
         assert result.best_value == pytest.approx(12.0, abs=1e-9)
@@ -165,12 +213,7 @@ class TestConvergedFlag:
     # restart 1 is still climbing towards the higher one when the cap stops it
     @staticmethod
     def _basis():
-        rng = np.random.default_rng(11)
-        mats = []
-        for _ in range(3):
-            m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            mats.append(Observable((m + m.conj().T) / 2))
-        return ObservableBasis(tuple(mats))
+        return random_basis(np.random.default_rng(11), 4)
 
     def test_capped_best_restart_is_not_converged(self):
         config = SearchConfig(restarts=2, seed=8, max_iterations=22)
@@ -237,6 +280,17 @@ class TestDeterminismAndConsistency:
             SearchConfig(step_tolerance=0.0)
         with pytest.raises(ValueError):
             SearchConfig(mode="wander")
+
+    @pytest.mark.parametrize("field", ["restarts", "max_iterations", "seed"])
+    @pytest.mark.parametrize("bad", [2.5, 1.7, 3.0, True, "4"])
+    def test_config_rejects_non_integral_counts(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            SearchConfig(**{field: bad})
+
+    def test_config_accepts_numpy_integers(self):
+        config = SearchConfig(restarts=np.int64(2), max_iterations=np.uint8(5), seed=np.uint64(2**64 - 1))
+        assert (config.restarts, config.max_iterations, config.seed) == (2, 5, 2**64 - 1)
+        assert type(config.seed) is int
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_config_rejects_non_finite_tolerance(self, bad):

@@ -2,12 +2,22 @@
 
 import numpy as np
 
-from entfluct import StateVector
+from entfluct import Observable, ObservableBasis, StateVector
 
 
 def random_state(rng, dim, basis_label="spherical"):
     a = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return StateVector(a / np.linalg.norm(a), basis_label)
+
+
+def random_basis(rng, dim, count=3):
+    """`count` random Hermitian observables on C^dim: a basis whose Casimir
+    sum C = sum_i O_i^2 is not a scalar."""
+    mats = []
+    for _ in range(count):
+        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        mats.append(Observable((m + m.conj().T) / 2))
+    return ObservableBasis(tuple(mats))
 
 
 def random_orthogonal(rng, special=False):
