@@ -1,6 +1,5 @@
 """Observable algebras: spin-j generators and the local two-qubit set, each
-stacked with its Casimir sum C = sum_i O_i^2 as `operators[-1]`, and with
-the scalar c recorded as `casimir` when C = c I.
+recording its Casimir sum C = sum_i O_i^2 as the scalar `casimir` when C = c I.
 
 All containers are immutable after construction and validate their defining
 invariants (Hermiticity, unit norm, su(2) commutation) up front, so downstream
@@ -78,9 +77,9 @@ class Observable:
 @dataclass(frozen=True)
 class ObservableBasis:
     """Ordered basis of the algebra of essential observables. `operators` stacks
-    the elements followed by their Casimir sum C = sum_i O_i^2, (k + 1, d, d).
-    `casimir` is c, the mean of the diagonal of C, when C = c I within
-    SCALAR_CASIMIR_TOL (spin j: j(j+1), the local qubit pair: 3/2), else None."""
+    the elements, (k, d, d). `casimir` is c, the mean of the diagonal of the
+    Casimir sum C = sum_i O_i^2, when C = c I within SCALAR_CASIMIR_TOL (spin j:
+    j(j+1), the local qubit pair: 3/2), else None; C itself is not kept."""
 
     elements: tuple
     label: str = ""
@@ -104,9 +103,8 @@ class ObservableBasis:
         c_op = np.sum(mats @ mats, axis=0)
         c = float(np.trace(c_op).real) / dim
         scalar = np.max(np.abs(c_op - c * np.eye(dim))) <= SCALAR_CASIMIR_TOL * max(1.0, abs(c))
-        ops = np.concatenate([mats, c_op[None]])
-        ops.setflags(write=False)
-        object.__setattr__(self, "operators", ops)
+        mats.setflags(write=False)
+        object.__setattr__(self, "operators", mats)
         object.__setattr__(self, "casimir", c if scalar else None)
 
     @staticmethod
@@ -129,6 +127,14 @@ class ObservableBasis:
         return iter(self.elements)
 
 
+def is_normalized(a: np.ndarray) -> bool:
+    """|sum_k |a_k|^2 - 1| <= NORM_TOL, the one test of StateVector and the CLI."""
+    norm2 = float(np.sum(np.abs(a) ** 2))
+    if not math.isfinite(norm2):  # a NaN or infinite amplitude makes the squared norm NaN or infinite
+        raise ValueError("state vector has a non-finite amplitude")
+    return abs(norm2 - 1.0) <= NORM_TOL
+
+
 @dataclass(frozen=True)
 class StateVector:
     """A normalized pure state over a labeled basis; `cartesian` (spin 1) needs
@@ -146,11 +152,7 @@ class StateVector:
         need = STATE_BASIS_LABELS[self.basis_label]
         if need is not None and a.size != need:
             raise ValueError(f"a {self.basis_label} state needs {need} amplitudes, got {a.size}")
-        norm2 = float(np.sum(np.abs(a) ** 2))
-        # a NaN or infinite amplitude makes the squared norm NaN or infinite
-        if not math.isfinite(norm2):
-            raise ValueError("state vector has a non-finite amplitude")
-        if abs(norm2 - 1.0) > NORM_TOL:
+        if not is_normalized(a):
             raise ValueError(f"state vector is not normalized within {NORM_TOL:g}")
         a.setflags(write=False)
         object.__setattr__(self, "amplitudes", a)
@@ -224,5 +226,5 @@ def rotate_basis(basis: ObservableBasis, rotation) -> ObservableBasis:
         raise ValueError(f"rotation must be 3x3, got shape {r.shape}")
     if np.max(np.abs(r.T @ r - np.eye(3))) > ORTHOGONALITY_TOL:
         raise ValueError(f"rotation matrix is not orthogonal within {ORTHOGONALITY_TOL:g}")
-    mixed = np.einsum("ab,bij->aij", r, basis.operators[:3])
+    mixed = np.einsum("ab,bij->aij", r, basis.operators)
     return ObservableBasis(tuple(Observable(m) for m in mixed), label=f"rotated:{basis.label}")

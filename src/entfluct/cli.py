@@ -21,8 +21,8 @@ import traceback
 
 import numpy as np
 
-from .algebra import (CE_TOL_DEFAULT, CROSS_CHECK_TOL, NORM_TOL, SINGLET_NORM, STATE_BASIS_LABELS, VARIANCE_CROSS_TOL,
-                      StateVector, local_two_qubit_basis, spin_generators)
+from .algebra import (CE_TOL_DEFAULT, CROSS_CHECK_TOL, SINGLET_NORM, STATE_BASIS_LABELS, VARIANCE_CROSS_TOL,
+                      StateVector, local_two_qubit_basis, spin_generators, is_normalized)
 from .fluctuations import fluctuation_report
 from .presets import PRESETS
 from .spin1 import canonical_form, concurrence_from_phi, concurrence_spherical, to_cartesian, to_spherical
@@ -77,7 +77,7 @@ def _read_state(args) -> tuple:
     norm = float(np.linalg.norm(amps))
     if not math.isfinite(norm):
         raise UsageError("state has a non-finite component")
-    if abs(norm * norm - 1.0) <= NORM_TOL:  # StateVector's test, on |a|^2
+    if is_normalized(amps):  # StateVector's test
         return amps, basis_label, None
     if not args.normalize:
         raise UsageError(

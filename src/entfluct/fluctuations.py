@@ -18,9 +18,9 @@ from .algebra import BOUND_SLACK, CE_TOL_DEFAULT, IMAG_TOL, VARIANCE_CLAMP, Obse
 
 
 def _apply(ops: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """O x for every operator and row, (N, len(ops), d). A broadcast sum rather
-    than a matrix product, so each row is rounded alike whatever N is."""
-    return (ops[None] * x[:, None, None, :]).sum(axis=-1)
+    """O x, (N, len(ops), d), for rows x (N, 1, d) or (N, len(ops), d), operator i
+    on row i; a broadcast sum, so each row is rounded alike whatever N is."""
+    return (ops[None] * x[:, :, None, :]).sum(axis=-1)
 
 
 def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -29,20 +29,19 @@ def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def moments(a: np.ndarray, basis: ObservableBasis):
-    """(O a, <O>) for the rows of a (N, d): <O> holds the real expectations
-    (N, k + 1) of the basis elements followed by C = sum_i O_i^2, taken in the
-    normalized rows a / |a|. When C is the scalar c (`basis.casimir`), O a
-    is (N, k, d), the elements only, and <C> is c exactly; otherwise O a is
-    (N, k + 1, d) with C a last."""
+    """(O a, <O>) for the rows of a (N, d): O a is (N, k, d); <O> holds the real
+    expectations (N, k + 1) of the k elements and of C = sum_i O_i^2 in the
+    normalized rows a / |a|. <C> is `basis.casimir` exactly when C = c I, else
+    sum_i |O_i a|^2 / |a|^2 = <a|C|a> / |a|^2, each O_i being Hermitian."""
     if a.ndim != 2 or a.shape[1] != basis.dim:
         raise ValueError(f"dimension mismatch: state {a.shape[-1]}, basis {basis.dim}")
-    c = basis.casimir
-    oa = _apply(basis.operators if c is None else basis.operators[:-1], a)
+    oa = _apply(basis.operators, a[:, None, :])
     e = _inner(a[:, None, :], oa) / _inner(a, a).real[:, None]
     if np.abs(e.imag).max() > IMAG_TOL:
         raise ValueError("expectation has a non-negligible imaginary part")
+    c = basis.casimir
     if c is None:
-        return oa, e.real
+        c = _inner(oa, oa).real.sum(axis=-1) / _inner(a, a).real
     expectations = np.empty((len(a), len(basis) + 1))
     expectations[:, :-1], expectations[:, -1] = e.real, c
     return oa, expectations

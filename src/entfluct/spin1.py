@@ -82,8 +82,7 @@ def canonical_form(psi: StateVector) -> CanonicalForm:
         if theta < 0.0:
             theta += np.pi
     dephased = a * np.exp(-1j * theta)
-    x = dephased.real.copy()
-    y = dephased.imag.copy()
+    x, y = dephased.real, dephased.imag  # views: x and y are only rebound below, never written
     nx, ny = np.linalg.norm(x), np.linalg.norm(y)
     if ny > nx:
         # only reachable through rounding at w ~ 0; restore phi <= pi/4

@@ -46,8 +46,10 @@ class SearchConfig:
             object.__setattr__(self, name, int(value))
         if self.restarts < 1 or self.max_iterations < 1:
             raise ValueError("restarts and max_iterations must be positive")
-        if not 0 < self.step_tolerance < np.inf:
+        tol = self.step_tolerance  # a real number, not a bool or string
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < np.inf:
             raise ValueError("step_tolerance must be positive and finite")
+        object.__setattr__(self, "step_tolerance", float(tol))
         if self.mode not in MODES:
             raise ValueError("mode must be 'maximize' or 'minimize'")
         if not 0 <= self.seed < 2**64:
@@ -71,13 +73,12 @@ class SearchResult:
 def _value_and_gradient(a: np.ndarray, basis: ObservableBasis):
     """V, the gradient 2[(C - <C>) a - 2 sum_i <O_i>(O_i - <O_i>) a], O a and
     <O> (last column <C>) for every unit row of a (R, d). The (C - <C>) a term
-    is zero when C is the scalar c, and moments then leaves C a out of O a."""
+    is zero when C is the scalar c; otherwise C a = sum_i O_i (O_i a)."""
     oa, e = moments(a, basis)
-    k, n = len(basis), oa.shape[1]  # n = k + 1 when C a is applied
-    centred = oa - e[:, :n, None] * a[:, None, :]
-    grad = -4.0 * (e[:, :k, None] * centred[:, :k]).sum(axis=1)
-    if n > k:
-        grad = 2.0 * centred[:, k] + grad
+    centred = oa - e[:, :-1, None] * a[:, None, :]
+    grad = -4.0 * (e[:, :-1, None] * centred).sum(axis=1)
+    if basis.casimir is None:
+        grad = 2.0 * (_apply(basis.operators, oa).sum(axis=1) - e[:, -1:] * a) + grad
     return variance(e), grad, oa, e
 
 
@@ -91,16 +92,15 @@ def gradient_total_variance(psi: StateVector, basis: ObservableBasis) -> np.ndar
 def _line_coefficients(a, d, oa, e, basis: ObservableBasis) -> np.ndarray:
     """(c1, s1, c2, s2) of V(a cos t + d sin t) = c0 + c1 cos s + s1 sin s
     + c2 cos 2s + s2 sin 2s, s = 2t, for every row; (R, 4). A scalar C has
-    <C> = c all along the circle, so its column drops out."""
-    k, n = len(basis), oa.shape[1]  # n = k + 1 when C a is applied
-    od = _apply(basis.operators[:n], d)
-    m = (e[:, :n] + _inner(d[:, None, :], od).real) / 2
-    u, r = e[:, :n] - m, _inner(oa, d[:, None, :]).real  # r = Re<a|O|d>, O Hermitian
-    mo, uo, ro = m[:, :k], u[:, :k], r[:, :k]
-    c1, s1 = -2.0 * (mo * uo).sum(axis=-1), -2.0 * (mo * ro).sum(axis=-1)
-    if n > k:
-        c1, s1 = u[:, k] + c1, r[:, k] + s1
-    return np.stack([c1, s1, -(uo**2 - ro**2).sum(axis=-1) / 2, -(uo * ro).sum(axis=-1)], axis=-1)
+    <C> = c all along the circle; otherwise its column comes from O a and O d:
+    <d|C|d> = sum_i |O_i d|^2 and Re<a|C|d> = sum_i Re<O_i a|O_i d>."""
+    od = _apply(basis.operators, d[:, None, :])
+    m = (e[:, :-1] + _inner(d[:, None, :], od).real) / 2
+    u, r = e[:, :-1] - m, _inner(oa, d[:, None, :]).real  # r = Re<a|O|d>, O Hermitian
+    c1, s1 = -2.0 * (m * u).sum(axis=-1), -2.0 * (m * r).sum(axis=-1)
+    if basis.casimir is None:
+        c1, s1 = (e[:, -1] - _inner(od, od).real.sum(axis=-1)) / 2 + c1, _inner(oa, od).real.sum(axis=-1) + s1
+    return np.stack([c1, s1, -(u**2 - r**2).sum(axis=-1) / 2, -(u * r).sum(axis=-1)], axis=-1)
 
 
 _TERM_FREQ = np.array([0.5, 1.0, 1.0, 2.0])
@@ -155,8 +155,11 @@ def _search(basis: ObservableBasis, config: SearchConfig, mode: str, state_label
     if config.mode != mode:
         raise ValueError(f"config.mode must be {mode!r}")
     sign = 1.0 if mode == "maximize" else -1.0
-    rngs = [np.random.Generator(np.random.Philox(key=config.seed ^ k)) for k in range(config.restarts)]
-    a = np.array([rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim) for rng in rngs])
+    bits, a = np.random.Philox(0), np.empty((config.restarts, basis.dim), dtype=complex)
+    for k in range(config.restarts):  # re-keyed: restart k draws the stream of Philox(key=seed ^ k)
+        bits.state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": [config.seed ^ k, 0]},
+                      "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        a[k].real, a[k].imag = np.random.Generator(bits).normal(size=(2, basis.dim))
     a = a / np.sqrt(_inner(a, a).real)[:, None]
     stop = np.full(config.restarts, -1)  # index into STOP_REASONS once stopped
     iterations = np.zeros(config.restarts, dtype=int)

@@ -18,7 +18,7 @@ from entfluct import (
     to_cartesian,
     to_spherical,
 )
-from util import random_basis, random_orthogonal
+from util import casimir_sum, random_basis, random_orthogonal
 
 SQ2 = np.sqrt(2.0)
 
@@ -47,7 +47,7 @@ class TestSpinGenerators:
 
     @pytest.mark.parametrize("j", [0.5, 1, 1.5, 2])
     def test_casimir_scalar(self, j):
-        c = spin_generators(j).operators[-1]
+        c = casimir_sum(spin_generators(j))
         assert np.max(np.abs(c - j * (j + 1) * np.eye(len(c)))) < 1e-10
 
     def test_casimir_recorded_exactly(self):
@@ -88,10 +88,10 @@ class TestSpinGenerators:
 
     def test_operators_stack_elements_and_casimir(self):
         basis = spin_generators(1.5)
-        assert basis.operators.shape == (4, 4, 4)
+        assert basis.operators.shape == (3, 4, 4)
         for o, m in zip(basis, basis.operators):
             assert np.array_equal(o.entries, m)
-        assert np.max(np.abs(basis.operators[-1] - 15 / 4 * np.eye(4))) < 1e-12
+        assert np.max(np.abs(casimir_sum(basis) - 15 / 4 * np.eye(4))) < 1e-12
 
 
 class TestLocalTwoQubitBasis:
@@ -134,10 +134,10 @@ class TestRotateBasis:
     def test_preserves_casimir(self):
         rng = np.random.default_rng(7)
         basis = spin_generators(1)
-        c0 = basis.operators[-1]
+        c0 = casimir_sum(basis)
         for _ in range(10):
             rotated = rotate_basis(basis, random_orthogonal(rng))
-            assert np.max(np.abs(rotated.operators[-1] - c0)) < 1e-10
+            assert np.max(np.abs(casimir_sum(rotated) - c0)) < 1e-10
 
     def test_rotated_basis_keeps_the_scalar_casimir(self):
         rng = np.random.default_rng(9)
@@ -149,7 +149,7 @@ class TestRotateBasis:
     def test_random_basis_has_no_scalar_casimir(self):
         basis = random_basis(np.random.default_rng(5), 4)
         assert basis.casimir is None
-        c = basis.operators[-1]
+        c = casimir_sum(basis)
         assert np.max(np.abs(c - np.trace(c).real / 4 * np.eye(4))) > 1e-3
 
     def test_rotation_preserves_commutation(self):

@@ -109,6 +109,20 @@ class TestAnalyze:
         assert code == 0
         assert json.loads(out)["input"]["original_norm"] == pytest.approx(1.0000000000008, abs=1e-15)
 
+    @pytest.mark.parametrize("argv", [["analyze"], ["convert", "--to", "cartesian"]], ids=["analyze", "convert"])
+    def test_normalize_rescues_a_state_at_the_norm_boundary(self, capsys, monkeypatch, argv):
+        # |a|^2 - 1 lies within 1e-12 as np.linalg.norm(a)**2 but not as sum_k |a_k|^2,
+        # StateVector's test: the reader must give the same verdict as StateVector
+        stdin = ('{"basis":"spherical","components":[[0.38859108966327255,-0.5692417688590531],'
+                 '[-0.26632203233035384,0.4856867323458623],[0.4669348954697582,-0.01065599037168521]]}')
+        code, _, err = run(capsys, monkeypatch, argv, stdin)
+        assert code == 2
+        assert "--normalize" in err
+        code, out, _ = run(capsys, monkeypatch, [*argv, "--normalize", "--format", "json"], stdin)
+        assert code == 0
+        if argv == ["analyze"]:
+            assert json.loads(out)["input"]["original_norm"] == pytest.approx(1.0, abs=1e-12)
+
     @pytest.mark.parametrize("flags", [[], ["--normalize"]])
     def test_non_finite_component_exits_2(self, capsys, monkeypatch, flags):
         stdin = '{"basis": "spherical", "components": [[NaN, 0], [1, 0], [0, 0]]}'

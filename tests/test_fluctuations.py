@@ -17,7 +17,7 @@ from entfluct import (
     to_cartesian,
     total_variance,
 )
-from util import random_basis, random_orthogonal, random_orthonormal_pair, random_state, state_from_canonical
+from util import casimir_sum, random_basis, random_orthogonal, random_orthonormal_pair, random_state, state_from_canonical
 
 SQ2 = np.sqrt(2.0)
 SPIN1 = spin_generators(1)
@@ -127,8 +127,7 @@ class TestMoments:
         rng = np.random.default_rng(12)
         a = rng.normal(size=(7, basis.dim)) + 1j * rng.normal(size=(7, basis.dim))
         oa, e = moments(a, basis)
-        # C a is applied only when C is not the scalar c
-        assert oa.shape == (7, len(basis) + (basis.casimir is None), basis.dim)
+        assert oa.shape == (7, len(basis), basis.dim)
         assert e.shape == (7, len(basis) + 1)
         for k in range(7):
             oa1, e1 = moments(a[k : k + 1], basis)
@@ -148,6 +147,17 @@ class TestMoments:
             assert np.max(np.abs(e[0, :-1] - first)) <= 1e-14
             assert abs(e[0, -1] - second.sum()) <= 1e-13
             assert abs(total_variance(psi, basis) - (second - first**2).sum()) <= 1e-13
+
+    def test_casimir_column_of_a_basis_without_a_scalar_casimir(self):
+        # <C> = sum_i |O_i a|^2 / |a|^2 against <a|C|a> / |a|^2 with C built explicitly
+        rng = np.random.default_rng(15)
+        for _ in range(50):
+            basis = random_basis(rng, 4)
+            c = casimir_sum(basis)
+            a = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
+            expected = np.einsum("ni,ij,nj->n", a.conj(), c, a).real / np.sum(np.abs(a) ** 2, axis=-1)
+            _, e = moments(a, basis)
+            assert np.max(np.abs(e[:, -1] - expected) / np.abs(expected)) <= 1e-14
 
     def test_expectations_of_the_normalized_state(self):
         rng = np.random.default_rng(13)
@@ -241,10 +251,7 @@ class TestReport:
 
     def test_negative_total_variance_rejected(self):
         basis = rotate_basis(SPIN1, np.eye(3))
-        ops = basis.operators.copy()
-        ops[-1] = -np.eye(3)  # a corrupted Casimir sum: <C> < sum_i <O_i>^2
-        object.__setattr__(basis, "operators", ops)
-        object.__setattr__(basis, "casimir", -1.0)
+        object.__setattr__(basis, "casimir", -1.0)  # a corrupted Casimir: <C> < sum_i <O_i>^2
         with pytest.raises(ValueError, match="negative"):
             total_variance(sph([1, 0, 0]), basis)
 

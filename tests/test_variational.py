@@ -292,7 +292,27 @@ class TestDeterminismAndConsistency:
         assert (config.restarts, config.max_iterations, config.seed) == (2, 5, 2**64 - 1)
         assert type(config.seed) is int
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, "1e-9", None, True, 1e-9j])
     def test_config_rejects_non_finite_tolerance(self, bad):
         with pytest.raises(ValueError, match="finite"):
             SearchConfig(step_tolerance=bad)
+
+    def test_config_stores_the_tolerance_as_float(self):
+        for tol in (np.float32(0.5), np.int64(1), 2):
+            config = SearchConfig(step_tolerance=tol)
+            assert type(config.step_tolerance) is float and config.step_tolerance == tol
+
+    def test_golden_restarts(self):
+        # recorded before the restart streams moved to one re-keyed Philox; pins
+        # the streams of Philox(key=seed ^ k) and the scalar-Casimir search path
+        r = maximize_total_variance(spin_generators(1.5), SearchConfig(restarts=4, seed=3))
+        assert r.restart_values.tolist() == [3.75, 3.75, 3.75, 3.75]
+        assert r.best_state.amplitudes.tolist() == [
+            0.40784852976094405 + 0.07697408039257159j, 0.3608144396133914 - 0.5785995014450888j,
+            0.06651298718292976 + 0.22102226105665562j, -0.5062043260119335 + 0.23076500556569363j]
+        config = SearchConfig(restarts=4, seed=3, mode="minimize")
+        r = minimize_total_variance(local_two_qubit_basis(), config, state_label="qubit-pair")
+        assert r.restart_values.tolist() == [0.9999999999999998, 0.9999999999999998, 1.0, 1.0]
+        assert r.best_state.amplitudes.tolist() == [
+            0.4992768732258031 + 0.015212709139574856j, 0.482451010829719 - 0.643415262679413j,
+            -0.16051901675384972 - 0.055825653215682516j, -0.22218611666057136 + 0.15968553631991547j]

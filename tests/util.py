@@ -20,6 +20,11 @@ def random_basis(rng, dim, count=3):
     return ObservableBasis(tuple(mats))
 
 
+def casimir_sum(basis):
+    """C = sum_i O_i^2, built explicitly from the basis elements."""
+    return np.einsum("kij,kjl->il", basis.operators, basis.operators)
+
+
 def random_orthogonal(rng, special=False):
     q, r = np.linalg.qr(rng.normal(size=(3, 3)))
     q = q @ np.diag(np.sign(np.diag(r)))
