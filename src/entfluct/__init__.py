@@ -10,7 +10,6 @@ names imported below are the public API, one name per capability.
 """
 
 from .algebra import (
-    Observable,
     ObservableBasis,
     StateVector,
     local_two_qubit_basis,

@@ -1,9 +1,10 @@
 """Observable algebras: spin-j generators and the local two-qubit set, each
-recording its Casimir sum C = sum_i O_i^2 as the scalar `casimir` when C = c I.
+one (k, d, d) array of Hermitian matrices recording its Casimir sum C =
+sum_i O_i^2 as the scalar `casimir` when C = c I.
 
 All containers are immutable after construction and validate their defining
-invariants (Hermiticity, unit norm, su(2) commutation) up front, so downstream
-numerics never have to re-check them.
+invariants (Hermiticity, unit norm, su(2) commutation, the dimension a state
+label requires) up front, so downstream numerics never have to re-check them.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 # Tolerances: every numeric threshold of the package, defined once (this block
 # runs to the next blank line; tests/test_tolerances.py keeps it the only home
 # of exponent-form float literals).
-HERMITICITY_TOL = 1e-12  # max |O - O^dagger| of an Observable
+HERMITICITY_TOL = 1e-12  # max |O - O^dagger| of a basis element
 NORM_TOL = 1e-12  # |<psi|psi> - 1| of a StateVector
 COMMUTATOR_TOL = 1e-10  # max |[S_a, S_b] - i S_c| of an su(2) basis
 ORTHOGONALITY_TOL = 1e-10  # max |R^T R - 1| of a basis rotation
@@ -47,84 +48,61 @@ _SQ2 = np.sqrt(2.0)
 STATE_BASIS_LABELS = {"spherical": None, "cartesian": 3, "qubit-pair": 4}
 
 
-def _frozen_complex_matrix(entries) -> np.ndarray:
-    m = np.array(entries, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix has a non-finite entry")
-    m.setflags(write=False)
-    return m
+def check_state_label(label: str, dim: int) -> None:
+    """ValueError unless `label` is a state basis label that admits dim amplitudes."""
+    if label not in STATE_BASIS_LABELS:
+        raise ValueError(f"unknown basis label {label!r}")
+    need = STATE_BASIS_LABELS[label]
+    if need is not None and dim != need:
+        raise ValueError(f"a {label} state needs {need} amplitudes, got {dim}")
 
 
-@dataclass(frozen=True)
-class Observable:
-    """A Hermitian operator on the state space."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = _frozen_complex_matrix(self.entries)
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
-            raise ValueError(f"matrix is not Hermitian within {HERMITICITY_TOL:g}; refusing to symmetrize")
-        object.__setattr__(self, "entries", m)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservableBasis:
-    """Ordered basis of the algebra of essential observables. `operators` stacks
-    the elements, (k, d, d). `casimir` is c, the mean of the diagonal of the
-    Casimir sum C = sum_i O_i^2, when C = c I within SCALAR_CASIMIR_TOL (spin j:
-    j(j+1), the local qubit pair: 3/2), else None; C itself is not kept."""
+    """Ordered basis of the algebra of essential observables: `operators` is one
+    read-only (k, d, d) complex stack, copied from any array-like and checked
+    once (square, finite, Hermitian; su(2) commutation for an `su2-spin-*`
+    label). `casimir` is c, the mean of the diagonal of the Casimir sum C =
+    sum_i O_i^2, when C = c I within SCALAR_CASIMIR_TOL (spin j: j(j+1), the
+    local qubit pair: 3/2), else None; C itself is not kept. Equality is
+    identity, so a basis is hashable."""
 
-    elements: tuple
+    operators: np.ndarray
     label: str = ""
-    operators: np.ndarray = field(init=False, repr=False, compare=False)
-    casimir: float | None = field(init=False, repr=False, compare=False)
+    casimir: float | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        elems = tuple(self.elements)
-        if not elems:
-            raise ValueError("observable basis must be nonempty")
-        dim = elems[0].dim
-        for o in elems:
-            if not isinstance(o, Observable):
-                raise TypeError("basis elements must be Observable instances")
-            if o.dim != dim:
-                raise ValueError("dimension mismatch among basis elements")
-        object.__setattr__(self, "elements", elems)
+        ops = np.array(self.operators, dtype=complex)  # a ragged stack raises ValueError
+        if ops.ndim != 3 or ops.shape[1] != ops.shape[2] or 0 in ops.shape:
+            raise ValueError(f"expected a nonempty (k, d, d) stack of square matrices, got shape {ops.shape}")
+        if not np.isfinite(ops).all():
+            raise ValueError("basis has a non-finite entry")
+        if np.max(np.abs(ops - ops.conj().transpose(0, 2, 1))) > HERMITICITY_TOL:
+            raise ValueError(f"basis element is not Hermitian within {HERMITICITY_TOL:g}; refusing to symmetrize")
+        ops.setflags(write=False)
+        object.__setattr__(self, "operators", ops)
         if self.label.startswith("su2-spin-") and ":" not in self.label:
-            self._check_su2_commutation(elems)
-        mats = np.stack([o.entries for o in elems])
-        c_op = np.sum(mats @ mats, axis=0)
-        c = float(np.trace(c_op).real) / dim
-        scalar = np.max(np.abs(c_op - c * np.eye(dim))) <= SCALAR_CASIMIR_TOL * max(1.0, abs(c))
-        mats.setflags(write=False)
-        object.__setattr__(self, "operators", mats)
+            self._check_su2_commutation(ops)
+        c_op = np.sum(ops @ ops, axis=0)
+        c = float(np.trace(c_op).real) / self.dim
+        scalar = np.max(np.abs(c_op - c * np.eye(self.dim))) <= SCALAR_CASIMIR_TOL * max(1.0, abs(c))
         object.__setattr__(self, "casimir", c if scalar else None)
 
     @staticmethod
-    def _check_su2_commutation(elems):
-        if len(elems) != 3:
+    def _check_su2_commutation(ops):
+        if len(ops) != 3:
             raise ValueError("su(2) basis must have exactly three generators")
-        sx, sy, sz = (o.entries for o in elems)
+        sx, sy, sz = ops
         for a, b, c in ((sx, sy, sz), (sy, sz, sx), (sz, sx, sy)):
             if np.max(np.abs(a @ b - b @ a - 1j * c)) > COMMUTATOR_TOL:
                 raise ValueError("generators do not satisfy [S_a, S_b] = i S_c")
 
     @property
     def dim(self) -> int:
-        return self.elements[0].dim
+        return self.operators.shape[1]
 
     def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
+        return len(self.operators)
 
 
 def is_normalized(a: np.ndarray) -> bool:
@@ -144,14 +122,10 @@ class StateVector:
     basis_label: str
 
     def __post_init__(self):
-        if self.basis_label not in STATE_BASIS_LABELS:
-            raise ValueError(f"unknown basis label {self.basis_label!r}")
         a = np.array(self.amplitudes, dtype=complex).reshape(-1)
+        check_state_label(self.basis_label, a.size)
         if a.size == 0:
             raise ValueError("empty state vector")
-        need = STATE_BASIS_LABELS[self.basis_label]
-        if need is not None and a.size != need:
-            raise ValueError(f"a {self.basis_label} state needs {need} amplitudes, got {a.size}")
         if not is_normalized(a):
             raise ValueError(f"state vector is not normalized within {NORM_TOL:g}")
         a.setflags(write=False)
@@ -181,7 +155,7 @@ def spin_generators(j) -> ObservableBasis:
     Built once per spin: every call with the same j returns the same basis.
     """
     jj = float(j)
-    two_j = round(2 * jj)
+    two_j = round(2 * jj) if math.isfinite(jj) else 0
     if two_j <= 0 or abs(2 * jj - two_j) > HALF_INTEGER_TOL:
         raise ValueError(f"j must be a positive half-integer, got {j}")
     return _spin_generators(two_j)
@@ -197,9 +171,7 @@ def _spin_generators(two_j: int) -> ObservableBasis:
     sx = (sp + sm) / 2
     sy = (sp - sm) / 2j
     sz = np.diag(m).astype(complex)
-    return ObservableBasis(
-        (Observable(sx), Observable(sy), Observable(sz)), label=_spin_label(two_j)
-    )
+    return ObservableBasis([sx, sy, sz], label=_spin_label(two_j))
 
 
 def local_two_qubit_basis() -> ObservableBasis:
@@ -210,11 +182,8 @@ def local_two_qubit_basis() -> ObservableBasis:
 
 @functools.lru_cache(maxsize=None)
 def _local_two_qubit_basis() -> ObservableBasis:
-    half = spin_generators(0.5)
-    eye = np.eye(2)
-    elems = [Observable(np.kron(o.entries, eye)) for o in half]
-    elems += [Observable(np.kron(eye, o.entries)) for o in half]
-    return ObservableBasis(tuple(elems), label="local-2qubit")
+    half, eye = spin_generators(0.5).operators, np.eye(2)
+    return ObservableBasis([np.kron(o, eye) for o in half] + [np.kron(eye, o) for o in half], label="local-2qubit")
 
 
 def rotate_basis(basis: ObservableBasis, rotation) -> ObservableBasis:
@@ -226,5 +195,4 @@ def rotate_basis(basis: ObservableBasis, rotation) -> ObservableBasis:
         raise ValueError(f"rotation must be 3x3, got shape {r.shape}")
     if np.max(np.abs(r.T @ r - np.eye(3))) > ORTHOGONALITY_TOL:
         raise ValueError(f"rotation matrix is not orthogonal within {ORTHOGONALITY_TOL:g}")
-    mixed = np.einsum("ab,bij->aij", r, basis.operators)
-    return ObservableBasis(tuple(Observable(m) for m in mixed), label=f"rotated:{basis.label}")
+    return ObservableBasis(np.einsum("ab,bij->aij", r, basis.operators), label=f"rotated:{basis.label}")

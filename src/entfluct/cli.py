@@ -54,14 +54,14 @@ def _state_json(amplitudes, basis_label: str) -> dict:
 def _read_state(args) -> tuple:
     """(amplitudes, basis label, original norm or None) of the state JSON in
     --file or on stdin; with --normalize a state of another norm is rescaled."""
-    if args.file:
-        try:
+    try:
+        if args.file:
             with open(args.file) as fh:
                 raw = fh.read()
-        except OSError as exc:
-            raise UsageError(f"cannot read {args.file}: {exc}")
-    else:
-        raw = sys.stdin.read()
+        else:
+            raw = sys.stdin.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read {args.file or 'stdin'}: {exc}")
     try:  # a JSONDecodeError is a ValueError; an integer too large for a float, an OverflowError
         obj = json.loads(raw)
         basis_label = obj["basis"]

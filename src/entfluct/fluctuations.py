@@ -93,9 +93,11 @@ def fluctuation_report(
     exps, v = e[0, :-1], float(variance(e)[0])
     residual = float(np.max(np.abs(exps)))
     conc = None
-    if v_min is not None and v_max is not None:
-        if v_max <= v_min:
-            raise ValueError("v_max must exceed v_min")
+    if (v_min is None) != (v_max is None):
+        raise ValueError("pass both variance bounds or neither")
+    if v_min is not None:
+        if not -np.inf < v_min < v_max < np.inf:
+            raise ValueError("variance bounds must be finite with v_max > v_min")
         if v < v_min - BOUND_SLACK or v > v_max + BOUND_SLACK:
             raise ValueError(
                 f"total variance {v} lies outside [{v_min}, {v_max}]: inconsistent bounds"

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import _SQ2, BILINEAR_ZERO, CE_TOL_DEFAULT, NU_CUTOFF, PHI_SLACK, UNIT_VECTOR_TOL, Observable, StateVector
+from .algebra import _SQ2, BILINEAR_ZERO, CE_TOL_DEFAULT, NU_CUTOFF, PHI_SLACK, UNIT_VECTOR_TOL, StateVector
 
 # Columns are the Cartesian images of |+1>, |0>, |-1> (Condon-Shortley):
 # |+1> = -(e_x + i e_y)/sqrt(2), |0> = e_z, |-1> = (e_x - i e_y)/sqrt(2)
@@ -101,11 +101,11 @@ def canonical_form(psi: StateVector) -> CanonicalForm:
     return CanonicalForm(theta=float(theta), phi=phi, mu=mu, nu=nu)
 
 
-def spin_projection_operator(omega) -> Observable:
-    """Spin projection onto a direction, acting on Cartesian components as the
-    infinitesimal rotation x -> i omega x x."""
+def spin_projection_operator(omega) -> np.ndarray:
+    """Spin projection onto a direction, the read-only Hermitian 3x3 matrix
+    acting on Cartesian components as the infinitesimal rotation x -> i omega x x."""
     w = np.asarray(omega, dtype=float).reshape(3)
-    if abs(np.linalg.norm(w) - 1.0) > UNIT_VECTOR_TOL:
+    if not abs(np.linalg.norm(w) - 1.0) <= UNIT_VECTOR_TOL:  # also a non-finite direction
         raise ValueError(f"direction must be a unit vector within {UNIT_VECTOR_TOL:g}")
     cross = np.array(
         [
@@ -114,7 +114,9 @@ def spin_projection_operator(omega) -> Observable:
             [-w[1], w[0], 0.0],
         ]
     )
-    return Observable(1j * cross)
+    op = 1j * cross
+    op.setflags(write=False)
+    return op
 
 
 def _check_phi(phi: float):

@@ -34,6 +34,8 @@ def project_spin1(chi: StateVector, tol: float = PROJECT_TOL_DEFAULT) -> StateVe
     Rejects states with an antisymmetric component above tol: they do not lie
     in the spin-1 subspace.
     """
+    if not tol >= 0:  # also NaN
+        raise ValueError(f"tol must be >= 0, got {tol}")
     symmetric, anti = sector_split(chi)
     sym_norm = np.linalg.norm(symmetric)
     if sym_norm < SINGLET_NORM:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import STEP_TOL_DEFAULT, ObservableBasis, StateVector
+from .algebra import STEP_TOL_DEFAULT, ObservableBasis, StateVector, check_state_label
 from .fluctuations import _apply, _inner, moments, variance
 
 STOP_REASONS = ("gradient", "stall", "cap")
@@ -154,6 +154,7 @@ def _search(basis: ObservableBasis, config: SearchConfig, mode: str, state_label
     config = config or SearchConfig(mode=mode)
     if config.mode != mode:
         raise ValueError(f"config.mode must be {mode!r}")
+    check_state_label(state_label, basis.dim)  # before the first draw, not at the returned state
     sign = 1.0 if mode == "maximize" else -1.0
     bits, a = np.random.Philox(0), np.empty((config.restarts, basis.dim), dtype=complex)
     for k in range(config.restarts):  # re-keyed: restart k draws the stream of Philox(key=seed ^ k)

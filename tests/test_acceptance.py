@@ -87,7 +87,7 @@ def test_criterion_3_ce_basis_certification():
         form = canonical_form(cart)
         ok &= form.phi <= 1e-12
         op = spin_projection_operator(form.mu)
-        ok &= np.linalg.norm(op.entries @ cart.amplitudes) <= 1e-9
+        ok &= np.linalg.norm(op @ cart.amplitudes) <= 1e-9
     report(3, "CE basis certification", ok)
 
 

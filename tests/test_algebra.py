@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from entfluct import (
-    Observable,
     ObservableBasis,
     StateVector,
     canonical_form,
@@ -25,13 +24,13 @@ SQ2 = np.sqrt(2.0)
 
 class TestSpinGenerators:
     def test_half_spin_matrices(self):
-        sx, sy, sz = (o.entries for o in spin_generators(0.5))
+        sx, sy, sz = spin_generators(0.5).operators
         assert np.allclose(sz, np.diag([0.5, -0.5]))
         assert np.allclose(sx, np.array([[0, 0.5], [0.5, 0]]))
         assert np.allclose(sy, np.array([[0, -0.5j], [0.5j, 0]]))
 
     def test_spin1_matrices(self):
-        sx, _, sz = (o.entries for o in spin_generators(1))
+        sx, _, sz = spin_generators(1).operators
         assert np.allclose(sz, np.diag([1.0, 0.0, -1.0]))
         expected_sx = np.array(
             [[0, 1 / SQ2, 0], [1 / SQ2, 0, 1 / SQ2], [0, 1 / SQ2, 0]]
@@ -40,7 +39,7 @@ class TestSpinGenerators:
 
     @pytest.mark.parametrize("j", [0.5, 1, 1.5, 2, 2.5])
     def test_commutation(self, j):
-        sx, sy, sz = (o.entries for o in spin_generators(j))
+        sx, sy, sz = spin_generators(j).operators
         assert np.max(np.abs(sx @ sy - sy @ sx - 1j * sz)) < 1e-12
         assert np.max(np.abs(sy @ sz - sz @ sy - 1j * sx)) < 1e-12
         assert np.max(np.abs(sz @ sx - sx @ sz - 1j * sy)) < 1e-12
@@ -58,17 +57,17 @@ class TestSpinGenerators:
     @pytest.mark.parametrize("j", [0.5, 1, 1.5])
     def test_eigenvalue_multiset(self, j):
         expected = np.arange(-j, j + 1)
-        for o in spin_generators(j):
-            vals = np.sort(np.linalg.eigvalsh(o.entries))
+        for o in spin_generators(j).operators:
+            vals = np.sort(np.linalg.eigvalsh(o))
             assert np.allclose(vals, expected, atol=1e-10)
 
     def test_condon_shortley_ladder_real(self):
-        sx, sy, _ = (o.entries for o in spin_generators(1.5))
+        sx, sy, _ = spin_generators(1.5).operators
         sp = sx + 1j * sy
         assert np.max(np.abs(sp.imag)) < 1e-12
         assert np.all(sp.real >= -1e-12)
 
-    @pytest.mark.parametrize("j", [0, -1, 0.3, 1.2])
+    @pytest.mark.parametrize("j", [0, -1, 0.3, 1.2, np.inf, -np.inf, np.nan])
     def test_rejects_bad_j(self, j):
         with pytest.raises(ValueError):
             spin_generators(j)
@@ -82,15 +81,13 @@ class TestSpinGenerators:
         basis = spin_generators(1)
         assert spin_generators(1.0) is basis
         assert local_two_qubit_basis() is local_two_qubit_basis()
-        for m in (basis.elements[0].entries, basis.operators):
+        for m in (basis.operators[0], basis.operators):
             with pytest.raises(ValueError):
                 m[0, 0] = 7.0
 
     def test_operators_stack_elements_and_casimir(self):
         basis = spin_generators(1.5)
         assert basis.operators.shape == (3, 4, 4)
-        for o, m in zip(basis, basis.operators):
-            assert np.array_equal(o.entries, m)
         assert np.max(np.abs(casimir_sum(basis) - 15 / 4 * np.eye(4))) < 1e-12
 
 
@@ -101,15 +98,15 @@ class TestLocalTwoQubitBasis:
     def test_sz_left_on_up_down(self):
         basis = local_two_qubit_basis()
         up_down = np.array([0, 1, 0, 0], dtype=complex)
-        sz_left = basis.elements[2].entries
+        sz_left = basis.operators[2]
         assert np.allclose(sz_left @ up_down, 0.5 * up_down)
 
     def test_trace_orthogonality(self):
-        elems = list(local_two_qubit_basis())
+        elems = local_two_qubit_basis().operators
         for i, a in enumerate(elems):
             for k, b in enumerate(elems):
                 if i != k:
-                    assert abs(np.trace(a.entries @ b.entries)) < 1e-12
+                    assert abs(np.trace(a @ b)) < 1e-12
 
     def test_casimir_recorded(self):
         assert local_two_qubit_basis().casimir == 1.5
@@ -119,8 +116,8 @@ class TestRotateBasis:
     def test_identity(self):
         basis = spin_generators(1)
         rotated = rotate_basis(basis, np.eye(3))
-        for orig, rot in zip(basis, rotated):
-            assert np.allclose(orig.entries, rot.entries)
+        for orig, rot in zip(basis.operators, rotated.operators):
+            assert np.allclose(orig, rot)
 
     def test_quarter_turn_about_z(self):
         basis = spin_generators(1)
@@ -128,8 +125,8 @@ class TestRotateBasis:
         r = np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]])
         rotated = rotate_basis(basis, r)
         # new S_x = -old S_y, new S_y = old S_x for this R convention
-        assert np.allclose(rotated.elements[0].entries, -basis.elements[1].entries)
-        assert np.allclose(rotated.elements[1].entries, basis.elements[0].entries)
+        assert np.allclose(rotated.operators[0], -basis.operators[1])
+        assert np.allclose(rotated.operators[1], basis.operators[0])
 
     def test_preserves_casimir(self):
         rng = np.random.default_rng(7)
@@ -157,7 +154,7 @@ class TestRotateBasis:
         basis = spin_generators(1)
         for _ in range(10):
             r = random_orthogonal(rng, special=True)
-            sx, sy, sz = (o.entries for o in rotate_basis(basis, r))
+            sx, sy, sz = rotate_basis(basis, r).operators
             assert np.max(np.abs(sx @ sy - sy @ sx - 1j * sz)) < 1e-10
 
     def test_rejects_non_orthogonal(self):
@@ -170,29 +167,53 @@ class TestRotateBasis:
 
 
 class TestContainers:
+    # the basis checks each observable it stacks
     def test_observable_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            Observable(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            ObservableBasis([np.array([[0.0, 1.0], [0.0, 0.0]])])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_observable_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="non-finite"):
-            Observable([[bad, 0.0], [0.0, 1.0]])
+            ObservableBasis([[[bad, 0.0], [0.0, 1.0]]])
 
     def test_observable_rejects_non_square(self):
         with pytest.raises(ValueError):
-            Observable(np.zeros((2, 3)))
+            ObservableBasis([np.zeros((2, 3))])
+
+    @pytest.mark.parametrize("ops", [np.eye(2), np.zeros((0, 2, 2)), np.zeros((1, 0, 0)), 1.0])
+    def test_basis_rejects_a_non_stack(self, ops):
+        with pytest.raises(ValueError, match="stack of square matrices"):
+            ObservableBasis(ops)
 
     def test_basis_rejects_dim_mismatch(self):
-        a = Observable(np.eye(2))
-        b = Observable(np.eye(3))
         with pytest.raises(ValueError):
-            ObservableBasis((a, b))
+            ObservableBasis([np.eye(2), np.eye(3)])
 
     def test_basis_rejects_broken_su2_label(self):
-        a = Observable(np.eye(3))
         with pytest.raises(ValueError):
-            ObservableBasis((a, a, a), label="su2-spin-1")
+            ObservableBasis([np.eye(3)] * 3, label="su2-spin-1")
+
+    def test_basis_takes_any_array_like(self):
+        mats = [m.tolist() for m in spin_generators(1).operators]
+        stacked = ObservableBasis(np.array(mats)).operators
+        for ops in (mats, [np.array(m) for m in mats]):
+            assert np.array_equal(ObservableBasis(ops).operators, stacked)
+        assert stacked.dtype == complex and stacked.shape == (3, 3, 3)
+
+    def test_basis_copies_its_input(self):
+        mats = np.stack([np.eye(2), np.diag([1.0, -1.0])])
+        basis = ObservableBasis(mats)
+        mats[0, 0, 0] = 5.0
+        assert basis.operators[0, 0, 0] == 1.0 and basis.casimir == 2.0
+        with pytest.raises(ValueError):
+            basis.operators[0, 0, 0] = 5.0
+
+    def test_basis_equality_is_identity_and_hashable(self):
+        basis = spin_generators(1)
+        same_numbers = rotate_basis(basis, np.eye(3))
+        assert basis == basis and basis != same_numbers
+        assert {basis: 1, same_numbers: 2}[basis] == 1
 
     def test_state_rejects_unnormalized(self):
         with pytest.raises(ValueError):

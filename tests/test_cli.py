@@ -566,6 +566,13 @@ class TestFlags:
         assert code == 2
         assert "cannot read" in err
 
+    def test_undecodable_file_exits_2(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{")
+        code, _, err = run(capsys, monkeypatch, ["analyze", "--file", str(path)])
+        assert code == 2
+        assert "cannot read" in err and "internal error" not in err
+
     def test_defaults_come_from_the_code_that_reads_them(self):
         from entfluct.algebra import CE_TOL_DEFAULT
         from entfluct.cli import build_parser
@@ -578,13 +585,23 @@ class TestFlags:
         assert parser.parse_args(["preset", "analyze", "ce-psi0"]).tol == CE_TOL_DEFAULT
 
 
-def test_closed_stdout_exits_1_without_a_traceback():
+def _cli_env(**extra):
     src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    return {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", ""), **extra}
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
     proc = subprocess.Popen([sys.executable, "-m", "entfluct.cli", "preset", "list", "--format", "json"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env())
     proc.stdout.close()  # the reader goes away before the first write
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == 1
     for text in ("internal error", "Traceback", "Exception ignored"):
         assert text not in err.decode()
+
+
+def test_undecodable_stdin_exits_2():
+    proc = subprocess.run([sys.executable, "-m", "entfluct.cli", "analyze"], input=b"\xff\xfe{",
+                          capture_output=True, env=_cli_env(PYTHONIOENCODING="utf-8"), timeout=60)
+    assert proc.returncode == 2
+    assert b"cannot read stdin" in proc.stderr and b"internal error" not in proc.stderr

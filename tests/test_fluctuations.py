@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entfluct import (
-    Observable,
     ObservableBasis,
     StateVector,
     canonical_form,
@@ -49,7 +48,7 @@ class TestExpectation:
     def test_canonical_magnitude_is_sin_2phi(self):
         rng = np.random.default_rng(11)
         # {S_x, S_y, S_z} on Cartesian components, in the cross-product form
-        basis = ObservableBasis(tuple(spin_projection_operator(axis) for axis in np.eye(3)), label="su2-spin-1")
+        basis = ObservableBasis([spin_projection_operator(axis) for axis in np.eye(3)], label="su2-spin-1")
         for phi in np.linspace(0.0, np.pi / 4, 9):
             mu, nu = random_orthonormal_pair(rng)
             psi = state_from_canonical(0.3, phi, mu, nu)
@@ -141,8 +140,8 @@ class TestMoments:
         for _ in range(50):
             psi = random_state(rng, basis.dim, label)
             a = psi.amplitudes
-            first = np.array([np.vdot(a, o.entries @ a).real for o in basis])
-            second = np.array([np.linalg.norm(o.entries @ a) ** 2 for o in basis])
+            first = np.array([np.vdot(a, o @ a).real for o in basis.operators])
+            second = np.array([np.linalg.norm(o @ a) ** 2 for o in basis.operators])
             _, e = moments(a[None], basis)
             assert np.max(np.abs(e[0, :-1] - first)) <= 1e-14
             assert abs(e[0, -1] - second.sum()) <= 1e-13
@@ -231,6 +230,13 @@ class TestVarianceConcurrence:
         with pytest.raises(ValueError):
             fluctuation_report(sph([0, 1, 0]), SPIN1, 2.0, 1.0)
 
+    @pytest.mark.parametrize("v_min,v_max", [
+        (np.nan, 2.0), (1.0, np.nan), (1.0, np.inf), (-np.inf, 2.0), (1.0, None), (None, 2.0),
+    ])
+    def test_rejects_non_finite_or_single_bounds(self, v_min, v_max):
+        with pytest.raises(ValueError, match="bounds"):
+            fluctuation_report(sph([0, 1, 0]), SPIN1, v_min, v_max)
+
     def test_rejects_inconsistent_bounds(self):
         with pytest.raises(ValueError):
             fluctuation_report(sph([0, 1, 0]), SPIN1, 3.0, 4.0)
@@ -256,8 +262,8 @@ class TestReport:
             total_variance(sph([1, 0, 0]), basis)
 
     def test_non_hermitian_leakage_rejected(self):
-        # bypass the Observable check by corrupting entries after the fact
-        obs = Observable(np.eye(3))
-        object.__setattr__(obs, "entries", np.array([[0, 1j, 0], [0, 0, 0], [0, 0, 0]]))
+        # bypass the Hermiticity check by corrupting the operators after the fact
+        basis = ObservableBasis([np.eye(3)])
+        object.__setattr__(basis, "operators", np.array([[[0, 1j, 0], [0, 0, 0], [0, 0, 0]]]))
         with pytest.raises(ValueError):
-            expectation_vector(sph([1 / SQ2, 1 / SQ2, 0]), ObservableBasis((obs,)))
+            expectation_vector(sph([1 / SQ2, 1 / SQ2, 0]), basis)

@@ -125,9 +125,9 @@ class TestCanonicalForm:
 
 class TestSpinProjection:
     def test_matches_conjugated_sz(self):
-        sz_sph = spin_generators(1).elements[2].entries
+        sz_sph = spin_generators(1).operators[2]
         expected = SPH_TO_CART @ sz_sph @ SPH_TO_CART.conj().T
-        got = spin_projection_operator([0, 0, 1]).entries
+        got = spin_projection_operator([0, 0, 1])
         assert np.max(np.abs(got - expected)) < 1e-12
 
     def test_annihilates_own_direction(self):
@@ -136,7 +136,7 @@ class TestSpinProjection:
             w = rng.normal(size=3)
             w /= np.linalg.norm(w)
             op = spin_projection_operator(w)
-            assert np.max(np.abs(op.entries @ w)) < 1e-12
+            assert np.max(np.abs(op @ w)) < 1e-12
 
     def test_real_states_have_zero_expectation(self):
         rng = np.random.default_rng(17)
@@ -146,16 +146,27 @@ class TestSpinProjection:
             w = rng.normal(size=3)
             w /= np.linalg.norm(w)
             op = spin_projection_operator(w)
-            assert abs(np.vdot(nu, op.entries @ nu)) < 1e-12
+            assert abs(np.vdot(nu, op @ nu)) < 1e-12
 
     def test_eigenvalues(self):
         op = spin_projection_operator([1 / SQ2, 1 / SQ2, 0])
-        vals = np.sort(np.linalg.eigvalsh(op.entries))
+        vals = np.sort(np.linalg.eigvalsh(op))
         assert np.allclose(vals, [-1, 0, 1], atol=1e-12)
 
     def test_rejects_non_unit(self):
         with pytest.raises(ValueError):
             spin_projection_operator([1, 1, 0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_direction(self, bad):
+        with pytest.raises(ValueError, match="unit vector"):
+            spin_projection_operator([bad, 0, 0])
+
+    def test_is_a_read_only_hermitian_matrix(self):
+        op = spin_projection_operator([0, 1, 0])
+        assert op.shape == (3, 3) and np.array_equal(op, op.conj().T)
+        with pytest.raises(ValueError):
+            op[0, 0] = 1.0
 
 
 class TestConcurrence:
@@ -203,7 +214,7 @@ class TestZeroProjectionAxis:
         axis = zero_projection_axis(cart([0, 0, 1]))
         assert np.allclose(axis, [0, 0, 1])
         op = spin_projection_operator(axis)
-        assert np.max(np.abs(op.entries @ np.array([0, 0, 1.0]))) < 1e-15
+        assert np.max(np.abs(op @ np.array([0, 0, 1.0]))) < 1e-15
 
     def test_coherent_has_none(self):
         assert zero_projection_axis(cart([1 / SQ2, 1j / SQ2, 0])) is None
@@ -214,7 +225,7 @@ class TestZeroProjectionAxis:
             axis = zero_projection_axis(c)
             assert axis is not None
             op = spin_projection_operator(axis)
-            assert np.linalg.norm(op.entries @ c.amplitudes) < 1e-9
+            assert np.linalg.norm(op @ c.amplitudes) < 1e-9
 
     def test_existence_matches_ce_criterion(self):
         rng = np.random.default_rng(18)

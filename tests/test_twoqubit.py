@@ -84,6 +84,10 @@ class TestProjectSpin1:
         with pytest.raises(ValueError, match="antisymmetric"):
             project_spin1(chi, tol=1e-9)
 
+    def test_nan_tolerance_rejected(self):
+        with pytest.raises(ValueError, match="tol must be"):
+            project_spin1(pair([1.0, 0.0, 0.0, 0.0]), tol=np.nan)
+
 
 class TestSinglet:
     def test_components(self):

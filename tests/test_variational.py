@@ -151,6 +151,16 @@ class TestMaximize:
         with pytest.raises(ValueError):
             maximize_total_variance(SPIN1, SearchConfig(mode="minimize"))
 
+    @pytest.mark.parametrize("label,match", [("qubit-pair", "needs 4 amplitudes, got 21"),
+                                             ("cartesian", "needs 3 amplitudes"), ("cylindrical", "unknown")])
+    def test_state_label_checked_before_searching(self, monkeypatch, label, match):
+        def no_search(*args):
+            raise AssertionError("the search ran before the state label was checked")
+
+        monkeypatch.setattr("entfluct.variational._value_and_gradient", no_search)
+        with pytest.raises(ValueError, match=match):
+            minimize_total_variance(spin_generators(10), SearchConfig(mode="minimize"), state_label=label)
+
 
 class TestMinimize:
     def test_spin1_reaches_coherent(self):

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from entfluct import Observable, ObservableBasis, StateVector
+from entfluct import ObservableBasis, StateVector
 
 
 def random_state(rng, dim, basis_label="spherical"):
@@ -16,8 +16,8 @@ def random_basis(rng, dim, count=3):
     mats = []
     for _ in range(count):
         m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        mats.append(Observable((m + m.conj().T) / 2))
-    return ObservableBasis(tuple(mats))
+        mats.append((m + m.conj().T) / 2)
+    return ObservableBasis(mats)
 
 
 def casimir_sum(basis):
