@@ -239,9 +239,11 @@ def cmd_search(args) -> int:
         "iterations_used": int(result.iterations_used),
         "restart_values": [float(v) for v in result.restart_values],
     }
+    stop = result.restart_stop[result.restart_values.tolist().index(result.best_value)]  # first on ties
+    limit = f"--max-iter {args.max_iterations}" if stop == "cap" else "no step gained"
     failure = None if result.converged else (
-        f"not converged: the best restart's tangent gradient did not reach --step-tol {args.step_tolerance:g}"
-        f" within --max-iter {args.max_iterations}")
+        f"not converged: the best restart stopped on {stop} at iteration {result.iterations_used} ({limit}),"
+        f" its tangent gradient above --step-tol {args.step_tolerance:g}")
     return _emit(doc, args.format, failure)
 
 

@@ -2,7 +2,9 @@
 state space: maximizers are the completely entangled states, minimizers the
 generalized coherent states.
 
-Riemannian conjugate gradient (Polak-Ribiere+, exact parallel transport) with
+Riemannian conjugate gradient (Polak-Ribiere+, exact parallel transport) that
+restarts from the tangent gradient every 2d - 2 steps, the real dimension of
+CP^(d-1), and where successive gradients lose orthogonality (Powell 1977), with
 an exact line search: on a great circle a cos t + d sin t each <O> is
 m + u cos 2t + r sin 2t, so V = <C> - sum_i <O_i>^2 (C = sum_i O_i^2) is a
 trigonometric polynomial of degree 2 in s = 2t; when C is the scalar c, <C> = c
@@ -28,6 +30,7 @@ from .fluctuations import _apply, _inner, moments, variance
 
 STOP_REASONS = ("gradient", "stall", "cap")
 MODES = ("maximize", "minimize")
+_POWELL_RATIO = 0.2  # restart where |Re<xi_k, xi_k-1>| >= 0.2 |xi_k|^2
 
 
 @dataclass(frozen=True)
@@ -176,7 +179,10 @@ def _search(basis: ObservableBasis, config: SearchConfig, mode: str, state_label
             break
         direction = xi
         if n > 1:  # Polak-Ribiere+ (a moving row had norm_old > tol), reset unless ascending
-            beta = _inner(xi, xi - xi_old).real / np.maximum(norm_old, config.step_tolerance) ** 2
+            den = np.maximum(norm_old, config.step_tolerance) ** 2  # 0 where tol**2 underflows: restart
+            beta = np.divide(_inner(xi, xi - xi_old).real, den, out=np.zeros_like(den), where=den > 0)
+            lost = np.abs(_inner(xi, xi_old).real) >= _POWELL_RATIO * gnorm**2  # gradients not orthogonal
+            beta = np.where(lost | ((n - 1) % max(2 * basis.dim - 2, 1) == 0), 0.0, beta)  # and every 2d - 2 steps
             direction = xi + np.maximum(beta, 0.0)[:, None] * d_old
             direction = direction - _inner(a, direction)[:, None] * a
             direction = np.where((_inner(direction, xi).real > 0)[:, None], direction, xi)

@@ -352,6 +352,18 @@ class TestSearch:
         assert err.startswith("not converged:")
         assert len(err.splitlines()) == 1
         assert "--step-tol 1e-300" in err and "--max-iter 5" in err
+        assert "the best restart stopped on cap at iteration 5 " in err
+
+    def test_stalled_search_names_the_stall(self, capsys, monkeypatch):
+        # the float rounding of V stops a pair minimization short of 1e-17
+        argv = ["search", "--system", "two-qubit", "--mode", "minimize", "--step-tol", "1e-17", "--format", "json"]
+        code, out, err = run(capsys, monkeypatch, argv)
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["converged"] is False
+        assert err == (f"not converged: the best restart stopped on stall at iteration {doc['iterations_used']}"
+                       " (no step gained), its tangent gradient above --step-tol 1e-17\n")
+        assert doc["iterations_used"] < 2000 and "--max-iter" not in err
 
     def test_value_tol_removed(self, capsys, monkeypatch):
         code, _, _ = run(capsys, monkeypatch, ["search", "--value-tol", "1e-11"])

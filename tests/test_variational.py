@@ -219,18 +219,19 @@ class TestExtremes:
 
 class TestConvergedFlag:
     # a random three-observable basis on C^4 with two local maxima of V: with
-    # this seed restart 0 settles on the lower one within the cap, while
-    # restart 1 is still climbing towards the higher one when the cap stops it
+    # this seed restart 0 settles on the lower one within the cap (it needs 19
+    # iterations), while restart 1 is still climbing towards the higher one
+    # (it needs 35) when the cap stops it
     @staticmethod
     def _basis():
         return random_basis(np.random.default_rng(11), 4)
 
     def test_capped_best_restart_is_not_converged(self):
-        config = SearchConfig(restarts=2, seed=8, max_iterations=22)
+        config = SearchConfig(restarts=2, seed=15, max_iterations=26)
         result = maximize_total_variance(self._basis(), config, state_label="qubit-pair")
         assert result.restart_stop == ("gradient", "cap")
         assert result.best_value == result.restart_values[1] > result.restart_values[0] + 1
-        assert result.iterations_used == 22
+        assert result.iterations_used == 26
         assert not result.converged
         g = gradient_total_variance(result.best_state, self._basis())
         a = result.best_state.amplitudes
@@ -242,6 +243,33 @@ class TestConvergedFlag:
         best = int(np.argmax(result.restart_values))
         assert result.converged == (result.restart_stop[best] == "gradient")
         assert result.restart_gradients[best] <= config.step_tolerance
+
+
+class TestIterationBudget:
+    """Powell's restarts (every 2d - 2 steps, and when successive gradients lose
+    orthogonality) within a budget that Polak-Ribiere+ alone overran: it needed
+    27 and 13 iterations at j = 3/2 and 69 and 49 on the random basis."""
+
+    @pytest.mark.parametrize("basis,label,budget", [
+        (spin_generators(1.5), "spherical", {"maximize": 12, "minimize": 10}),
+        (random_basis(np.random.default_rng(5), 4), "qubit-pair", {"maximize": 48, "minimize": 40}),
+    ], ids=["spin-3/2", "random-C4"])
+    @pytest.mark.parametrize("mode", ["maximize", "minimize"])
+    def test_every_restart_stops_on_gradient(self, basis, label, budget, mode):
+        run = maximize_total_variance if mode == "maximize" else minimize_total_variance
+        for seed in range(10):
+            config = SearchConfig(restarts=16, seed=seed, max_iterations=budget[mode], mode=mode)
+            assert run(basis, config, state_label=label).restart_stop == ("gradient",) * 16
+
+    @pytest.mark.parametrize("mode", ["maximize", "minimize"])
+    def test_tolerance_below_the_square_root_of_the_smallest_float(self, mode):
+        # step_tolerance**2 underflows to 0: a row stopped on a zero gradient
+        # restarts its direction instead of dividing 0 by 0 (a RuntimeWarning)
+        run = maximize_total_variance if mode == "maximize" else minimize_total_variance
+        config = SearchConfig(step_tolerance=1e-300, max_iterations=40, mode=mode)
+        result = run(SPIN1, config)
+        assert result.best_value == pytest.approx(2.0 if mode == "maximize" else 1.0, abs=1e-12)
+        assert np.all(np.isfinite(result.restart_gradients))
 
 
 class TestDeterminismAndConsistency:
@@ -312,14 +340,36 @@ class TestDeterminismAndConsistency:
             config = SearchConfig(step_tolerance=tol)
             assert type(config.step_tolerance) is float and config.step_tolerance == tol
 
-    def test_golden_restarts(self):
+    def test_golden_start_states(self, monkeypatch):
         # recorded before the restart streams moved to one re-keyed Philox; pins
-        # the streams of Philox(key=seed ^ k) and the scalar-Casimir search path
+        # the normalized streams of Philox(key=seed ^ k), which no direction rule touches
+        starts = []
+
+        def first_call(a, basis):
+            starts.append(a.copy())
+            raise StopIteration
+
+        monkeypatch.setattr("entfluct.variational._value_and_gradient", first_call)
+        with pytest.raises(StopIteration):
+            maximize_total_variance(spin_generators(1.5), SearchConfig(restarts=4, seed=3))
+        assert starts[0].tolist() == [
+            [0.5509693206259108 + 0.05336371594742053j, 0.4102206715600821 - 0.5849376787198527j,
+             0.030398727009343884 + 0.12433767922497617j, -0.36610454394867814 + 0.18092969908011192j],
+            [-0.21609170364618624 - 0.2501051430701852j, 0.3350007270394704 + 0.06868869785580897j,
+             -0.5235582783335467 - 0.41097207821306897j, -0.22862944039924565 - 0.5277550831544892j],
+            [0.3983576489019289 + 0.2060682212129902j, 0.29661974535461294 - 0.27807903385086635j,
+             -0.0959840859811704 - 0.6551184429574413j, 0.17260253851551777 - 0.406633857418626j],
+            [0.04798860601686995 - 0.011780201161853344j, -0.5344837242327772 - 0.15647782467617477j,
+             0.3996187567189988 - 0.33538631146983305j, 0.3629551460351543 - 0.5324327119849399j]]
+
+    def test_golden_restarts(self):
+        # pins the scalar-Casimir search path from those starts; the spin-3/2
+        # amplitudes were re-recorded when the search gained Powell's restarts
         r = maximize_total_variance(spin_generators(1.5), SearchConfig(restarts=4, seed=3))
         assert r.restart_values.tolist() == [3.75, 3.75, 3.75, 3.75]
         assert r.best_state.amplitudes.tolist() == [
-            0.40784852976094405 + 0.07697408039257159j, 0.3608144396133914 - 0.5785995014450888j,
-            0.06651298718292976 + 0.22102226105665562j, -0.5062043260119335 + 0.23076500556569363j]
+            0.4078484392541944 + 0.07697427259537568j, 0.3608145429806576 - 0.5785995196052709j,
+            0.0665131960335607 + 0.22102206585499765j, -0.5062042721067331 + 0.23076513926939307j]
         config = SearchConfig(restarts=4, seed=3, mode="minimize")
         r = minimize_total_variance(local_two_qubit_basis(), config, state_label="qubit-pair")
         assert r.restart_values.tolist() == [0.9999999999999998, 0.9999999999999998, 1.0, 1.0]
