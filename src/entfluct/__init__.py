@@ -46,7 +46,6 @@ from .twoqubit import (
 from .variational import (
     SearchConfig,
     SearchResult,
-    gradient_total_variance,
     maximize_total_variance,
     minimize_total_variance,
 )

@@ -12,10 +12,11 @@ all along the circle. The line search evaluates that polynomial on a 64-point
 grid, one broadcast product with a module table of the grid's four line terms,
 and polishes the best grid point of each of its (at most two) local maxima with
 clipped Newton steps that compute the first two derivatives alone; V itself is
-evaluated once more, to pick the best polished point. Restarts advance together
-as the rows of one (R, d) array and every operation acts row by row, so restart
-k of seed s is exactly the one-restart search with seed s ^ k, whatever the
-order.
+evaluated once more, to pick the best polished point. The gradient is
+2 (F - <F>) a with F = C - 2 sum_i <O_i> O_i; for a scalar C, minimize first moves
+each start to the lowest eigenvector of F there, where that lowers V. Restarts
+advance together as the rows of one (R, d) array and every operation (eigh too)
+acts row by row, so restart k of seed s is the one-restart search with seed s ^ k.
 """
 
 from __future__ import annotations
@@ -83,13 +84,6 @@ def _value_and_gradient(a: np.ndarray, basis: ObservableBasis):
     if basis.casimir is None:
         grad = 2.0 * (_apply(basis.operators, oa).sum(axis=1) - e[:, -1:] * a) + grad
     return variance(e), grad, oa, e
-
-
-def gradient_total_variance(psi: StateVector, basis: ObservableBasis) -> np.ndarray:
-    """Unconstrained gradient of V_tot(psi/|psi|) with respect to the complex
-    amplitudes; the directional derivative along d is Re(vdot(d, grad)).
-    Callers on the sphere project out the component along psi afterwards."""
-    return _value_and_gradient(psi.amplitudes[None], basis)[1][0]
 
 
 def _line_coefficients(a, d, oa, e, basis: ObservableBasis) -> np.ndarray:
@@ -164,13 +158,17 @@ def _search(basis: ObservableBasis, config: SearchConfig, mode: str, state_label
         bits.state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": [config.seed ^ k, 0]},
                       "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
         a[k].real, a[k].imag = np.random.Generator(bits).normal(size=(2, basis.dim))
+    if mode == "minimize" and basis.casimir is not None:  # start at the lowest eigenvector of c - 2 sum_i <O_i> O_i
+        e = moments(a, basis)[1]
+        top = np.linalg.eigh((e[:, :-1, None, None] * basis.operators).sum(axis=1))[1][..., -1]
+        a = np.where((variance(moments(top, basis)[1]) < variance(e))[:, None], top, a)
     a = a / np.sqrt(_inner(a, a).real)[:, None]
     stop = np.full(config.restarts, -1)  # index into STOP_REASONS once stopped
     iterations = np.zeros(config.restarts, dtype=int)
     # a stopped row takes steps of 0, so the last evaluation holds its final state
     for n in range(1, config.max_iterations + 2):
         v, g, oa, e = _value_and_gradient(a, basis)
-        xi = sign * (g - _inner(a, g)[:, None] * a)  # tangent ascent direction of sign * V
+        xi = sign * (g - _inner(a, g)[:, None] * a) * (basis.dim > 1)  # tangent ascent of sign * V; CP^0 has none
         gnorm = np.sqrt(_inner(xi, xi).real)
         running = stop < 0
         iterations[running] = min(n, config.max_iterations)
@@ -182,7 +180,7 @@ def _search(basis: ObservableBasis, config: SearchConfig, mode: str, state_label
             den = np.maximum(norm_old, config.step_tolerance) ** 2  # 0 where tol**2 underflows: restart
             beta = np.divide(_inner(xi, xi - xi_old).real, den, out=np.zeros_like(den), where=den > 0)
             lost = np.abs(_inner(xi, xi_old).real) >= _POWELL_RATIO * gnorm**2  # gradients not orthogonal
-            beta = np.where(lost | ((n - 1) % max(2 * basis.dim - 2, 1) == 0), 0.0, beta)  # and every 2d - 2 steps
+            beta = np.where(lost | ((n - 1) % (2 * basis.dim - 2) == 0), 0.0, beta)  # and every 2d - 2 steps
             direction = xi + np.maximum(beta, 0.0)[:, None] * d_old
             direction = direction - _inner(a, direction)[:, None] * a
             direction = np.where((_inner(direction, xi).real > 0)[:, None], direction, xi)
@@ -222,5 +220,8 @@ def maximize_total_variance(
 def minimize_total_variance(
     basis: ObservableBasis, config: SearchConfig = None, state_label: str = "spherical"
 ) -> SearchResult:
-    """Search for the state of minimal total variance (a coherent state)."""
+    """Search for the state of minimal total variance (a coherent state). With a scalar
+    Casimir c, each restart starts at the lowest eigenvector of c - 2 sum_i <O_i> O_i:
+    the coherent state along <S> (V = j) for spin j, a product of two (V = 1) for the
+    pair. Maximize cannot: at a CE state every <O_i> = 0, so every state is one."""
     return _search(basis, config, "minimize", state_label)

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from entfluct import (
+    ObservableBasis,
     SearchConfig,
     StateVector,
     canonical_form,
     fluctuation_report,
-    gradient_total_variance,
     local_two_qubit_basis,
     maximize_total_variance,
     minimize_total_variance,
@@ -33,13 +33,13 @@ def directional_derivative(psi, basis, delta, h=1e-6):
 class TestGradient:
     def test_stationary_at_m0(self):
         psi = StateVector([0, 1, 0], "spherical")
-        g = gradient_total_variance(psi, SPIN1)
+        g = _value_and_gradient(psi.amplitudes[None], SPIN1)[1][0]
         gt = g - np.vdot(psi.amplitudes, g) * psi.amplitudes
         assert np.linalg.norm(gt) < 1e-10
 
     def test_stationary_at_m_plus1(self):
         psi = StateVector([1, 0, 0], "spherical")
-        g = gradient_total_variance(psi, SPIN1)
+        g = _value_and_gradient(psi.amplitudes[None], SPIN1)[1][0]
         gt = g - np.vdot(psi.amplitudes, g) * psi.amplitudes
         assert np.linalg.norm(gt) < 1e-10
 
@@ -56,7 +56,7 @@ class TestGradient:
         for _ in range(100):
             psi = random_state(rng, dim, label)
             delta = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-            g = gradient_total_variance(psi, basis)
+            g = _value_and_gradient(psi.amplitudes[None], basis)[1][0]
             analytic = np.vdot(delta, g).real
             fd = directional_derivative(psi, basis, delta)
             assert abs(fd - analytic) <= 1e-5 * max(1.0, abs(analytic))
@@ -233,7 +233,7 @@ class TestConvergedFlag:
         assert result.best_value == result.restart_values[1] > result.restart_values[0] + 1
         assert result.iterations_used == 26
         assert not result.converged
-        g = gradient_total_variance(result.best_state, self._basis())
+        g = _value_and_gradient(result.best_state.amplitudes[None], self._basis())[1][0]
         a = result.best_state.amplitudes
         assert np.linalg.norm(g - np.vdot(a, g) * a) > config.step_tolerance
 
@@ -260,6 +260,30 @@ class TestIterationBudget:
         for seed in range(10):
             config = SearchConfig(restarts=16, seed=seed, max_iterations=budget[mode], mode=mode)
             assert run(basis, config, state_label=label).restart_stop == ("gradient",) * 16
+
+    @pytest.mark.parametrize("basis,label,v_min", [
+        *[(spin_generators(j), "spherical", j) for j in (0.5, 1, 1.5, 3, 10)],
+        (local_two_qubit_basis(), "qubit-pair", 1.0),
+    ], ids=["j1/2", "j1", "j3/2", "j3", "j10", "qubit-pair"])
+    def test_minimize_starts_at_the_coherent_state(self, basis, label, v_min):
+        # the lowest eigenvector of c - 2 sum_i <O_i> O_i is the coherent state
+        # along <S> (a product of two for the pair), a fixed point of the search
+        for seed in range(10):
+            config = SearchConfig(restarts=16, seed=seed, mode="minimize")
+            result = minimize_total_variance(basis, config, state_label=label)
+            assert result.restart_stop == ("gradient",) * 16
+            assert result.iterations_used == 1
+            assert np.max(np.abs(result.restart_values - v_min)) <= 1e-9
+
+    @pytest.mark.parametrize("mode", ["maximize", "minimize"])
+    def test_one_dimensional_state_space(self, mode):
+        # CP^0 is a point: its tangent space is {0}, so every restart stops at once
+        run = maximize_total_variance if mode == "maximize" else minimize_total_variance
+        config = SearchConfig(step_tolerance=1e-300, mode=mode)
+        result = run(ObservableBasis([[[0.7]], [[1.3]]]), config)
+        assert result.restart_stop == ("gradient",) * 16
+        assert result.iterations_used == 1
+        assert np.all(result.restart_gradients == 0)
 
     @pytest.mark.parametrize("mode", ["maximize", "minimize"])
     def test_tolerance_below_the_square_root_of_the_smallest_float(self, mode):
@@ -364,7 +388,8 @@ class TestDeterminismAndConsistency:
 
     def test_golden_restarts(self):
         # pins the scalar-Casimir search path from those starts; the spin-3/2
-        # amplitudes were re-recorded when the search gained Powell's restarts
+        # amplitudes were re-recorded when the search gained Powell's restarts,
+        # the qubit-pair minimum when minimize began at the eigenvector start
         r = maximize_total_variance(spin_generators(1.5), SearchConfig(restarts=4, seed=3))
         assert r.restart_values.tolist() == [3.75, 3.75, 3.75, 3.75]
         assert r.best_state.amplitudes.tolist() == [
@@ -372,7 +397,7 @@ class TestDeterminismAndConsistency:
             0.0665131960335607 + 0.22102206585499765j, -0.5062042721067331 + 0.23076513926939307j]
         config = SearchConfig(restarts=4, seed=3, mode="minimize")
         r = minimize_total_variance(local_two_qubit_basis(), config, state_label="qubit-pair")
-        assert r.restart_values.tolist() == [0.9999999999999998, 0.9999999999999998, 1.0, 1.0]
+        assert r.restart_values.tolist() == [1.0, 0.9999999999999999, 1.0, 1.0]
         assert r.best_state.amplitudes.tolist() == [
-            0.4992768732258031 + 0.015212709139574856j, 0.482451010829719 - 0.643415262679413j,
-            -0.16051901675384972 - 0.055825653215682516j, -0.22218611666057136 + 0.15968553631991547j]
+            -0.25754323185259687 + 0j, -0.15574260121131686 - 0.15843436807973876j,
+            -0.3220987839410722 + 0.6350391968114938j, -0.5854416566340769 + 0.18587612939877238j]
