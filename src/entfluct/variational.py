@@ -221,7 +221,7 @@ def minimize_total_variance(
     basis: ObservableBasis, config: SearchConfig = None, state_label: str = "spherical"
 ) -> SearchResult:
     """Search for the state of minimal total variance (a coherent state). With a scalar
-    Casimir c, each restart starts at the lowest eigenvector of c - 2 sum_i <O_i> O_i:
+    Casimir c, each restart starts at the lowest eigenvector of F = c - 2 sum_i <O_i> O_i:
     the coherent state along <S> (V = j) for spin j, a product of two (V = 1) for the
-    pair. Maximize cannot: at a CE state every <O_i> = 0, so every state is one."""
+    pair. Maximize cannot: at a CE state all <O_i> = 0, so F = c and any state fits."""
     return _search(basis, config, "minimize", state_label)

@@ -261,18 +261,37 @@ class TestIterationBudget:
             config = SearchConfig(restarts=16, seed=seed, max_iterations=budget[mode], mode=mode)
             assert run(basis, config, state_label=label).restart_stop == ("gradient",) * 16
 
+    @pytest.mark.parametrize("mode", ["maximize", "minimize"])
+    def test_tolerance_below_the_square_root_of_the_smallest_float(self, mode):
+        # step_tolerance**2 underflows to 0: a row stopped on a zero gradient
+        # restarts its direction instead of dividing 0 by 0 (a RuntimeWarning)
+        run = maximize_total_variance if mode == "maximize" else minimize_total_variance
+        config = SearchConfig(step_tolerance=1e-300, max_iterations=40, mode=mode)
+        result = run(SPIN1, config)
+        assert result.best_value == pytest.approx(2.0 if mode == "maximize" else 1.0, abs=1e-12)
+        assert np.all(np.isfinite(result.restart_gradients))
+
+
+class TestFixedPoints:
+    """Restarts that start at a stationary point stop on the gradient at iteration 1."""
+
     @pytest.mark.parametrize("basis,label,v_min", [
         *[(spin_generators(j), "spherical", j) for j in (0.5, 1, 1.5, 3, 10)],
         (local_two_qubit_basis(), "qubit-pair", 1.0),
     ], ids=["j1/2", "j1", "j3/2", "j3", "j10", "qubit-pair"])
-    def test_minimize_starts_at_the_coherent_state(self, basis, label, v_min):
+    def test_minimize_starts_at_the_coherent_state(self, monkeypatch, basis, label, v_min):
         # the lowest eigenvector of c - 2 sum_i <O_i> O_i is the coherent state
-        # along <S> (a product of two for the pair), a fixed point of the search
+        # along <S> (a product of two for the pair), a fixed point of the search;
+        # the batch evaluates once per iteration until its slowest restart stops
+        calls = []
+        monkeypatch.setattr("entfluct.variational._value_and_gradient",
+                            lambda a, b: calls.append(1) or _value_and_gradient(a, b))
         for seed in range(10):
+            calls.clear()
             config = SearchConfig(restarts=16, seed=seed, mode="minimize")
             result = minimize_total_variance(basis, config, state_label=label)
             assert result.restart_stop == ("gradient",) * 16
-            assert result.iterations_used == 1
+            assert result.iterations_used == 1 and len(calls) == 1
             assert np.max(np.abs(result.restart_values - v_min)) <= 1e-9
 
     @pytest.mark.parametrize("mode", ["maximize", "minimize"])
@@ -284,16 +303,6 @@ class TestIterationBudget:
         assert result.restart_stop == ("gradient",) * 16
         assert result.iterations_used == 1
         assert np.all(result.restart_gradients == 0)
-
-    @pytest.mark.parametrize("mode", ["maximize", "minimize"])
-    def test_tolerance_below_the_square_root_of_the_smallest_float(self, mode):
-        # step_tolerance**2 underflows to 0: a row stopped on a zero gradient
-        # restarts its direction instead of dividing 0 by 0 (a RuntimeWarning)
-        run = maximize_total_variance if mode == "maximize" else minimize_total_variance
-        config = SearchConfig(step_tolerance=1e-300, max_iterations=40, mode=mode)
-        result = run(SPIN1, config)
-        assert result.best_value == pytest.approx(2.0 if mode == "maximize" else 1.0, abs=1e-12)
-        assert np.all(np.isfinite(result.restart_gradients))
 
 
 class TestDeterminismAndConsistency:
