@@ -34,6 +34,7 @@ BILINEAR_ZERO = 1e-30  # |sum_k psi_k^2| below which the canonical phase is free
 PROJECT_TOL_DEFAULT = 1e-9  # largest singlet amplitude project_spin1 accepts
 SINGLET_NORM = 1e-12  # triplet-part norm below which a pair is a pure singlet
 STEP_TOL_DEFAULT = 1e-12  # tangent-gradient norm at which a search restart stops
+GRADIENT_FLOOR = 64  # tangent gradient, in eps sqrt(<C>), at which a restart stops on stall (< 1e-12 for j <= 40)
 CROSS_CHECK_TOL = 1e-9  # agreement of the exactly conditioned concurrences
 SCALAR_CASIMIR_TOL = 1e-12  # max |C - c I| / max(1, |c|) at which C = sum_i O_i^2 is recorded as the scalar c
 # sqrt((V - V_min)/(V_max - V_min)) loses half the working precision when the

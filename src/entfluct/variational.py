@@ -13,10 +13,11 @@ grid, one broadcast product with a module table of the grid's four line terms,
 and polishes the best grid point of each of its (at most two) local maxima with
 clipped Newton steps that compute the first two derivatives alone; V itself is
 evaluated once more, to pick the best polished point. The gradient is
-2 (F - <F>) a with F = C - 2 sum_i <O_i> O_i; for a scalar C, minimize first moves
-each start to the lowest eigenvector of F there, where that lowers V. Restarts
-advance together as the rows of one (R, d) array and every operation (eigh too)
-acts row by row, so restart k of seed s is the one-restart search with seed s ^ k.
+2 (F - <F>) a with F = C - 2 sum_i <O_i> O_i; for a scalar C, minimize first moves each
+start to the lowest eigenvector of F there, where that lowers V, and maximize steps along
+the damped Gauss-Newton direction of the CE condition <O_i> = 0, not conjugate gradient.
+Restarts advance together as the rows of one (R, d) array and every operation (eigh and
+solve too) acts row by row, so restart k of seed s is the one-restart search with seed s ^ k.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import STEP_TOL_DEFAULT, ObservableBasis, StateVector, check_state_label
+from .algebra import GRADIENT_FLOOR, STEP_TOL_DEFAULT, ObservableBasis, StateVector, check_state_label
 from .fluctuations import _apply, _inner, moments, variance
 
 STOP_REASONS = ("gradient", "stall", "cap")
@@ -152,12 +153,12 @@ def _search(basis: ObservableBasis, config: SearchConfig, mode: str, state_label
     if config.mode != mode:
         raise ValueError(f"config.mode must be {mode!r}")
     check_state_label(state_label, basis.dim)  # before the first draw, not at the returned state
-    sign = 1.0 if mode == "maximize" else -1.0
-    bits, a = np.random.Philox(0), np.empty((config.restarts, basis.dim), dtype=complex)
+    sign, gauss_newton = (1.0, basis.casimir is not None) if mode == "maximize" else (-1.0, False)
+    rng, a = np.random.Generator(np.random.Philox(0)), np.empty((config.restarts, basis.dim), dtype=complex)
     for k in range(config.restarts):  # re-keyed: restart k draws the stream of Philox(key=seed ^ k)
-        bits.state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": [config.seed ^ k, 0]},
-                      "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-        a[k].real, a[k].imag = np.random.Generator(bits).normal(size=(2, basis.dim))
+        rng.bit_generator.state = {"bit_generator": "Philox", "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0,
+                                   "uinteger": 0, "state": {"counter": [0] * 4, "key": [config.seed ^ k, 0]}}
+        a[k].real, a[k].imag = rng.normal(size=(2, basis.dim))
     if mode == "minimize" and basis.casimir is not None:  # start at the lowest eigenvector of c - 2 sum_i <O_i> O_i
         e = moments(a, basis)[1]
         top = np.linalg.eigh((e[:, :-1, None, None] * basis.operators).sum(axis=1))[1][..., -1]
@@ -173,15 +174,22 @@ def _search(basis: ObservableBasis, config: SearchConfig, mode: str, state_label
         running = stop < 0
         iterations[running] = min(n, config.max_iterations)
         stop[running & (gnorm <= config.step_tolerance)] = 0
+        stop[(stop < 0) & (gnorm <= GRADIENT_FLOOR * np.finfo(float).eps * np.sqrt(e[:, -1]))] = 1  # at rounding
         if n > config.max_iterations or (stop >= 0).all():
             break
         direction = xi
-        if n > 1:  # Polak-Ribiere+ (a moving row had norm_old > tol), reset unless ascending
+        if gauss_newton:  # damped Gauss-Newton towards r = <O> = 0, an ascent: Re<xi, step> = 4 r G (G + mu)^-1 r
+            h, r = oa - e[:, :-1, None] * a[:, None, :], e[:, :-1]
+            mu = (r**2).sum(axis=-1) + np.finfo(float).eps * v  # eps tr G (= V) keeps G + mu regular where G is not
+            gram = _inner(h[:, :, None], h[:, None]).real + mu[:, None, None] * np.eye(len(basis))
+            direction = -(np.linalg.solve(gram, r[..., None]) * h).sum(axis=1)
+        elif n > 1:  # Polak-Ribiere+ (a moving row had norm_old > tol)
             den = np.maximum(norm_old, config.step_tolerance) ** 2  # 0 where tol**2 underflows: restart
             beta = np.divide(_inner(xi, xi - xi_old).real, den, out=np.zeros_like(den), where=den > 0)
             lost = np.abs(_inner(xi, xi_old).real) >= _POWELL_RATIO * gnorm**2  # gradients not orthogonal
             beta = np.where(lost | ((n - 1) % (2 * basis.dim - 2) == 0), 0.0, beta)  # and every 2d - 2 steps
             direction = xi + np.maximum(beta, 0.0)[:, None] * d_old
+        if gauss_newton or n > 1:  # reset to the gradient unless ascending
             direction = direction - _inner(a, direction)[:, None] * a
             direction = np.where((_inner(direction, xi).real > 0)[:, None], direction, xi)
         dn = np.sqrt(_inner(direction, direction).real)[:, None]
@@ -213,7 +221,9 @@ def _search(basis: ObservableBasis, config: SearchConfig, mode: str, state_label
 def maximize_total_variance(
     basis: ObservableBasis, config: SearchConfig = None, state_label: str = "spherical"
 ) -> SearchResult:
-    """Search for the state of maximal total variance (a CE state)."""
+    """Search for the state of maximal total variance (a CE state). With a scalar Casimir the
+    maximizers are the zeros of r = <O>; each step searches along -sum_j x_j h_j, (G + mu) x = r,
+    h_i = O_i a - r_i a, with G_ij = Re<h_i|h_j> the covariance matrix of the basis (tr G = V)."""
     return _search(basis, config, "maximize", state_label)
 
 
@@ -222,6 +232,5 @@ def minimize_total_variance(
 ) -> SearchResult:
     """Search for the state of minimal total variance (a coherent state). With a scalar
     Casimir c, each restart starts at the lowest eigenvector of F = c - 2 sum_i <O_i> O_i:
-    the coherent state along <S> (V = j) for spin j, a product of two (V = 1) for the
-    pair. Maximize cannot: at a CE state all <O_i> = 0, so F = c and any state fits."""
+    the coherent state along <S> (V = j) for spin j, a product of two (V = 1) for the pair."""
     return _search(basis, config, "minimize", state_label)

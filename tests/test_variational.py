@@ -261,6 +261,20 @@ class TestIterationBudget:
             config = SearchConfig(restarts=16, seed=seed, max_iterations=budget[mode], mode=mode)
             assert run(basis, config, state_label=label).restart_stop == ("gradient",) * 16
 
+    @pytest.mark.parametrize("j", [1.5, 2, 3, 10])
+    def test_gauss_newton_maximize_within_six_line_searches(self, monkeypatch, j):
+        # the damped Gauss-Newton step of <O_i> = 0; conjugate gradient needed 10,
+        # 13, 18 and 16 line searches (median over these seeds) for the slowest restart.
+        # The batch evaluates once per line search and once more for the last stop test
+        calls = []
+        monkeypatch.setattr("entfluct.variational._value_and_gradient",
+                            lambda a, b: calls.append(1) or _value_and_gradient(a, b))
+        for seed in range(40):
+            calls.clear()
+            result = maximize_total_variance(spin_generators(j), SearchConfig(restarts=16, seed=seed))
+            assert result.restart_stop == ("gradient",) * 16
+            assert len(calls) - 1 <= 6
+
     @pytest.mark.parametrize("mode", ["maximize", "minimize"])
     def test_tolerance_below_the_square_root_of_the_smallest_float(self, mode):
         # step_tolerance**2 underflows to 0: a row stopped on a zero gradient
@@ -270,6 +284,59 @@ class TestIterationBudget:
         result = run(SPIN1, config)
         assert result.best_value == pytest.approx(2.0 if mode == "maximize" else 1.0, abs=1e-12)
         assert np.all(np.isfinite(result.restart_gradients))
+
+
+class TestRoundingFloor:
+    """A step tolerance below the rounding floor of the tangent gradient (a few
+    eps sqrt(<C>)) is never met: such a restart stops on stall, not at the cap."""
+
+    @pytest.mark.parametrize("basis,label,mode", [
+        (local_two_qubit_basis(), "qubit-pair", "maximize"),
+        (spin_generators(1.5), "spherical", "maximize"),
+        (spin_generators(3), "spherical", "maximize"),
+        (random_basis(np.random.default_rng(0), 4), "qubit-pair", "minimize"),
+    ], ids=["qubit-pair-max", "spin-3/2-max", "spin-3-max", "random-C4-min"])
+    def test_no_restart_reaches_the_cap(self, basis, label, mode):
+        run = maximize_total_variance if mode == "maximize" else minimize_total_variance
+        result = run(basis, SearchConfig(step_tolerance=1e-17, mode=mode), state_label=label)
+        assert set(result.restart_stop) <= {"gradient", "stall"}
+        assert result.iterations_used < 2000
+
+    def test_floor_lies_below_the_default_tolerance(self):
+        # so that with the default tolerance every spin up to j = 40 stops on the gradient test
+        from entfluct.algebra import GRADIENT_FLOOR, STEP_TOL_DEFAULT
+
+        assert GRADIENT_FLOOR * np.finfo(float).eps * np.sqrt(40 * 41) < STEP_TOL_DEFAULT
+
+
+class TestGaussNewtonDirection:
+    """With a scalar Casimir, maximize searches along -sum_j x_j h_j with
+    (G + mu I) x = r: r = <O>, h_i = O_i a - r_i a, G_ij = Re<h_i|h_j> and
+    mu = |r|^2 + eps V."""
+
+    @pytest.mark.parametrize("basis,label", [(spin_generators(1.5), "spherical"),
+                                             (local_two_qubit_basis(), "qubit-pair")])
+    def test_direction_solves_the_damped_normal_equations(self, monkeypatch, basis, label):
+        seen = []  # the random starts and their unit search directions
+        monkeypatch.setattr("entfluct.variational._line_coefficients",
+                            lambda a, d, oa, e, b: seen.append((a, d)) or _line_coefficients(a, d, oa, e, b))
+        maximize_total_variance(basis, SearchConfig(restarts=64, seed=7, max_iterations=1), state_label=label)
+        (a, d), = seen  # for the pair G r = (V - 1) r, so there d is also the gradient's direction
+        v, g, oa, e = _value_and_gradient(a, basis)
+        r = e[:, :-1]
+        h = oa - r[:, :, None] * a[:, None, :]
+        gram = (h.conj()[:, :, None, :] * h[:, None, :, :]).sum(axis=-1).real
+        mu = (r**2).sum(axis=-1) + np.finfo(float).eps * v
+        xi = g - (a.conj() * g).sum(axis=-1)[:, None] * a
+        for row in range(len(a)):
+            # d = -sum_j y_j h_j, y = x / |sum_j x_j h_j|: y from real least squares over the h_j
+            span = np.concatenate([h[row].real, h[row].imag], axis=-1).T
+            y = np.linalg.lstsq(span, -np.concatenate([d[row].real, d[row].imag]), rcond=None)[0]
+            lhs = (gram[row] + mu[row] * np.eye(len(basis))) @ y
+            scale = lhs @ r[row] / (r[row] @ r[row])  # 1 / |sum_j x_j h_j| > 0
+            assert scale > 0
+            assert np.linalg.norm(lhs / scale - r[row]) <= 1e-12 * np.linalg.norm(r[row])
+            assert np.linalg.norm(xi[row]) > 0 and np.vdot(xi[row], d[row]).real > 0
 
 
 class TestFixedPoints:
@@ -397,13 +464,14 @@ class TestDeterminismAndConsistency:
 
     def test_golden_restarts(self):
         # pins the scalar-Casimir search path from those starts; the spin-3/2
-        # amplitudes were re-recorded when the search gained Powell's restarts,
-        # the qubit-pair minimum when minimize began at the eigenvector start
+        # amplitudes were re-recorded when the search gained Powell's restarts and
+        # when maximize moved to the Gauss-Newton direction, the qubit-pair minimum
+        # when minimize began at the eigenvector start
         r = maximize_total_variance(spin_generators(1.5), SearchConfig(restarts=4, seed=3))
         assert r.restart_values.tolist() == [3.75, 3.75, 3.75, 3.75]
         assert r.best_state.amplitudes.tolist() == [
-            0.4078484392541944 + 0.07697427259537568j, 0.3608145429806576 - 0.5785995196052709j,
-            0.0665131960335607 + 0.22102206585499765j, -0.5062042721067331 + 0.23076513926939307j]
+            0.40341949467220667 + 0.07689579643850585j, 0.3643402094949997 - 0.5810752633225449j,
+            0.063597585482294 + 0.22178839181954532j, -0.5032340776626175 + 0.2333842697404032j]
         config = SearchConfig(restarts=4, seed=3, mode="minimize")
         r = minimize_total_variance(local_two_qubit_basis(), config, state_label="qubit-pair")
         assert r.restart_values.tolist() == [1.0, 0.9999999999999999, 1.0, 1.0]
