@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Find extremal-fluctuation states by Riemannian conjugate-gradient search
-with an exact line search on great circles of the state sphere.
+"""Find extremal-fluctuation states by an exact line search on great circles
+of the state sphere: maximize steps along the Gauss-Newton direction of the
+CE condition <O_i> = 0, minimize along Riemannian conjugate gradient.
 
 Maximizing the total variance over the unit sphere lands on completely
 entangled states (all observable expectations vanish); minimizing lands on

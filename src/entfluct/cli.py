@@ -240,7 +240,7 @@ def cmd_search(args) -> int:
         "restart_values": [float(v) for v in result.restart_values],
     }
     stop = result.restart_stop[result.restart_values.tolist().index(result.best_value)]  # first on ties
-    limit = f"--max-iter {args.max_iterations}" if stop == "cap" else "no step gained"
+    limit = f"--max-iter {args.max_iterations}" if stop == "cap" else "no step gained, or gradient at rounding floor"
     failure = None if result.converged else (
         f"not converged: the best restart stopped on {stop} at iteration {result.iterations_used} ({limit}),"
         f" its tangent gradient above --step-tol {args.step_tolerance:g}")

@@ -14,6 +14,7 @@ from entfluct import (
     to_cartesian,
     total_variance,
 )
+from entfluct.algebra import GRADIENT_FLOOR, STEP_TOL_DEFAULT
 from entfluct.variational import _best_angle, _line_coefficients, _line_terms, _value_and_gradient
 from util import random_basis, random_state
 
@@ -304,8 +305,6 @@ class TestRoundingFloor:
 
     def test_floor_lies_below_the_default_tolerance(self):
         # so that with the default tolerance every spin up to j = 40 stops on the gradient test
-        from entfluct.algebra import GRADIENT_FLOOR, STEP_TOL_DEFAULT
-
         assert GRADIENT_FLOOR * np.finfo(float).eps * np.sqrt(40 * 41) < STEP_TOL_DEFAULT
 
 
