@@ -179,9 +179,9 @@ def _search(basis: ObservableBasis, config: SearchConfig, mode: str, state_label
             break
         direction = xi
         if gauss_newton:  # damped Gauss-Newton towards r = <O> = 0, an ascent: Re<xi, step> = 4 r G (G + mu)^-1 r
-            h, r = oa - e[:, :-1, None] * a[:, None, :], e[:, :-1]
+            h, r = oa - e[:, :-1, None] * a[:, None, :], e[:, :-1]  # h_i = O_i a - r_i a
             mu = (r**2).sum(axis=-1) + np.finfo(float).eps * v  # eps tr G (= V) keeps G + mu regular where G is not
-            gram = _inner(h[:, :, None], h[:, None]).real + mu[:, None, None] * np.eye(len(basis))
+            gram = h.view(float) @ h.view(float).swapaxes(1, 2) + mu[:, None, None] * np.eye(len(basis))  # Re<h_i|h_j>
             direction = -(np.linalg.solve(gram, r[..., None]) * h).sum(axis=1)
         elif n > 1:  # Polak-Ribiere+ (a moving row had norm_old > tol)
             den = np.maximum(norm_old, config.step_tolerance) ** 2  # 0 where tol**2 underflows: restart

@@ -469,8 +469,8 @@ class TestDeterminismAndConsistency:
         r = maximize_total_variance(spin_generators(1.5), SearchConfig(restarts=4, seed=3))
         assert r.restart_values.tolist() == [3.75, 3.75, 3.75, 3.75]
         assert r.best_state.amplitudes.tolist() == [
-            0.40341949467220667 + 0.07689579643850585j, 0.3643402094949997 - 0.5810752633225449j,
-            0.063597585482294 + 0.22178839181954532j, -0.5032340776626175 + 0.2333842697404032j]
+            0.40341949467220667 + 0.07689579643850586j, 0.3643402094949996 - 0.5810752633225449j,
+            0.06359758548229401 + 0.22178839181954532j, -0.5032340776626175 + 0.2333842697404032j]
         config = SearchConfig(restarts=4, seed=3, mode="minimize")
         r = minimize_total_variance(local_two_qubit_basis(), config, state_label="qubit-pair")
         assert r.restart_values.tolist() == [1.0, 0.9999999999999999, 1.0, 1.0]
