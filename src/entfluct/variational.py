@@ -174,7 +174,7 @@ def _search(basis: ObservableBasis, config: SearchConfig, mode: str, state_label
         running = stop < 0
         iterations[running] = min(n, config.max_iterations)
         stop[running & (gnorm <= config.step_tolerance)] = 0
-        stop[(stop < 0) & (gnorm <= GRADIENT_FLOOR * np.finfo(float).eps * np.sqrt(e[:, -1]))] = 1  # at rounding
+        stop[(stop < 0) & (gnorm <= GRADIENT_FLOOR * np.finfo(float).eps * np.sqrt(e[:, -1]))] = 1  # rounding floor
         if n > config.max_iterations or (stop >= 0).all():
             break
         direction = xi

@@ -314,7 +314,7 @@ class TestGaussNewtonDirection:
     mu = |r|^2 + eps V."""
 
     @pytest.mark.parametrize("basis,label", [(spin_generators(1.5), "spherical"),
-                                             (local_two_qubit_basis(), "qubit-pair")])
+                                             (local_two_qubit_basis(), "qubit-pair")], ids=["spin-3/2", "qubit-pair"])
     def test_direction_solves_the_damped_normal_equations(self, monkeypatch, basis, label):
         seen = []  # the random starts and their unit search directions
         monkeypatch.setattr("entfluct.variational._line_coefficients",
