@@ -301,7 +301,6 @@ class TestRoundingFloor:
         run = maximize_total_variance if mode == "maximize" else minimize_total_variance
         result = run(basis, SearchConfig(step_tolerance=1e-17, mode=mode), state_label=label)
         assert set(result.restart_stop) <= {"gradient", "stall"}
-        assert result.iterations_used < 2000
 
     def test_floor_lies_below_the_default_tolerance(self):
         # so that with the default tolerance every spin up to j = 40 stops on the gradient test
