@@ -41,7 +41,6 @@ from .twoqubit import (
     pure_concurrence,
     sector_split,
     singlet,
-    swap_qubits,
 )
 from .variational import (
     SearchConfig,

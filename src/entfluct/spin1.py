@@ -47,23 +47,6 @@ class CanonicalForm:
     mu: np.ndarray
     nu: Optional[np.ndarray]
 
-    def reconstruct(self) -> StateVector:
-        """Rebuild the Cartesian state; any axis orthogonal to mu stands in for
-        nu when it is undetermined (phi ~ 0)."""
-        nu = _any_orthogonal_unit(self.mu) if self.nu is None else self.nu
-        amps = np.exp(1j * self.theta) * (
-            np.cos(self.phi) * self.mu + 1j * np.sin(self.phi) * nu
-        )
-        return StateVector(amps / np.linalg.norm(amps), "cartesian")
-
-
-def _any_orthogonal_unit(v: np.ndarray) -> np.ndarray:
-    trial = np.array([1.0, 0.0, 0.0])
-    if abs(v[0]) > 0.9:
-        trial = np.array([0.0, 1.0, 0.0])
-    w = trial - np.dot(trial, v) * v
-    return w / np.linalg.norm(w)
-
 
 def canonical_form(psi: StateVector) -> CanonicalForm:
     """Extract (theta, phi, mu, nu) from a Cartesian spin-1 state.

@@ -53,10 +53,6 @@ def singlet() -> StateVector:
     return StateVector(np.array([0.0, 1.0, -1.0, 0.0]) / _SQ2, "qubit-pair")
 
 
-def swap_qubits(chi: StateVector) -> StateVector:
-    return StateVector(chi.require("qubit-pair")[[0, 2, 1, 3]], "qubit-pair")
-
-
 def pure_concurrence(chi: StateVector) -> float:
     """2 |det| of the amplitude matrix: 2 |a_uu a_dd - a_ud a_du|."""
     a = chi.require("qubit-pair")

@@ -213,7 +213,7 @@ def test_criterion_9_canonical_form_robustness():
     ok = True
     for psi in states:
         form = canonical_form(psi)
-        rebuilt = form.reconstruct()
+        rebuilt = state_from_canonical(form.theta, form.phi, form.mu, form.nu)
         ok &= np.max(np.abs(rebuilt.amplitudes - psi.amplitudes)) <= 1e-9
         r = random_orthogonal(rng)
         a = r @ psi.amplitudes

@@ -13,7 +13,6 @@ from entfluct import (
     rotate_basis,
     sector_split,
     spin_generators,
-    swap_qubits,
     to_cartesian,
     to_spherical,
 )
@@ -165,6 +164,10 @@ class TestRotateBasis:
         with pytest.raises(ValueError):
             rotate_basis(local_two_qubit_basis(), np.eye(3))
 
+    def test_requires_a_3x3_rotation(self):
+        with pytest.raises(ValueError, match="must be 3x3"):
+            rotate_basis(spin_generators(1), np.eye(2))
+
 
 class TestContainers:
     # the basis checks each observable it stacks
@@ -193,6 +196,10 @@ class TestContainers:
     def test_basis_rejects_broken_su2_label(self):
         with pytest.raises(ValueError):
             ObservableBasis([np.eye(3)] * 3, label="su2-spin-1")
+
+    def test_su2_label_needs_three_generators(self):
+        with pytest.raises(ValueError, match="exactly three generators"):
+            ObservableBasis(spin_generators(1).operators[:2], label="su2-spin-1")
 
     def test_basis_takes_any_array_like(self):
         mats = [m.tolist() for m in spin_generators(1).operators]
@@ -238,6 +245,10 @@ class TestContainers:
         for dim in (2, 4, 21):
             assert StateVector(np.eye(dim)[0], "spherical").dim == dim
 
+    def test_state_rejects_empty(self):
+        with pytest.raises(ValueError, match="empty state vector"):
+            StateVector([], "spherical")
+
     def test_state_rejects_bad_label(self):
         with pytest.raises(ValueError):
             StateVector(np.array([1.0, 0.0, 0.0]), "cylindrical")
@@ -262,7 +273,7 @@ _PAIR_REFUSES = [_unit(4, "spherical"), _unit(3, "cartesian")]
 _WRONG_STATES = [
     *((fn, _SPIN1_REFUSES) for fn in (to_cartesian, concurrence_spherical, embed_symmetric)),
     *((fn, _CARTESIAN_REFUSES) for fn in (to_spherical, canonical_form)),
-    *((fn, _PAIR_REFUSES) for fn in (sector_split, project_spin1, swap_qubits, pure_concurrence)),
+    *((fn, _PAIR_REFUSES) for fn in (sector_split, project_spin1, pure_concurrence)),
 ]
 
 

@@ -275,6 +275,18 @@ class TestAnalyze:
         assert (code, out) == (2, "")
         assert err.startswith("error: malformed state JSON")
 
+    @pytest.mark.parametrize("argv,stdin,message", [
+        (["analyze"], state_json([1, 0, 0], "polar"), "unknown basis label 'polar'"),
+        (["analyze", "--normalize"], state_json([0, 0, 0], "spherical"), "cannot normalize the zero vector"),
+        (["analyze"], state_json([1, 0], "cartesian"), "a cartesian state needs 3 amplitudes, got 2"),
+        (["analyze", "--system", "two-qubit"], state_json([1, 0, 0, 0], "spherical"),
+         "two-qubit analysis needs a 4-component qubit-pair state"),
+    ], ids=["unknown-basis", "zero-vector", "cartesian-dimension", "two-qubit-label"])
+    def test_usage_error_names_the_fault(self, capsys, monkeypatch, argv, stdin, message):
+        code, out, err = run(capsys, monkeypatch, argv, stdin)
+        assert (code, out) == (2, "")
+        assert message in err
+
     def test_json_round_trip(self, capsys, monkeypatch):
         code, out1, _ = run(
             capsys, monkeypatch,
@@ -468,6 +480,16 @@ class TestConvert:
         )
         back = [complex(re, im) for re, im in json.loads(out2)["components"]]
         assert np.max(np.abs(np.array(back) - a)) < 1e-12
+
+    def test_to_its_own_basis_echoes_the_state(self, capsys, monkeypatch):
+        a = np.array([0.6, 0.0, 0.8j])
+        code, out, _ = run(
+            capsys, monkeypatch,
+            ["convert", "--to", "spherical", "--format", "json"],
+            state_json(a, "spherical"),
+        )
+        assert code == 0
+        assert json.loads(out) == json.loads(state_json(a, "spherical"))
 
     def test_invalid_input_exits_2(self, capsys, monkeypatch):
         code, _, _ = run(

@@ -1,0 +1,58 @@
+"""The public API is the list of names `entfluct/__init__.py` imports. It is
+pinned here, so that a new public name needs a deliberate edit of this list:
+a name stays only if the paper's physics or the command-line front end needs
+it, not because a test calls it."""
+
+import dataclasses
+import types
+
+import entfluct
+
+PUBLIC_NAMES = [
+    "CanonicalForm",
+    "FluctuationReport",
+    "ObservableBasis",
+    "SearchConfig",
+    "SearchResult",
+    "StateVector",
+    "canonical_form",
+    "ce_basis",
+    "concurrence_from_phi",
+    "concurrence_spherical",
+    "embed_symmetric",
+    "expectation_magnitude_canonical",
+    "expectation_vector",
+    "fluctuation_report",
+    "local_two_qubit_basis",
+    "maximize_total_variance",
+    "minimize_total_variance",
+    "moments",
+    "project_spin1",
+    "pure_concurrence",
+    "rotate_basis",
+    "sector_split",
+    "singlet",
+    "spin_generators",
+    "spin_projection_operator",
+    "to_cartesian",
+    "to_spherical",
+    "total_variance",
+    "zero_projection_axis",
+]
+
+
+def test_public_names_are_pinned():
+    # submodules become attributes of the package once imported, so they do not count
+    public = sorted(
+        name for name, value in vars(entfluct).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert public == PUBLIC_NAMES
+
+
+def test_canonical_form_is_a_plain_report():
+    # its fields and nothing else: a state is rebuilt as a StateVector, not by a method
+    form = entfluct.CanonicalForm
+    fields = [f.name for f in dataclasses.fields(form)]
+    assert fields == ["theta", "phi", "mu", "nu"]
+    assert [name for name in dir(form) if not name.startswith("_") and name not in fields] == []

@@ -416,6 +416,9 @@ class TestDeterminismAndConsistency:
             SearchConfig(step_tolerance=0.0)
         with pytest.raises(ValueError):
             SearchConfig(mode="wander")
+        for seed in (2**64, -1):
+            with pytest.raises(ValueError, match="64 unsigned bits"):
+                SearchConfig(seed=seed)
 
     @pytest.mark.parametrize("field", ["restarts", "max_iterations", "seed"])
     @pytest.mark.parametrize("bad", [2.5, 1.7, 3.0, True, "4"])
