@@ -30,7 +30,6 @@ VARIANCE_CLAMP = 1e-12  # a negative total variance down to -VARIANCE_CLAMP is r
 BOUND_SLACK = 1e-9  # V_tot may leave [V_min, V_max] by this much
 CE_TOL_DEFAULT = 1e-9  # CE verdict on max_i |<O_i>|, and on the canonical phi (--tol)
 NU_CUTOFF = 1e-9  # below this |Im| norm the canonical nu is undefined
-BILINEAR_ZERO = 1e-30  # |sum_k psi_k^2| below which the canonical phase is free
 PROJECT_TOL_DEFAULT = 1e-9  # largest singlet amplitude project_spin1 accepts
 SINGLET_NORM = 1e-12  # triplet-part norm below which a pair is a pure singlet
 STEP_TOL_DEFAULT = 1e-12  # tangent-gradient norm at which a search restart stops

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import _SQ2, BILINEAR_ZERO, CE_TOL_DEFAULT, NU_CUTOFF, PHI_SLACK, UNIT_VECTOR_TOL, StateVector
+from .algebra import _SQ2, CE_TOL_DEFAULT, NU_CUTOFF, PHI_SLACK, UNIT_VECTOR_TOL, StateVector
 
 # Columns are the Cartesian images of |+1>, |0>, |-1> (Condon-Shortley):
 # |+1> = -(e_x + i e_y)/sqrt(2), |0> = e_z, |-1> = (e_x - i e_y)/sqrt(2)
@@ -51,30 +51,18 @@ class CanonicalForm:
 def canonical_form(psi: StateVector) -> CanonicalForm:
     """Extract (theta, phi, mu, nu) from a Cartesian spin-1 state.
 
-    The bilinear form w = sum_k psi_k^2 fixes the global phase: theta =
-    arg(w)/2 folded into [0, pi), after which the real and imaginary parts of
-    e^{-i theta} psi are automatically orthogonal with |real| >= |imag|.
-    atan2 gives phi stably near 0.
+    The bilinear form w = sum_k psi_k^2 fixes the global phase: with theta =
+    arg(w)/2 folded into [0, pi), the real and imaginary parts of
+    e^{-i theta} psi are orthogonal and |real|^2 - |imag|^2 = |w| exactly. Any
+    theta serves at w = 0; where rounding near w = 0 leaves |imag| > |real|,
+    phi is capped at pi/4. atan2 gives phi stably near 0.
     """
     a = psi.require("cartesian")
-    w = np.sum(a * a)
-    if abs(w) < BILINEAR_ZERO:
-        theta = 0.0  # w = 0 leaves the phase unconstrained
-    else:
-        theta = 0.5 * np.angle(w)
-        if theta < 0.0:
-            theta += np.pi
+    # a tiny negative angle % pi rounds to pi itself; the second % takes that to 0
+    theta = 0.5 * np.angle(np.sum(a * a)) % np.pi % np.pi
     dephased = a * np.exp(-1j * theta)
-    x, y = dephased.real, dephased.imag  # views: x and y are only rebound below, never written
+    x, y = dephased.real, dephased.imag
     nx, ny = np.linalg.norm(x), np.linalg.norm(y)
-    if ny > nx:
-        # only reachable through rounding at w ~ 0; restore phi <= pi/4
-        x, y = y, -x
-        nx, ny = ny, nx
-        theta += np.pi / 2
-        if theta >= np.pi:
-            theta -= np.pi
-            x, y = -x, -y
     phi = min(float(np.arctan2(ny, nx)), np.pi / 4)
     mu = x / nx
     nu = y / ny if ny > NU_CUTOFF else None

@@ -66,6 +66,13 @@ class TestAnalyze:
         doc = json.loads(out)
         assert doc["canonical_form"]["phi"] == pytest.approx(0.0)
 
+    def test_near_real_theta_stays_below_pi(self, capsys, monkeypatch):
+        # theta = -1e-17 folds to 0, not to pi - 1e-17, which rounds to pi
+        stdin = json.dumps({"basis": "cartesian", "components": [[1, -1e-17], [0, 0], [0, 0]]})
+        code, out, _ = run(capsys, monkeypatch, ["analyze", "--format", "json"], stdin)
+        assert code == 0
+        assert 0.0 <= json.loads(out)["canonical_form"]["theta"] < np.pi
+
     def test_two_qubit(self, capsys, monkeypatch):
         code, out, _ = run(
             capsys, monkeypatch,

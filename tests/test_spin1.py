@@ -123,6 +123,15 @@ class TestCanonicalForm:
             form = canonical_form(to_cartesian(random_state(rng, 3)))
             assert 0.0 <= form.theta < np.pi
             assert 0.0 <= form.phi <= np.pi / 4
+        # a real state times e^{-i eps} has theta = -eps: adding pi to fold it
+        # rounds onto pi itself for eps below half an ulp of pi
+        for _ in range(200):
+            x = rng.normal(size=3)
+            psi = cart(x / np.linalg.norm(x) * np.exp(-1j * rng.uniform(0, 3e-16)))
+            form = canonical_form(psi)
+            assert 0.0 <= form.theta < np.pi
+            rebuilt = state_from_canonical(form.theta, form.phi, form.mu, form.nu)
+            assert np.max(np.abs(rebuilt.amplitudes - psi.amplitudes)) < 1e-9
 
 
 class TestSpinProjection:
@@ -289,12 +298,12 @@ class TestNearDegenerateCanonical:
             rebuilt = state_from_canonical(form.theta, form.phi, form.mu, form.nu)
             assert np.max(np.abs(rebuilt.amplitudes - psi.amplitudes)) < 1e-9
 
-    def test_coherent_rounding_swap(self):
+    def test_coherent_rounding_caps_phi(self):
         # on a coherent state w = sum_k psi_k^2 is 0 up to rounding, so after
         # dephasing by arg(w)/2 the imaginary part can come out longer than
-        # the real one; canonical_form then swaps them to keep phi <= pi/4.
+        # the real one; the pi/4 cap on phi then keeps the form canonical.
         # default_rng(0) gives the first such state (polar 2.0010741575072397,
-        # azimuth 1.6951199159934145); count the hits so that the branch is
+        # azimuth 1.6951199159934145); count the hits so that the case is
         # still reached wherever another numpy rounds differently.
         hits = 0
         for seed in range(2000):

@@ -4,6 +4,7 @@ exponent form (1e-9, 5e-8, ...) anywhere else in src/entfluct is a tolerance
 restated. Comments and docstrings do not count; the source is read with
 tokenize, so only NUMBER tokens are seen."""
 
+import ast
 import re
 import tokenize
 from pathlib import Path
@@ -43,4 +44,24 @@ def test_exponent_literals_only_in_the_tolerance_block():
 def test_block_holds_the_tolerances():
     inside = [text for line, text in exponent_literals(SRC / "algebra.py") if line in tolerance_block()]
     assert len(inside) >= 10
-    assert "5e-8" in inside and "1e-30" in inside
+    assert "5e-8" in inside
+
+
+def test_every_tolerance_is_read():
+    """A name defined in the block that no module of src/entfluct loads is a
+    threshold that no longer decides anything."""
+    block = tolerance_block()
+    defined = {
+        target.id
+        for node in ast.parse((SRC / "algebra.py").read_text()).body
+        if isinstance(node, ast.Assign) and node.lineno in block
+        for target in node.targets
+    }
+    read = {
+        node.id
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    assert len(defined) >= 10
+    assert sorted(defined - read) == []
