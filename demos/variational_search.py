@@ -14,7 +14,7 @@ import numpy as np
 from entfluct import (
     SearchConfig,
     canonical_form,
-    expectation_vector,
+    fluctuation_report,
     local_two_qubit_basis,
     maximize_total_variance,
     minimize_total_variance,
@@ -34,7 +34,7 @@ print("more entangled than any other and the search converges immediately.")
 print()
 basis = spin_generators(1)
 result = maximize_total_variance(basis, SearchConfig(seed=7))
-exps = expectation_vector(result.best_state, basis)
+exps = fluctuation_report(result.best_state, basis).expectations
 print("spin-1 maximizer expectations:", np.round(exps, 12), " (all zero: CE)")
 
 result = minimize_total_variance(basis, SearchConfig(seed=7, mode="minimize"))

@@ -18,7 +18,6 @@ from .algebra import (
 )
 from .fluctuations import (
     FluctuationReport,
-    expectation_vector,
     fluctuation_report,
     moments,
     total_variance,

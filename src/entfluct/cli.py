@@ -72,20 +72,21 @@ def _read_state(args) -> tuple:
         if not isinstance(pairs, list) or not pairs or any(type(x) not in (int, float) for pair in pairs for x in pair):
             raise ValueError("components must be a non-empty list of [re, im] pairs of numbers")
         amps = np.array([complex(re, im) for re, im in pairs])
+        if is_normalized(amps):  # StateVector's test; a non-finite amplitude is a ValueError
+            return amps, basis_label, None
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise UsageError(f'malformed state JSON, want {{"basis": label, "components": [[re, im], ...]}}: {exc!r}')
-    norm = float(np.linalg.norm(amps))
-    if not math.isfinite(norm):
-        raise UsageError("state has a non-finite component")
-    if is_normalized(amps):  # StateVector's test
-        return amps, basis_label, None
+    e = int(np.frexp(np.abs(amps.view(float)).max())[1])  # 2^-e takes the largest |re| or |im| into [1/2, 1)
+    unit = np.ldexp(amps.view(float), -e).view(complex)  # exactly, so its norm n neither overflows nor underflows
+    n = float(np.linalg.norm(unit))
+    norm = n * 2.0 ** (e // 2) * 2.0 ** (e - e // 2)  # n 2^e, 2^e as two finite factors; inf past the largest float
+    if norm == math.inf:
+        raise UsageError("state norm overflows a float")
     if not args.normalize:
-        raise UsageError(
-            f"state has norm {norm!r}; pass --normalize to rescale explicitly"
-        )
+        raise UsageError(f"state has norm {norm!r}; pass --normalize to rescale explicitly")
     if norm == 0.0:
         raise UsageError("cannot normalize the zero vector")
-    return amps / norm, basis_label, norm
+    return unit / n, basis_label, norm
 
 
 def _state_vector(amps, basis_label: str) -> StateVector:

@@ -29,39 +29,32 @@ def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def moments(a: np.ndarray, basis: ObservableBasis):
-    """(O a, <O>) for the rows of a (N, d): O a is (N, k, d); <O> holds the real
-    expectations (N, k + 1) of the k elements and of C = sum_i O_i^2 in the
-    normalized rows a / |a|. <C> is `basis.casimir` exactly when C = c I, else
-    sum_i |O_i a|^2 / |a|^2 = <a|C|a> / |a|^2, each O_i being Hermitian."""
+    """(O a, <O>, <C>) for the rows of a (N, d): O a is (N, k, d), <O> the real
+    expectations (N, k) of the k elements and <C> (N,) that of C = sum_i O_i^2,
+    in the normalized rows a / |a|. <C> is `basis.casimir` exactly when C = c I,
+    else sum_i |O_i a|^2 / |a|^2 = <a|C|a> / |a|^2, each O_i being Hermitian."""
     if a.ndim != 2 or a.shape[1] != basis.dim:
-        raise ValueError(f"dimension mismatch: state {a.shape[-1]}, basis {basis.dim}")
+        raise ValueError(f"dimension mismatch: want states of shape (N, {basis.dim}), got {a.shape}")
     oa = _apply(basis.operators, a[:, None, :])
     e = _inner(a[:, None, :], oa) / _inner(a, a).real[:, None]
     if np.abs(e.imag).max() > IMAG_TOL:
         raise ValueError("expectation has a non-negligible imaginary part")
-    c = basis.casimir
-    if c is None:
-        c = _inner(oa, oa).real.sum(axis=-1) / _inner(a, a).real
-    expectations = np.empty((len(a), len(basis) + 1))
-    expectations[:, :-1], expectations[:, -1] = e.real, c
-    return oa, expectations
+    if basis.casimir is None:
+        return oa, e.real, _inner(oa, oa).real.sum(axis=-1) / _inner(a, a).real
+    return oa, e.real, np.full(len(a), basis.casimir)
 
 
-def variance(e: np.ndarray) -> np.ndarray:
-    """V_tot = <C> - sum_i <O_i>^2 for each row of moments' expectations."""
-    v = e[:, -1] - (e[:, :-1] ** 2).sum(axis=-1)
+def variance(e: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """V_tot = <C> - sum_i <O_i>^2 for each row of moments' <O> and <C>."""
+    v = c - (e**2).sum(axis=-1)
     if np.min(v) < -VARIANCE_CLAMP:
         raise ValueError("total variance is negative beyond tolerance")
     return np.maximum(v, 0.0)
 
 
-def expectation_vector(psi: StateVector, basis: ObservableBasis) -> np.ndarray:
-    return moments(psi.amplitudes[None], basis)[1][0, :-1]
-
-
 def total_variance(psi: StateVector, basis: ObservableBasis) -> float:
     """Sum of variances of the basis observables in the state psi."""
-    return float(variance(moments(psi.amplitudes[None], basis)[1])[0])
+    return float(variance(*moments(psi.amplitudes[None], basis)[1:])[0])
 
 
 @dataclass(frozen=True)
@@ -89,8 +82,8 @@ def fluctuation_report(
     is included only when both bounds are supplied."""
     if not 0 < ce_tol < np.inf:
         raise ValueError("tolerance must be positive and finite")
-    e = moments(psi.amplitudes[None], basis)[1]
-    exps, v = e[0, :-1], float(variance(e)[0])
+    _, e, c = moments(psi.amplitudes[None], basis)
+    exps, v = e[0], float(variance(e, c)[0])
     residual = float(np.max(np.abs(exps)))
     conc = None
     if (v_min is None) != (v_max is None):
@@ -99,9 +92,7 @@ def fluctuation_report(
         if not -np.inf < v_min < v_max < np.inf:
             raise ValueError("variance bounds must be finite with v_max > v_min")
         if v < v_min - BOUND_SLACK or v > v_max + BOUND_SLACK:
-            raise ValueError(
-                f"total variance {v} lies outside [{v_min}, {v_max}]: inconsistent bounds"
-            )
+            raise ValueError(f"total variance {v} lies outside [{v_min}, {v_max}]: inconsistent bounds")
         conc = float(np.sqrt(min(max((v - v_min) / (v_max - v_min), 0.0), 1.0)))
     exps.setflags(write=False)
     return FluctuationReport(

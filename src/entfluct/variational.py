@@ -76,28 +76,28 @@ class SearchResult:
 
 
 def _value_and_gradient(a: np.ndarray, basis: ObservableBasis):
-    """V, the gradient 2[(C - <C>) a - 2 sum_i <O_i>(O_i - <O_i>) a], O a and
-    <O> (last column <C>) for every unit row of a (R, d). The (C - <C>) a term
-    is zero when C is the scalar c; otherwise C a = sum_i O_i (O_i a)."""
-    oa, e = moments(a, basis)
-    centred = oa - e[:, :-1, None] * a[:, None, :]
-    grad = -4.0 * (e[:, :-1, None] * centred).sum(axis=1)
+    """V, the gradient 2[(C - <C>) a - 2 sum_i <O_i> h_i], O a, <O>, <C> and the
+    centred h_i = O_i a - <O_i> a for every unit row of a (R, d). The (C - <C>) a
+    term is zero when C is the scalar c; otherwise C a = sum_i O_i (O_i a)."""
+    oa, e, c = moments(a, basis)
+    h = oa - e[:, :, None] * a[:, None, :]
+    grad = -4.0 * (e[:, :, None] * h).sum(axis=1)
     if basis.casimir is None:
-        grad = 2.0 * (_apply(basis.operators, oa).sum(axis=1) - e[:, -1:] * a) + grad
-    return variance(e), grad, oa, e
+        grad = 2.0 * (_apply(basis.operators, oa).sum(axis=1) - c[:, None] * a) + grad
+    return variance(e, c), grad, oa, e, c, h
 
 
-def _line_coefficients(a, d, oa, e, basis: ObservableBasis) -> np.ndarray:
+def _line_coefficients(a, d, oa, e, c, basis: ObservableBasis) -> np.ndarray:
     """(c1, s1, c2, s2) of V(a cos t + d sin t) = c0 + c1 cos s + s1 sin s
     + c2 cos 2s + s2 sin 2s, s = 2t, for every row; (R, 4). A scalar C has
-    <C> = c all along the circle; otherwise its column comes from O a and O d:
+    <C> = c all along the circle; otherwise <C> comes from O a and O d:
     <d|C|d> = sum_i |O_i d|^2 and Re<a|C|d> = sum_i Re<O_i a|O_i d>."""
     od = _apply(basis.operators, d[:, None, :])
-    m = (e[:, :-1] + _inner(d[:, None, :], od).real) / 2
-    u, r = e[:, :-1] - m, _inner(oa, d[:, None, :]).real  # r = Re<a|O|d>, O Hermitian
+    m = (e + _inner(d[:, None, :], od).real) / 2
+    u, r = e - m, _inner(oa, d[:, None, :]).real  # r = Re<a|O|d>, O Hermitian
     c1, s1 = -2.0 * (m * u).sum(axis=-1), -2.0 * (m * r).sum(axis=-1)
     if basis.casimir is None:
-        c1, s1 = (e[:, -1] - _inner(od, od).real.sum(axis=-1)) / 2 + c1, _inner(oa, od).real.sum(axis=-1) + s1
+        c1, s1 = (c - _inner(od, od).real.sum(axis=-1)) / 2 + c1, _inner(oa, od).real.sum(axis=-1) + s1
     return np.stack([c1, s1, -(u**2 - r**2).sum(axis=-1) / 2, -(u * r).sum(axis=-1)], axis=-1)
 
 
@@ -160,29 +160,28 @@ def _search(basis: ObservableBasis, config: SearchConfig, mode: str, state_label
                                    "uinteger": 0, "state": {"counter": [0] * 4, "key": [config.seed ^ k, 0]}}
         a[k].real, a[k].imag = rng.normal(size=(2, basis.dim))
     if mode == "minimize" and basis.casimir is not None:  # start at the lowest eigenvector of c - 2 sum_i <O_i> O_i
-        e = moments(a, basis)[1]
-        top = np.linalg.eigh((e[:, :-1, None, None] * basis.operators).sum(axis=1))[1][..., -1]
-        a = np.where((variance(moments(top, basis)[1]) < variance(e))[:, None], top, a)
+        _, e, c = moments(a, basis)
+        top = np.linalg.eigh((e[:, :, None, None] * basis.operators).sum(axis=1))[1][..., -1]
+        a = np.where((variance(*moments(top, basis)[1:]) < variance(e, c))[:, None], top, a)
     a = a / np.sqrt(_inner(a, a).real)[:, None]
     stop = np.full(config.restarts, -1)  # index into STOP_REASONS once stopped
     iterations = np.zeros(config.restarts, dtype=int)
     # a stopped row takes steps of 0, so the last evaluation holds its final state
     for n in range(1, config.max_iterations + 2):
-        v, g, oa, e = _value_and_gradient(a, basis)
+        v, g, oa, e, c, h = _value_and_gradient(a, basis)
         xi = sign * (g - _inner(a, g)[:, None] * a) * (basis.dim > 1)  # tangent ascent of sign * V; CP^0 has none
         gnorm = np.sqrt(_inner(xi, xi).real)
         running = stop < 0
         iterations[running] = min(n, config.max_iterations)
         stop[running & (gnorm <= config.step_tolerance)] = 0
-        stop[(stop < 0) & (gnorm <= GRADIENT_FLOOR * np.finfo(float).eps * np.sqrt(e[:, -1]))] = 1  # rounding floor
+        stop[(stop < 0) & (gnorm <= GRADIENT_FLOOR * np.finfo(float).eps * np.sqrt(c))] = 1  # rounding floor
         if n > config.max_iterations or (stop >= 0).all():
             break
         direction = xi
         if gauss_newton:  # damped Gauss-Newton towards r = <O> = 0, an ascent: Re<xi, step> = 4 r G (G + mu)^-1 r
-            h, r = oa - e[:, :-1, None] * a[:, None, :], e[:, :-1]  # h_i = O_i a - r_i a
-            mu = (r**2).sum(axis=-1) + np.finfo(float).eps * v  # eps tr G (= V) keeps G + mu regular where G is not
+            mu = (e**2).sum(axis=-1) + np.finfo(float).eps * v  # eps tr G (= V) keeps G + mu regular where G is not
             gram = h.view(float) @ h.view(float).swapaxes(1, 2) + mu[:, None, None] * np.eye(len(basis))  # Re<h_i|h_j>
-            direction = -(np.linalg.solve(gram, r[..., None]) * h).sum(axis=1)
+            direction = -(np.linalg.solve(gram, e[..., None]) * h).sum(axis=1)
         elif n > 1:  # Polak-Ribiere+ (a moving row had norm_old > tol)
             den = np.maximum(norm_old, config.step_tolerance) ** 2  # 0 where tol**2 underflows: restart
             beta = np.divide(_inner(xi, xi - xi_old).real, den, out=np.zeros_like(den), where=den > 0)
@@ -194,7 +193,7 @@ def _search(basis: ObservableBasis, config: SearchConfig, mode: str, state_label
             direction = np.where((_inner(direction, xi).real > 0)[:, None], direction, xi)
         dn = np.sqrt(_inner(direction, direction).real)[:, None]
         d = np.divide(direction, dn, out=np.zeros_like(direction), where=dn > 0)
-        s, gain = _best_angle(_line_coefficients(a, d, oa, e, basis), sign)
+        s, gain = _best_angle(_line_coefficients(a, d, oa, e, c, basis), sign)
         stop[(stop < 0) & ~(gain > 0)] = 1
         t = np.where(stop < 0, s, 0.0)[:, None] / 2
         sin_t, cos_t = np.sin(t), np.cos(t)

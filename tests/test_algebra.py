@@ -231,6 +231,13 @@ class TestContainers:
         with pytest.raises(ValueError, match="non-finite"):
             StateVector([bad, 1.0, 0.0], "spherical")
 
+    @pytest.mark.parametrize("amps", [[1e200, 0, 0], [1.5e308 + 1.5e308j, 0, 0], [1e-200, 0, 0]])
+    def test_finite_state_of_extreme_norm_is_not_normalized(self, amps):
+        # sum_k |a_k|^2 overflows to inf or underflows to 0: finite amplitudes are never
+        # called non-finite, and no RuntimeWarning is raised (pytest makes one an error)
+        with pytest.raises(ValueError, match="not normalized"):
+            StateVector(amps, "spherical")
+
     @pytest.mark.parametrize("amps,label", [
         ([1, 0, 0], "qubit-pair"),
         ([1, 0, 0, 0, 0], "qubit-pair"),

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -137,6 +138,39 @@ class TestAnalyze:
         assert code == 2
         assert out == ""
         assert "non-finite" in err
+
+    @pytest.mark.parametrize("components,basis,system", [
+        ([1e300, 1e300, 0], "spherical", "spin1"),
+        ([1e-200, 0, 0, 1e-200], "qubit-pair", "two-qubit"),
+        ([1e-160, 3e-161, 0], "spherical", "spin1"),
+    ], ids=["overflowing-square", "underflowing-square", "subnormal-square"])
+    def test_finite_nonzero_state_of_extreme_norm(self, capsys, monkeypatch, components, basis, system):
+        # sum_k |a_k|^2 overflows or underflows a float, the norm itself does not
+        stdin, norm = state_json(components, basis), math.hypot(*components)
+        code, out, err = run(capsys, monkeypatch, ["analyze", "--system", system], stdin)
+        assert (code, out) == (2, "")
+        assert "--normalize" in err and "non-finite" not in err and "norm 0.0" not in err
+        code, out, err = run(capsys, monkeypatch, ["analyze", "--system", system, "--normalize", "--format", "json"],
+                             stdin)
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["input"]["original_norm"] == pytest.approx(norm, rel=1e-15)
+        state = np.array(doc["state"]["components"]) @ [1, 1j]
+        assert np.max(np.abs(state - np.array(components) / norm)) <= 1e-15
+
+    def test_decompose_rescales_a_pair_whose_squared_norm_underflows(self, capsys, monkeypatch):
+        stdin = state_json([1e-200, 0, 0, 1e-200], "qubit-pair")
+        code, out, err = run(capsys, monkeypatch, ["decompose", "--normalize", "--format", "json"], stdin)
+        assert code == 0, err
+        assert json.loads(out)["symmetric_weight"] == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("flags", [[], ["--normalize"]])
+    def test_norm_beyond_the_largest_float_exits_2(self, capsys, monkeypatch, flags):
+        # every amplitude is finite, but the norm, the original_norm of the JSON, is not
+        stdin = state_json([1.5e308, 1.5e308, 0], "spherical")
+        code, out, err = run(capsys, monkeypatch, ["analyze", *flags], stdin)
+        assert (code, out) == (2, "")
+        assert "norm overflows a float" in err
 
     def test_wrong_dimension_exits_2(self, capsys, monkeypatch):
         code, _, _ = run(
@@ -632,7 +666,9 @@ class TestFlags:
 
 def _cli_env(**extra):
     src = str(Path(__file__).resolve().parent.parent / "src")
-    return {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", ""), **extra}
+    # a numpy RuntimeWarning fails a child process as pyproject.toml makes it fail an in-process test
+    return {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", ""),
+            "PYTHONWARNINGS": "error::RuntimeWarning", **extra}
 
 
 def test_closed_stdout_exits_1_without_a_traceback():

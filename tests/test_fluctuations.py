@@ -6,7 +6,6 @@ from entfluct import (
     ObservableBasis,
     StateVector,
     canonical_form,
-    expectation_vector,
     fluctuation_report,
     local_two_qubit_basis,
     moments,
@@ -28,22 +27,22 @@ def sph(components):
 
 class TestExpectation:
     def test_sz_eigenstate(self):
-        assert expectation_vector(sph([1, 0, 0]), SPIN1)[2] == pytest.approx(1.0)
+        assert fluctuation_report(sph([1, 0, 0]), SPIN1).expectations[2] == pytest.approx(1.0)
 
     def test_sx_on_m0(self):
-        assert expectation_vector(sph([0, 1, 0]), SPIN1)[0] == pytest.approx(0.0, abs=1e-14)
+        assert fluctuation_report(sph([0, 1, 0]), SPIN1).expectations[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_sz_on_symmetric_superposition(self):
         psi = sph([1 / SQ2, 0, 1 / SQ2])
-        assert expectation_vector(psi, SPIN1)[2] == pytest.approx(0.0, abs=1e-14)
+        assert fluctuation_report(psi, SPIN1).expectations[2] == pytest.approx(0.0, abs=1e-14)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            expectation_vector(StateVector([1, 0], "spherical"), SPIN1)
+            fluctuation_report(StateVector([1, 0], "spherical"), SPIN1).expectations
 
     def test_vector_examples(self):
-        assert np.allclose(expectation_vector(sph([0, 1, 0]), SPIN1), [0, 0, 0], atol=1e-14)
-        assert np.allclose(expectation_vector(sph([1, 0, 0]), SPIN1), [0, 0, 1], atol=1e-14)
+        assert np.allclose(fluctuation_report(sph([0, 1, 0]), SPIN1).expectations, [0, 0, 0], atol=1e-14)
+        assert np.allclose(fluctuation_report(sph([1, 0, 0]), SPIN1).expectations, [0, 0, 1], atol=1e-14)
 
     def test_canonical_magnitude_is_sin_2phi(self):
         rng = np.random.default_rng(11)
@@ -52,7 +51,7 @@ class TestExpectation:
         for phi in np.linspace(0.0, np.pi / 4, 9):
             mu, nu = random_orthonormal_pair(rng)
             psi = state_from_canonical(0.3, phi, mu, nu)
-            mag = np.linalg.norm(expectation_vector(psi, basis))
+            mag = np.linalg.norm(fluctuation_report(psi, basis).expectations)
             assert mag == pytest.approx(np.sin(2 * phi), abs=1e-10)
 
 
@@ -84,7 +83,7 @@ class TestTotalVariance:
         for _ in range(10):
             psi = random_state(rng, basis.dim)
             v = total_variance(psi, basis)
-            mag2 = np.sum(expectation_vector(psi, basis) ** 2)
+            mag2 = np.sum(fluctuation_report(psi, basis).expectations ** 2)
             assert abs(v - (j * (j + 1) - mag2)) < 1e-10
 
     def test_global_phase_invariance(self):
@@ -104,7 +103,7 @@ class TestSpinJProperties:
         basis = spin_generators(j)
         psi = random_state(np.random.default_rng(seed), basis.dim)
         v = total_variance(psi, basis)
-        s = expectation_vector(psi, basis)
+        s = fluctuation_report(psi, basis).expectations
         tol = 1e-12 * j * j
         assert j - tol <= v <= j * (j + 1) + tol
         assert abs(v - (j * (j + 1) - s @ s)) <= tol
@@ -125,12 +124,12 @@ class TestMoments:
     def test_batched_rows_equal_single_rows(self, basis):
         rng = np.random.default_rng(12)
         a = rng.normal(size=(7, basis.dim)) + 1j * rng.normal(size=(7, basis.dim))
-        oa, e = moments(a, basis)
+        oa, e, c = moments(a, basis)
         assert oa.shape == (7, len(basis), basis.dim)
-        assert e.shape == (7, len(basis) + 1)
+        assert e.shape == (7, len(basis)) and c.shape == (7,)
         for k in range(7):
-            oa1, e1 = moments(a[k : k + 1], basis)
-            assert np.array_equal(oa1[0], oa[k]) and np.array_equal(e1[0], e[k])
+            oa1, e1, c1 = moments(a[k : k + 1], basis)
+            assert np.array_equal(oa1[0], oa[k]) and np.array_equal(e1[0], e[k]) and np.array_equal(c1[0], c[k])
 
     @pytest.mark.parametrize("basis", [SPIN1, spin_generators(3), local_two_qubit_basis()])
     def test_matches_the_per_observable_loop(self, basis):
@@ -142,9 +141,9 @@ class TestMoments:
             a = psi.amplitudes
             first = np.array([np.vdot(a, o @ a).real for o in basis.operators])
             second = np.array([np.linalg.norm(o @ a) ** 2 for o in basis.operators])
-            _, e = moments(a[None], basis)
-            assert np.max(np.abs(e[0, :-1] - first)) <= 1e-14
-            assert abs(e[0, -1] - second.sum()) <= 1e-13
+            _, e, c = moments(a[None], basis)
+            assert np.max(np.abs(e[0] - first)) <= 1e-14
+            assert abs(c[0] - second.sum()) <= 1e-13
             assert abs(total_variance(psi, basis) - (second - first**2).sum()) <= 1e-13
 
     def test_casimir_column_of_a_basis_without_a_scalar_casimir(self):
@@ -155,16 +154,16 @@ class TestMoments:
             c = casimir_sum(basis)
             a = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
             expected = np.einsum("ni,ij,nj->n", a.conj(), c, a).real / np.sum(np.abs(a) ** 2, axis=-1)
-            _, e = moments(a, basis)
-            assert np.max(np.abs(e[:, -1] - expected) / np.abs(expected)) <= 1e-14
+            _, _, c = moments(a, basis)
+            assert np.max(np.abs(c - expected) / np.abs(expected)) <= 1e-14
 
     def test_expectations_of_the_normalized_state(self):
         rng = np.random.default_rng(13)
         a = random_state(rng, 3).amplitudes
-        _, unit = moments(a[None], SPIN1)
-        _, scaled = moments(3.0 * a[None], SPIN1)
-        assert np.max(np.abs(unit - scaled)) <= 1e-15
-        assert unit[0, -1] == pytest.approx(2.0, abs=1e-15)  # <C> = j(j+1)
+        _, unit, unit_c = moments(a[None], SPIN1)
+        _, scaled, scaled_c = moments(3.0 * a[None], SPIN1)
+        assert np.max(np.abs(unit - scaled)) <= 1e-15 and np.max(np.abs(unit_c - scaled_c)) <= 1e-15
+        assert unit_c[0] == SPIN1.casimir == 2.0  # <C> = j(j+1), copied, not computed
 
     def test_state_within_norm_tolerance(self):
         # |a|^2 - 1 = 1e-13 is accepted; V_tot must still be that of a / |a|
@@ -175,6 +174,9 @@ class TestMoments:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             moments(np.ones((2, 4)), SPIN1)
+        # a single state must come as one row: the message names both shapes
+        with pytest.raises(ValueError, match=r"shape \(N, 3\), got \(3,\)"):
+            moments(np.array([0, 1, 0]), SPIN1)
 
 
 class TestCompletelyEntangled:
@@ -198,7 +200,7 @@ class TestCompletelyEntangled:
             report = fluctuation_report(psi, SPIN1, ce_tol=1e-3)
             assert report.ce_flag == (report.ce_residual <= 1e-3)
             assert report.ce_residual == pytest.approx(
-                np.max(np.abs(expectation_vector(psi, SPIN1))), abs=1e-15
+                np.max(np.abs(fluctuation_report(psi, SPIN1).expectations)), abs=1e-15
             )
 
     def test_rejects_bad_tol(self):
@@ -266,4 +268,4 @@ class TestReport:
         basis = ObservableBasis([np.eye(3)])
         object.__setattr__(basis, "operators", np.array([[[0, 1j, 0], [0, 0, 0], [0, 0, 0]]]))
         with pytest.raises(ValueError):
-            expectation_vector(sph([1 / SQ2, 1 / SQ2, 0]), basis)
+            fluctuation_report(sph([1 / SQ2, 1 / SQ2, 0]), basis).expectations

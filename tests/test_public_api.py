@@ -21,7 +21,6 @@ PUBLIC_NAMES = [
     "concurrence_spherical",
     "embed_symmetric",
     "expectation_magnitude_canonical",
-    "expectation_vector",
     "fluctuation_report",
     "local_two_qubit_basis",
     "maximize_total_variance",

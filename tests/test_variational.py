@@ -79,8 +79,8 @@ class TestLineCoefficients:
             d = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
             d = d - np.vdot(a, d) * a
             d = d / np.linalg.norm(d)
-            v0, _, oa, e = _value_and_gradient(a[None], basis)
-            coef = _line_coefficients(a[None], d[None], oa, e, basis)
+            v0, _, oa, e, c, _ = _value_and_gradient(a[None], basis)
+            coef = _line_coefficients(a[None], d[None], oa, e, c, basis)
             t = rng.uniform(0, 2 * np.pi, size=8)
             line = v0[0] + (coef[0][:, None] * _line_terms(2 * t)).sum(axis=0)
             direct = [total_variance(StateVector(a * np.cos(x) + d * np.sin(x), label), basis)
@@ -317,12 +317,11 @@ class TestGaussNewtonDirection:
     def test_direction_solves_the_damped_normal_equations(self, monkeypatch, basis, label):
         seen = []  # the random starts and their unit search directions
         monkeypatch.setattr("entfluct.variational._line_coefficients",
-                            lambda a, d, oa, e, b: seen.append((a, d)) or _line_coefficients(a, d, oa, e, b))
+                            lambda a, d, oa, e, c, b: seen.append((a, d)) or _line_coefficients(a, d, oa, e, c, b))
         maximize_total_variance(basis, SearchConfig(restarts=64, seed=7, max_iterations=1), state_label=label)
         (a, d), = seen  # for the pair G r = (V - 1) r, so there d is also the gradient's direction
-        v, g, oa, e = _value_and_gradient(a, basis)
-        r = e[:, :-1]
-        h = oa - r[:, :, None] * a[:, None, :]
+        v, g, oa, r, _, h = _value_and_gradient(a, basis)
+        assert np.array_equal(h, oa - r[:, :, None] * a[:, None, :])
         gram = (h.conj()[:, :, None, :] * h[:, None, :, :]).sum(axis=-1).real
         mu = (r**2).sum(axis=-1) + np.finfo(float).eps * v
         xi = g - (a.conj() * g).sum(axis=-1)[:, None] * a
