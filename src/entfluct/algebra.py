@@ -1,10 +1,11 @@
 """Observable algebras: spin-j generators and the local two-qubit set, each
-one (k, d, d) array of Hermitian matrices recording its Casimir sum C =
-sum_i O_i^2 as the scalar `casimir` when C = c I.
+one (k, d, d) array of Hermitian matrices whose Casimir sum C = sum_i O_i^2
+is a scalar c I, recorded as `casimir`.
 
 All containers are immutable after construction and validate their defining
-invariants (Hermiticity, unit norm, su(2) commutation, the dimension a state
-label requires) up front, so downstream numerics never have to re-check them.
+invariants (Hermiticity, a scalar Casimir, unit norm, su(2) commutation, the
+dimension a state label requires) up front, so downstream numerics never have
+to re-check them.
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ NU_CUTOFF = 1e-9  # below this |Im| norm the canonical nu is undefined
 PROJECT_TOL_DEFAULT = 1e-9  # largest singlet amplitude project_spin1 accepts
 SINGLET_NORM = 1e-12  # triplet-part norm below which a pair is a pure singlet
 STEP_TOL_DEFAULT = 1e-12  # tangent-gradient norm at which a search restart stops
-GRADIENT_FLOOR = 64  # tangent gradient, in eps sqrt(<C>), at which a restart stops on stall (< 1e-12 for j <= 40)
+GRADIENT_FLOOR = 64  # tangent gradient, in eps sqrt(c), at which a restart stops on stall (< 1e-12 for j <= 40)
 CROSS_CHECK_TOL = 1e-9  # agreement of the exactly conditioned concurrences
-SCALAR_CASIMIR_TOL = 1e-12  # max |C - c I| / max(1, |c|) at which C = sum_i O_i^2 is recorded as the scalar c
+SCALAR_CASIMIR_TOL = 1e-12  # max |C - c I| / max(1, |c|) of a basis: its C = sum_i O_i^2 must be the scalar c
 # sqrt((V - V_min)/(V_max - V_min)) loses half the working precision when the
 # concurrence is near zero (V - V_min is then pure rounding noise ~ 1e-16, and
 # the square root inflates it to ~ 1e-8), so the variance route gets a wider
@@ -62,14 +63,15 @@ class ObservableBasis:
     """Ordered basis of the algebra of essential observables: `operators` is one
     read-only (k, d, d) complex stack, copied from any array-like and checked
     once (square, finite, Hermitian; su(2) commutation for an `su2-spin-*`
-    label). `casimir` is c, the mean of the diagonal of the Casimir sum C =
-    sum_i O_i^2, when C = c I within SCALAR_CASIMIR_TOL (spin j: j(j+1), the
-    local qubit pair: 3/2), else None; C itself is not kept. Equality is
-    identity, so a basis is hashable."""
+    label). The Casimir sum C = sum_i O_i^2 must be c I within
+    SCALAR_CASIMIR_TOL, as it is on an irreducible representation (Schur's
+    lemma), else ValueError; `casimir` is c, the mean of its diagonal (spin j:
+    j(j+1), the local qubit pair: 3/2). Equality is identity, so a basis is
+    hashable."""
 
     operators: np.ndarray
     label: str = ""
-    casimir: float | None = field(init=False, repr=False)
+    casimir: float = field(init=False, repr=False)
 
     def __post_init__(self):
         ops = np.array(self.operators, dtype=complex)  # a ragged stack raises ValueError
@@ -85,8 +87,9 @@ class ObservableBasis:
             self._check_su2_commutation(ops)
         c_op = np.sum(ops @ ops, axis=0)
         c = float(np.trace(c_op).real) / self.dim
-        scalar = np.max(np.abs(c_op - c * np.eye(self.dim))) <= SCALAR_CASIMIR_TOL * max(1.0, abs(c))
-        object.__setattr__(self, "casimir", c if scalar else None)
+        if np.max(np.abs(c_op - c * np.eye(self.dim))) > SCALAR_CASIMIR_TOL * max(1.0, abs(c)):
+            raise ValueError(f"Casimir sum C = sum_i O_i^2 is not a scalar within {SCALAR_CASIMIR_TOL:g}")
+        object.__setattr__(self, "casimir", c)
 
     @staticmethod
     def _check_su2_commutation(ops):

@@ -82,10 +82,10 @@ def _read_state(args) -> tuple:
     norm = n * 2.0 ** (e // 2) * 2.0 ** (e - e // 2)  # n 2^e, 2^e as two finite factors; inf past the largest float
     if norm == math.inf:
         raise UsageError("state norm overflows a float")
-    if not args.normalize:
-        raise UsageError(f"state has norm {norm!r}; pass --normalize to rescale explicitly")
     if norm == 0.0:
         raise UsageError("cannot normalize the zero vector")
+    if not args.normalize:
+        raise UsageError(f"state has norm {norm!r}; pass --normalize to rescale explicitly")
     return unit / n, basis_label, norm
 
 

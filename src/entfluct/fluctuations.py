@@ -1,8 +1,8 @@
 """Total variance of an observable basis, from one batched moments kernel.
 
-The total variance sum_i (<O_i^2> - <O_i>^2) = <C> - sum_i <O_i>^2, with the
-Casimir sum C = sum_i O_i^2, measures how far a state sits from
-classical reality; its maximizers are the completely entangled (CE) states,
+The total variance sum_i (<O_i^2> - <O_i>^2) = c - sum_i <O_i>^2, with c the
+scalar Casimir sum C = sum_i O_i^2 of the basis, measures how far a state sits
+from classical reality; its maximizers are the completely entangled (CE) states,
 characterized by all basis expectations vanishing. `fluctuation_report` is the
 one place a state's CE verdict and variance concurrence come from.
 """
@@ -18,9 +18,9 @@ from .algebra import BOUND_SLACK, CE_TOL_DEFAULT, IMAG_TOL, VARIANCE_CLAMP, Obse
 
 
 def _apply(ops: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """O x, (N, len(ops), d), for rows x (N, 1, d) or (N, len(ops), d), operator i
-    on row i; a broadcast sum, so each row is rounded alike whatever N is."""
-    return (ops[None] * x[:, :, None, :]).sum(axis=-1)
+    """O x, (N, len(ops), d), for the rows of x (N, d); a broadcast sum, so each
+    row is rounded alike whatever N is."""
+    return (ops[None] * x[:, None, None, :]).sum(axis=-1)
 
 
 def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -29,23 +29,20 @@ def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def moments(a: np.ndarray, basis: ObservableBasis):
-    """(O a, <O>, <C>) for the rows of a (N, d): O a is (N, k, d), <O> the real
-    expectations (N, k) of the k elements and <C> (N,) that of C = sum_i O_i^2,
-    in the normalized rows a / |a|. <C> is `basis.casimir` exactly when C = c I,
-    else sum_i |O_i a|^2 / |a|^2 = <a|C|a> / |a|^2, each O_i being Hermitian."""
+    """(O a, <O>) for the rows of a (N, d): O a is (N, k, d) and <O> the real
+    expectations (N, k) of the k elements in the normalized rows a / |a|. <C>
+    is `basis.casimir` in every state."""
     if a.ndim != 2 or a.shape[1] != basis.dim:
         raise ValueError(f"dimension mismatch: want states of shape (N, {basis.dim}), got {a.shape}")
-    oa = _apply(basis.operators, a[:, None, :])
+    oa = _apply(basis.operators, a)
     e = _inner(a[:, None, :], oa) / _inner(a, a).real[:, None]
     if np.abs(e.imag).max() > IMAG_TOL:
         raise ValueError("expectation has a non-negligible imaginary part")
-    if basis.casimir is None:
-        return oa, e.real, _inner(oa, oa).real.sum(axis=-1) / _inner(a, a).real
-    return oa, e.real, np.full(len(a), basis.casimir)
+    return oa, e.real
 
 
-def variance(e: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """V_tot = <C> - sum_i <O_i>^2 for each row of moments' <O> and <C>."""
+def variance(e: np.ndarray, c: float) -> np.ndarray:
+    """V_tot = c - sum_i <O_i>^2 for each row of moments' <O>, c the basis's Casimir."""
     v = c - (e**2).sum(axis=-1)
     if np.min(v) < -VARIANCE_CLAMP:
         raise ValueError("total variance is negative beyond tolerance")
@@ -54,7 +51,7 @@ def variance(e: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 def total_variance(psi: StateVector, basis: ObservableBasis) -> float:
     """Sum of variances of the basis observables in the state psi."""
-    return float(variance(*moments(psi.amplitudes[None], basis)[1:])[0])
+    return float(variance(moments(psi.amplitudes[None], basis)[1], basis.casimir)[0])
 
 
 @dataclass(frozen=True)
@@ -82,8 +79,8 @@ def fluctuation_report(
     is included only when both bounds are supplied."""
     if not 0 < ce_tol < np.inf:
         raise ValueError("tolerance must be positive and finite")
-    _, e, c = moments(psi.amplitudes[None], basis)
-    exps, v = e[0], float(variance(e, c)[0])
+    _, e = moments(psi.amplitudes[None], basis)
+    exps, v = e[0], float(variance(e, basis.casimir)[0])
     residual = float(np.max(np.abs(exps)))
     conc = None
     if (v_min is None) != (v_max is None):

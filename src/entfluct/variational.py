@@ -2,22 +2,22 @@
 state space: maximizers are the completely entangled states, minimizers the
 generalized coherent states.
 
-Riemannian conjugate gradient (Polak-Ribiere+, exact parallel transport) that
-restarts from the tangent gradient every 2d - 2 steps, the real dimension of
-CP^(d-1), and where successive gradients lose orthogonality (Powell 1977), with
-an exact line search: on a great circle a cos t + d sin t each <O> is
-m + u cos 2t + r sin 2t, so V = <C> - sum_i <O_i>^2 (C = sum_i O_i^2) is a
-trigonometric polynomial of degree 2 in s = 2t; when C is the scalar c, <C> = c
-all along the circle. The line search evaluates that polynomial on a 64-point
-grid, one broadcast product with a module table of the grid's four line terms,
-and polishes the best grid point of each of its (at most two) local maxima with
-clipped Newton steps that compute the first two derivatives alone; V itself is
-evaluated once more, to pick the best polished point. The gradient is
-2 (F - <F>) a with F = C - 2 sum_i <O_i> O_i; for a scalar C, minimize first moves each
-start to the lowest eigenvector of F there, where that lowers V, and maximize steps along
-the damped Gauss-Newton direction of the CE condition <O_i> = 0, not conjugate gradient.
-Restarts advance together as the rows of one (R, d) array and every operation (eigh and
-solve too) acts row by row, so restart k of seed s is the one-restart search with seed s ^ k.
+Both modes take an exact line search: on a great circle a cos t + d sin t each
+<O> is m + u cos 2t + r sin 2t, so V = c - sum_i <O_i>^2 (c the scalar Casimir
+sum_i O_i^2) is a trigonometric polynomial of degree 2 in s = 2t. The line
+search evaluates that polynomial on a 64-point grid, one broadcast product with
+a module table of the grid's four line terms, and polishes the best grid point
+of each of its (at most two) local maxima with clipped Newton steps that compute
+the first two derivatives alone; V itself is evaluated once more, to pick the
+best polished point. The gradient is 2 (F - <F>) a with F = c - 2 sum_i <O_i> O_i.
+Maximize steps along the damped Gauss-Newton direction of the CE condition
+<O_i> = 0. Minimize first moves each start to the lowest eigenvector of F there,
+where that lowers V, then runs Riemannian conjugate gradient (Polak-Ribiere+,
+exact parallel transport) that restarts from the tangent gradient every 2d - 2
+steps, the real dimension of CP^(d-1), and where successive gradients lose
+orthogonality (Powell 1977). Restarts advance together as the rows of one
+(R, d) array and every operation (eigh and solve too) acts row by row, so
+restart k of seed s is the one-restart search with seed s ^ k.
 """
 
 from __future__ import annotations
@@ -76,29 +76,21 @@ class SearchResult:
 
 
 def _value_and_gradient(a: np.ndarray, basis: ObservableBasis):
-    """V, the gradient 2[(C - <C>) a - 2 sum_i <O_i> h_i], O a, <O>, <C> and the
-    centred h_i = O_i a - <O_i> a for every unit row of a (R, d). The (C - <C>) a
-    term is zero when C is the scalar c; otherwise C a = sum_i O_i (O_i a)."""
-    oa, e, c = moments(a, basis)
+    """V, the gradient -4 sum_i <O_i> h_i, O a, <O> and the centred
+    h_i = O_i a - <O_i> a for every unit row of a (R, d)."""
+    oa, e = moments(a, basis)
     h = oa - e[:, :, None] * a[:, None, :]
-    grad = -4.0 * (e[:, :, None] * h).sum(axis=1)
-    if basis.casimir is None:
-        grad = 2.0 * (_apply(basis.operators, oa).sum(axis=1) - c[:, None] * a) + grad
-    return variance(e, c), grad, oa, e, c, h
+    return variance(e, basis.casimir), -4.0 * (e[:, :, None] * h).sum(axis=1), oa, e, h
 
 
-def _line_coefficients(a, d, oa, e, c, basis: ObservableBasis) -> np.ndarray:
+def _line_coefficients(d, oa, e, basis: ObservableBasis) -> np.ndarray:
     """(c1, s1, c2, s2) of V(a cos t + d sin t) = c0 + c1 cos s + s1 sin s
-    + c2 cos 2s + s2 sin 2s, s = 2t, for every row; (R, 4). A scalar C has
-    <C> = c all along the circle; otherwise <C> comes from O a and O d:
-    <d|C|d> = sum_i |O_i d|^2 and Re<a|C|d> = sum_i Re<O_i a|O_i d>."""
-    od = _apply(basis.operators, d[:, None, :])
+    + c2 cos 2s + s2 sin 2s, s = 2t, for every row, from O a and <O> at a; (R, 4)."""
+    od = _apply(basis.operators, d)
     m = (e + _inner(d[:, None, :], od).real) / 2
     u, r = e - m, _inner(oa, d[:, None, :]).real  # r = Re<a|O|d>, O Hermitian
-    c1, s1 = -2.0 * (m * u).sum(axis=-1), -2.0 * (m * r).sum(axis=-1)
-    if basis.casimir is None:
-        c1, s1 = (c - _inner(od, od).real.sum(axis=-1)) / 2 + c1, _inner(oa, od).real.sum(axis=-1) + s1
-    return np.stack([c1, s1, -(u**2 - r**2).sum(axis=-1) / 2, -(u * r).sum(axis=-1)], axis=-1)
+    return np.stack([-2.0 * (m * u).sum(axis=-1), -2.0 * (m * r).sum(axis=-1),
+                     -(u**2 - r**2).sum(axis=-1) / 2, -(u * r).sum(axis=-1)], axis=-1)
 
 
 _TERM_FREQ = np.array([0.5, 1.0, 1.0, 2.0])
@@ -153,32 +145,33 @@ def _search(basis: ObservableBasis, config: SearchConfig, mode: str, state_label
     if config.mode != mode:
         raise ValueError(f"config.mode must be {mode!r}")
     check_state_label(state_label, basis.dim)  # before the first draw, not at the returned state
-    sign, gauss_newton = (1.0, basis.casimir is not None) if mode == "maximize" else (-1.0, False)
+    maximize = mode == "maximize"
+    sign = 1.0 if maximize else -1.0
     rng, a = np.random.Generator(np.random.Philox(0)), np.empty((config.restarts, basis.dim), dtype=complex)
     for k in range(config.restarts):  # re-keyed: restart k draws the stream of Philox(key=seed ^ k)
         rng.bit_generator.state = {"bit_generator": "Philox", "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0,
                                    "uinteger": 0, "state": {"counter": [0] * 4, "key": [config.seed ^ k, 0]}}
         a[k].real, a[k].imag = rng.normal(size=(2, basis.dim))
-    if mode == "minimize" and basis.casimir is not None:  # start at the lowest eigenvector of c - 2 sum_i <O_i> O_i
-        _, e, c = moments(a, basis)
+    if not maximize:  # start at the lowest eigenvector of c - 2 sum_i <O_i> O_i, where that lowers V
+        e = moments(a, basis)[1]
         top = np.linalg.eigh((e[:, :, None, None] * basis.operators).sum(axis=1))[1][..., -1]
-        a = np.where((variance(*moments(top, basis)[1:]) < variance(e, c))[:, None], top, a)
+        a = np.where((variance(moments(top, basis)[1], basis.casimir) < variance(e, basis.casimir))[:, None], top, a)
     a = a / np.sqrt(_inner(a, a).real)[:, None]
-    stop = np.full(config.restarts, -1)  # index into STOP_REASONS once stopped
+    stop = -np.ones(config.restarts, dtype=int)  # index into STOP_REASONS once stopped
     iterations = np.zeros(config.restarts, dtype=int)
     # a stopped row takes steps of 0, so the last evaluation holds its final state
     for n in range(1, config.max_iterations + 2):
-        v, g, oa, e, c, h = _value_and_gradient(a, basis)
+        v, g, oa, e, h = _value_and_gradient(a, basis)
         xi = sign * (g - _inner(a, g)[:, None] * a) * (basis.dim > 1)  # tangent ascent of sign * V; CP^0 has none
         gnorm = np.sqrt(_inner(xi, xi).real)
         running = stop < 0
         iterations[running] = min(n, config.max_iterations)
         stop[running & (gnorm <= config.step_tolerance)] = 0
-        stop[(stop < 0) & (gnorm <= GRADIENT_FLOOR * np.finfo(float).eps * np.sqrt(c))] = 1  # rounding floor
+        stop[(stop < 0) & (gnorm <= GRADIENT_FLOOR * np.finfo(float).eps * np.sqrt(basis.casimir))] = 1  # rounding floor
         if n > config.max_iterations or (stop >= 0).all():
             break
         direction = xi
-        if gauss_newton:  # damped Gauss-Newton towards r = <O> = 0, an ascent: Re<xi, step> = 4 r G (G + mu)^-1 r
+        if maximize:  # damped Gauss-Newton towards r = <O> = 0, an ascent: Re<xi, step> = 4 r G (G + mu)^-1 r
             mu = (e**2).sum(axis=-1) + np.finfo(float).eps * v  # eps tr G (= V) keeps G + mu regular where G is not
             gram = h.view(float) @ h.view(float).swapaxes(1, 2) + mu[:, None, None] * np.eye(len(basis))  # Re<h_i|h_j>
             direction = -(np.linalg.solve(gram, e[..., None]) * h).sum(axis=1)
@@ -188,12 +181,12 @@ def _search(basis: ObservableBasis, config: SearchConfig, mode: str, state_label
             lost = np.abs(_inner(xi, xi_old).real) >= _POWELL_RATIO * gnorm**2  # gradients not orthogonal
             beta = np.where(lost | ((n - 1) % (2 * basis.dim - 2) == 0), 0.0, beta)  # and every 2d - 2 steps
             direction = xi + np.maximum(beta, 0.0)[:, None] * d_old
-        if gauss_newton or n > 1:  # reset to the gradient unless ascending
+        if maximize or n > 1:  # reset to the gradient unless ascending
             direction = direction - _inner(a, direction)[:, None] * a
             direction = np.where((_inner(direction, xi).real > 0)[:, None], direction, xi)
         dn = np.sqrt(_inner(direction, direction).real)[:, None]
         d = np.divide(direction, dn, out=np.zeros_like(direction), where=dn > 0)
-        s, gain = _best_angle(_line_coefficients(a, d, oa, e, c, basis), sign)
+        s, gain = _best_angle(_line_coefficients(d, oa, e, basis), sign)
         stop[(stop < 0) & ~(gain > 0)] = 1
         t = np.where(stop < 0, s, 0.0)[:, None] / 2
         sin_t, cos_t = np.sin(t), np.cos(t)
@@ -220,8 +213,8 @@ def _search(basis: ObservableBasis, config: SearchConfig, mode: str, state_label
 def maximize_total_variance(
     basis: ObservableBasis, config: SearchConfig = None, state_label: str = "spherical"
 ) -> SearchResult:
-    """Search for the state of maximal total variance (a CE state). With a scalar Casimir the
-    maximizers are the zeros of r = <O>; each step searches along -sum_j x_j h_j, (G + mu) x = r,
+    """Search for the state of maximal total variance (a CE state). The maximizers
+    are the zeros of r = <O>; each step searches along -sum_j x_j h_j, (G + mu) x = r,
     h_i = O_i a - r_i a, with G_ij = Re<h_i|h_j> the covariance matrix of the basis (tr G = V)."""
     return _search(basis, config, "maximize", state_label)
 
@@ -229,7 +222,7 @@ def maximize_total_variance(
 def minimize_total_variance(
     basis: ObservableBasis, config: SearchConfig = None, state_label: str = "spherical"
 ) -> SearchResult:
-    """Search for the state of minimal total variance (a coherent state). With a scalar
-    Casimir c, each restart starts at the lowest eigenvector of F = c - 2 sum_i <O_i> O_i:
+    """Search for the state of minimal total variance (a coherent state). Each restart
+    starts at the lowest eigenvector of F = c - 2 sum_i <O_i> O_i:
     the coherent state along <S> (V = j) for spin j, a product of two (V = 1) for the pair."""
     return _search(basis, config, "minimize", state_label)

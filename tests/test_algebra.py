@@ -142,11 +142,12 @@ class TestRotateBasis:
                 rotated = rotate_basis(spin_generators(j), random_orthogonal(rng))
                 assert rotated.casimir == pytest.approx(j * (j + 1), rel=1e-15)
 
-    def test_random_basis_has_no_scalar_casimir(self):
-        basis = random_basis(np.random.default_rng(5), 4)
-        assert basis.casimir is None
-        c = casimir_sum(basis)
-        assert np.max(np.abs(c - np.trace(c).real / 4 * np.eye(4))) > 1e-3
+    def test_basis_without_a_scalar_casimir_is_refused(self):
+        rng = np.random.default_rng(5)
+        m = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+        with pytest.raises(ValueError, match="not a scalar"):
+            ObservableBasis(m + m.conj().transpose(0, 2, 1))  # three random Hermitian matrices
+        assert random_basis(rng, 4).casimir == pytest.approx(15 / 4, rel=1e-15)  # U S U^dagger keeps C = j(j+1)
 
     def test_rotation_preserves_commutation(self):
         rng = np.random.default_rng(8)

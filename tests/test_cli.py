@@ -97,6 +97,13 @@ class TestAnalyze:
         assert code == 2
         assert "--normalize" in err
 
+    @pytest.mark.parametrize("argv", [["analyze"], ["convert", "--to", "cartesian"]], ids=["analyze", "convert"])
+    def test_zero_vector_does_not_suggest_normalize(self, capsys, monkeypatch, argv):
+        # --normalize cannot rescue the zero vector, so the message must not offer it
+        code, out, err = run(capsys, monkeypatch, argv, state_json([0, 0, 0], "spherical"))
+        assert (code, out) == (2, "")
+        assert "cannot normalize the zero vector" in err and "--normalize" not in err
+
     def test_normalize_flag_records_norm(self, capsys, monkeypatch):
         code, out, _ = run(
             capsys, monkeypatch,

@@ -15,7 +15,7 @@ from entfluct import (
     to_cartesian,
     total_variance,
 )
-from util import casimir_sum, random_basis, random_orthogonal, random_orthonormal_pair, random_state, state_from_canonical
+from util import random_basis, random_orthogonal, random_orthonormal_pair, random_state, state_from_canonical
 
 SQ2 = np.sqrt(2.0)
 SPIN1 = spin_generators(1)
@@ -124,12 +124,11 @@ class TestMoments:
     def test_batched_rows_equal_single_rows(self, basis):
         rng = np.random.default_rng(12)
         a = rng.normal(size=(7, basis.dim)) + 1j * rng.normal(size=(7, basis.dim))
-        oa, e, c = moments(a, basis)
-        assert oa.shape == (7, len(basis), basis.dim)
-        assert e.shape == (7, len(basis)) and c.shape == (7,)
+        oa, e = moments(a, basis)
+        assert oa.shape == (7, len(basis), basis.dim) and e.shape == (7, len(basis))
         for k in range(7):
-            oa1, e1, c1 = moments(a[k : k + 1], basis)
-            assert np.array_equal(oa1[0], oa[k]) and np.array_equal(e1[0], e[k]) and np.array_equal(c1[0], c[k])
+            oa1, e1 = moments(a[k : k + 1], basis)
+            assert np.array_equal(oa1[0], oa[k]) and np.array_equal(e1[0], e[k])
 
     @pytest.mark.parametrize("basis", [SPIN1, spin_generators(3), local_two_qubit_basis()])
     def test_matches_the_per_observable_loop(self, basis):
@@ -141,29 +140,17 @@ class TestMoments:
             a = psi.amplitudes
             first = np.array([np.vdot(a, o @ a).real for o in basis.operators])
             second = np.array([np.linalg.norm(o @ a) ** 2 for o in basis.operators])
-            _, e, c = moments(a[None], basis)
+            _, e = moments(a[None], basis)
             assert np.max(np.abs(e[0] - first)) <= 1e-14
-            assert abs(c[0] - second.sum()) <= 1e-13
+            assert abs(basis.casimir - second.sum()) <= 1e-13
             assert abs(total_variance(psi, basis) - (second - first**2).sum()) <= 1e-13
-
-    def test_casimir_column_of_a_basis_without_a_scalar_casimir(self):
-        # <C> = sum_i |O_i a|^2 / |a|^2 against <a|C|a> / |a|^2 with C built explicitly
-        rng = np.random.default_rng(15)
-        for _ in range(50):
-            basis = random_basis(rng, 4)
-            c = casimir_sum(basis)
-            a = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
-            expected = np.einsum("ni,ij,nj->n", a.conj(), c, a).real / np.sum(np.abs(a) ** 2, axis=-1)
-            _, _, c = moments(a, basis)
-            assert np.max(np.abs(c - expected) / np.abs(expected)) <= 1e-14
 
     def test_expectations_of_the_normalized_state(self):
         rng = np.random.default_rng(13)
         a = random_state(rng, 3).amplitudes
-        _, unit, unit_c = moments(a[None], SPIN1)
-        _, scaled, scaled_c = moments(3.0 * a[None], SPIN1)
-        assert np.max(np.abs(unit - scaled)) <= 1e-15 and np.max(np.abs(unit_c - scaled_c)) <= 1e-15
-        assert unit_c[0] == SPIN1.casimir == 2.0  # <C> = j(j+1), copied, not computed
+        _, unit = moments(a[None], SPIN1)
+        _, scaled = moments(3.0 * a[None], SPIN1)
+        assert np.max(np.abs(unit - scaled)) <= 1e-15
 
     def test_state_within_norm_tolerance(self):
         # |a|^2 - 1 = 1e-13 is accepted; V_tot must still be that of a / |a|
@@ -259,7 +246,7 @@ class TestReport:
 
     def test_negative_total_variance_rejected(self):
         basis = rotate_basis(SPIN1, np.eye(3))
-        object.__setattr__(basis, "casimir", -1.0)  # a corrupted Casimir: <C> < sum_i <O_i>^2
+        object.__setattr__(basis, "casimir", -1.0)  # a corrupted Casimir: c < sum_i <O_i>^2
         with pytest.raises(ValueError, match="negative"):
             total_variance(sph([1, 0, 0]), basis)
 

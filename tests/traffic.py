@@ -1,0 +1,107 @@
+"""One sha256 over what the program prints and returns, to show that a change
+leaves its output byte-identical. Run it on two trees and compare the lines:
+
+    PYTHONPATH=src python tests/traffic.py
+
+It hashes, in this order:
+- the stdout and exit code of a fixed set of CLI runs, in-process through
+  `cli.main`: `preset list`, `preset show` and `preset analyze` of every
+  preset, seeded `analyze` in both formats with and without `--normalize` on
+  unit and norm-2.5 states of both systems and on the zero vector, `convert`
+  both ways, `decompose`, and `search` in both modes on both systems, seeds 0
+  and 7;
+- the `analyze --format json` stdout and exit code of every state of the
+  benchmark's `bulk_batch(0, b)`, b = 0..3;
+- `maximize_total_variance` and `minimize_total_variance` (16 restarts) at
+  j in {1/2, 1, 3/2, 2, 3, 10} and on the qubit pair, seeds 0-4: the best
+  state, value, flag and iterations, and every restart's value, stop reason
+  and tangent-gradient norm.
+
+It calls nothing but `cli.main` and the public search functions. pytest does
+not collect it.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import pathlib
+import sys
+
+import numpy as np
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
+
+import workloads  # noqa: E402  (bench/workloads.py)
+from entfluct import (SearchConfig, local_two_qubit_basis, maximize_total_variance,  # noqa: E402
+                      minimize_total_variance, spin_generators)
+from entfluct.cli import main  # noqa: E402
+
+
+def _unit(rng, dim: int) -> np.ndarray:
+    a = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return a / np.linalg.norm(a)
+
+
+def _state(amps, label: str) -> str:
+    return json.dumps({"basis": label, "components": [[float(c.real), float(c.imag)] for c in amps]})
+
+
+def _run(digest, argv: list, stdin: str = "") -> str:
+    """Feed stdin to `entfluct argv`, hash argv, stdin, exit code and stdout; return stdout."""
+    out, saved = io.StringIO(), sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    digest.update(json.dumps([argv, stdin, code, out.getvalue()]).encode())
+    return out.getvalue()
+
+
+def cli_traffic(digest):
+    presets = json.loads(_run(digest, ["preset", "list", "--format", "json"]))
+    for preset in presets:
+        for action in ("show", "analyze"):
+            _run(digest, ["preset", action, preset["id"], "--format", "json"])
+    rng = np.random.default_rng(20040917)
+    states = [("spin1", "spherical", 3), ("spin1", "cartesian", 3), ("two-qubit", "qubit-pair", 4)]
+    for system, label, dim in states:
+        unit = _unit(rng, dim)
+        for amps in (unit, 2.5 * unit, np.zeros(dim)):
+            for fmt in ("json", "text"):
+                for extra in ([], ["--normalize"]):
+                    _run(digest, ["analyze", "--system", system, "--format", fmt, *extra], _state(amps, label))
+    for label, to in (("spherical", "cartesian"), ("cartesian", "spherical")):
+        _run(digest, ["convert", "--to", to, "--format", "json"], _state(_unit(rng, 3), label))
+    for amps in (_unit(rng, 4), np.array([0, 1, -1, 0]) / np.sqrt(2.0), np.array([1, 0, 0, 0])):
+        _run(digest, ["decompose", "--format", "json"], _state(amps, "qubit-pair"))
+    for system in ("spin1", "two-qubit"):
+        for mode in ("maximize", "minimize"):
+            for seed in ("0", "7"):
+                _run(digest, ["search", "--system", system, "--mode", mode, "--seed", seed, "--format", "json"])
+
+
+def bulk_traffic(digest):
+    for b in range(4):
+        for amps, label, system in workloads.bulk_batch(0, b):
+            _run(digest, ["analyze", "--system", system, "--format", "json"], _state(amps, label))
+
+
+def search_traffic(digest):
+    problems = [(spin_generators(j), "spherical") for j in (0.5, 1, 1.5, 2, 3, 10)]
+    for basis, label in problems + [(local_two_qubit_basis(), "qubit-pair")]:
+        for mode, run in (("maximize", maximize_total_variance), ("minimize", minimize_total_variance)):
+            for seed in range(5):
+                r = run(basis, SearchConfig(restarts=16, seed=seed, mode=mode), state_label=label)
+                digest.update(r.best_state.amplitudes.tobytes() + r.restart_values.tobytes()
+                              + r.restart_gradients.tobytes())
+                digest.update(repr((r.best_value, r.converged, r.iterations_used, r.restart_stop)).encode())
+
+
+if __name__ == "__main__":
+    digest = hashlib.sha256()
+    for part in (cli_traffic, bulk_traffic, search_traffic):
+        part(digest)
+    print(digest.hexdigest())

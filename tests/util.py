@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from entfluct import ObservableBasis, StateVector
+from entfluct import ObservableBasis, StateVector, spin_generators
 
 
 def random_state(rng, dim, basis_label="spherical"):
@@ -10,14 +10,12 @@ def random_state(rng, dim, basis_label="spherical"):
     return StateVector(a / np.linalg.norm(a), basis_label)
 
 
-def random_basis(rng, dim, count=3):
-    """`count` random Hermitian observables on C^dim: a basis whose Casimir
-    sum C = sum_i O_i^2 is not a scalar."""
-    mats = []
-    for _ in range(count):
-        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        mats.append((m + m.conj().T) / 2)
-    return ObservableBasis(mats)
+def random_basis(rng, dim):
+    """The spin-(dim - 1)/2 generators conjugated by a Haar-random unitary U:
+    dense matrices U S_a U^dagger, whose Casimir sum is still j(j + 1)."""
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    u = q * (np.diag(r) / np.abs(np.diag(r)))  # the phase fix that makes q Haar-distributed
+    return ObservableBasis(u @ spin_generators((dim - 1) / 2).operators @ u.conj().T)
 
 
 def casimir_sum(basis):
