@@ -4,8 +4,9 @@ is a scalar c I, recorded as `casimir`.
 
 All containers are immutable after construction and validate their defining
 invariants (Hermiticity, a scalar Casimir, unit norm, su(2) commutation, the
-dimension a state label requires) up front, so downstream numerics never have
-to re-check them.
+dimension a state label requires) once, where a value enters: each analysis
+stage is a private kernel on the amplitude array behind a public wrapper that
+takes the StateVector, so downstream numerics never re-check them.
 """
 
 from __future__ import annotations

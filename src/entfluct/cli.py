@@ -23,10 +23,10 @@ import numpy as np
 
 from .algebra import (CE_TOL_DEFAULT, CROSS_CHECK_TOL, SINGLET_NORM, STATE_BASIS_LABELS, VARIANCE_CROSS_TOL,
                       StateVector, local_two_qubit_basis, spin_generators, is_normalized)
-from .fluctuations import fluctuation_report
+from .fluctuations import _fluctuation_report
 from .presets import PRESETS
-from .spin1 import canonical_form, concurrence_from_phi, concurrence_spherical, to_cartesian, to_spherical
-from .twoqubit import embed_symmetric, project_spin1, pure_concurrence, sector_split
+from .spin1 import _canonical_form, _concurrence_spherical, _convert, concurrence_from_phi
+from .twoqubit import _embed_symmetric, _pure_concurrence, project_spin1, sector_split
 from .variational import MODES, SearchConfig, maximize_total_variance, minimize_total_variance
 
 SCHEMA_VERSION = 1
@@ -96,8 +96,8 @@ def _state_vector(amps, basis_label: str) -> StateVector:
         raise UsageError(str(exc))
 
 
-def _require_spin1(psi: StateVector, needs: str, hint: str = ""):
-    if psi.dim != 3:  # a cartesian state has 3 amplitudes and a qubit pair 4
+def _require_spin1(a: np.ndarray, needs: str, hint: str = ""):
+    if a.size != 3:  # a cartesian state has 3 amplitudes and a qubit pair 4
         raise UsageError(f"{needs} a 3-component spherical or cartesian state{hint}")
 
 
@@ -127,13 +127,15 @@ def _concurrence_json(concurrences: dict) -> dict:
     """Cross-check the exactly conditioned formulas against each other and the
     variance ratio against each of them."""
     exact = [v for name, v in concurrences.items() if name != "variance_ratio"]
-    delta_exact = max(abs(a - b) for a in exact for b in exact)
-    delta_variance = max(abs(concurrences["variance_ratio"] - v) for v in exact)
+    lo, hi, ratio = min(exact), max(exact), concurrences["variance_ratio"]
+    # the largest |a - b| over the pairs, as rounding is monotone
+    delta_exact, delta_variance = hi - lo, max(abs(ratio - lo), abs(ratio - hi))
+    finite = all(map(math.isfinite, concurrences.values()))  # min and max skip a NaN
     return {
         **concurrences,
-        "max_pairwise_delta": max(delta_exact, delta_variance),
+        "max_pairwise_delta": max(delta_exact, delta_variance) if finite else math.nan,
         "cross_check_tolerance": CROSS_CHECK_TOL,
-        "consistent": delta_exact <= CROSS_CHECK_TOL and delta_variance <= VARIANCE_CROSS_TOL,
+        "consistent": finite and delta_exact <= CROSS_CHECK_TOL and delta_variance <= VARIANCE_CROSS_TOL,
     }
 
 
@@ -141,35 +143,35 @@ def build_analysis(amps, basis_label: str, system: str, tol: float, original_nor
     echo = _state_json(amps, basis_label)
     if original_norm is not None:
         echo["original_norm"] = original_norm
-    psi = _state_vector(amps, basis_label)
+    a = _state_vector(amps, basis_label).amplitudes  # the one check of the state; the stages take its amplitudes
     make_basis, state_label, (v_min, v_max) = _SYSTEMS[system]
     basis = make_basis()
     form = None
     if system == "spin1":
         hint = "; for a qubit pair pass --system two-qubit" if basis_label == "qubit-pair" else ""
-        _require_spin1(psi, "spin1 analysis needs", hint)
-        sph = to_spherical(psi) if basis_label == "cartesian" else psi
-        report = fluctuation_report(sph, basis, v_min, v_max, ce_tol=tol)
-        form = canonical_form(psi if basis_label == "cartesian" else to_cartesian(psi))
+        _require_spin1(a, "spin1 analysis needs", hint)
+        sph = _convert(a, "spherical") if basis_label == "cartesian" else a
+        report = _fluctuation_report(sph, basis, v_min, v_max, tol)
+        form = _canonical_form(a if basis_label == "cartesian" else _convert(a, "cartesian"))
         concurrences = {
-            "spherical_formula": concurrence_spherical(sph),
+            "spherical_formula": _concurrence_spherical(sph),
             "canonical_phi": concurrence_from_phi(form.phi),
             "variance_ratio": report.concurrence_variance,
-            "two_qubit_det": pure_concurrence(embed_symmetric(sph)),
+            "two_qubit_det": _pure_concurrence(_embed_symmetric(sph)),
         }
     else:
         if basis_label != state_label:
             raise UsageError("two-qubit analysis needs a 4-component qubit-pair state")
-        report = fluctuation_report(psi, basis, v_min, v_max, ce_tol=tol)
+        report = _fluctuation_report(a, basis, v_min, v_max, tol)
         concurrences = {
             "variance_ratio": report.concurrence_variance,
-            "two_qubit_det": pure_concurrence(psi),
+            "two_qubit_det": _pure_concurrence(a),
         }
     return {
         "schema_version": SCHEMA_VERSION,
         "system": system,
         "input": echo,
-        "state": _state_json(psi.amplitudes, basis_label),
+        "state": _state_json(a, basis_label),
         "fluctuations": _fluctuations_json(report, basis.label, v_min, v_max),
         "canonical_form": None if form is None else _canonical_form_json(form),
         "concurrence": _concurrence_json(concurrences),
@@ -278,15 +280,10 @@ def cmd_preset_analyze(args) -> int:
 
 def cmd_convert(args) -> int:
     amps, basis_label, _ = _read_state(args)
-    psi = _state_vector(amps, basis_label)
-    _require_spin1(psi, "convert expects")
-    if args.to == basis_label:
-        out = psi
-    elif args.to == "cartesian":
-        out = to_cartesian(psi)
-    else:
-        out = to_spherical(psi)
-    return _emit(_state_json(out.amplitudes, out.basis_label), args.format)
+    a = _state_vector(amps, basis_label).amplitudes
+    _require_spin1(a, "convert expects")
+    out = a if args.to == basis_label else _convert(a, args.to)
+    return _emit(_state_json(out, args.to), args.format)
 
 
 def cmd_decompose(args) -> int:

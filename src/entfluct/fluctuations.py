@@ -67,19 +67,18 @@ class FluctuationReport:
     concurrence_variance: Optional[float]
 
 
-def fluctuation_report(
-    psi: StateVector,
-    basis: ObservableBasis,
-    v_min: Optional[float] = None,
-    v_max: Optional[float] = None,
-    ce_tol: float = CE_TOL_DEFAULT,
-) -> FluctuationReport:
+def fluctuation_report(psi: StateVector, basis: ObservableBasis, v_min: Optional[float] = None,
+                       v_max: Optional[float] = None, ce_tol: float = CE_TOL_DEFAULT) -> FluctuationReport:
     """Assemble the full report. ce_flag is ce_residual <= ce_tol; the variance
     concurrence sqrt((V_tot - v_min) / (v_max - v_min)), clamped to [0, 1],
     is included only when both bounds are supplied."""
+    return _fluctuation_report(psi.amplitudes, basis, v_min, v_max, ce_tol)
+
+
+def _fluctuation_report(a: np.ndarray, basis: ObservableBasis, v_min, v_max, ce_tol: float) -> FluctuationReport:
     if not 0 < ce_tol < np.inf:
         raise ValueError("tolerance must be positive and finite")
-    _, e = moments(psi.amplitudes[None], basis)
+    _, e = moments(a[None], basis)
     exps, v = e[0], float(variance(e, basis.casimir)[0])
     residual = float(np.max(np.abs(exps)))
     conc = None

@@ -27,14 +27,19 @@ SPH_TO_CART = np.array(
 )
 
 
+def _convert(a: np.ndarray, to: str) -> np.ndarray:
+    """Spin-1 amplitudes a in the basis `to`, "cartesian" or "spherical" (a is in the other)."""
+    return (SPH_TO_CART if to == "cartesian" else SPH_TO_CART.conj().T) @ a
+
+
 def to_cartesian(psi: StateVector) -> StateVector:
     """Spherical components (psi_+1, psi_0, psi_-1) to Cartesian (x, y, z)."""
-    return StateVector(SPH_TO_CART @ psi.require("spherical", 3), "cartesian")
+    return StateVector(_convert(psi.require("spherical", 3), "cartesian"), "cartesian")
 
 
 def to_spherical(psi: StateVector) -> StateVector:
     """Exact inverse of to_cartesian."""
-    return StateVector(SPH_TO_CART.conj().T @ psi.require("cartesian"), "spherical")
+    return StateVector(_convert(psi.require("cartesian"), "spherical"), "spherical")
 
 
 @dataclass(frozen=True)
@@ -57,7 +62,10 @@ def canonical_form(psi: StateVector) -> CanonicalForm:
     theta serves at w = 0; where rounding near w = 0 leaves |imag| > |real|,
     phi is capped at pi/4. atan2 gives phi stably near 0.
     """
-    a = psi.require("cartesian")
+    return _canonical_form(psi.require("cartesian"))
+
+
+def _canonical_form(a: np.ndarray) -> CanonicalForm:
     # a tiny negative angle % pi rounds to pi itself; the second % takes that to 0
     theta = 0.5 * np.angle(np.sum(a * a)) % np.pi % np.pi
     dephased = a * np.exp(-1j * theta)
@@ -104,7 +112,11 @@ def expectation_magnitude_canonical(phi: float) -> float:
 
 def concurrence_spherical(psi: StateVector) -> float:
     """2 |psi_+1 psi_-1 - psi_0^2 / 2| in spherical components."""
-    p, z, m = psi.require("spherical", 3)
+    return _concurrence_spherical(psi.require("spherical", 3))
+
+
+def _concurrence_spherical(a: np.ndarray) -> float:
+    p, z, m = a
     return min(float(2.0 * abs(p * m - z * z / 2.0)), 1.0)
 
 
@@ -122,9 +134,7 @@ def zero_projection_axis(psi: StateVector, tol: float = CE_TOL_DEFAULT) -> Optio
     |S_mu psi| = sin(phi) <= 10 tol.
     """
     form = canonical_form(psi)
-    if form.phi <= tol:
-        return form.mu
-    return None
+    return form.mu if form.phi <= tol else None
 
 
 def ce_basis():

@@ -15,8 +15,12 @@ from .algebra import _SQ2, PROJECT_TOL_DEFAULT, SINGLET_NORM, StateVector
 
 def embed_symmetric(psi: StateVector) -> StateVector:
     """Triplet embedding: |+1> -> |uu>, |0> -> (|ud>+|du>)/sqrt(2), |-1> -> |dd>."""
-    p, z, m = psi.require("spherical", 3)
-    return StateVector(np.array([p, z / _SQ2, z / _SQ2, m]), "qubit-pair")
+    return StateVector(_embed_symmetric(psi.require("spherical", 3)), "qubit-pair")
+
+
+def _embed_symmetric(a: np.ndarray) -> np.ndarray:
+    p, z, m = a
+    return np.array([p, z / _SQ2, z / _SQ2, m])
 
 
 def sector_split(chi: StateVector):
@@ -41,9 +45,7 @@ def project_spin1(chi: StateVector, tol: float = PROJECT_TOL_DEFAULT) -> StateVe
     if sym_norm < SINGLET_NORM:
         raise ValueError("state has zero symmetric part (pure singlet)")
     if abs(anti) > tol:
-        raise ValueError(
-            f"antisymmetric component {abs(anti):.3e} exceeds tolerance {tol:.3e}"
-        )
+        raise ValueError(f"antisymmetric component {abs(anti):.3e} exceeds tolerance {tol:.3e}")
     spherical = np.array([symmetric[0], _SQ2 * symmetric[1], symmetric[3]]) / sym_norm
     return StateVector(spherical, "spherical")
 
@@ -55,5 +57,8 @@ def singlet() -> StateVector:
 
 def pure_concurrence(chi: StateVector) -> float:
     """2 |det| of the amplitude matrix: 2 |a_uu a_dd - a_ud a_du|."""
-    a = chi.require("qubit-pair")
+    return _pure_concurrence(chi.require("qubit-pair"))
+
+
+def _pure_concurrence(a: np.ndarray) -> float:
     return min(float(2.0 * abs(a[0] * a[3] - a[1] * a[2])), 1.0)

@@ -63,8 +63,9 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class SearchResult:
-    """`converged`: the returned restart stopped on the gradient. Per restart: final
-    value, stop reason (one of STOP_REASONS), tangent-gradient norm at the end."""
+    """The restart of best V is returned; among exact ties of V, the first that stopped
+    on the gradient, else the first. `converged`: the returned restart stopped on the
+    gradient. Per restart: final value, stop reason (one of STOP_REASONS), tangent-gradient norm at the end."""
 
     best_state: StateVector
     best_value: float
@@ -196,7 +197,8 @@ def _search(basis: ObservableBasis, config: SearchConfig, mode: str, state_label
         a = a * cos_t + d * sin_t
     stop[stop < 0] = 2
 
-    best_k = int(np.argmax(sign * v))  # first index on ties
+    tied = np.flatnonzero(v == v[np.argmax(sign * v)])
+    best_k = int(tied[np.argmax(stop[tied] == 0)])  # argmax of a bool array: the first True, else 0
     v.setflags(write=False)
     gnorm.setflags(write=False)
     return SearchResult(

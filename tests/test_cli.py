@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -9,7 +10,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entfluct.cli import main
+import entfluct.cli
+from entfluct import StateVector
+from entfluct.algebra import CE_TOL_DEFAULT
+from entfluct.cli import build_analysis, main
+from entfluct.spin1 import _convert
+from entfluct.twoqubit import _embed_symmetric
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import workloads  # noqa: E402  (bench/workloads.py: the benchmark's seeded and edge states)
 
 SQ2 = np.sqrt(2.0)
 
@@ -238,7 +247,7 @@ class TestAnalyze:
         assert conc["max_pairwise_delta"] <= 3e-8
 
     def test_two_qubit_disagreement_exits_1(self, capsys, monkeypatch):
-        monkeypatch.setattr("entfluct.cli.pure_concurrence", lambda chi: 0.5)
+        monkeypatch.setattr("entfluct.cli._pure_concurrence", lambda a: 0.5)
         code, out, err = run(
             capsys, monkeypatch,
             ["analyze", "--system", "two-qubit", "--format", "json"],
@@ -249,6 +258,28 @@ class TestAnalyze:
         conc = json.loads(out)["concurrence"]
         assert conc["consistent"] is False
         assert conc["max_pairwise_delta"] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("oracle", ["spherical_formula", "canonical_phi", "variance_ratio", "two_qubit_det"])
+    def test_non_finite_concurrence_fails_the_cross_check(self, capsys, monkeypatch, oracle):
+        # max() drops a NaN unless it comes first, so whichever oracle yields it, it must not pass
+        report = entfluct.cli._fluctuation_report
+        patch = {
+            "spherical_formula": ("_concurrence_spherical", lambda a: math.nan),
+            "canonical_phi": ("concurrence_from_phi", lambda phi: math.nan),
+            "variance_ratio": ("_fluctuation_report",
+                               lambda *args: dataclasses.replace(report(*args), concurrence_variance=math.nan)),
+            "two_qubit_det": ("_pure_concurrence", lambda a: math.nan),
+        }
+        monkeypatch.setattr(entfluct.cli, *patch[oracle])
+        code, out, err = run(
+            capsys, monkeypatch, ["analyze", "--format", "json"], state_json([0.6, 0.48j, 0.64], "spherical")
+        )
+        assert code == 1
+        assert "inconsistency" in err
+        conc = json.loads(out)["concurrence"]
+        assert math.isnan(conc[oracle])
+        assert math.isnan(conc["max_pairwise_delta"])
+        assert conc["consistent"] is False
 
     @pytest.mark.parametrize("bad", ["-1", "0", "nan", "inf"])
     def test_bad_tol_exits_2(self, capsys, monkeypatch, bad):
@@ -263,7 +294,7 @@ class TestAnalyze:
         def broken(*args, **kwargs):
             raise ValueError("total variance is negative beyond tolerance")
 
-        monkeypatch.setattr("entfluct.cli.fluctuation_report", broken)
+        monkeypatch.setattr("entfluct.cli._fluctuation_report", broken)
         code, out, err = run(capsys, monkeypatch, ["analyze"], state_json([0, 1, 0], "spherical"))
         assert code == 1
         assert out == ""
@@ -693,3 +724,35 @@ def test_undecodable_stdin_exits_2():
                           capture_output=True, env=_cli_env(PYTHONIOENCODING="utf-8"), timeout=60)
     assert proc.returncode == 2
     assert b"cannot read stdin" in proc.stderr and b"internal error" not in proc.stderr
+
+
+class TestValidatedOnce:
+    """The state is checked once, as it enters; the analysis stages run on its
+    amplitudes and are not re-checked, since they keep the norm to rounding."""
+
+    @pytest.mark.parametrize("basis,system", [
+        ("spherical", "spin1"), ("cartesian", "spin1"), ("qubit-pair", "two-qubit")])
+    def test_build_analysis_constructs_one_state_vector(self, monkeypatch, basis, system):
+        calls = []
+        post_init = StateVector.__post_init__
+        monkeypatch.setattr(StateVector, "__post_init__", lambda psi: calls.append(psi) or post_init(psi))
+        rng = np.random.default_rng(3)
+        for _ in range(8):
+            a = [1, 1j] @ rng.normal(size=(2, 4 if system == "two-qubit" else 3))
+            calls.clear()
+            build_analysis(a / np.linalg.norm(a), basis, system, CE_TOL_DEFAULT, None)
+            assert len(calls) == 1
+
+    def test_basis_change_and_embedding_keep_the_norm(self):
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(0)
+        states = [(amps, basis) for seed in range(2) for index in range(4)
+                  for amps, basis, system in workloads.bulk_batch(seed, index) if system == "spin1"]
+        states += [(np.asarray(amps(rng) if callable(amps) else amps, dtype=complex), basis)
+                   for _, basis, system, amps in workloads.EDGE_STATES if system == "spin1"]
+        for a, basis in states:
+            assert abs(np.sum(np.abs(a) ** 2) - 1) <= 8 * eps
+            other = "spherical" if basis == "cartesian" else "cartesian"
+            sph = a if basis == "spherical" else _convert(a, "spherical")
+            for out in (_convert(a, other), sph, _embed_symmetric(sph)):
+                assert abs(np.sum(np.abs(out) ** 2) - 1) <= 8 * eps, (basis, a)
