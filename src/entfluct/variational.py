@@ -197,8 +197,7 @@ def _search(basis: ObservableBasis, config: SearchConfig, mode: str, state_label
         a = a * cos_t + d * sin_t
     stop[stop < 0] = 2
 
-    tied = np.flatnonzero(v == v[np.argmax(sign * v)])
-    best_k = int(tied[np.argmax(stop[tied] == 0)])  # argmax of a bool array: the first True, else 0
+    best_k = int(np.lexsort((stop != 0, -sign * v))[0])  # best V; on exact ties stopped on gradient, then first
     v.setflags(write=False)
     gnorm.setflags(write=False)
     return SearchResult(
