@@ -133,6 +133,8 @@ def zero_projection_axis(psi: StateVector, tol: float = CE_TOL_DEFAULT) -> Optio
     for canonical phi <= tol that direction is mu, with residual
     |S_mu psi| = sin(phi) <= 10 tol.
     """
+    if not 0 < tol < np.inf:
+        raise ValueError("tolerance must be positive and finite")
     form = canonical_form(psi)
     return form.mu if form.phi <= tol else None
 

@@ -12,12 +12,12 @@ the first two derivatives alone; V itself is evaluated once more, to pick the
 best polished point. The gradient is 2 (F - <F>) a with F = c - 2 sum_i <O_i> O_i.
 Maximize steps along the damped Gauss-Newton direction of the CE condition
 <O_i> = 0. Minimize first moves each start to the lowest eigenvector of F there,
-where that lowers V, then runs Riemannian conjugate gradient (Polak-Ribiere+,
+which never raises V, then runs Riemannian conjugate gradient (Polak-Ribiere+,
 exact parallel transport) that restarts from the tangent gradient every 2d - 2
 steps, the real dimension of CP^(d-1), and where successive gradients lose
-orthogonality (Powell 1977). Restarts advance together as the rows of one
-(R, d) array and every operation (eigh and solve too) acts row by row, so
-restart k of seed s is the one-restart search with seed s ^ k.
+orthogonality (Powell 1977). Both directions are ascents by construction.
+Restarts advance together as the rows of one (R, d) array, every operation (eigh
+and solve too) row by row, so restart k of seed s is the one-restart search with seed s ^ k.
 """
 
 from __future__ import annotations
@@ -117,26 +117,26 @@ _NEWTON_COEF = np.array([[0, 1, 2, 3], [1, 0, 3, 2]])
 _NEWTON_WEIGHT = np.array([[-1.0, 1.0, -2.0, 2.0], [1.0, 1.0, 4.0, 4.0]])[:, :, None, None]
 
 
-def _best_angle(coef: np.ndarray, sign: float):
-    """Global maximizer s of sign * (V(s) - V(0)) on the circle and its gain.
-    The gain on the grid is one broadcast product with its line terms; the
-    polynomial has two local maxima at most, and clipped Newton steps polish
-    the best grid point of each from d1 and d2 alone. The result is the best
-    of the top grid point and the two polished ones, the grid point on ties."""
+def _best_angle(coef: np.ndarray):
+    """Global maximizer s on the circle of the gain c1 (cos s - 1) + s1 sin s + c2 (cos 2s - 1)
+    + s2 sin 2s, and that gain. The gain on the grid is one broadcast product with its line
+    terms; the polynomial has two local maxima at most, and clipped Newton steps polish the best
+    grid point of each from d1 and d2 alone. The result is the best of the top grid point and
+    the two polished ones, the grid point on ties."""
     rows = np.arange(len(coef))
-    grid_gain = sign * (coef.T[:, :, None] * _GRID_TERMS[:, None, :]).sum(axis=0)
+    grid_gain = (coef.T[:, :, None] * _GRID_TERMS[:, None, :]).sum(axis=0)
     cyclic = np.concatenate([grid_gain[:, -1:], grid_gain, grid_gain[:, :1]], axis=-1)
     peaks = np.where(grid_gain >= np.maximum(cyclic[:, :-2], cyclic[:, 2:]), grid_gain, -np.inf)
     top = peaks.argmax(axis=-1)
     peaks[rows, top] = -np.inf
     s = _GRID[np.stack([top, peaks.argmax(axis=-1)])]  # (2, R): one seed per local maximum
-    newton = _NEWTON_WEIGHT * (sign * coef.T)[_NEWTON_COEF][:, :, None, :]
+    newton = _NEWTON_WEIGHT * coef.T[_NEWTON_COEF][:, :, None, :]
     for _ in range(_NEWTON_STEPS):
         d1, bend = (newton * np.sin(_NEWTON_FREQ * s + _NEWTON_PHASE)).sum(axis=1)
         step = d1 / np.where(bend > 0, bend, np.inf)  # no step where the curvature is not negative
         s = s + np.minimum(np.maximum(step, -_GRID[1]), _GRID[1])
     s = np.concatenate([_GRID[top][None], s])
-    gain = sign * (coef.T[:, None, :] * _line_terms(s)).sum(axis=0)
+    gain = (coef.T[:, None, :] * _line_terms(s)).sum(axis=0)
     best = gain.argmax(axis=0)
     return s[best, rows], gain[best, rows]
 
@@ -153,10 +153,9 @@ def _search(basis: ObservableBasis, config: SearchConfig, mode: str, state_label
         rng.bit_generator.state = {"bit_generator": "Philox", "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0,
                                    "uinteger": 0, "state": {"counter": [0] * 4, "key": [config.seed ^ k, 0]}}
         a[k].real, a[k].imag = rng.normal(size=(2, basis.dim))
-    if not maximize:  # start at the lowest eigenvector of c - 2 sum_i <O_i> O_i, where that lowers V
+    if not maximize:  # start at the lowest eigenvector of c - 2 sum_i <O_i> O_i: |<O>| there is no smaller
         e = moments(a, basis)[1]
-        top = np.linalg.eigh((e[:, :, None, None] * basis.operators).sum(axis=1))[1][..., -1]
-        a = np.where((variance(moments(top, basis)[1], basis.casimir) < variance(e, basis.casimir))[:, None], top, a)
+        a = np.linalg.eigh((e[:, :, None, None] * basis.operators).sum(axis=1))[1][..., -1]
     a = a / np.sqrt(_inner(a, a).real)[:, None]
     stop = -np.ones(config.restarts, dtype=int)  # index into STOP_REASONS once stopped
     iterations = np.zeros(config.restarts, dtype=int)
@@ -182,12 +181,11 @@ def _search(basis: ObservableBasis, config: SearchConfig, mode: str, state_label
             lost = np.abs(_inner(xi, xi_old).real) >= _POWELL_RATIO * gnorm**2  # gradients not orthogonal
             beta = np.where(lost | ((n - 1) % (2 * basis.dim - 2) == 0), 0.0, beta)  # and every 2d - 2 steps
             direction = xi + np.maximum(beta, 0.0)[:, None] * d_old
-        if maximize or n > 1:  # reset to the gradient unless ascending
+        if maximize or n > 1:  # back onto the tangent space; Re<direction, xi> > 0 for both
             direction = direction - _inner(a, direction)[:, None] * a
-            direction = np.where((_inner(direction, xi).real > 0)[:, None], direction, xi)
         dn = np.sqrt(_inner(direction, direction).real)[:, None]
         d = np.divide(direction, dn, out=np.zeros_like(direction), where=dn > 0)
-        s, gain = _best_angle(_line_coefficients(d, oa, e, basis), sign)
+        s, gain = _best_angle(sign * _line_coefficients(d, oa, e, basis))
         stop[(stop < 0) & ~(gain > 0)] = 1
         t = np.where(stop < 0, s, 0.0)[:, None] / 2
         sin_t, cos_t = np.sin(t), np.cos(t)

@@ -14,6 +14,7 @@ import entfluct.cli
 from entfluct import StateVector
 from entfluct.algebra import CE_TOL_DEFAULT
 from entfluct.cli import build_analysis, main
+from entfluct.presets import PRESETS
 from entfluct.spin1 import _convert
 from entfluct.twoqubit import _embed_symmetric
 
@@ -479,6 +480,21 @@ class TestPreset:
             "he3-B",
         }
         assert required <= ids
+
+    def test_list_text(self, capsys, monkeypatch):
+        # one line per preset in catalog order: id, system, C=<expected concurrence or ->, description
+        code, out, _ = run(capsys, monkeypatch, ["preset", "list"])
+        assert code == 0
+        lines = out.splitlines()
+        assert [line.split()[0] for line in lines] == list(PRESETS)
+        for line, preset in zip(lines, PRESETS.values()):
+            _, system, expected, description = line.split(maxsplit=3)
+            assert (system, description) == (preset.system, preset.description)
+            if preset.expected_concurrence is None:
+                assert expected == "C=-"
+            else:
+                assert expected.startswith("C=") and float(expected[2:]) == preset.expected_concurrence
+        assert lines[-1].split()[:3] == ["he3-B", "spin1", "C=-"]
 
     def test_show(self, capsys, monkeypatch):
         code, out, _ = run(capsys, monkeypatch, ["preset", "show", "pion-zero", "--format", "json"])

@@ -230,6 +230,12 @@ class TestZeroProjectionAxis:
     def test_coherent_has_none(self):
         assert zero_projection_axis(cart([1 / SQ2, 1j / SQ2, 0])) is None
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 0.0, -1.0])
+    def test_tolerance_must_be_positive_and_finite(self, bad):
+        # at tol = inf the coherent |+1> would get the axis [-1, 0, 0], residual sin(pi/4)
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            zero_projection_axis(to_cartesian(sph([1, 0, 0])), bad)
+
     def test_ce_basis_members(self):
         for psi in ce_basis():
             c = to_cartesian(psi)

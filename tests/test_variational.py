@@ -94,7 +94,7 @@ class TestLineSearch:
     DENSE = np.linspace(0.0, 2 * np.pi, 4096, endpoint=False)
 
     def check_global(self, coef, sign):
-        s, gain = _best_angle(coef, sign)
+        s, gain = _best_angle(sign * coef)
         dense = sign * sum(c[:, None] * term for c, term in zip(coef.T, _line_terms(self.DENSE)))
         row_scale = np.abs(coef).max(axis=1)
         assert np.all(gain >= dense.max(axis=1) - 1e-15 * row_scale)
@@ -122,7 +122,7 @@ class TestLineSearch:
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_zero_row_has_no_gain(self, sign):
         # a flat line gains nothing, so the restart stops on "stall"
-        s, gain = _best_angle(np.zeros((2, 4)), sign)
+        s, gain = _best_angle(sign * np.zeros((2, 4)))
         assert np.all(gain == 0) and not np.any(gain > 0)
         assert np.all(s == 0)
 
@@ -346,6 +346,54 @@ class TestGaussNewtonDirection:
             assert scale > 0
             assert np.linalg.norm(lhs / scale - r[row]) <= 1e-12 * np.linalg.norm(r[row])
             assert np.linalg.norm(xi[row]) > 0 and np.vdot(xi[row], d[row]).real > 0
+
+
+ASCENT_BASES = [
+    *[(spin_generators(j), "spherical") for j in (0.5, 1, 1.5, 10, 40)],
+    (local_two_qubit_basis(), "qubit-pair"),
+    (random_basis(np.random.default_rng(5), 4), "qubit-pair"),
+    (random_basis(np.random.default_rng(5), 41), "spherical"),
+]
+ASCENT_IDS = ["j1/2", "j1", "j3/2", "j10", "j40", "qubit-pair", "random-C4", "random-C41"]
+
+
+class TestAscentByConstruction:
+    """The search keeps no guard on its start or its directions, because neither can lose V."""
+
+    @pytest.mark.parametrize("basis,label", ASCENT_BASES, ids=ASCENT_IDS)
+    def test_top_eigenvector_never_raises_v(self, basis, label):
+        # b, the top eigenvector of sum_i <O_i>_a O_i, has <O>_a . <O>_b >= |<O>_a|^2,
+        # so |<O>_b| >= |<O>_a| (Cauchy-Schwarz) and V = c - |<O>|^2 is no larger at b
+        rng = np.random.default_rng(31)
+        a = np.stack([random_state(rng, basis.dim, label).amplitudes for _ in range(16)])
+        v, _, _, e, _ = _value_and_gradient(a, basis)
+        top = np.linalg.eigh((e[:, :, None, None] * basis.operators).sum(axis=1))[1][..., -1]
+        assert np.all(_value_and_gradient(top, basis)[0] <= v + 8 * np.finfo(float).eps * basis.casimir)
+
+    @pytest.mark.parametrize("mode", ["maximize", "minimize"])
+    @pytest.mark.parametrize("basis,label", ASCENT_BASES, ids=ASCENT_IDS)
+    def test_every_running_row_searches_uphill(self, monkeypatch, basis, label, mode):
+        # Gauss-Newton has Re<xi, d> = 4 r G (G + mu)^-1 r > 0, and after an exact line
+        # search the conjugate direction has Re<xi, d> = |xi|^2: sign * V rises along d at t = 0
+        states, lines = [], []
+        monkeypatch.setattr("entfluct.variational._value_and_gradient",
+                            lambda a, b: states.append(a) or _value_and_gradient(a, b))
+        monkeypatch.setattr("entfluct.variational._line_coefficients",
+                            lambda d, oa, e, b: lines.append(_line_coefficients(d, oa, e, b)) or lines[-1])
+        run = maximize_total_variance if mode == "maximize" else minimize_total_variance
+        sign = 1.0 if mode == "maximize" else -1.0
+        for seed in range(4):
+            states.clear()
+            lines.clear()
+            config = SearchConfig(restarts=16, seed=seed, mode=mode)
+            run(basis, config, state_label=label)
+            assert len(states) == len(lines) + 1  # the last evaluation only tests the gradient
+            for a, coef in zip(states, lines):
+                g = _value_and_gradient(a, basis)[1]
+                xi = g - (a.conj() * g).sum(axis=-1)[:, None] * a
+                running = np.linalg.norm(xi, axis=-1) > config.step_tolerance
+                slope = sign * 2 * (coef[:, 1] + 2 * coef[:, 3])  # d(sign * V)/dt at t = 0
+                assert np.all(slope[running] > 0)
 
 
 class TestFixedPoints:

@@ -1,27 +1,33 @@
-"""One sha256 over what the program prints and returns, to show that a change
-leaves its output byte-identical. Run it on two trees and compare the lines:
+"""One sha256 per part of what the program prints and returns, and one over
+all of it, to show that a change leaves its output byte-identical, or which
+part moved. Run it on two trees and compare the lines:
 
     PYTHONPATH=src python tests/traffic.py
 
-It hashes, in this order:
-- the stdout and exit code of a fixed set of CLI runs, in-process through
+It prints `<part> <sha256>` for each part, then the overall sha256 alone on
+the last line. The parts, in this order:
+- `cli`: the stdout and exit code of a fixed set of CLI runs, in-process through
   `cli.main`: `preset list`, `preset show` and `preset analyze` of every
   preset, seeded `analyze` in both formats with and without `--normalize` on
   unit and norm-2.5 states of both systems and on the zero vector, `convert`
   both ways, `decompose`, and `search` in both modes on both systems, seeds 0
   and 7;
-- the `analyze --format json` stdout and exit code of every state of the
+- `bulk`: the `analyze --format json` stdout and exit code of every state of the
   benchmark's `bulk_batch(0, b)`, b = 0..3;
-- `maximize_total_variance` and `minimize_total_variance` (16 restarts) at
-  j in {1/2, 1, 3/2, 2, 3, 10} and on the qubit pair, seeds 0-4: the best
-  state, value, flag and iterations, and every restart's value, stop reason
-  and tangent-gradient norm.
+- one part per search problem and mode, `j=1/2-max`, `j=1/2-min`, ...,
+  `pair-max`, `pair-min`: `maximize_total_variance` or
+  `minimize_total_variance` (16 restarts) at j in {1/2, 1, 3/2, 2, 3, 10}
+  and on the qubit pair, seeds 0-4: the best state, value, flag and
+  iterations, and every restart's value, stop reason and tangent-gradient
+  norm.
 
 It calls nothing but `cli.main` and the public search functions. pytest does
 not collect it.
 """
 
 import contextlib
+import fractions
+import functools
 import hashlib
 import io
 import json
@@ -89,19 +95,40 @@ def bulk_traffic(digest):
             _run(digest, ["analyze", "--system", system, "--format", "json"], _state(amps, label))
 
 
-def search_traffic(digest):
-    problems = [(spin_generators(j), "spherical") for j in (0.5, 1, 1.5, 2, 3, 10)]
-    for basis, label in problems + [(local_two_qubit_basis(), "qubit-pair")]:
-        for mode, run in (("maximize", maximize_total_variance), ("minimize", minimize_total_variance)):
-            for seed in range(5):
-                r = run(basis, SearchConfig(restarts=16, seed=seed, mode=mode), state_label=label)
-                digest.update(r.best_state.amplitudes.tobytes() + r.restart_values.tobytes()
-                              + r.restart_gradients.tobytes())
-                digest.update(repr((r.best_value, r.converged, r.iterations_used, r.restart_stop)).encode())
+def search_traffic(digest, basis, label: str, mode: str):
+    run = maximize_total_variance if mode == "maximize" else minimize_total_variance
+    for seed in range(5):
+        r = run(basis, SearchConfig(restarts=16, seed=seed, mode=mode), state_label=label)
+        digest.update(r.best_state.amplitudes.tobytes() + r.restart_values.tobytes()
+                      + r.restart_gradients.tobytes())
+        digest.update(repr((r.best_value, r.converged, r.iterations_used, r.restart_stop)).encode())
+
+
+def parts():
+    """(name, traffic) in hashing order: cli, bulk, then j=1/2-max ... pair-min."""
+    yield "cli", cli_traffic
+    yield "bulk", bulk_traffic
+    problems = [(f"j={fractions.Fraction(j)}", spin_generators(j), "spherical") for j in (0.5, 1, 1.5, 2, 3, 10)]
+    for name, basis, label in problems + [("pair", local_two_qubit_basis(), "qubit-pair")]:
+        for mode in ("maximize", "minimize"):
+            yield f"{name}-{mode[:3]}", functools.partial(search_traffic, basis=basis, label=label, mode=mode)
+
+
+class _Tee:
+    """Feeds the same bytes to the overall digest and to one part's."""
+
+    def __init__(self, total):
+        self.total, self.part = total, hashlib.sha256()
+
+    def update(self, data: bytes):
+        self.total.update(data)
+        self.part.update(data)
 
 
 if __name__ == "__main__":
-    digest = hashlib.sha256()
-    for part in (cli_traffic, bulk_traffic, search_traffic):
-        part(digest)
-    print(digest.hexdigest())
+    total = hashlib.sha256()
+    for name, traffic in parts():
+        tee = _Tee(total)
+        traffic(tee)
+        print(name, tee.part.hexdigest())
+    print(total.hexdigest())
