@@ -18,9 +18,8 @@ from .algebra import BOUND_SLACK, CE_TOL_DEFAULT, IMAG_TOL, VARIANCE_CLAMP, Obse
 
 
 def _apply(ops: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """O x, (N, len(ops), d), for the rows of x (N, d); a broadcast sum, so each
-    row is rounded alike whatever N is."""
-    return (ops[None] * x[:, None, None, :]).sum(axis=-1)
+    """O x, (N, len(ops), d), for the rows of x (N, d): one stacked matmul, each row rounded alike for any N."""
+    return (ops @ x[:, None, :, None])[..., 0]
 
 
 def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -35,7 +34,7 @@ def moments(a: np.ndarray, basis: ObservableBasis):
     if a.ndim != 2 or a.shape[1] != basis.dim:
         raise ValueError(f"dimension mismatch: want states of shape (N, {basis.dim}), got {a.shape}")
     oa = _apply(basis.operators, a)
-    e = _inner(a[:, None, :], oa) / _inner(a, a).real[:, None]
+    e = (oa @ a.conj()[:, :, None])[..., 0] / _inner(a, a).real[:, None]
     if np.abs(e.imag).max() > IMAG_TOL:
         raise ValueError("expectation has a non-negligible imaginary part")
     return oa, e.real

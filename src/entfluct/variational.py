@@ -5,11 +5,11 @@ generalized coherent states.
 Both modes take an exact line search: on a great circle a cos t + d sin t each
 <O> is m + u cos 2t + r sin 2t, so V = c - sum_i <O_i>^2 (c the scalar Casimir
 sum_i O_i^2) is a trigonometric polynomial of degree 2 in s = 2t. The line
-search evaluates that polynomial on a 64-point grid, one broadcast product with
-a module table of the grid's four line terms, and polishes the best grid point
-of each of its (at most two) local maxima with clipped Newton steps that compute
-the first two derivatives alone; V itself is evaluated once more, to pick the
-best polished point. The gradient is 2 (F - <F>) a with F = c - 2 sum_i <O_i> O_i.
+search evaluates that polynomial on a 128-point grid, one matmul with a module
+table of the grid's four line terms, and polishes the best grid point of each of
+its (at most two) local maxima with two clipped Newton steps that compute the
+first two derivatives alone; V itself is evaluated once more, to pick the best
+polished point. The gradient is 2 (F - <F>) a with F = c - 2 sum_i <O_i> O_i.
 Maximize steps along the damped Gauss-Newton direction of the CE condition
 <O_i> = 0. Minimize first moves each start to the lowest eigenvector of F there,
 which never raises V, then runs Riemannian conjugate gradient (Polak-Ribiere+,
@@ -105,12 +105,12 @@ def _line_terms(s: np.ndarray) -> np.ndarray:
     return terms
 
 
-_GRID = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
-_GRID_TERMS = _line_terms(_GRID)  # (4, 64)
-_NEWTON_STEPS = 4
+_GRID = np.linspace(0.0, 2 * np.pi, 128, endpoint=False)
+_GRID_TERMS = _line_terms(_GRID)  # (4, 128)
+_PREV, _NEXT = np.roll(np.arange(len(_GRID)), 1), np.roll(np.arange(len(_GRID)), -1)  # cyclic neighbours
+_NEWTON_STEPS = 2
 # sin s, cos s, sin 2s, cos 2s = sin(s * _NEWTON_FREQ + _NEWTON_PHASE)
-_NEWTON_FREQ = np.array([1.0, 1.0, 2.0, 2.0])[:, None, None]
-_NEWTON_PHASE = np.array([0.0, np.pi / 2, 0.0, np.pi / 2])[:, None, None]
+_NEWTON_FREQ, _NEWTON_PHASE = np.array([[1.0, 1.0, 2.0, 2.0], [0.0, np.pi / 2, 0.0, np.pi / 2]])[:, :, None, None]
 # d1 and -d2 of c1 cos s + s1 sin s + c2 cos 2s + s2 sin 2s are sums over those
 # four factors, each times a coefficient (index into c1, s1, c2, s2) and a weight
 _NEWTON_COEF = np.array([[0, 1, 2, 3], [1, 0, 3, 2]])
@@ -119,14 +119,13 @@ _NEWTON_WEIGHT = np.array([[-1.0, 1.0, -2.0, 2.0], [1.0, 1.0, 4.0, 4.0]])[:, :, 
 
 def _best_angle(coef: np.ndarray):
     """Global maximizer s on the circle of the gain c1 (cos s - 1) + s1 sin s + c2 (cos 2s - 1)
-    + s2 sin 2s, and that gain. The gain on the grid is one broadcast product with its line
-    terms; the polynomial has two local maxima at most, and clipped Newton steps polish the best
+    + s2 sin 2s, and that gain. The gain on the grid is one matmul with its line terms; the
+    polynomial has two local maxima at most, and two clipped Newton steps polish the best
     grid point of each from d1 and d2 alone. The result is the best of the top grid point and
     the two polished ones, the grid point on ties."""
     rows = np.arange(len(coef))
-    grid_gain = (coef.T[:, :, None] * _GRID_TERMS[:, None, :]).sum(axis=0)
-    cyclic = np.concatenate([grid_gain[:, -1:], grid_gain, grid_gain[:, :1]], axis=-1)
-    peaks = np.where(grid_gain >= np.maximum(cyclic[:, :-2], cyclic[:, 2:]), grid_gain, -np.inf)
+    grid_gain = coef @ _GRID_TERMS
+    peaks = np.where(grid_gain >= np.maximum(grid_gain[:, _PREV], grid_gain[:, _NEXT]), grid_gain, -np.inf)
     top = peaks.argmax(axis=-1)
     peaks[rows, top] = -np.inf
     s = _GRID[np.stack([top, peaks.argmax(axis=-1)])]  # (2, R): one seed per local maximum
@@ -148,33 +147,37 @@ def _search(basis: ObservableBasis, config: SearchConfig, mode: str, state_label
     check_state_label(state_label, basis.dim)  # before the first draw, not at the returned state
     maximize = mode == "maximize"
     sign = 1.0 if maximize else -1.0
-    rng, a = np.random.Generator(np.random.Philox(0)), np.empty((config.restarts, basis.dim), dtype=complex)
-    for k in range(config.restarts):  # re-keyed: restart k draws the stream of Philox(key=seed ^ k)
-        rng.bit_generator.state = {"bit_generator": "Philox", "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0,
-                                   "uinteger": 0, "state": {"counter": [0] * 4, "key": [config.seed ^ k, 0]}}
-        a[k].real, a[k].imag = rng.normal(size=(2, basis.dim))
+    ascent, floor = sign * (basis.dim > 1), GRADIENT_FLOOR * np.finfo(float).eps * np.sqrt(basis.casimir)
+    rng, draws = np.random.Generator(np.random.Philox(key=0)), np.empty((config.restarts, 2, basis.dim))
+    state = rng.bit_generator.state  # a fresh stream, re-keyed below: restart k draws that of Philox(key=seed ^ k)
+    for k in range(config.restarts):
+        state["state"]["key"][0] = config.seed ^ k
+        rng.bit_generator.state = state
+        rng.standard_normal(out=draws[k])
+    a = draws[:, 0] + 1j * draws[:, 1]
     if not maximize:  # start at the lowest eigenvector of c - 2 sum_i <O_i> O_i: |<O>| there is no smaller
-        e = moments(a, basis)[1]
-        a = np.linalg.eigh((e[:, :, None, None] * basis.operators).sum(axis=1))[1][..., -1]
+        f = moments(a, basis)[1] @ basis.operators.reshape(len(basis), -1)  # sum_i <O_i> O_i, flattened
+        a = np.linalg.eigh(f.reshape(-1, basis.dim, basis.dim))[1][..., -1]
     a = a / np.sqrt(_inner(a, a).real)[:, None]
     stop = -np.ones(config.restarts, dtype=int)  # index into STOP_REASONS once stopped
     iterations = np.zeros(config.restarts, dtype=int)
     # a stopped row takes steps of 0, so the last evaluation holds its final state
     for n in range(1, config.max_iterations + 2):
         v, g, oa, e, h = _value_and_gradient(a, basis)
-        xi = sign * (g - _inner(a, g)[:, None] * a) * (basis.dim > 1)  # tangent ascent of sign * V; CP^0 has none
+        xi = ascent * (g - _inner(a, g)[:, None] * a)  # tangent ascent of sign * V; CP^0 has none
         gnorm = np.sqrt(_inner(xi, xi).real)
         running = stop < 0
         iterations[running] = min(n, config.max_iterations)
         stop[running & (gnorm <= config.step_tolerance)] = 0
-        stop[(stop < 0) & (gnorm <= GRADIENT_FLOOR * np.finfo(float).eps * np.sqrt(basis.casimir))] = 1  # rounding floor
+        stop[(stop < 0) & (gnorm <= floor)] = 1  # rounding floor
         if n > config.max_iterations or (stop >= 0).all():
             break
         direction = xi
         if maximize:  # damped Gauss-Newton towards r = <O> = 0, an ascent: Re<xi, step> = 4 r G (G + mu)^-1 r
             mu = (e**2).sum(axis=-1) + np.finfo(float).eps * v  # eps tr G (= V) keeps G + mu regular where G is not
-            gram = h.view(float) @ h.view(float).swapaxes(1, 2) + mu[:, None, None] * np.eye(len(basis))  # Re<h_i|h_j>
-            direction = -(np.linalg.solve(gram, e[..., None]) * h).sum(axis=1)
+            gram = h.view(float) @ h.view(float).swapaxes(1, 2)  # Re<h_i|h_j>, then + mu on the diagonal
+            np.einsum("rii->ri", gram)[...] += mu[:, None]
+            direction = -(np.linalg.solve(gram, e[..., None]).swapaxes(1, 2) @ h)[:, 0]
         elif n > 1:  # Polak-Ribiere+ (a moving row had norm_old > tol)
             den = np.maximum(norm_old, config.step_tolerance) ** 2  # 0 where tol**2 underflows: restart
             beta = np.divide(_inner(xi, xi - xi_old).real, den, out=np.zeros_like(den), where=den > 0)
@@ -189,9 +192,9 @@ def _search(basis: ObservableBasis, config: SearchConfig, mode: str, state_label
         stop[(stop < 0) & ~(gain > 0)] = 1
         t = np.where(stop < 0, s, 0.0)[:, None] / 2
         sin_t, cos_t = np.sin(t), np.cos(t)
-        velocity = -a * sin_t + d * cos_t  # transport along the geodesic
-        xi_old = xi + _inner(d, xi).real[:, None] * (velocity - d)
-        d_old, norm_old = dn * velocity, gnorm
+        if not maximize:  # transport along the geodesic, for the next conjugate direction
+            velocity = -a * sin_t + d * cos_t
+            xi_old, d_old, norm_old = xi + _inner(d, xi).real[:, None] * (velocity - d), dn * velocity, gnorm
         a = a * cos_t + d * sin_t
     stop[stop < 0] = 2
 

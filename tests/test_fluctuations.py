@@ -15,6 +15,7 @@ from entfluct import (
     to_cartesian,
     total_variance,
 )
+from entfluct.fluctuations import _apply
 from util import random_basis, random_orthogonal, random_orthonormal_pair, random_state, state_from_canonical
 
 SQ2 = np.sqrt(2.0)
@@ -119,14 +120,15 @@ class TestSpinJProperties:
 class TestMoments:
     @pytest.mark.parametrize("basis", [
         spin_generators(0.5), SPIN1, spin_generators(3), spin_generators(10), local_two_qubit_basis(),
-        random_basis(np.random.default_rng(5), 4),
+        random_basis(np.random.default_rng(5), 4), spin_generators(40), random_basis(np.random.default_rng(6), 81),
     ])
     def test_batched_rows_equal_single_rows(self, basis):
+        # d = 21 and 81 reach other BLAS blocking in the stacked matmuls than d <= 4
         rng = np.random.default_rng(12)
-        a = rng.normal(size=(7, basis.dim)) + 1j * rng.normal(size=(7, basis.dim))
+        a = rng.normal(size=(16, basis.dim)) + 1j * rng.normal(size=(16, basis.dim))
         oa, e = moments(a, basis)
-        assert oa.shape == (7, len(basis), basis.dim) and e.shape == (7, len(basis))
-        for k in range(7):
+        assert oa.shape == (16, len(basis), basis.dim) and e.shape == (16, len(basis))
+        for k in range(16):
             oa1, e1 = moments(a[k : k + 1], basis)
             assert np.array_equal(oa1[0], oa[k]) and np.array_equal(e1[0], e[k])
 
@@ -164,6 +166,41 @@ class TestMoments:
         # a single state must come as one row: the message names both shapes
         with pytest.raises(ValueError, match=r"shape \(N, 3\), got \(3,\)"):
             moments(np.array([0, 1, 0]), SPIN1)
+
+
+class TestKernel:
+    """_apply and moments, one stacked matmul each, against an independent loop over
+    rows and observables, within 4 eps of each row's scale."""
+
+    BASES = {"pair": local_two_qubit_basis(), "random-C4": random_basis(np.random.default_rng(5), 4),
+             "random-C81": random_basis(np.random.default_rng(6), 81)}
+
+    @staticmethod
+    def rows(dim):
+        rng = np.random.default_rng(dim)
+        x = rng.normal(size=(16, dim)) + 1j * rng.normal(size=(16, dim))
+        return x * 10.0 ** rng.uniform(-3, 3, size=(16, 1))
+
+    def check_against_the_loop(self, basis):
+        x, ops, eps = self.rows(basis.dim), basis.operators, np.finfo(float).eps
+        oa, e = moments(x, basis)
+        assert np.array_equal(oa, _apply(ops, x))
+        for n in range(len(x)):
+            ref = np.array([o @ x[n] for o in ops])
+            scale = max((np.abs(o) @ np.abs(x[n])).max() for o in ops)
+            assert np.abs(oa[n] - ref).max() <= 4 * eps * scale
+            norm2 = np.vdot(x[n], x[n]).real
+            ref = np.array([np.vdot(x[n], o @ x[n]).real for o in ops]) / norm2
+            scale = max(np.abs(x[n]) @ np.abs(o) @ np.abs(x[n]) for o in ops) / norm2
+            assert np.abs(e[n] - ref).max() <= 4 * eps * scale
+
+    def test_spins_match_the_loop(self):
+        for two_j in range(1, 81):
+            self.check_against_the_loop(spin_generators(two_j / 2))
+
+    @pytest.mark.parametrize("name", BASES)
+    def test_bases_match_the_loop(self, name):
+        self.check_against_the_loop(self.BASES[name])
 
 
 class TestCompletelyEntangled:

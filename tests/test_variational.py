@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -14,7 +17,9 @@ from entfluct import (
     to_cartesian,
     total_variance,
 )
+from entfluct import variational
 from entfluct.algebra import GRADIENT_FLOOR, STEP_TOL_DEFAULT
+from entfluct.fluctuations import _inner
 from entfluct.variational import _best_angle, _line_coefficients, _line_terms, _value_and_gradient
 from util import random_basis, random_state
 
@@ -258,8 +263,9 @@ class TestConvergedFlag:
 class TestIterationBudget:
     """Every restart stops on the gradient test within a budget. Spin-40
     minimize is where Polak-Ribiere+ and Powell's restarts still run after the
-    eigenvector start: its slowest restart stops at iteration 11 (seeds 0-9),
-    at 12 without Powell's restarts and at 20 by steepest ascent (beta = 0)."""
+    eigenvector start: its slowest restart stops at iteration 10 (seeds 0-9),
+    also without Powell's restarts, and at 16 by steepest ascent (beta = 0);
+    11, 12 and 20 while the moments kernel was a broadcast sum."""
 
     @pytest.mark.parametrize("basis,label,mode,budget", [
         (spin_generators(1.5), "spherical", "maximize", 12),
@@ -430,16 +436,18 @@ class TestFixedPoints:
 
 
 class TestDeterminismAndConsistency:
-    @pytest.mark.parametrize("j", [1.5, 3])
+    # d = 21 and 81 reach other BLAS blocking in the stacked matmul kernel than d <= 4
+    @pytest.mark.parametrize("basis,label", [
+        *[(spin_generators(j), "spherical") for j in (1.5, 3, 10, 40)], (local_two_qubit_basis(), "qubit-pair"),
+    ], ids=["1.5", "3", "10", "40", "qubit-pair"])
     @pytest.mark.parametrize("mode", ["maximize", "minimize"])
-    def test_batched_restart_equals_single_restart(self, j, mode):
-        basis = spin_generators(j)
+    def test_batched_restart_equals_single_restart(self, basis, label, mode):
         run = maximize_total_variance if mode == "maximize" else minimize_total_variance
         seed = 2024
-        batch = run(basis, SearchConfig(restarts=8, seed=seed, mode=mode))
+        batch = run(basis, SearchConfig(restarts=8, seed=seed, mode=mode), state_label=label)
         best = int(np.argmax(batch.restart_values if mode == "maximize" else -batch.restart_values))
         for k in range(8):
-            one = run(basis, SearchConfig(restarts=1, seed=seed ^ k, mode=mode))
+            one = run(basis, SearchConfig(restarts=1, seed=seed ^ k, mode=mode), state_label=label)
             assert one.best_value == batch.restart_values[k]
             assert one.restart_stop[0] == batch.restart_stop[k]
             assert one.restart_gradients[0] == batch.restart_gradients[k]
@@ -522,19 +530,71 @@ class TestDeterminismAndConsistency:
             [0.04798860601686995 - 0.011780201161853344j, -0.5344837242327772 - 0.15647782467617477j,
              0.3996187567189988 - 0.33538631146983305j, 0.3629551460351543 - 0.5324327119849399j]]
 
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("j", [1.5, 10])
+    def test_starts_are_the_re_keyed_streams(self, monkeypatch, seed, j):
+        # restart k starts at the normalized first 2d normals of Philox(key=seed ^ k)
+        starts = []
+
+        def first_call(a, basis):
+            starts.append(a.copy())
+            raise StopIteration
+
+        monkeypatch.setattr("entfluct.variational._value_and_gradient", first_call)
+        basis = spin_generators(j)
+        with pytest.raises(StopIteration):
+            maximize_total_variance(basis, SearchConfig(restarts=16, seed=seed))
+        for k in range(16):
+            x = np.random.Generator(np.random.Philox(key=seed ^ k)).standard_normal((2, basis.dim))
+            z = x[0] + 1j * x[1]
+            assert np.array_equal(starts[0][k], z / np.sqrt(_inner(z, z).real))
+
+    def test_no_random_state_at_module_level(self, monkeypatch):
+        # each search builds its own Generator and state dict, so concurrent searches share none
+        for name, value in vars(variational).items():
+            assert not isinstance(value, (np.random.Generator, np.random.BitGenerator, dict)) or name.startswith("__")
+        made = []
+        philox = np.random.Philox
+        monkeypatch.setattr(np.random, "Philox", lambda *args, **kwargs: made.append(philox(*args, **kwargs)) or made[-1])
+        for _ in range(2):
+            maximize_total_variance(SPIN1, SearchConfig(restarts=3))
+        assert len(made) == 2 and made[0] is not made[1]
+
+    def test_concurrent_searches_match_serial_ones(self):
+        basis, seeds = spin_generators(1.5), range(6)
+        serial = [maximize_total_variance(basis, SearchConfig(seed=seed)) for seed in seeds]
+        results = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=lambda s=seed: results.__setitem__(
+                s, maximize_total_variance(basis, SearchConfig(seed=s)))) for seed in seeds]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for seed, one in zip(seeds, serial):
+            assert np.array_equal(results[seed].restart_values, one.restart_values)
+            assert np.array_equal(results[seed].best_state.amplitudes, one.best_state.amplitudes)
+
     def test_golden_restarts(self):
         # pins the scalar-Casimir search path from those starts; the spin-3/2
-        # amplitudes were re-recorded when the search gained Powell's restarts and
-        # when maximize moved to the Gauss-Newton direction, the qubit-pair minimum
-        # when minimize began at the eigenvector start
+        # amplitudes were re-recorded when the search gained Powell's restarts,
+        # when maximize moved to the Gauss-Newton direction and when the kernels
+        # moved to stacked matmuls (by 1.8e-12, along the CE manifold), the
+        # qubit-pair minimum when minimize began at the eigenvector start and
+        # when the kernels moved (its values by 1 ulp, so another restart wins)
         r = maximize_total_variance(spin_generators(1.5), SearchConfig(restarts=4, seed=3))
         assert r.restart_values.tolist() == [3.75, 3.75, 3.75, 3.75]
         assert r.best_state.amplitudes.tolist() == [
-            0.40341949467220667 + 0.07689579643850586j, 0.3643402094949996 - 0.5810752633225449j,
-            0.06359758548229401 + 0.22178839181954532j, -0.5032340776626175 + 0.2333842697404032j]
+            0.40341949467079313 + 0.07689579643802592j, 0.36434020949604146 - 0.5810752633234j,
+            0.06359758548071699 + 0.22178839182030632j, -0.503234077661606 + 0.23338426974113646j]
         config = SearchConfig(restarts=4, seed=3, mode="minimize")
         r = minimize_total_variance(local_two_qubit_basis(), config, state_label="qubit-pair")
-        assert r.restart_values.tolist() == [1.0, 0.9999999999999999, 1.0, 1.0]
+        assert r.restart_values.tolist() == [0.9999999999999999, 1.0, 1.0000000000000002, 0.9999999999999999]
         assert r.best_state.amplitudes.tolist() == [
-            -0.25754323185259687 + 0j, -0.15574260121131686 - 0.15843436807973876j,
-            -0.3220987839410722 + 0.6350391968114938j, -0.5854416566340769 + 0.18587612939877238j]
+            -0.49950858116502905 + 0j, -0.46263177778769227 + 0.6578100153391059j,
+            0.16214474637079526 + 0.05091109428141193j, 0.2172197717396056 - 0.16637821886255974j]

@@ -16,7 +16,7 @@ the last line. The parts, in this order:
   benchmark's `bulk_batch(0, b)`, b = 0..3;
 - one part per search problem and mode, `j=1/2-max`, `j=1/2-min`, ...,
   `pair-max`, `pair-min`: `maximize_total_variance` or
-  `minimize_total_variance` (16 restarts) at j in {1/2, 1, 3/2, 2, 3, 10}
+  `minimize_total_variance` (16 restarts) at j in {1/2, 1, 3/2, 2, 3, 10, 40}
   and on the qubit pair, seeds 0-4: the best state, value, flag and
   iterations, and every restart's value, stop reason and tangent-gradient
   norm.
@@ -108,7 +108,7 @@ def parts():
     """(name, traffic) in hashing order: cli, bulk, then j=1/2-max ... pair-min."""
     yield "cli", cli_traffic
     yield "bulk", bulk_traffic
-    problems = [(f"j={fractions.Fraction(j)}", spin_generators(j), "spherical") for j in (0.5, 1, 1.5, 2, 3, 10)]
+    problems = [(f"j={fractions.Fraction(j)}", spin_generators(j), "spherical") for j in (0.5, 1, 1.5, 2, 3, 10, 40)]
     for name, basis, label in problems + [("pair", local_two_qubit_basis(), "qubit-pair")]:
         for mode in ("maximize", "minimize"):
             yield f"{name}-{mode[:3]}", functools.partial(search_traffic, basis=basis, label=label, mode=mode)
