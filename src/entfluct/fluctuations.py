@@ -43,7 +43,7 @@ def moments(a: np.ndarray, basis: ObservableBasis):
 def variance(e: np.ndarray, c: float) -> np.ndarray:
     """V_tot = c - sum_i <O_i>^2 for each row of moments' <O>, c the basis's Casimir."""
     v = c - (e**2).sum(axis=-1)
-    if np.min(v) < -VARIANCE_CLAMP:
+    if v.min() < -VARIANCE_CLAMP:
         raise ValueError("total variance is negative beyond tolerance")
     return np.maximum(v, 0.0)
 

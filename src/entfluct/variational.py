@@ -90,8 +90,8 @@ def _line_coefficients(d, oa, e, basis: ObservableBasis) -> np.ndarray:
     od = _apply(basis.operators, d)
     m = (e + _inner(d[:, None, :], od).real) / 2
     u, r = e - m, _inner(oa, d[:, None, :]).real  # r = Re<a|O|d>, O Hermitian
-    return np.stack([-2.0 * (m * u).sum(axis=-1), -2.0 * (m * r).sum(axis=-1),
-                     -(u**2 - r**2).sum(axis=-1) / 2, -(u * r).sum(axis=-1)], axis=-1)
+    return np.array([-2.0 * (m * u).sum(axis=-1), -2.0 * (m * r).sum(axis=-1),
+                     -(u**2 - r**2).sum(axis=-1) / 2, -(u * r).sum(axis=-1)]).T
 
 
 _TERM_FREQ = np.array([0.5, 1.0, 1.0, 2.0])
@@ -128,7 +128,7 @@ def _best_angle(coef: np.ndarray):
     peaks = np.where(grid_gain >= np.maximum(grid_gain[:, _PREV], grid_gain[:, _NEXT]), grid_gain, -np.inf)
     top = peaks.argmax(axis=-1)
     peaks[rows, top] = -np.inf
-    s = _GRID[np.stack([top, peaks.argmax(axis=-1)])]  # (2, R): one seed per local maximum
+    s = _GRID[np.array([top, peaks.argmax(axis=-1)])]  # (2, R): one seed per local maximum
     newton = _NEWTON_WEIGHT * coef.T[_NEWTON_COEF][:, :, None, :]
     for _ in range(_NEWTON_STEPS):
         d1, bend = (newton * np.sin(_NEWTON_FREQ * s + _NEWTON_PHASE)).sum(axis=1)

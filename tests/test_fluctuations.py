@@ -123,7 +123,7 @@ class TestMoments:
         random_basis(np.random.default_rng(5), 4), spin_generators(40), random_basis(np.random.default_rng(6), 81),
     ])
     def test_batched_rows_equal_single_rows(self, basis):
-        # d = 21 and 81 reach other BLAS blocking in the stacked matmuls than d <= 4
+        # d from 2 to 81: the stacked matmuls must round a row alike at every size and row count
         rng = np.random.default_rng(12)
         a = rng.normal(size=(16, basis.dim)) + 1j * rng.normal(size=(16, basis.dim))
         oa, e = moments(a, basis)
