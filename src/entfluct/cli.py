@@ -48,7 +48,7 @@ class UsageError(Exception):
 
 
 def _state_json(amplitudes, basis_label: str) -> dict:
-    return {"basis": basis_label, "components": [[float(c.real), float(c.imag)] for c in amplitudes]}
+    return {"basis": basis_label, "components": [[z.real, z.imag] for z in amplitudes.tolist()]}
 
 
 def _read_state(args) -> tuple:
@@ -103,10 +103,10 @@ def _require_spin1(a: np.ndarray, needs: str, hint: str = ""):
 
 def _canonical_form_json(form) -> dict:
     return {
-        "theta": float(form.theta),
-        "phi": float(form.phi),
-        "mu": [float(v) for v in form.mu],
-        "nu": None if form.nu is None else [float(v) for v in form.nu],
+        "theta": form.theta,
+        "phi": form.phi,
+        "mu": form.mu.tolist(),
+        "nu": None if form.nu is None else form.nu.tolist(),
         "nu_defined": form.nu is not None,
     }
 
@@ -114,11 +114,11 @@ def _canonical_form_json(form) -> dict:
 def _fluctuations_json(report, basis_label: str, v_min: float, v_max: float) -> dict:
     return {
         "basis": basis_label,
-        "expectations": [float(e) for e in report.expectations],
-        "v_tot": float(report.v_tot),
+        "expectations": report.expectations.tolist(),
+        "v_tot": report.v_tot,
         "v_min": v_min,
         "v_max": v_max,
-        "ce_residual": float(report.ce_residual),
+        "ce_residual": report.ce_residual,
         "concurrence_variance": report.concurrence_variance,
     }
 
@@ -171,13 +171,13 @@ def build_analysis(amps, basis_label: str, system: str, tol: float, original_nor
         "schema_version": SCHEMA_VERSION,
         "system": system,
         "input": echo,
-        "state": _state_json(a, basis_label),
+        "state": {"basis": basis_label, "components": echo["components"]},  # StateVector only casts and flattens
         "fluctuations": _fluctuations_json(report, basis.label, v_min, v_max),
         "canonical_form": None if form is None else _canonical_form_json(form),
         "concurrence": _concurrence_json(concurrences),
         "ce": {
             "completely_entangled": bool(report.ce_flag),
-            "residual": float(report.ce_residual),
+            "residual": report.ce_residual,
             "tolerance": tol,
         },
     }
@@ -236,13 +236,13 @@ def cmd_search(args) -> int:
         "schema_version": SCHEMA_VERSION,
         "system": args.system,
         "mode": args.mode,
-        "best_value": float(result.best_value),
+        "best_value": result.best_value,
         "best_state": _state_json(result.best_state.amplitudes, result.best_state.basis_label),
-        "converged": bool(result.converged),
-        "iterations_used": int(result.iterations_used),
-        "restart_values": [float(v) for v in result.restart_values],
+        "converged": result.converged,
+        "iterations_used": result.iterations_used,
+        "restart_values": result.restart_values.tolist(),
     }
-    stop = result.restart_stop[result.restart_values.tolist().index(result.best_value)]  # first on ties
+    stop = result.restart_stop[doc["restart_values"].index(result.best_value)]  # first on ties
     limit = f"--max-iter {args.max_iterations}" if stop == "cap" else "no step gained, or gradient at rounding floor"
     failure = None if result.converged else (
         f"not converged: the best restart stopped on {stop} at iteration {result.iterations_used} ({limit}),"

@@ -9,6 +9,7 @@ one place a state's CE verdict and variance concurrence come from.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -79,7 +80,7 @@ def _fluctuation_report(a: np.ndarray, basis: ObservableBasis, v_min, v_max, ce_
         raise ValueError("tolerance must be positive and finite")
     _, e = moments(a[None], basis)
     exps, v = e[0], float(variance(e, basis.casimir)[0])
-    residual = float(np.max(np.abs(exps)))
+    residual = max(map(abs, exps.tolist()))
     conc = None
     if (v_min is None) != (v_max is None):
         raise ValueError("pass both variance bounds or neither")
@@ -88,7 +89,7 @@ def _fluctuation_report(a: np.ndarray, basis: ObservableBasis, v_min, v_max, ce_
             raise ValueError("variance bounds must be finite with v_max > v_min")
         if v < v_min - BOUND_SLACK or v > v_max + BOUND_SLACK:
             raise ValueError(f"total variance {v} lies outside [{v_min}, {v_max}]: inconsistent bounds")
-        conc = float(np.sqrt(min(max((v - v_min) / (v_max - v_min), 0.0), 1.0)))
+        conc = math.sqrt(min(max((v - v_min) / (v_max - v_min), 0.0), 1.0))
     exps.setflags(write=False)
     return FluctuationReport(
         expectations=exps,

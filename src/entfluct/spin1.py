@@ -9,6 +9,7 @@ completely entangled states and phi = pi/4 the coherent ones.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -70,7 +71,7 @@ def _canonical_form(a: np.ndarray) -> CanonicalForm:
     theta = 0.5 * np.angle(np.sum(a * a)) % np.pi % np.pi
     dephased = a * np.exp(-1j * theta)
     x, y = dephased.real, dephased.imag
-    nx, ny = np.linalg.norm(x), np.linalg.norm(y)
+    nx, ny = math.sqrt(x @ x), math.sqrt(y @ y)  # np.linalg.norm's dot and sqrt, bit for bit
     phi = min(float(np.arctan2(ny, nx)), np.pi / 4)
     mu = x / nx
     nu = y / ny if ny > NU_CUTOFF else None

@@ -772,3 +772,53 @@ class TestValidatedOnce:
             sph = a if basis == "spherical" else _convert(a, "spherical")
             for out in (_convert(a, other), sph, _embed_symmetric(sph)):
                 assert abs(np.sum(np.abs(out) ** 2) - 1) <= 8 * eps, (basis, a)
+
+
+def _leaves_of(value):
+    if isinstance(value, dict):
+        for v in value.values():
+            yield from _leaves_of(v)
+    elif isinstance(value, list):
+        for v in value:
+            yield from _leaves_of(v)
+    else:
+        yield value
+
+
+class TestDocumentBoundary:
+    """build_analysis hands json.dumps plain Python values only, and echoes the
+    validated state with the input's very values."""
+
+    CASES = [*workloads.bulk_batch(0, 0),
+             *[(p.state.amplitudes, p.state.basis_label, p.system) for p in PRESETS.values() if p.state is not None]]
+
+    def test_every_leaf_is_a_plain_python_value(self):
+        for amps, basis, system in self.CASES:
+            doc = build_analysis(amps, basis, system, CE_TOL_DEFAULT, None)
+            leaf_types = {type(v) for v in _leaves_of(doc)}
+            assert leaf_types <= {float, int, bool, str, type(None)}, (basis, system, leaf_types)
+
+    def test_state_echo_is_the_input_echo(self):
+        for amps, basis, system in self.CASES:
+            doc = build_analysis(amps, basis, system, CE_TOL_DEFAULT, None)
+            components = [[float(z.real), float(z.imag)] for z in amps]
+            # json.dumps tells -0.0 from 0.0, which == does not
+            assert json.dumps(doc["state"]["components"]) == json.dumps(doc["input"]["components"])
+            assert json.dumps(doc["input"]["components"]) == json.dumps(components)
+
+    @pytest.mark.parametrize("basis,system,amps", [
+        ("spherical", "spin1", [complex(-0.0, -0.0), complex(-1.0, 0.0), complex(0.0, -0.0)]),
+        ("cartesian", "spin1", [complex(0.6, -0.0), complex(-0.0, 0.8), complex(-0.0, 0.0)]),
+        ("qubit-pair", "two-qubit", [complex(-0.0, 0.0), complex(0.6, -0.0), complex(-0.0, -0.8), 0j]),
+    ])
+    def test_negative_zero_echoes_as_negative_zero(self, capsys, monkeypatch, basis, system, amps):
+        doc = build_analysis(np.array(amps), basis, system, CE_TOL_DEFAULT, None)
+        signs = [[math.copysign(1.0, z.real), math.copysign(1.0, z.imag)] for z in amps]
+        for echo in (doc["input"], doc["state"]):
+            assert [[math.copysign(1.0, x) for x in pair] for pair in echo["components"]] == signs
+        code, out, _ = run(capsys, monkeypatch, ["analyze", "--format", "json", "--system", system],
+                           json.dumps({"basis": basis, "components": [[z.real, z.imag] for z in amps]}))
+        assert code == 0
+        doc = json.loads(out)
+        for echo in (doc["input"], doc["state"]):
+            assert [[math.copysign(1.0, x) for x in pair] for pair in echo["components"]] == signs
