@@ -812,13 +812,14 @@ class TestDocumentBoundary:
         ("qubit-pair", "two-qubit", [complex(-0.0, 0.0), complex(0.6, -0.0), complex(-0.0, -0.8), 0j]),
     ])
     def test_negative_zero_echoes_as_negative_zero(self, capsys, monkeypatch, basis, system, amps):
-        doc = build_analysis(np.array(amps), basis, system, CE_TOL_DEFAULT, None)
-        signs = [[math.copysign(1.0, z.real), math.copysign(1.0, z.imag)] for z in amps]
-        for echo in (doc["input"], doc["state"]):
-            assert [[math.copysign(1.0, x) for x in pair] for pair in echo["components"]] == signs
+        def signs(pairs):
+            return [math.copysign(1.0, x) for pair in pairs for x in pair]
+
+        pairs = [[z.real, z.imag] for z in amps]
+        in_process = build_analysis(np.array(amps), basis, system, CE_TOL_DEFAULT, None)
         code, out, _ = run(capsys, monkeypatch, ["analyze", "--format", "json", "--system", system],
-                           json.dumps({"basis": basis, "components": [[z.real, z.imag] for z in amps]}))
+                           json.dumps({"basis": basis, "components": pairs}))
         assert code == 0
-        doc = json.loads(out)
-        for echo in (doc["input"], doc["state"]):
-            assert [[math.copysign(1.0, x) for x in pair] for pair in echo["components"]] == signs
+        for doc in (in_process, json.loads(out)):
+            for echo in ("input", "state"):
+                assert signs(doc[echo]["components"]) == signs(pairs)
