@@ -147,7 +147,7 @@ def _search(basis: ObservableBasis, config: SearchConfig, mode: str, state_label
     check_state_label(state_label, basis.dim)  # before the first draw, not at the returned state
     maximize = mode == "maximize"
     sign = 1.0 if maximize else -1.0
-    ascent, floor = sign * (basis.dim > 1), GRADIENT_FLOOR * np.finfo(float).eps * np.sqrt(basis.casimir)
+    ascent, floor = sign * (basis.dim > 1), GRADIENT_FLOOR * np.finfo(float).eps * basis.casimir * np.sqrt(basis.dim)
     rng, draws = np.random.Generator(np.random.Philox(key=0)), np.empty((config.restarts, 2, basis.dim))
     state = rng.bit_generator.state  # a fresh stream, re-keyed below: restart k draws that of Philox(key=seed ^ k)
     for k in range(config.restarts):
