@@ -12,12 +12,14 @@ first two derivatives alone; V itself is evaluated once more, to pick the best
 polished point. The gradient is 2 (F - <F>) a with F = c - 2 sum_i <O_i> O_i.
 Maximize steps along the damped Gauss-Newton direction of the CE condition
 <O_i> = 0. Minimize first moves each start to the lowest eigenvector of F there,
-which never raises V, then runs Riemannian conjugate gradient (Polak-Ribiere+,
-exact parallel transport) that restarts from the tangent gradient every 2d - 2
-steps, the real dimension of CP^(d-1), and where successive gradients lose
-orthogonality (Powell 1977). Both directions are ascents by construction.
-Restarts advance together as the rows of one (R, d) array, every operation (eigh
-and solve too) row by row, so restart k of seed s is the one-restart search with seed s ^ k.
+which never raises V. On a Lie-algebra basis (spin j, its rotations and unitary
+conjugates, the local qubit pair) that is a coherent state, a fixed point; on
+any other basis the search then steps along the tangent gradient. Both
+directions are ascents by construction. A restart stops on the gradient test,
+or on stall where its tangent gradient is within the rounding floor
+GRADIENT_FLOOR eps c sqrt(d) or a line search gains nothing. Restarts advance
+together as the rows of one (R, d) array, every operation (eigh and solve too)
+row by row, so restart k of seed s is the one-restart search with seed s ^ k.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .fluctuations import _apply, _inner, moments, variance
 
 STOP_REASONS = ("gradient", "stall", "cap")
 MODES = ("maximize", "minimize")
-_POWELL_RATIO = 0.2  # restart where |Re<xi_k, xi_k-1>| >= 0.2 |xi_k|^2
 
 
 @dataclass(frozen=True)
@@ -178,24 +179,13 @@ def _search(basis: ObservableBasis, config: SearchConfig, mode: str, state_label
             gram = h.view(float) @ h.view(float).swapaxes(1, 2)  # Re<h_i|h_j>, then + mu on the diagonal
             np.einsum("rii->ri", gram)[...] += mu[:, None]
             direction = -(np.linalg.solve(gram, e[..., None]).swapaxes(1, 2) @ h)[:, 0]
-        elif n > 1:  # Polak-Ribiere+ (a moving row had norm_old > tol)
-            den = np.maximum(norm_old, config.step_tolerance) ** 2  # 0 where tol**2 underflows: restart
-            beta = np.divide(_inner(xi, xi - xi_old).real, den, out=np.zeros_like(den), where=den > 0)
-            lost = np.abs(_inner(xi, xi_old).real) >= _POWELL_RATIO * gnorm**2  # gradients not orthogonal
-            beta = np.where(lost | ((n - 1) % (2 * basis.dim - 2) == 0), 0.0, beta)  # and every 2d - 2 steps
-            direction = xi + np.maximum(beta, 0.0)[:, None] * d_old
-        if maximize or n > 1:  # back onto the tangent space; Re<direction, xi> > 0 for both
-            direction = direction - _inner(a, direction)[:, None] * a
+            direction = direction - _inner(a, direction)[:, None] * a  # back onto the tangent space
         dn = np.sqrt(_inner(direction, direction).real)[:, None]
         d = np.divide(direction, dn, out=np.zeros_like(direction), where=dn > 0)
         s, gain = _best_angle(sign * _line_coefficients(d, oa, e, basis))
         stop[(stop < 0) & ~(gain > 0)] = 1
         t = np.where(stop < 0, s, 0.0)[:, None] / 2
-        sin_t, cos_t = np.sin(t), np.cos(t)
-        if not maximize:  # transport along the geodesic, for the next conjugate direction
-            velocity = -a * sin_t + d * cos_t
-            xi_old, d_old, norm_old = xi + _inner(d, xi).real[:, None] * (velocity - d), dn * velocity, gnorm
-        a = a * cos_t + d * sin_t
+        a = a * np.cos(t) + d * np.sin(t)
     stop[stop < 0] = 2
 
     best_k = int(np.lexsort((stop != 0, -sign * v))[0])  # best V; on exact ties stopped on gradient, then first
