@@ -242,7 +242,7 @@ def cmd_search(args) -> int:
         "iterations_used": result.iterations_used,
         "restart_values": result.restart_values.tolist(),
     }
-    stop = result.restart_stop[doc["restart_values"].index(result.best_value)]  # first on ties
+    stop = result.restart_stop[result.best_restart]
     limit = f"--max-iter {args.max_iterations}" if stop == "cap" else "no step gained, or gradient at rounding floor"
     failure = None if result.converged else (
         f"not converged: the best restart stopped on {stop} at iteration {result.iterations_used} ({limit}),"

@@ -64,14 +64,15 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class SearchResult:
-    """The restart of best V is returned; among exact ties of V, the first that stopped
-    on the gradient, else the first. `converged`: the returned restart stopped on the
-    gradient. Per restart: final value, stop reason (one of STOP_REASONS), tangent-gradient norm at the end."""
+    """The restart of best V is returned, its index `best_restart`; among exact ties of V, the
+    first that stopped on the gradient, else the first. `converged`: the returned restart stopped
+    on the gradient. Per restart: final value, stop reason (one of STOP_REASONS), tangent-gradient norm at the end."""
 
     best_state: StateVector
     best_value: float
     converged: bool
     iterations_used: int
+    best_restart: int
     restart_values: np.ndarray
     restart_stop: tuple
     restart_gradients: np.ndarray
@@ -196,6 +197,7 @@ def _search(basis: ObservableBasis, config: SearchConfig, mode: str, state_label
         best_value=float(v[best_k]),
         converged=bool(stop[best_k] == 0),
         iterations_used=int(iterations[best_k]),
+        best_restart=best_k,
         restart_values=v,
         restart_stop=tuple(STOP_REASONS[c] for c in stop),
         restart_gradients=gnorm,

@@ -231,7 +231,7 @@ class TestConvergedFlag:
         result = maximize_total_variance(spin_generators(10), config)
         assert result.restart_stop == ("cap", "cap")
         assert result.best_value == result.restart_values[0] > result.restart_values[1]
-        assert result.iterations_used == 2
+        assert result.iterations_used == 2 and result.best_restart == 0
         assert not result.converged
         g = _value_and_gradient(result.best_state.amplitudes[None], spin_generators(10))[1][0]
         a = result.best_state.amplitudes
@@ -244,7 +244,7 @@ class TestConvergedFlag:
         result = maximize_total_variance(spin_generators(10), config)
         assert result.restart_stop == ("cap", "gradient")
         assert result.best_value == result.restart_values[0] == result.restart_values[1]
-        assert result.converged
+        assert result.converged and result.best_restart == 1
         g = _value_and_gradient(result.best_state.amplitudes[None], spin_generators(10))[1][0]
         a = result.best_state.amplitudes
         assert np.linalg.norm(g - np.vdot(a, g) * a) <= config.step_tolerance
@@ -256,6 +256,7 @@ class TestConvergedFlag:
         result = maximize_total_variance(spin_generators(3), config)
         tied = np.flatnonzero(result.restart_values == result.best_value)
         best = next((k for k in tied if result.restart_stop[k] == "gradient"), tied[0])
+        assert result.best_restart == best
         assert result.converged == (result.restart_stop[best] == "gradient")
         assert result.restart_gradients[best] <= config.step_tolerance
 
