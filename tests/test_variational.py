@@ -21,7 +21,7 @@ from entfluct import variational
 from entfluct.algebra import GRADIENT_FLOOR, STEP_TOL_DEFAULT
 from entfluct.fluctuations import _inner
 from entfluct.variational import _best_angle, _line_coefficients, _line_terms, _value_and_gradient
-from util import random_basis, random_state
+from util import non_lie_basis, random_basis, random_state
 
 SPIN1 = spin_generators(1)
 
@@ -327,10 +327,13 @@ class TestRoundingFloor:
         assert all(self.floor(spin_generators(j)) < STEP_TOL_DEFAULT for j in np.arange(0.5, 10.5, 0.5))
         assert self.floor(spin_generators(40)) > STEP_TOL_DEFAULT
 
-    def test_spin_40_minimize_stops_at_its_start(self):
+    @pytest.mark.parametrize("basis", [spin_generators(40), random_basis(np.random.default_rng(6), 81)],
+                             ids=["spin-40", "haar-spin-40"])
+    def test_spin_40_minimize_stops_at_its_start(self, basis):
         # the eigenvector start is the coherent state, stationary to within the floor:
-        # every restart stops at iteration 1 (159 of these 160 on stall), at V = 40
-        basis = spin_generators(40)
+        # every restart stops at iteration 1, at V = 40 (159 and 160 of these 160 on stall;
+        # with the floor at 64 eps sqrt(c) the Haar rows walked in rounding noise, 6 of
+        # 16 to the cap at seed 0)
         for seed in range(0, 160, 16):
             config = SearchConfig(restarts=16, seed=seed, max_iterations=1, mode="minimize")
             result = minimize_total_variance(basis, config)
@@ -374,8 +377,9 @@ ASCENT_BASES = [
     (local_two_qubit_basis(), "qubit-pair"),
     (random_basis(np.random.default_rng(5), 4), "qubit-pair"),
     (random_basis(np.random.default_rng(5), 41), "spherical"),
+    (non_lie_basis(np.random.default_rng(7), 4), "qubit-pair"),
 ]
-ASCENT_IDS = ["j1/2", "j1", "j3/2", "j10", "j40", "qubit-pair", "random-C4", "random-C41"]
+ASCENT_IDS = ["j1/2", "j1", "j3/2", "j10", "j40", "qubit-pair", "random-C4", "random-C41", "non-lie-C4"]
 
 
 class TestAscentByConstruction:
@@ -438,6 +442,17 @@ class TestFixedPoints:
             assert result.restart_stop == ("gradient",) * 16
             assert result.iterations_used == 1 and len(calls) == 1
             assert np.max(np.abs(result.restart_values - v_min)) <= 1e-9
+
+    def test_minimize_leaves_a_start_that_is_not_coherent(self, monkeypatch):
+        # with a scalar Casimir but no Lie algebra the eigenvector start is not
+        # stationary: each restart steps along the tangent gradient, and V only falls
+        starts, basis = [], non_lie_basis(np.random.default_rng(7), 4)
+        monkeypatch.setattr("entfluct.variational._value_and_gradient",
+                            lambda a, b: starts.append(a) or _value_and_gradient(a, b))
+        result = minimize_total_variance(basis, SearchConfig(mode="minimize"))
+        assert result.iterations_used > 1
+        assert result.restart_stop == ("gradient",) * 16
+        assert np.all(result.restart_values <= _value_and_gradient(starts[0], basis)[0])
 
     @pytest.mark.parametrize("mode", ["maximize", "minimize"])
     def test_one_dimensional_state_space(self, mode):

@@ -18,6 +18,17 @@ def random_basis(rng, dim):
     return ObservableBasis(u @ spin_generators((dim - 1) / 2).operators @ u.conj().T)
 
 
+def non_lie_basis(rng, dim):
+    """{A1, A2, sqrt(c - A1^2 - A2^2)} for random Hermitian A1, A2, with c 1.5 times the
+    top eigenvalue of A1^2 + A2^2: its Casimir sum is the scalar c, but it spans no Lie
+    algebra, so the top eigenvector of sum_i <O_i> O_i is in general not stationary."""
+    a = rng.normal(size=(2, dim, dim)) + 1j * rng.normal(size=(2, dim, dim))
+    a = (a + a.conj().swapaxes(1, 2)) / 2
+    s = a[0] @ a[0] + a[1] @ a[1]
+    w, v = np.linalg.eigh(1.5 * np.linalg.eigvalsh(s)[-1] * np.eye(dim) - s)
+    return ObservableBasis([*a, (v * np.sqrt(w)) @ v.conj().T])
+
+
 def casimir_sum(basis):
     """C = sum_i O_i^2, built explicitly from the basis elements."""
     return np.einsum("kij,kjl->il", basis.operators, basis.operators)
