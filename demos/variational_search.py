@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Find extremal-fluctuation states by an exact line search on great circles
 of the state sphere: maximize steps along the Gauss-Newton direction of the
-CE condition <O_i> = 0, minimize along Riemannian conjugate gradient.
+CE condition <O_i> = 0; minimize starts at a coherent state (along <S> for a
+spin, a product for the qubit pair), where the gradient test stops it at once.
 
 Maximizing the total variance over the unit sphere lands on completely
 entangled states (all observable expectations vanish); minimizing lands on

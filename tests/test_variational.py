@@ -293,8 +293,8 @@ class TestIterationBudget:
 
     @pytest.mark.parametrize("mode", ["maximize", "minimize"])
     def test_tolerance_below_the_square_root_of_the_smallest_float(self, mode):
-        # step_tolerance**2 underflows to 0: a row stopped on a zero gradient
-        # restarts its direction instead of dividing 0 by 0 (a RuntimeWarning)
+        # no gradient meets this tolerance: every restart stops on stall,
+        # and a zero direction is never divided by its norm (0 / 0, a RuntimeWarning)
         run = maximize_total_variance if mode == "maximize" else minimize_total_variance
         config = SearchConfig(step_tolerance=1e-300, max_iterations=40, mode=mode)
         result = run(SPIN1, config)
@@ -383,7 +383,8 @@ ASCENT_IDS = ["j1/2", "j1", "j3/2", "j10", "j40", "qubit-pair", "random-C4", "ra
 
 
 class TestAscentByConstruction:
-    """The search keeps no guard on its start or its directions, because neither can lose V."""
+    """The search keeps no guard on its start or its directions (Gauss-Newton for maximize,
+    the tangent gradient for minimize), because neither can lose V."""
 
     @pytest.mark.parametrize("basis,label", ASCENT_BASES, ids=ASCENT_IDS)
     def test_top_eigenvector_never_raises_v(self, basis, label):
@@ -398,8 +399,8 @@ class TestAscentByConstruction:
     @pytest.mark.parametrize("mode", ["maximize", "minimize"])
     @pytest.mark.parametrize("basis,label", ASCENT_BASES, ids=ASCENT_IDS)
     def test_every_running_row_searches_uphill(self, monkeypatch, basis, label, mode):
-        # Gauss-Newton has Re<xi, d> = 4 r G (G + mu)^-1 r > 0, and after an exact line
-        # search the conjugate direction has Re<xi, d> = |xi|^2: sign * V rises along d at t = 0
+        # Gauss-Newton has Re<xi, d> = 4 r G (G + mu)^-1 r > 0 and the tangent gradient
+        # Re<xi, d> = |xi|^2: sign * V rises along d at t = 0
         states, lines = [], []
         monkeypatch.setattr("entfluct.variational._value_and_gradient",
                             lambda a, b: states.append(a) or _value_and_gradient(a, b))
