@@ -17,9 +17,10 @@ conjugates, the local qubit pair) that is a coherent state, a fixed point; on
 any other basis the search then steps along the tangent gradient. Both
 directions are ascents by construction. A restart stops on the gradient test,
 or on stall where its tangent gradient is within the rounding floor
-GRADIENT_FLOOR eps c sqrt(d) or a line search gains nothing. Restarts advance
-together as the rows of one (R, d) array, every operation (eigh and solve too)
-row by row, so restart k of seed s is the one-restart search with seed s ^ k.
+GRADIENT_FLOOR eps c sqrt(d) or a line search gains nothing. Restarts start
+on one Philox stream keyed by the seed and advance together as the rows of one
+(R, d) array, every operation (eigh and solve too) row by row: the first R'
+restarts of an R-restart search are the R'-restart search with the same seed.
 """
 
 from __future__ import annotations
@@ -150,12 +151,7 @@ def _search(basis: ObservableBasis, config: SearchConfig, mode: str, state_label
     maximize = mode == "maximize"
     sign = 1.0 if maximize else -1.0
     ascent, floor = sign * (basis.dim > 1), GRADIENT_FLOOR * np.finfo(float).eps * basis.casimir * np.sqrt(basis.dim)
-    rng, draws = np.random.Generator(np.random.Philox(key=0)), np.empty((config.restarts, 2, basis.dim))
-    state = rng.bit_generator.state  # a fresh stream, re-keyed below: restart k draws that of Philox(key=seed ^ k)
-    for k in range(config.restarts):
-        state["state"]["key"][0] = config.seed ^ k
-        rng.bit_generator.state = state
-        rng.standard_normal(out=draws[k])
+    draws = np.random.Generator(np.random.Philox(key=config.seed)).standard_normal((config.restarts, 2, basis.dim))
     a = draws[:, 0] + 1j * draws[:, 1]
     if not maximize:  # start at the lowest eigenvector of c - 2 sum_i <O_i> O_i: |<O>| there is no smaller
         f = moments(a, basis)[1] @ basis.operators.reshape(len(basis), -1)  # sum_i <O_i> O_i, flattened

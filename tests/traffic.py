@@ -19,8 +19,7 @@ the last line. The parts, in this order:
   `minimize_total_variance` (16 restarts) at j in {1/2, 1, 3/2, 2, 3, 10, 40}
   and on the qubit pair, seeds 0, 16, ..., 64: the best state, value, flag and
   iterations, and every restart's value, stop reason and tangent-gradient
-  norm. Restart k of seed s draws from the key s ^ k, so seeds that step by the
-  restart count search distinct start sets.
+  norm. Each seed draws its own start set from one Philox stream.
 
 It calls nothing but `cli.main` and the public search functions. pytest does
 not collect it.
