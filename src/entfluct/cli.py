@@ -101,13 +101,13 @@ def _require_spin1(a: np.ndarray, needs: str, hint: str = ""):
         raise UsageError(f"{needs} a 3-component spherical or cartesian state{hint}")
 
 
-def _canonical_form_json(form) -> dict:
+def _canonical_form_json(theta: float, phi: float, mu: np.ndarray, nu) -> dict:
     return {
-        "theta": form.theta,
-        "phi": form.phi,
-        "mu": form.mu.tolist(),
-        "nu": None if form.nu is None else form.nu.tolist(),
-        "nu_defined": form.nu is not None,
+        "theta": theta,
+        "phi": phi,
+        "mu": mu.tolist(),
+        "nu": None if nu is None else nu.tolist(),
+        "nu_defined": nu is not None,
     }
 
 
@@ -124,19 +124,17 @@ def _fluctuations_json(report, basis_label: str, v_min: float, v_max: float) -> 
 
 
 def _concurrence_json(concurrences: dict) -> dict:
-    """Cross-check the exactly conditioned formulas against each other and the
-    variance ratio against each of them."""
+    """Add to `concurrences` the cross-check of the exactly conditioned formulas
+    against each other and of the variance ratio against each of them."""
     exact = [v for name, v in concurrences.items() if name != "variance_ratio"]
     lo, hi, ratio = min(exact), max(exact), concurrences["variance_ratio"]
     # the largest |a - b| over the pairs, as rounding is monotone
     delta_exact, delta_variance = hi - lo, max(abs(ratio - lo), abs(ratio - hi))
     finite = all(map(math.isfinite, concurrences.values()))  # min and max skip a NaN
-    return {
-        **concurrences,
-        "max_pairwise_delta": max(delta_exact, delta_variance) if finite else math.nan,
-        "cross_check_tolerance": CROSS_CHECK_TOL,
-        "consistent": finite and delta_exact <= CROSS_CHECK_TOL and delta_variance <= VARIANCE_CROSS_TOL,
-    }
+    concurrences["max_pairwise_delta"] = max(delta_exact, delta_variance) if finite else math.nan
+    concurrences["cross_check_tolerance"] = CROSS_CHECK_TOL
+    concurrences["consistent"] = finite and delta_exact <= CROSS_CHECK_TOL and delta_variance <= VARIANCE_CROSS_TOL
+    return concurrences
 
 
 def build_analysis(amps, basis_label: str, system: str, tol: float, original_norm):
@@ -152,10 +150,10 @@ def build_analysis(amps, basis_label: str, system: str, tol: float, original_nor
         _require_spin1(a, "spin1 analysis needs", hint)
         sph = _convert(a, "spherical") if basis_label == "cartesian" else a
         report = _fluctuation_report(sph, basis, v_min, v_max, tol)
-        form = _canonical_form(a if basis_label == "cartesian" else _convert(a, "cartesian"))
+        form = _canonical_form(a if basis_label == "cartesian" else _convert(a, "cartesian"))  # (theta, phi, mu, nu)
         concurrences = {
             "spherical_formula": _concurrence_spherical(sph),
-            "canonical_phi": concurrence_from_phi(form.phi),
+            "canonical_phi": concurrence_from_phi(form[1]),
             "variance_ratio": report.concurrence_variance,
             "two_qubit_det": _pure_concurrence(_embed_symmetric(sph)),
         }
@@ -173,7 +171,7 @@ def build_analysis(amps, basis_label: str, system: str, tol: float, original_nor
         "input": echo,
         "state": {"basis": basis_label, "components": echo["components"]},  # StateVector only casts and flattens
         "fluctuations": _fluctuations_json(report, basis.label, v_min, v_max),
-        "canonical_form": None if form is None else _canonical_form_json(form),
+        "canonical_form": None if form is None else _canonical_form_json(*form),
         "concurrence": _concurrence_json(concurrences),
         "ce": {
             "completely_entangled": bool(report.ce_flag),

@@ -25,7 +25,7 @@ def _apply(ops: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Row-wise <x|y> over the last axis."""
-    return (x.conj() * y).sum(axis=-1)
+    return np.add.reduce(x.conj() * y, axis=-1)
 
 
 def moments(a: np.ndarray, basis: ObservableBasis):
@@ -34,17 +34,17 @@ def moments(a: np.ndarray, basis: ObservableBasis):
     is `basis.casimir` in every state."""
     if a.ndim != 2 or a.shape[1] != basis.dim:
         raise ValueError(f"dimension mismatch: want states of shape (N, {basis.dim}), got {a.shape}")
-    oa = _apply(basis.operators, a)
-    e = (oa @ a.conj()[:, :, None])[..., 0] / _inner(a, a).real[:, None]
-    if np.abs(e.imag).max() > IMAG_TOL:
+    oa, ac = _apply(basis.operators, a), a.conj()
+    e = (oa @ ac[:, :, None])[..., 0] / np.add.reduce(ac * a, axis=-1).real[:, None]  # / _inner(a, a).real
+    if np.maximum.reduce(np.abs(e.imag), axis=None) > IMAG_TOL:
         raise ValueError("expectation has a non-negligible imaginary part")
     return oa, e.real
 
 
 def variance(e: np.ndarray, c: float) -> np.ndarray:
     """V_tot = c - sum_i <O_i>^2 for each row of moments' <O>, c the basis's Casimir."""
-    v = c - (e**2).sum(axis=-1)
-    if v.min() < -VARIANCE_CLAMP:
+    v = c - np.add.reduce(e**2, axis=-1)
+    if np.minimum.reduce(v, axis=None) < -VARIANCE_CLAMP:
         raise ValueError("total variance is negative beyond tolerance")
     return np.maximum(v, 0.0)
 

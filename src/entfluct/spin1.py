@@ -26,11 +26,12 @@ SPH_TO_CART = np.array(
         [0.0, 1.0, 0.0],
     ]
 )
+CART_TO_SPH = SPH_TO_CART.conj().T  # its inverse
 
 
 def _convert(a: np.ndarray, to: str) -> np.ndarray:
     """Spin-1 amplitudes a in the basis `to`, "cartesian" or "spherical" (a is in the other)."""
-    return (SPH_TO_CART if to == "cartesian" else SPH_TO_CART.conj().T) @ a
+    return (SPH_TO_CART if to == "cartesian" else CART_TO_SPH) @ a
 
 
 def to_cartesian(psi: StateVector) -> StateVector:
@@ -63,12 +64,13 @@ def canonical_form(psi: StateVector) -> CanonicalForm:
     theta serves at w = 0; where rounding near w = 0 leaves |imag| > |real|,
     phi is capped at pi/4. atan2 gives phi stably near 0.
     """
-    return _canonical_form(psi.require("cartesian"))
+    return CanonicalForm(*_canonical_form(psi.require("cartesian")))
 
 
-def _canonical_form(a: np.ndarray) -> CanonicalForm:
-    # a tiny negative angle % pi rounds to pi itself; the second % takes that to 0
-    theta = 0.5 * np.angle(np.sum(a * a)) % np.pi % np.pi
+def _canonical_form(a: np.ndarray) -> tuple:  # the CanonicalForm fields (theta, phi, mu, nu)
+    w = np.add.reduce(a * a, axis=None)
+    # arg(w) as np.angle takes it; a tiny negative angle % pi rounds to pi itself, the second % takes that to 0
+    theta = 0.5 * float(np.arctan2(w.imag, w.real)) % math.pi % math.pi
     dephased = a * np.exp(-1j * theta)
     x, y = dephased.real, dephased.imag
     nx, ny = math.sqrt(x @ x), math.sqrt(y @ y)  # np.linalg.norm's dot and sqrt, bit for bit
@@ -78,7 +80,7 @@ def _canonical_form(a: np.ndarray) -> CanonicalForm:
     mu.setflags(write=False)
     if nu is not None:
         nu.setflags(write=False)
-    return CanonicalForm(theta=float(theta), phi=phi, mu=mu, nu=nu)
+    return theta, phi, mu, nu
 
 
 def spin_projection_operator(omega) -> np.ndarray:
@@ -117,8 +119,8 @@ def concurrence_spherical(psi: StateVector) -> float:
 
 
 def _concurrence_spherical(a: np.ndarray) -> float:
-    p, z, m = a
-    return min(float(2.0 * abs(p * m - z * z / 2.0)), 1.0)
+    p, z, m = a.tolist()
+    return min(2.0 * abs(p * m - z * z / 2.0), 1.0)
 
 
 def concurrence_from_phi(phi: float) -> float:

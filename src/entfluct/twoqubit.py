@@ -61,4 +61,5 @@ def pure_concurrence(chi: StateVector) -> float:
 
 
 def _pure_concurrence(a: np.ndarray) -> float:
-    return min(float(2.0 * abs(a[0] * a[3] - a[1] * a[2])), 1.0)
+    uu, ud, du, dd = a.tolist()
+    return min(2.0 * abs(uu * dd - ud * du), 1.0)

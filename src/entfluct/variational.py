@@ -34,6 +34,7 @@ from .algebra import GRADIENT_FLOOR, STEP_TOL_DEFAULT, ObservableBasis, StateVec
 from .fluctuations import _apply, _inner, moments, variance
 
 STOP_REASONS = ("gradient", "stall", "cap")
+_EPS = np.finfo(float).eps
 MODES = ("maximize", "minimize")
 
 
@@ -84,7 +85,7 @@ def _value_and_gradient(a: np.ndarray, basis: ObservableBasis):
     h_i = O_i a - <O_i> a for every unit row of a (R, d)."""
     oa, e = moments(a, basis)
     h = oa - e[:, :, None] * a[:, None, :]
-    return variance(e, basis.casimir), -4.0 * (e[:, :, None] * h).sum(axis=1), oa, e, h
+    return variance(e, basis.casimir), -4.0 * np.add.reduce(e[:, :, None] * h, axis=1), oa, e, h
 
 
 def _line_coefficients(d, oa, e, basis: ObservableBasis) -> np.ndarray:
@@ -93,8 +94,8 @@ def _line_coefficients(d, oa, e, basis: ObservableBasis) -> np.ndarray:
     od = _apply(basis.operators, d)
     m = (e + _inner(d[:, None, :], od).real) / 2
     u, r = e - m, _inner(oa, d[:, None, :]).real  # r = Re<a|O|d>, O Hermitian
-    return np.array([-2.0 * (m * u).sum(axis=-1), -2.0 * (m * r).sum(axis=-1),
-                     -(u**2 - r**2).sum(axis=-1) / 2, -(u * r).sum(axis=-1)]).T
+    return np.array([-2.0 * np.add.reduce(m * u, axis=-1), -2.0 * np.add.reduce(m * r, axis=-1),
+                     -np.add.reduce(u**2 - r**2, axis=-1) / 2, -np.add.reduce(u * r, axis=-1)]).T
 
 
 _TERM_FREQ = np.array([0.5, 1.0, 1.0, 2.0])
@@ -134,11 +135,11 @@ def _best_angle(coef: np.ndarray):
     s = _GRID[np.array([top, peaks.argmax(axis=-1)])]  # (2, R): one seed per local maximum
     newton = _NEWTON_WEIGHT * coef.T[_NEWTON_COEF][:, :, None, :]
     for _ in range(_NEWTON_STEPS):
-        d1, bend = (newton * np.sin(_NEWTON_FREQ * s + _NEWTON_PHASE)).sum(axis=1)
+        d1, bend = np.add.reduce(newton * np.sin(_NEWTON_FREQ * s + _NEWTON_PHASE), axis=1)
         step = d1 / np.where(bend > 0, bend, np.inf)  # no step where the curvature is not negative
         s = s + np.minimum(np.maximum(step, -_GRID[1]), _GRID[1])
     s = np.concatenate([_GRID[top][None], s])
-    gain = (coef.T[:, None, :] * _line_terms(s)).sum(axis=0)
+    gain = np.add.reduce(coef.T[:, None, :] * _line_terms(s), axis=0)
     best = gain.argmax(axis=0)
     return s[best, rows], gain[best, rows]
 
@@ -150,7 +151,7 @@ def _search(basis: ObservableBasis, config: SearchConfig, mode: str, state_label
     check_state_label(state_label, basis.dim)  # before the first draw, not at the returned state
     maximize = mode == "maximize"
     sign = 1.0 if maximize else -1.0
-    ascent, floor = sign * (basis.dim > 1), GRADIENT_FLOOR * np.finfo(float).eps * basis.casimir * np.sqrt(basis.dim)
+    ascent, floor = sign * (basis.dim > 1), GRADIENT_FLOOR * _EPS * basis.casimir * np.sqrt(basis.dim)
     draws = np.random.Generator(np.random.Philox(key=config.seed)).standard_normal((config.restarts, 2, basis.dim))
     a = draws[:, 0] + 1j * draws[:, 1]
     if not maximize:  # start at the lowest eigenvector of c - 2 sum_i <O_i> O_i: |<O>| there is no smaller
@@ -168,11 +169,11 @@ def _search(basis: ObservableBasis, config: SearchConfig, mode: str, state_label
         iterations[running] = min(n, config.max_iterations)
         stop[running & (gnorm <= config.step_tolerance)] = 0
         stop[(stop < 0) & (gnorm <= floor)] = 1  # rounding floor
-        if n > config.max_iterations or (stop >= 0).all():
+        if n > config.max_iterations or np.logical_and.reduce(stop >= 0, axis=None):
             break
         direction = xi
         if maximize:  # damped Gauss-Newton towards r = <O> = 0, an ascent: Re<xi, step> = 4 r G (G + mu)^-1 r
-            mu = (e**2).sum(axis=-1) + np.finfo(float).eps * v  # eps tr G (= V) keeps G + mu regular where G is not
+            mu = np.add.reduce(e**2, axis=-1) + _EPS * v  # eps tr G (= V) keeps G + mu regular where G is not
             gram = h.view(float) @ h.view(float).swapaxes(1, 2)  # Re<h_i|h_j>, then + mu on the diagonal
             np.einsum("rii->ri", gram)[...] += mu[:, None]
             direction = -(np.linalg.solve(gram, e[..., None]).swapaxes(1, 2) @ h)[:, 0]

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import entfluct.cli
-from entfluct import StateVector
+from entfluct import StateVector, local_two_qubit_basis, spin_generators
 from entfluct.algebra import CE_TOL_DEFAULT
 from entfluct.cli import build_analysis, main
 from entfluct.presets import PRESETS
@@ -758,6 +758,28 @@ class TestValidatedOnce:
             calls.clear()
             build_analysis(a / np.linalg.norm(a), basis, system, CE_TOL_DEFAULT, None)
             assert len(calls) == 1
+
+    def test_build_analysis_enters_no_numpy_python_frame(self):
+        # on 3- and 4-vectors numpy's Python-level wrappers (ndarray.sum, np.angle, the errstate
+        # decorator, ...) cost more than the arithmetic: the stages reach numpy through ufuncs,
+        # reductions with an explicit axis, ndarray C methods and @ only
+        numpy_dir = os.path.join(os.path.dirname(np.__file__), "")
+        states = workloads.bulk_batch(0, 0) + [
+            (p.state.amplitudes, p.state.basis_label, p.system) for p in PRESETS.values() if p.state is not None]
+        spin_generators(1), local_two_qubit_basis()  # each built once, on its first call
+        entered = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename.startswith(numpy_dir):
+                entered.append(f"{frame.f_code.co_filename}:{frame.f_code.co_name}")
+
+        sys.setprofile(profile)
+        try:
+            for amps, basis, system in states:
+                build_analysis(amps, basis, system, CE_TOL_DEFAULT, None)
+        finally:
+            sys.setprofile(None)
+        assert entered == []
 
     def test_basis_change_and_embedding_keep_the_norm(self):
         eps = np.finfo(float).eps

@@ -15,7 +15,7 @@ from entfluct import (
     to_cartesian,
     total_variance,
 )
-from entfluct.fluctuations import _apply
+from entfluct.fluctuations import _apply, variance
 from util import random_basis, random_orthogonal, random_orthonormal_pair, random_state, state_from_canonical
 
 SQ2 = np.sqrt(2.0)
@@ -293,3 +293,22 @@ class TestReport:
         object.__setattr__(basis, "operators", np.array([[[0, 1j, 0], [0, 0, 0], [0, 0, 0]]]))
         with pytest.raises(ValueError):
             fluctuation_report(sph([1 / SQ2, 1 / SQ2, 0]), basis).expectations
+
+    def test_non_hermitian_leakage_in_the_last_row_rejected(self):
+        # 3 rows of 2 expectations: a reduction over the wrong axis or the first row alone misses it
+        basis = ObservableBasis([np.eye(3), np.eye(3)])
+        leak = np.array([[0, 1j, 0], [0, 0, 0], [0, 0, 0]])
+        object.__setattr__(basis, "operators", np.array([leak, np.eye(3)]))
+        rows = np.array([[1, 0, 0], [1, 0, 0], [1 / SQ2, 1 / SQ2, 0]], dtype=complex)
+        assert moments(rows[:2], basis)[1].shape == (2, 2)
+        with pytest.raises(ValueError, match="imaginary"):
+            moments(rows, basis)
+
+    def test_negative_total_variance_in_the_last_row_rejected(self):
+        # with c = 0.5 the CE rows give V = 0.5 and the coherent row along (1, 1, 1)/sqrt(3)
+        # V = -0.5; summed over rows instead, each <S_i>^2 = 1/3 would leave V = 1/6
+        along = np.linalg.eigh(SPIN1.operators.sum(axis=0) / np.sqrt(3))[1][:, -1]
+        _, e = moments(np.array([[0, 1, 0], [0, 1, 0], along], dtype=complex), SPIN1)
+        assert variance(e[:2], 0.5) == pytest.approx([0.5, 0.5])
+        with pytest.raises(ValueError, match="negative"):
+            variance(e, 0.5)
