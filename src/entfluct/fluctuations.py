@@ -35,7 +35,7 @@ def moments(a: np.ndarray, basis: ObservableBasis):
     if a.ndim != 2 or a.shape[1] != basis.dim:
         raise ValueError(f"dimension mismatch: want states of shape (N, {basis.dim}), got {a.shape}")
     oa, ac = _apply(basis.operators, a), a.conj()
-    e = (oa @ ac[:, :, None])[..., 0] / np.add.reduce(ac * a, axis=-1).real[:, None]  # / _inner(a, a).real
+    e = (oa @ ac[:, :, None])[..., 0] / np.add.reduce(ac * a, axis=-1).real[:, None]  # _inner(a, a), one conj
     if np.maximum.reduce(np.abs(e.imag), axis=None) > IMAG_TOL:
         raise ValueError("expectation has a non-negligible imaginary part")
     return oa, e.real
@@ -91,10 +91,4 @@ def _fluctuation_report(a: np.ndarray, basis: ObservableBasis, v_min, v_max, ce_
             raise ValueError(f"total variance {v} lies outside [{v_min}, {v_max}]: inconsistent bounds")
         conc = math.sqrt(min(max((v - v_min) / (v_max - v_min), 0.0), 1.0))
     exps.setflags(write=False)
-    return FluctuationReport(
-        expectations=exps,
-        v_tot=v,
-        ce_residual=residual,
-        ce_flag=residual <= ce_tol,
-        concurrence_variance=conc,
-    )
+    return FluctuationReport(exps, v, residual, residual <= ce_tol, conc)

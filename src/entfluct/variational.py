@@ -34,8 +34,8 @@ from .algebra import GRADIENT_FLOOR, STEP_TOL_DEFAULT, ObservableBasis, StateVec
 from .fluctuations import _apply, _inner, moments, variance
 
 STOP_REASONS = ("gradient", "stall", "cap")
-_EPS = np.finfo(float).eps
 MODES = ("maximize", "minimize")
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
