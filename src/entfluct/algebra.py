@@ -121,8 +121,8 @@ def is_normalized(a: np.ndarray) -> bool:
     else:
         with np.errstate(over="ignore"):  # a squared norm past the largest float is inf, so not 1, and no warning
             norm2 = float(np.add.reduce(np.abs(a) ** 2, axis=None))
-    if not (math.isfinite(norm2) or np.logical_and.reduce(np.isfinite(a), axis=None)):  # not an overflow
-        raise ValueError("state vector has a non-finite amplitude")
+    if not (math.isfinite(norm2) or np.logical_and.reduce(np.isfinite(a), axis=None)):
+        raise ValueError("state vector has a non-finite amplitude")  # a NaN or infinite one, not an overflow
     return abs(norm2 - 1.0) <= NORM_TOL
 
 
