@@ -32,7 +32,7 @@ print()
 print("== Pion flavor states ==")
 for pid in ("pion-plus", "pion-minus", "pion-zero"):
     p = PRESETS[pid]
-    flag = fluctuation_report(p.state, local, ce_tol=1e-9).ce_flag
+    flag = fluctuation_report(p.state, local).ce_residual <= 1e-9
     print(f"{pid:<12} C = {pure_concurrence(p.state):.3f}   CE: {flag}")
 print("pi0 sits at maximal fluctuations, consistent with it being far less")
 print("stable than the coherent charged pions.")
@@ -45,7 +45,7 @@ for pid, p in PRESETS.items():
     if p.state is None:
         print(f"{pid:<18} {p.source_note}")
         continue
-    flag = fluctuation_report(p.state, spin1, ce_tol=1e-9).ce_flag
+    flag = fluctuation_report(p.state, spin1).ce_residual <= 1e-9
     kind = "completely entangled" if flag else "coherent"
     print(f"{pid:<18} {kind}")
 

@@ -22,7 +22,6 @@ import numpy as np
 # of exponent-form float literals).
 HERMITICITY_TOL = 1e-12  # max |O - O^dagger| of a basis element
 NORM_TOL = 1e-12  # |<psi|psi> - 1| of a StateVector
-SQUARE_SAFE = 1e150  # sum_k |a_k|^2 of fewer than 1.7e8 amplitudes cannot overflow while every |a_k| is at most this
 COMMUTATOR_TOL = 1e-10  # max |[S_a, S_b] - i S_c| of an su(2) basis
 ORTHOGONALITY_TOL = 1e-10  # max |R^T R - 1| of a basis rotation
 UNIT_VECTOR_TOL = 1e-10  # ||omega| - 1| of a spin projection direction
@@ -113,14 +112,10 @@ class ObservableBasis:
 def is_normalized(a: np.ndarray) -> bool:
     """|sum_k |a_k|^2 - 1| <= NORM_TOL for a 1-D a, the one test of StateVector and the CLI."""
     try:  # max skips a NaN, or is NaN where one comes first
-        small = max(map(abs, a.tolist())) <= SQUARE_SAFE
+        small = max(map(abs, a.tolist())) <= 2.0  # a unit state has no |a_k| > 1 + NORM_TOL
     except OverflowError:  # abs of a Python complex past the largest float
         small = False
-    if small:
-        norm2 = float(np.add.reduce(np.abs(a) ** 2, axis=None))
-    else:
-        with np.errstate(over="ignore"):  # a squared norm past the largest float is inf, so not 1, and no warning
-            norm2 = float(np.add.reduce(np.abs(a) ** 2, axis=None))
+    norm2 = float(np.add.reduce(np.abs(a) ** 2, axis=None)) if small else math.inf  # no |a_k|^2 <= 4 overflows
     if not (math.isfinite(norm2) or np.logical_and.reduce(np.isfinite(a), axis=None)):
         raise ValueError("state vector has a non-finite amplitude")  # a NaN or infinite one, not an overflow
     return abs(norm2 - 1.0) <= NORM_TOL

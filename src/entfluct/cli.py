@@ -101,28 +101,6 @@ def _require_spin1(a: np.ndarray, needs: str, hint: str = ""):
         raise UsageError(f"{needs} a 3-component spherical or cartesian state{hint}")
 
 
-def _canonical_form_json(theta: float, phi: float, mu: np.ndarray, nu) -> dict:
-    return {
-        "theta": theta,
-        "phi": phi,
-        "mu": mu.tolist(),
-        "nu": None if nu is None else nu.tolist(),
-        "nu_defined": nu is not None,
-    }
-
-
-def _fluctuations_json(report, basis_label: str, v_min: float, v_max: float) -> dict:
-    return {
-        "basis": basis_label,
-        "expectations": report.expectations.tolist(),
-        "v_tot": report.v_tot,
-        "v_min": v_min,
-        "v_max": v_max,
-        "ce_residual": report.ce_residual,
-        "concurrence_variance": report.concurrence_variance,
-    }
-
-
 def _concurrence_json(concurrences: dict) -> dict:
     """Add to `concurrences` the cross-check of the exactly conditioned formulas
     against each other and of the variance ratio against each of them."""
@@ -149,33 +127,48 @@ def build_analysis(amps, basis_label: str, system: str, tol: float, original_nor
         hint = "; for a qubit pair pass --system two-qubit" if basis_label == "qubit-pair" else ""
         _require_spin1(a, "spin1 analysis needs", hint)
         sph = _convert(a, "spherical") if basis_label == "cartesian" else a
-        report = _fluctuation_report(sph, basis, v_min, v_max, tol)
-        form = _canonical_form(a if basis_label == "cartesian" else _convert(a, "cartesian"))  # (theta, phi, mu, nu)
+        exps, v_tot, residual, ratio = _fluctuation_report(sph, basis, v_min, v_max)
+        theta, phi, mu, nu = _canonical_form(a if basis_label == "cartesian" else _convert(a, "cartesian"))
+        form = {
+            "theta": theta,
+            "phi": phi,
+            "mu": mu.tolist(),
+            "nu": None if nu is None else nu.tolist(),
+            "nu_defined": nu is not None,
+        }
         concurrences = {
             "spherical_formula": _concurrence_spherical(sph),
-            "canonical_phi": concurrence_from_phi(form[1]),
-            "variance_ratio": report.concurrence_variance,
-            "two_qubit_det": _pure_concurrence(_embed_symmetric(sph)),
+            "canonical_phi": concurrence_from_phi(phi),
+            "variance_ratio": ratio,
+            "two_qubit_det": _pure_concurrence(*_embed_symmetric(sph)),
         }
     else:
         if basis_label != state_label:
             raise UsageError("two-qubit analysis needs a 4-component qubit-pair state")
-        report = _fluctuation_report(a, basis, v_min, v_max, tol)
+        exps, v_tot, residual, ratio = _fluctuation_report(a, basis, v_min, v_max)
         concurrences = {
-            "variance_ratio": report.concurrence_variance,
-            "two_qubit_det": _pure_concurrence(a),
+            "variance_ratio": ratio,
+            "two_qubit_det": _pure_concurrence(*a.tolist()),
         }
     return {
         "schema_version": SCHEMA_VERSION,
         "system": system,
         "input": echo,
         "state": {"basis": basis_label, "components": echo["components"]},  # StateVector only casts and flattens
-        "fluctuations": _fluctuations_json(report, basis.label, v_min, v_max),
-        "canonical_form": None if form is None else _canonical_form_json(*form),
+        "fluctuations": {
+            "basis": basis.label,
+            "expectations": exps.tolist(),
+            "v_tot": v_tot,
+            "v_min": v_min,
+            "v_max": v_max,
+            "ce_residual": residual,
+            "concurrence_variance": ratio,
+        },
+        "canonical_form": form,
         "concurrence": _concurrence_json(concurrences),
         "ce": {
-            "completely_entangled": bool(report.ce_flag),
-            "residual": report.ce_residual,
+            "completely_entangled": bool(residual <= tol),  # a numpy tol would give a numpy bool
+            "residual": residual,
             "tolerance": tol,
         },
     }

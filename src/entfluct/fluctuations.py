@@ -4,7 +4,8 @@ The total variance sum_i (<O_i^2> - <O_i>^2) = c - sum_i <O_i>^2, with c the
 scalar Casimir sum C = sum_i O_i^2 of the basis, measures how far a state sits
 from classical reality; its maximizers are the completely entangled (CE) states,
 characterized by all basis expectations vanishing. `fluctuation_report` is the
-one place a state's CE verdict and variance concurrence come from.
+one place a state's CE residual and variance concurrence come from; the CE
+verdict is that residual held against a tolerance, by the tolerance's owner.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import BOUND_SLACK, CE_TOL_DEFAULT, IMAG_TOL, VARIANCE_CLAMP, ObservableBasis, StateVector
+from .algebra import BOUND_SLACK, IMAG_TOL, VARIANCE_CLAMP, ObservableBasis, StateVector
 
 
 def _apply(ops: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -58,26 +59,24 @@ def total_variance(psi: StateVector, basis: ObservableBasis) -> float:
 class FluctuationReport:
     """Expectations, total variance, CE residual and (optionally) the variance
     concurrence for a single state. The CE residual is max_i |<O_i>|, and
-    linearity makes the basis elements suffice for the whole algebra."""
+    linearity makes the basis elements suffice for the whole algebra; the state
+    is CE within a tolerance tol where ce_residual <= tol."""
 
     expectations: np.ndarray
     v_tot: float
     ce_residual: float
-    ce_flag: bool
     concurrence_variance: Optional[float]
 
 
 def fluctuation_report(psi: StateVector, basis: ObservableBasis, v_min: Optional[float] = None,
-                       v_max: Optional[float] = None, ce_tol: float = CE_TOL_DEFAULT) -> FluctuationReport:
-    """Assemble the full report. ce_flag is ce_residual <= ce_tol; the variance
-    concurrence sqrt((V_tot - v_min) / (v_max - v_min)), clamped to [0, 1],
-    is included only when both bounds are supplied."""
-    return _fluctuation_report(psi.amplitudes, basis, v_min, v_max, ce_tol)
+                       v_max: Optional[float] = None) -> FluctuationReport:
+    """Assemble the full report. The variance concurrence sqrt((V_tot - v_min) /
+    (v_max - v_min)), clamped to [0, 1], is included only when both bounds are
+    supplied."""
+    return FluctuationReport(*_fluctuation_report(psi.amplitudes, basis, v_min, v_max))
 
 
-def _fluctuation_report(a: np.ndarray, basis: ObservableBasis, v_min, v_max, ce_tol: float) -> FluctuationReport:
-    if not 0 < ce_tol < np.inf:
-        raise ValueError("tolerance must be positive and finite")
+def _fluctuation_report(a: np.ndarray, basis: ObservableBasis, v_min, v_max) -> tuple:  # the FluctuationReport fields
     _, e = moments(a[None], basis)
     exps, v = e[0], float(variance(e, basis.casimir)[0])
     residual = max(map(abs, exps.tolist()))
@@ -91,4 +90,4 @@ def _fluctuation_report(a: np.ndarray, basis: ObservableBasis, v_min, v_max, ce_
             raise ValueError(f"total variance {v} lies outside [{v_min}, {v_max}]: inconsistent bounds")
         conc = math.sqrt(min(max((v - v_min) / (v_max - v_min), 0.0), 1.0))
     exps.setflags(write=False)
-    return FluctuationReport(exps, v, residual, residual <= ce_tol, conc)
+    return exps, v, residual, conc

@@ -18,9 +18,10 @@ def embed_symmetric(psi: StateVector) -> StateVector:
     return StateVector(_embed_symmetric(psi.require("spherical", 3)), "qubit-pair")
 
 
-def _embed_symmetric(a: np.ndarray) -> np.ndarray:
-    p, z, m = a
-    return np.array([p, z / _SQ2, z / _SQ2, m])
+def _embed_symmetric(a: np.ndarray) -> tuple:  # the amplitudes (uu, ud, du, dd) as Python numbers
+    p, _, m = a.tolist()
+    mid = complex(a[1] / _SQ2)  # numpy's division, whose signed zeros a Python product would flip
+    return p, mid, mid, m
 
 
 def sector_split(chi: StateVector):
@@ -57,9 +58,8 @@ def singlet() -> StateVector:
 
 def pure_concurrence(chi: StateVector) -> float:
     """2 |det| of the amplitude matrix: 2 |a_uu a_dd - a_ud a_du|."""
-    return _pure_concurrence(chi.require("qubit-pair"))
+    return _pure_concurrence(*chi.require("qubit-pair").tolist())
 
 
-def _pure_concurrence(a: np.ndarray) -> float:
-    uu, ud, du, dd = a.tolist()
+def _pure_concurrence(uu: complex, ud: complex, du: complex, dd: complex) -> float:
     return min(2.0 * abs(uu * dd - ud * du), 1.0)

@@ -66,7 +66,7 @@ def test_criterion_2_variational_extremality():
     for seed in (0, 1, 2):
         rmax = maximize_total_variance(SPIN1, SearchConfig(seed=seed, restarts=16))
         ok &= abs(rmax.best_value - 2.0) <= 1e-8
-        flag = fluctuation_report(rmax.best_state, SPIN1, ce_tol=1e-8).ce_flag
+        flag = fluctuation_report(rmax.best_state, SPIN1).ce_residual <= 1e-8
         ok &= flag
         rmin = minimize_total_variance(
             SPIN1, SearchConfig(seed=seed, restarts=16, mode="minimize")
@@ -80,7 +80,7 @@ def test_criterion_2_variational_extremality():
 def test_criterion_3_ce_basis_certification():
     ok = True
     for psi in ce_basis():
-        residual = fluctuation_report(psi, SPIN1, ce_tol=1e-12).ce_residual
+        residual = fluctuation_report(psi, SPIN1).ce_residual
         ok &= residual <= 1e-12
         ok &= abs(concurrence_spherical(psi) - 1.0) <= 1e-12
         cart = to_cartesian(psi)

@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import json
 import math
@@ -11,8 +10,8 @@ import numpy as np
 import pytest
 
 import entfluct.cli
-from entfluct import StateVector, local_two_qubit_basis, spin_generators
-from entfluct.algebra import CE_TOL_DEFAULT
+from entfluct import StateVector, embed_symmetric, local_two_qubit_basis, spin_generators
+from entfluct.algebra import _SQ2, CE_TOL_DEFAULT
 from entfluct.cli import build_analysis, main
 from entfluct.presets import PRESETS
 from entfluct.spin1 import _convert
@@ -248,7 +247,7 @@ class TestAnalyze:
         assert conc["max_pairwise_delta"] <= 3e-8
 
     def test_two_qubit_disagreement_exits_1(self, capsys, monkeypatch):
-        monkeypatch.setattr("entfluct.cli._pure_concurrence", lambda a: 0.5)
+        monkeypatch.setattr("entfluct.cli._pure_concurrence", lambda *args: 0.5)
         code, out, err = run(
             capsys, monkeypatch,
             ["analyze", "--system", "two-qubit", "--format", "json"],
@@ -267,9 +266,8 @@ class TestAnalyze:
         patch = {
             "spherical_formula": ("_concurrence_spherical", lambda a: math.nan),
             "canonical_phi": ("concurrence_from_phi", lambda phi: math.nan),
-            "variance_ratio": ("_fluctuation_report",
-                               lambda *args: dataclasses.replace(report(*args), concurrence_variance=math.nan)),
-            "two_qubit_det": ("_pure_concurrence", lambda a: math.nan),
+            "variance_ratio": ("_fluctuation_report", lambda *args: (*report(*args)[:3], math.nan)),
+            "two_qubit_det": ("_pure_concurrence", lambda *args: math.nan),
         }
         monkeypatch.setattr(entfluct.cli, *patch[oracle])
         code, out, err = run(
@@ -795,6 +793,20 @@ class TestValidatedOnce:
             for out in (_convert(a, other), sph, _embed_symmetric(sph)):
                 assert abs(np.sum(np.abs(out) ** 2) - 1) <= 8 * eps, (basis, a)
 
+    def test_embedding_keeps_numpys_division_bits(self):
+        # numpy's complex division by sqrt(2) adds a product with 0 into each part, which a plain
+        # multiplication would not: the signed zeros of the |0> amplitude tell the two apart
+        parts = (0.0, -0.0, 0.6, -0.6)
+        states = [np.array([complex(pr, pi), complex(zr, zi), complex(math.sqrt(1 - zr * zr - zi * zi), -0.0)])
+                  for pr in (0.0, -0.0) for pi in (0.0, -0.0) for zr in parts for zi in parts]
+        states += [a if basis == "spherical" else _convert(a, "spherical")
+                   for a, basis, system in workloads.bulk_batch(0, 0) if system == "spin1"]
+        for sph in states:
+            p, z, m = sph
+            want = np.array([p, z / _SQ2, z / _SQ2, m])
+            got = embed_symmetric(StateVector(sph, "spherical")).amplitudes
+            assert (got.view(np.uint64) == want.view(np.uint64)).all(), sph
+
 
 def _leaves_of(value):
     if isinstance(value, dict):
@@ -819,6 +831,14 @@ class TestDocumentBoundary:
             doc = build_analysis(amps, basis, system, CE_TOL_DEFAULT, None)
             leaf_types = {type(v) for v in _leaves_of(doc)}
             assert leaf_types <= {float, int, bool, str, type(None)}, (basis, system, leaf_types)
+
+    @pytest.mark.parametrize("tol", [CE_TOL_DEFAULT, 0.5])
+    def test_ce_verdict_is_the_residual_against_the_tolerance(self, tol):
+        for amps, basis, system in self.CASES:
+            doc = build_analysis(amps, basis, system, tol, None)
+            ce = doc["ce"]
+            assert ce["completely_entangled"] is (ce["residual"] <= ce["tolerance"]), (basis, system, amps)
+            assert doc["fluctuations"]["ce_residual"] == ce["residual"]
 
     def test_state_echo_is_the_input_echo(self):
         for amps, basis, system in self.CASES:

@@ -205,36 +205,24 @@ class TestKernel:
 
 class TestCompletelyEntangled:
     def test_m0_is_ce(self):
-        report = fluctuation_report(sph([0, 1, 0]), SPIN1, ce_tol=1e-10)
-        assert report.ce_flag and report.ce_residual < 1e-14
+        report = fluctuation_report(sph([0, 1, 0]), SPIN1)
+        assert report.ce_residual < 1e-14
 
     def test_m_plus1_is_not(self):
-        report = fluctuation_report(sph([1, 0, 0]), SPIN1, ce_tol=1e-10)
-        assert not report.ce_flag
+        report = fluctuation_report(sph([1, 0, 0]), SPIN1)
+        assert not report.ce_residual <= 1e-10
         assert report.ce_residual == pytest.approx(1.0)
 
     def test_symmetric_superposition_is_ce(self):
-        flag = fluctuation_report(sph([1 / SQ2, 0, 1 / SQ2]), SPIN1, ce_tol=1e-10).ce_flag
+        flag = fluctuation_report(sph([1 / SQ2, 0, 1 / SQ2]), SPIN1).ce_residual <= 1e-10
         assert flag
 
-    def test_flag_matches_vector_magnitude(self):
+    def test_residual_matches_vector_magnitude(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
             psi = random_state(rng, 3)
-            report = fluctuation_report(psi, SPIN1, ce_tol=1e-3)
-            assert report.ce_flag == (report.ce_residual <= 1e-3)
-            assert report.ce_residual == pytest.approx(
-                np.max(np.abs(fluctuation_report(psi, SPIN1).expectations)), abs=1e-15
-            )
-
-    def test_rejects_bad_tol(self):
-        with pytest.raises(ValueError):
-            fluctuation_report(sph([0, 1, 0]), SPIN1, ce_tol=0.0)
-
-    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
-    def test_rejects_non_finite_or_negative_tol(self, bad):
-        with pytest.raises(ValueError, match="tolerance"):
-            fluctuation_report(sph([0, 1, 0]), SPIN1, ce_tol=bad)
+            report = fluctuation_report(psi, SPIN1)
+            assert report.ce_residual == pytest.approx(np.max(np.abs(report.expectations)), abs=1e-15)
 
 
 class TestVarianceConcurrence:
@@ -272,7 +260,6 @@ class TestReport:
     def test_full_report(self):
         report = fluctuation_report(sph([0, 1, 0]), SPIN1, 1.0, 2.0)
         assert report.v_tot == pytest.approx(2.0, abs=1e-12)
-        assert report.ce_flag
         assert report.ce_residual < 1e-12
         assert report.concurrence_variance == pytest.approx(1.0)
         assert np.allclose(report.expectations, 0.0, atol=1e-14)

@@ -255,13 +255,13 @@ class TestZeroProjectionAxis:
                 np.exp(1j * theta) * (r @ np.array([0, 0, 1.0])), "cartesian"
             )
             assert zero_projection_axis(psi_c, 1e-9) is not None
-            flag = fluctuation_report(to_spherical(psi_c), basis, ce_tol=1e-9).ce_flag
+            flag = fluctuation_report(to_spherical(psi_c), basis).ce_residual <= 1e-9
             assert flag
         for _ in range(20):
             psi = random_state(rng, 3)
             psi_c = to_cartesian(psi)
             has_axis = zero_projection_axis(psi_c, 1e-9) is not None
-            flag = fluctuation_report(psi, basis, ce_tol=1e-9).ce_flag
+            flag = fluctuation_report(psi, basis).ce_residual <= 1e-9
             assert has_axis == flag
 
 
@@ -277,7 +277,7 @@ class TestCEBasis:
         basis = spin_generators(1)
         for psi in ce_basis():
             assert concurrence_spherical(psi) == pytest.approx(1.0, abs=1e-14)
-            flag = fluctuation_report(psi, basis, ce_tol=1e-10).ce_flag
+            flag = fluctuation_report(psi, basis).ce_residual <= 1e-10
             assert flag
 
 

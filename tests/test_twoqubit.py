@@ -144,9 +144,9 @@ class TestSectors:
         samples = [sph([0, 1, 0]), sph([1 / SQ2, 0, -1 / SQ2]), sph([1, 0, 0])]
         samples += [random_state(rng, 3) for _ in range(10)]
         for psi in samples:
-            flag1 = fluctuation_report(psi, spin1, ce_tol=1e-8).ce_flag
+            flag1 = fluctuation_report(psi, spin1).ce_residual <= 1e-8
             chi = embed_symmetric(psi)
-            flag2 = fluctuation_report(chi, local, ce_tol=1e-8).ce_flag
+            flag2 = fluctuation_report(chi, local).ce_residual <= 1e-8
             assert flag1 == flag2
 
     def test_normalization_enforced(self):

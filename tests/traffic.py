@@ -9,9 +9,11 @@ the last line. The parts, in this order:
 - `cli`: the stdout and exit code of a fixed set of CLI runs, in-process through
   `cli.main`: `preset list`, `preset show` and `preset analyze` of every
   preset, seeded `analyze` in both formats with and without `--normalize` on
-  unit and norm-2.5 states of both systems and on the zero vector, `convert`
-  both ways, `decompose`, and `search` in both modes on both systems, seeds 0
-  and 16;
+  unit and norm-2.5 states of both systems and on the zero vector, `analyze`
+  with and without `--normalize` on states at the edges of the float range
+  (parts of 1e300, 1.5e308 + 1.5e308i, 1e-200, 1e-160 and 5e-324) and on one
+  with a NaN part, `convert` both ways, `decompose`, and `search` in both modes
+  on both systems, seeds 0 and 16;
 - `bulk`: the `analyze --format json` stdout and exit code of every state of the
   benchmark's `bulk_batch(0, b)`, b = 0..3;
 - one part per search problem and mode, `j=1/2-max`, `j=1/2-min`, ...,
@@ -31,6 +33,7 @@ import functools
 import hashlib
 import io
 import json
+import math
 import pathlib
 import sys
 
@@ -79,6 +82,12 @@ def cli_traffic(digest):
             for fmt in ("json", "text"):
                 for extra in ([], ["--normalize"]):
                     _run(digest, ["analyze", "--system", system, "--format", fmt, *extra], _state(amps, label))
+    edges = [("spin1", "spherical", [1e300, 1e300, 0]), ("spin1", "spherical", [1.5e308 + 1.5e308j, 0, 0]),
+             ("two-qubit", "qubit-pair", [1e-200, 0, 0, 1e-200]), ("spin1", "spherical", [1e-160, 3e-161, 0]),
+             ("spin1", "spherical", [5e-324, 5e-324, 0]), ("spin1", "spherical", [0.6, complex(0.0, math.nan), 0.8])]
+    for system, label, amps in edges:
+        for extra in ([], ["--normalize"]):
+            _run(digest, ["analyze", "--system", system, "--format", "json", *extra], _state(np.array(amps), label))
     for label, to in (("spherical", "cartesian"), ("cartesian", "spherical")):
         _run(digest, ["convert", "--to", to, "--format", "json"], _state(_unit(rng, 3), label))
     for amps in (_unit(rng, 4), np.array([0, 1, -1, 0]) / np.sqrt(2.0), np.array([1, 0, 0, 0])):
