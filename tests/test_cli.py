@@ -793,14 +793,18 @@ class TestValidatedOnce:
             for out in (_convert(a, other), sph, _embed_symmetric(sph)):
                 assert abs(np.sum(np.abs(out) ** 2) - 1) <= 8 * eps, (basis, a)
 
-    def test_embedding_keeps_numpys_division_bits(self):
+    @pytest.mark.parametrize("states", ["signed_zeros", "bulk"])
+    def test_embedding_keeps_numpys_division_bits(self, states):
         # numpy's complex division by sqrt(2) adds a product with 0 into each part, which a plain
         # multiplication would not: the signed zeros of the |0> amplitude tell the two apart
-        parts = (0.0, -0.0, 0.6, -0.6)
-        states = [np.array([complex(pr, pi), complex(zr, zi), complex(math.sqrt(1 - zr * zr - zi * zi), -0.0)])
-                  for pr in (0.0, -0.0) for pi in (0.0, -0.0) for zr in parts for zi in parts]
-        states += [a if basis == "spherical" else _convert(a, "spherical")
-                   for a, basis, system in workloads.bulk_batch(0, 0) if system == "spin1"]
+        if states == "signed_zeros":
+            parts = (0.0, -0.0, 0.6, -0.6)
+            states = [np.array([complex(pr, pi), complex(zr, zi), complex(math.sqrt(1 - zr * zr - zi * zi), -0.0)])
+                      for pr in (0.0, -0.0) for pi in (0.0, -0.0) for zr in parts for zi in parts]
+        else:
+            states = [a if basis == "spherical" else _convert(a, "spherical")
+                      for a, basis, system in workloads.bulk_batch(0, 0) if system == "spin1"]
+        assert states
         for sph in states:
             p, z, m = sph
             want = np.array([p, z / _SQ2, z / _SQ2, m])
@@ -839,6 +843,14 @@ class TestDocumentBoundary:
             ce = doc["ce"]
             assert ce["completely_entangled"] is (ce["residual"] <= ce["tolerance"]), (basis, system, amps)
             assert doc["fluctuations"]["ce_residual"] == ce["residual"]
+
+    def test_numpy_tolerance_gives_a_plain_verdict(self):
+        # a library caller may pass a numpy tolerance; the verdict must still be a JSON bool
+        for amps, basis, system in self.CASES:
+            for tol in (np.float64(CE_TOL_DEFAULT), np.float64(0.5)):
+                ce = build_analysis(amps, basis, system, tol, None)["ce"]
+                assert type(ce["completely_entangled"]) is bool, (basis, system, tol)
+                assert ce["completely_entangled"] == (ce["residual"] <= float(tol)), (basis, system, tol)
 
     def test_state_echo_is_the_input_echo(self):
         for amps, basis, system in self.CASES:
