@@ -84,7 +84,7 @@ class ObservableBasis:
             raise ValueError(f"basis element is not Hermitian within {HERMITICITY_TOL:g}; refusing to symmetrize")
         ops.setflags(write=False)
         object.__setattr__(self, "operators", ops)
-        if self.label.startswith("su2-spin-") and ":" not in self.label:
+        if self.label.startswith("su2-spin-"):
             self._check_su2_commutation(ops)
         c_op = np.sum(ops @ ops, axis=0)
         c = float(np.trace(c_op).real) / self.dim

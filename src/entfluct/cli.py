@@ -31,15 +31,16 @@ from .variational import MODES, SearchConfig, maximize_total_variance, minimize_
 
 SCHEMA_VERSION = 1
 
-# system -> (observable basis, state label, closed-form (V_min, V_max)). The
-# basis is built at call time through this module's names, where a tracer
+# system -> (observable basis, the state labels it takes, their amplitude
+# count, closed-form (V_min, V_max)); a searched state gets the first label.
+# The basis is built at call time through this module's names, where a tracer
 # that wraps them sees the call.
 _SYSTEMS = {
     # irreducible su(2): V_tot = j(j+1) - |<S>|^2 runs from j (coherent,
     # |<S>| = j) to j(j+1) (CE), here from 1 to 2
-    "spin1": (lambda: spin_generators(1), "spherical", (1.0, 2.0)),
+    "spin1": (lambda: spin_generators(1), ("spherical", "cartesian"), 3, (1.0, 2.0)),
     # local basis on a pure pair: V_tot = 1 + C^2 / 2, from 1 (product) to 3/2
-    "two-qubit": (lambda: local_two_qubit_basis(), "qubit-pair", (1.0, 1.5)),
+    "two-qubit": (lambda: local_two_qubit_basis(), ("qubit-pair",), 4, (1.0, 1.5)),
 }
 
 
@@ -89,16 +90,16 @@ def _read_state(args) -> tuple:
     return unit / n, basis_label, norm
 
 
-def _state_vector(amps, basis_label: str) -> StateVector:
+def _checked(amps, label: str, system: str, needs: str, hint: str = "") -> StateVector:
+    """The StateVector of amps, a usage error unless `system` takes its label and amplitude count."""
     try:
-        return StateVector(amps, basis_label)
+        psi = StateVector(amps, label)
     except ValueError as exc:
         raise UsageError(str(exc))
-
-
-def _require_spin1(a: np.ndarray, needs: str, hint: str = ""):
-    if a.size != 3:  # a cartesian state has 3 amplitudes and a qubit pair 4
-        raise UsageError(f"{needs} a 3-component spherical or cartesian state{hint}")
+    _, labels, n, _ = _SYSTEMS[system]
+    if label not in labels or psi.amplitudes.size != n:
+        raise UsageError(f"{needs} a {n}-component {' or '.join(labels)} state{hint}")
+    return psi
 
 
 def _concurrence_json(concurrences: dict) -> dict:
@@ -119,15 +120,14 @@ def build_analysis(amps, basis_label: str, system: str, tol: float, original_nor
     echo = _state_json(amps, basis_label)
     if original_norm is not None:
         echo["original_norm"] = original_norm
-    a = _state_vector(amps, basis_label).amplitudes  # the one check of the state; the stages take its amplitudes
-    make_basis, state_label, (v_min, v_max) = _SYSTEMS[system]
+    hint = "; for a qubit pair pass --system two-qubit" if basis_label == "qubit-pair" else ""
+    a = _checked(amps, basis_label, system, f"{system} analysis needs", hint).amplitudes  # the one check of the state
+    make_basis, _, _, (v_min, v_max) = _SYSTEMS[system]
     basis = make_basis()
+    sph = _convert(a, "spherical") if basis_label == "cartesian" else a
+    exps, v_tot, residual, ratio = _fluctuation_report(sph, basis, v_min, v_max)
     form = None
     if system == "spin1":
-        hint = "; for a qubit pair pass --system two-qubit" if basis_label == "qubit-pair" else ""
-        _require_spin1(a, "spin1 analysis needs", hint)
-        sph = _convert(a, "spherical") if basis_label == "cartesian" else a
-        exps, v_tot, residual, ratio = _fluctuation_report(sph, basis, v_min, v_max)
         theta, phi, mu, nu = _canonical_form(a if basis_label == "cartesian" else _convert(a, "cartesian"))
         form = {
             "theta": theta,
@@ -143,9 +143,6 @@ def build_analysis(amps, basis_label: str, system: str, tol: float, original_nor
             "two_qubit_det": _pure_concurrence(*_embed_symmetric(sph)),
         }
     else:
-        if basis_label != state_label:
-            raise UsageError("two-qubit analysis needs a 4-component qubit-pair state")
-        exps, v_tot, residual, ratio = _fluctuation_report(a, basis, v_min, v_max)
         concurrences = {
             "variance_ratio": ratio,
             "two_qubit_det": _pure_concurrence(*a.tolist()),
@@ -221,8 +218,8 @@ def cmd_search(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc))
     run = maximize_total_variance if args.mode == "maximize" else minimize_total_variance
-    make_basis, state_label, _ = _SYSTEMS[args.system]
-    result = run(make_basis(), config, state_label=state_label)
+    make_basis, labels, _, _ = _SYSTEMS[args.system]
+    result = run(make_basis(), config, state_label=labels[0])
     doc = {
         "schema_version": SCHEMA_VERSION,
         "system": args.system,
@@ -271,17 +268,14 @@ def cmd_preset_analyze(args) -> int:
 
 def cmd_convert(args) -> int:
     amps, basis_label, _ = _read_state(args)
-    a = _state_vector(amps, basis_label).amplitudes
-    _require_spin1(a, "convert expects")
+    a = _checked(amps, basis_label, "spin1", "convert expects").amplitudes
     out = a if args.to == basis_label else _convert(a, args.to)
     return _emit(_state_json(out, args.to), args.format)
 
 
 def cmd_decompose(args) -> int:
     amps, basis_label, _ = _read_state(args)
-    if basis_label != "qubit-pair":
-        raise UsageError("decompose expects a 4-component qubit-pair state")
-    chi = _state_vector(amps, basis_label)
+    chi = _checked(amps, basis_label, "two-qubit", "decompose expects")
     symmetric, anti = sector_split(chi)
     spin1_state = None
     if np.linalg.norm(symmetric) >= SINGLET_NORM:  # the normalized triplet part, whatever the singlet weight

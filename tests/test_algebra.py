@@ -194,9 +194,10 @@ class TestContainers:
         with pytest.raises(ValueError):
             ObservableBasis([np.eye(2), np.eye(3)])
 
-    def test_basis_rejects_broken_su2_label(self):
+    @pytest.mark.parametrize("label", ["su2-spin-1", "su2-spin-1:x"])
+    def test_basis_rejects_broken_su2_label(self, label):
         with pytest.raises(ValueError):
-            ObservableBasis([np.eye(3)] * 3, label="su2-spin-1")
+            ObservableBasis([np.eye(3)] * 3, label=label)
 
     def test_su2_label_needs_three_generators(self):
         with pytest.raises(ValueError, match="exactly three generators"):

@@ -359,11 +359,20 @@ class TestAnalyze:
         (["analyze"], state_json([1, 0], "cartesian"), "a cartesian state needs 3 amplitudes, got 2"),
         (["analyze", "--system", "two-qubit"], state_json([1, 0, 0, 0], "spherical"),
          "two-qubit analysis needs a 4-component qubit-pair state"),
-    ], ids=["unknown-basis", "zero-vector", "cartesian-dimension", "two-qubit-label"])
+        (["convert", "--to", "cartesian"], state_json([1, 0, 0, 0], "qubit-pair"),
+         "convert expects a 3-component spherical or cartesian state"),
+        (["decompose"], state_json([1, 0, 0], "spherical"), "decompose expects a 4-component qubit-pair state"),
+        (["analyze"], state_json([1, 0, 0, 0], "spherical"),
+         "spin1 analysis needs a 3-component spherical or cartesian state"),
+        (["analyze", "--system", "two-qubit"], state_json([1, 0, 0], "cartesian"),
+         "two-qubit analysis needs a 4-component qubit-pair state"),
+    ], ids=["unknown-basis", "zero-vector", "cartesian-dimension", "two-qubit-label", "convert-qubit-pair",
+            "decompose-spherical", "spin1-four-spherical", "two-qubit-cartesian"])
     def test_usage_error_names_the_fault(self, capsys, monkeypatch, argv, stdin, message):
         code, out, err = run(capsys, monkeypatch, argv, stdin)
         assert (code, out) == (2, "")
         assert message in err
+        assert "--system" not in err  # the hint is for a qubit pair given to spin-1 analysis alone
 
     def test_json_round_trip(self, capsys, monkeypatch):
         code, out1, _ = run(

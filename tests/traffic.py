@@ -12,8 +12,11 @@ the last line. The parts, in this order:
   unit and norm-2.5 states of both systems and on the zero vector, `analyze`
   with and without `--normalize` on states at the edges of the float range
   (parts of 1e300, 1.5e308 + 1.5e308i, 1e-200, 1e-160 and 5e-324) and on one
-  with a NaN part, `convert` both ways, `decompose`, and `search` in both modes
-  on both systems, seeds 0 and 16;
+  with a NaN part, `convert` both ways, `decompose`, four states that the
+  command's system does not take (a qubit pair to `convert`, a spherical state
+  to `decompose`, four spherical amplitudes to spin-1 `analyze`, a cartesian
+  state to two-qubit `analyze`; each exits 2 with an empty stdout) in both
+  formats, and `search` in both modes on both systems, seeds 0 and 16;
 - `bulk`: the `analyze --format json` stdout and exit code of every state of the
   benchmark's `bulk_batch(0, b)`, b = 0..3;
 - one part per search problem and mode, `j=1/2-max`, `j=1/2-min`, ...,
@@ -92,6 +95,11 @@ def cli_traffic(digest):
         _run(digest, ["convert", "--to", to, "--format", "json"], _state(_unit(rng, 3), label))
     for amps in (_unit(rng, 4), np.array([0, 1, -1, 0]) / np.sqrt(2.0), np.array([1, 0, 0, 0])):
         _run(digest, ["decompose", "--format", "json"], _state(amps, "qubit-pair"))
+    mismatched = [(["convert", "--to", "cartesian"], [1, 0, 0, 0], "qubit-pair"), (["decompose"], [0, 1, 0], "spherical"),
+                  (["analyze"], [1, 0, 0, 0], "spherical"), (["analyze", "--system", "two-qubit"], [1, 0, 0], "cartesian")]
+    for argv, amps, label in mismatched:
+        for fmt in ("json", "text"):
+            _run(digest, [*argv, "--format", fmt], _state(np.array(amps), label))
     for system in ("spin1", "two-qubit"):
         for mode in ("maximize", "minimize"):
             for seed in ("0", "16"):
