@@ -6,46 +6,57 @@ and its minimizers the coherent ones. The package provides the observable
 algebras, the variance/CE machinery, a variational search on the state
 sphere, the full spin-1 canonical theory with four cross-validating
 concurrence formulas, and the Clebsch-Gordan bridge to a qubit pair. The
-names imported below are the public API, one name per capability.
+names in `__all__` are the public API, one name per capability.
+
+Each public name is imported from its module when first read (PEP 562), and
+then kept here as a plain attribute, so `import entfluct` loads no numpy: the
+command line's `analyze` runs on `entfluct.core` alone.
 """
 
-from .algebra import (
-    ObservableBasis,
-    StateVector,
-    local_two_qubit_basis,
-    rotate_basis,
-    spin_generators,
-)
-from .fluctuations import (
-    FluctuationReport,
-    fluctuation_report,
-    moments,
-    total_variance,
-)
-from .spin1 import (
-    CanonicalForm,
-    canonical_form,
-    ce_basis,
-    concurrence_from_phi,
-    concurrence_spherical,
-    expectation_magnitude_canonical,
-    spin_projection_operator,
-    to_cartesian,
-    to_spherical,
-    zero_projection_axis,
-)
-from .twoqubit import (
-    embed_symmetric,
-    project_spin1,
-    pure_concurrence,
-    sector_split,
-    singlet,
-)
-from .variational import (
-    SearchConfig,
-    SearchResult,
-    maximize_total_variance,
-    minimize_total_variance,
-)
+import importlib
 
+# public name -> the module that defines it
+_HOMES = {
+    "ObservableBasis": "algebra",
+    "StateVector": "algebra",
+    "local_two_qubit_basis": "algebra",
+    "rotate_basis": "algebra",
+    "spin_generators": "algebra",
+    "SearchConfig": "core",
+    "concurrence_from_phi": "core",
+    "FluctuationReport": "fluctuations",
+    "fluctuation_report": "fluctuations",
+    "moments": "fluctuations",
+    "total_variance": "fluctuations",
+    "CanonicalForm": "spin1",
+    "canonical_form": "spin1",
+    "ce_basis": "spin1",
+    "concurrence_spherical": "spin1",
+    "expectation_magnitude_canonical": "spin1",
+    "spin_projection_operator": "spin1",
+    "to_cartesian": "spin1",
+    "to_spherical": "spin1",
+    "zero_projection_axis": "spin1",
+    "embed_symmetric": "twoqubit",
+    "project_spin1": "twoqubit",
+    "pure_concurrence": "twoqubit",
+    "sector_split": "twoqubit",
+    "singlet": "twoqubit",
+    "SearchResult": "variational",
+    "maximize_total_variance": "variational",
+    "minimize_total_variance": "variational",
+}
+__all__ = sorted(_HOMES)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOMES[name]}"), name)
+    globals()[name] = value  # later reads are plain attribute reads
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -4,9 +4,9 @@ is a scalar c I, recorded as `casimir`.
 
 All containers are immutable after construction and validate their defining
 invariants (Hermiticity, a scalar Casimir, unit norm, su(2) commutation, the
-dimension a state label requires) once, where a value enters: each analysis
-stage is a private kernel on the amplitude array behind a public wrapper that
-takes the StateVector, so downstream numerics never re-check them.
+dimension a state label requires) once, where a value enters, so downstream
+numerics never re-check them. A state is checked by `core.check_state`, the
+rule the command-line reader applies too.
 """
 
 from __future__ import annotations
@@ -17,46 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Tolerances: every numeric threshold of the package, defined once (this block
-# runs to the next blank line; tests/test_tolerances.py keeps it the only home
-# of exponent-form float literals).
-HERMITICITY_TOL = 1e-12  # max |O - O^dagger| of a basis element
-NORM_TOL = 1e-12  # |<psi|psi> - 1| of a StateVector
-COMMUTATOR_TOL = 1e-10  # max |[S_a, S_b] - i S_c| of an su(2) basis
-ORTHOGONALITY_TOL = 1e-10  # max |R^T R - 1| of a basis rotation
-UNIT_VECTOR_TOL = 1e-10  # ||omega| - 1| of a spin projection direction
-HALF_INTEGER_TOL = 1e-12  # |2j - round(2j)| of a spin j
-PHI_SLACK = 1e-12  # rounding allowed outside [0, pi/4] for the canonical phi
-IMAG_TOL = 1e-10  # |Im <O>| accepted as rounding
-VARIANCE_CLAMP = 1e-12  # a negative total variance down to -VARIANCE_CLAMP is rounding, clamped to 0
-BOUND_SLACK = 1e-9  # V_tot may leave [V_min, V_max] by this much
-CE_TOL_DEFAULT = 1e-9  # CE verdict on max_i |<O_i>|, and on the canonical phi (--tol)
-NU_CUTOFF = 1e-9  # below this |Im| norm the canonical nu is undefined
-PROJECT_TOL_DEFAULT = 1e-9  # largest singlet amplitude project_spin1 accepts
-SINGLET_NORM = 1e-12  # triplet-part norm below which a pair is a pure singlet
-STEP_TOL_DEFAULT = 1e-12  # tangent-gradient norm at which a search restart stops
-GRADIENT_FLOOR = 8  # tangent gradient, in eps c sqrt(d), at which a restart stops on stall (< 1e-12 for j <= 10)
-CROSS_CHECK_TOL = 1e-9  # agreement of the exactly conditioned concurrences
-SCALAR_CASIMIR_TOL = 1e-12  # max |C - c I| / max(1, |c|) of a basis: its C = sum_i O_i^2 must be the scalar c
-# sqrt((V - V_min)/(V_max - V_min)) loses half the working precision when the
-# concurrence is near zero (V - V_min is then pure rounding noise ~ 1e-16, and
-# the square root inflates it to ~ 1e-8), so the variance route gets a wider
-# cross-check band than the exactly-conditioned formulas.
-VARIANCE_CROSS_TOL = 5e-8
-
-_SQ2 = np.sqrt(2.0)
-
-# state basis label -> the dimension it requires (None: any, as spin j takes 2j + 1)
-STATE_BASIS_LABELS = {"spherical": None, "cartesian": 3, "qubit-pair": 4}
-
-
-def check_state_label(label: str, dim: int) -> None:
-    """ValueError unless `label` is a state basis label that admits dim amplitudes."""
-    if label not in STATE_BASIS_LABELS:
-        raise ValueError(f"unknown basis label {label!r}")
-    need = STATE_BASIS_LABELS[label]
-    if need is not None and dim != need:
-        raise ValueError(f"a {label} state needs {need} amplitudes, got {dim}")
+from .core import (COMMUTATOR_TOL, HALF_INTEGER_TOL, HERMITICITY_TOL, ORTHOGONALITY_TOL, SCALAR_CASIMIR_TOL,
+                   check_state)
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,18 +71,6 @@ class ObservableBasis:
         return len(self.operators)
 
 
-def is_normalized(a: np.ndarray) -> bool:
-    """|sum_k |a_k|^2 - 1| <= NORM_TOL for a 1-D a, the one test of StateVector and the CLI."""
-    try:  # max skips a NaN, or is NaN where one comes first
-        small = max(map(abs, a.tolist())) <= 2.0  # a unit state has no |a_k| > 1 + NORM_TOL
-    except OverflowError:  # abs of a Python complex past the largest float
-        small = False
-    norm2 = float(np.add.reduce(np.abs(a) ** 2, axis=None)) if small else math.inf  # no |a_k|^2 <= 4 overflows
-    if not (math.isfinite(norm2) or np.logical_and.reduce(np.isfinite(a), axis=None)):
-        raise ValueError("state vector has a non-finite amplitude")  # a NaN or infinite one, not an overflow
-    return abs(norm2 - 1.0) <= NORM_TOL
-
-
 @dataclass(frozen=True)
 class StateVector:
     """A normalized pure state over a labeled basis; `cartesian` (spin 1) needs
@@ -131,11 +81,7 @@ class StateVector:
 
     def __post_init__(self):
         a = np.array(self.amplitudes, dtype=complex).reshape(-1)
-        check_state_label(self.basis_label, a.size)
-        if a.size == 0:
-            raise ValueError("empty state vector")
-        if not is_normalized(a):
-            raise ValueError(f"state vector is not normalized within {NORM_TOL:g}")
+        check_state(a.tolist(), self.basis_label)
         a.setflags(write=False)
         object.__setattr__(self, "amplitudes", a)
 

@@ -7,6 +7,10 @@ document; --format json prints it as is, --format text prints every leaf of it
 as an aligned `dotted.key value` line. Exit codes: 0 success, 1
 non-convergence, a failed cross-check, a stdout closed by its reader or an
 internal error, 2 usage/validation errors.
+
+analyze, preset and convert run on the closed forms of entfluct.core and never
+import numpy; search and decompose import it, with the basis types and the
+search, when they run.
 """
 
 from __future__ import annotations
@@ -17,30 +21,25 @@ import json
 import math
 import os
 import sys
-import traceback
 
-import numpy as np
-
-from .algebra import (CE_TOL_DEFAULT, CROSS_CHECK_TOL, SINGLET_NORM, STATE_BASIS_LABELS, VARIANCE_CROSS_TOL,
-                      StateVector, local_two_qubit_basis, spin_generators, is_normalized)
-from .fluctuations import _fluctuation_report
+from .core import (CE_TOL_DEFAULT, CROSS_CHECK_TOL, MODES, SINGLET_NORM, SQRT2, STATE_BASIS_LABELS, VARIANCE_CROSS_TOL,
+                   SearchConfig, canonical, cartesian_of, check_state, concurrence_from_phi, is_normalized,
+                   pair_concurrence, pair_expectations, spherical_concurrence, spherical_of, spin1_expectations,
+                   variance_report)
 from .presets import PRESETS
-from .spin1 import _canonical_form, _concurrence_spherical, _convert, concurrence_from_phi
-from .twoqubit import _embed_symmetric, _pure_concurrence, project_spin1, sector_split
-from .variational import MODES, SearchConfig, maximize_total_variance, minimize_total_variance
 
 SCHEMA_VERSION = 1
 
-# system -> (observable basis, the state labels it takes, their amplitude
-# count, closed-form (V_min, V_max)); a searched state gets the first label.
-# The basis is built at call time through this module's names, where a tracer
-# that wraps them sees the call.
+# system -> (label of its observable basis, the state labels it takes, their
+# amplitude count, the basis's Casimir c, closed-form (V_min, V_max)); a
+# searched state gets the first label. `analyze` reads the label and c from
+# here and needs no basis; `search` builds it.
 _SYSTEMS = {
     # irreducible su(2): V_tot = j(j+1) - |<S>|^2 runs from j (coherent,
     # |<S>| = j) to j(j+1) (CE), here from 1 to 2
-    "spin1": (lambda: spin_generators(1), ("spherical", "cartesian"), 3, (1.0, 2.0)),
+    "spin1": ("su2-spin-1", ("spherical", "cartesian"), 3, 2.0, (1.0, 2.0)),
     # local basis on a pure pair: V_tot = 1 + C^2 / 2, from 1 (product) to 3/2
-    "two-qubit": (lambda: local_two_qubit_basis(), ("qubit-pair",), 4, (1.0, 1.5)),
+    "two-qubit": ("local-2qubit", ("qubit-pair",), 4, 1.5, (1.0, 1.5)),
 }
 
 
@@ -49,12 +48,13 @@ class UsageError(Exception):
 
 
 def _state_json(amplitudes, basis_label: str) -> dict:
-    return {"basis": basis_label, "components": [[z.real, z.imag] for z in amplitudes.tolist()]}
+    return {"basis": basis_label, "components": [[z.real, z.imag] for z in amplitudes]}
 
 
 def _read_state(args) -> tuple:
-    """(amplitudes, basis label, original norm or None) of the state JSON in
-    --file or on stdin; with --normalize a state of another norm is rescaled."""
+    """(amplitudes as Python complexes, basis label, original norm or None) of
+    the state JSON in --file or on stdin; with --normalize a state of another
+    norm is rescaled."""
     try:
         if args.file:
             with open(args.file) as fh:
@@ -72,14 +72,14 @@ def _read_state(args) -> tuple:
         # JSON true/false load as bool, an int subclass that complex() takes
         if not isinstance(pairs, list) or not pairs or any(type(x) not in (int, float) for pair in pairs for x in pair):
             raise ValueError("components must be a non-empty list of [re, im] pairs of numbers")
-        amps = np.array([complex(re, im) for re, im in pairs])
+        amps = [complex(re, im) for re, im in pairs]
         if is_normalized(amps):  # StateVector's test; a non-finite amplitude is a ValueError
             return amps, basis_label, None
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise UsageError(f'malformed state JSON, want {{"basis": label, "components": [[re, im], ...]}}: {exc!r}')
-    e = int(np.frexp(np.abs(amps.view(float)).max())[1])  # 2^-e takes the largest |re| or |im| into [1/2, 1)
-    unit = np.ldexp(amps.view(float), -e).view(complex)  # exactly, so its norm n neither overflows nor underflows
-    n = float(np.linalg.norm(unit))
+    e = math.frexp(max(max(abs(z.real), abs(z.imag)) for z in amps))[1]  # 2^-e takes the largest part into [1/2, 1)
+    unit = [complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)) for z in amps]  # exactly: no over- or underflow
+    n = math.hypot(*(x for z in unit for x in (z.real, z.imag)))
     norm = n * 2.0 ** (e // 2) * 2.0 ** (e - e // 2)  # n 2^e, 2^e as two finite factors; inf past the largest float
     if norm == math.inf:
         raise UsageError("state norm overflows a float")
@@ -87,19 +87,19 @@ def _read_state(args) -> tuple:
         raise UsageError("cannot normalize the zero vector")
     if not args.normalize:
         raise UsageError(f"state has norm {norm!r}; pass --normalize to rescale explicitly")
-    return unit / n, basis_label, norm
+    return [z / n for z in unit], basis_label, norm
 
 
-def _checked(amps, label: str, system: str, needs: str, hint: str = "") -> StateVector:
-    """The StateVector of amps, a usage error unless `system` takes its label and amplitude count."""
+def _checked(amps, label: str, system: str, needs: str, hint: str = "") -> None:
+    """A usage error unless amps is a state of its label (StateVector's checks)
+    that `system` takes, with its amplitude count."""
     try:
-        psi = StateVector(amps, label)
+        check_state(amps, label)
     except ValueError as exc:
         raise UsageError(str(exc))
-    _, labels, n, _ = _SYSTEMS[system]
-    if label not in labels or psi.amplitudes.size != n:
+    _, labels, n, _, _ = _SYSTEMS[system]
+    if label not in labels or len(amps) != n:
         raise UsageError(f"{needs} a {n}-component {' or '.join(labels)} state{hint}")
-    return psi
 
 
 def _concurrence_json(concurrences: dict) -> dict:
@@ -117,44 +117,44 @@ def _concurrence_json(concurrences: dict) -> dict:
 
 
 def build_analysis(amps, basis_label: str, system: str, tol: float, original_norm):
-    echo = _state_json(amps, basis_label)
+    """The analysis document of a state: amps is a sequence of numbers (a
+    numpy array too), checked here; every stage is a closed form of `core` on
+    its Python complexes."""
+    a = tuple(map(complex, amps.tolist() if hasattr(amps, "tolist") else amps))
+    echo = _state_json(a, basis_label)
     if original_norm is not None:
         echo["original_norm"] = original_norm
     hint = "; for a qubit pair pass --system two-qubit" if basis_label == "qubit-pair" else ""
-    a = _checked(amps, basis_label, system, f"{system} analysis needs", hint).amplitudes  # the one check of the state
-    make_basis, _, _, (v_min, v_max) = _SYSTEMS[system]
-    basis = make_basis()
-    sph = _convert(a, "spherical") if basis_label == "cartesian" else a
-    exps, v_tot, residual, ratio = _fluctuation_report(sph, basis, v_min, v_max)
+    _checked(a, basis_label, system, f"{system} analysis needs", hint)  # the one check of the state
+    basis, _, _, casimir, (v_min, v_max) = _SYSTEMS[system]
     form = None
     if system == "spin1":
-        theta, phi, mu, nu = _canonical_form(a if basis_label == "cartesian" else _convert(a, "cartesian"))
-        form = {
-            "theta": theta,
-            "phi": phi,
-            "mu": mu.tolist(),
-            "nu": None if nu is None else nu.tolist(),
-            "nu_defined": nu is not None,
-        }
+        sph, cart = (spherical_of(*a), a) if basis_label == "cartesian" else (a, cartesian_of(*a))
+        exps = spin1_expectations(*sph)
+        v_tot, residual, ratio = variance_report(exps, casimir, v_min, v_max)
+        theta, phi, mu, nu = canonical(*cart)
+        form = {"theta": theta, "phi": phi, "mu": list(mu), "nu": None if nu is None else list(nu),
+                "nu_defined": nu is not None}
+        p, z, m = sph
+        mid = z / SQRT2  # the triplet embedding |0> -> (|ud> + |du>)/sqrt(2)
         concurrences = {
-            "spherical_formula": _concurrence_spherical(sph),
+            "spherical_formula": spherical_concurrence(p, z, m),
             "canonical_phi": concurrence_from_phi(phi),
             "variance_ratio": ratio,
-            "two_qubit_det": _pure_concurrence(*_embed_symmetric(sph)),
+            "two_qubit_det": pair_concurrence(p, mid, mid, m),
         }
     else:
-        concurrences = {
-            "variance_ratio": ratio,
-            "two_qubit_det": _pure_concurrence(*a.tolist()),
-        }
+        exps = pair_expectations(*a)
+        v_tot, residual, ratio = variance_report(exps, casimir, v_min, v_max)
+        concurrences = {"variance_ratio": ratio, "two_qubit_det": pair_concurrence(*a)}
     return {
         "schema_version": SCHEMA_VERSION,
         "system": system,
         "input": echo,
-        "state": {"basis": basis_label, "components": echo["components"]},  # StateVector only casts and flattens
+        "state": {"basis": basis_label, "components": echo["components"]},  # checked, not changed
         "fluctuations": {
-            "basis": basis.label,
-            "expectations": exps.tolist(),
+            "basis": basis,
+            "expectations": list(exps),
             "v_tot": v_tot,
             "v_min": v_min,
             "v_max": v_max,
@@ -217,15 +217,19 @@ def cmd_search(args) -> int:
         config = SearchConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(SearchConfig)})
     except ValueError as exc:
         raise UsageError(str(exc))
+    from .algebra import local_two_qubit_basis, spin_generators
+    from .variational import maximize_total_variance, minimize_total_variance
+
     run = maximize_total_variance if args.mode == "maximize" else minimize_total_variance
-    make_basis, labels, _, _ = _SYSTEMS[args.system]
-    result = run(make_basis(), config, state_label=labels[0])
+    basis = spin_generators(1) if args.system == "spin1" else local_two_qubit_basis()
+    _, labels, _, _, _ = _SYSTEMS[args.system]
+    result = run(basis, config, state_label=labels[0])
     doc = {
         "schema_version": SCHEMA_VERSION,
         "system": args.system,
         "mode": args.mode,
         "best_value": result.best_value,
-        "best_state": _state_json(result.best_state.amplitudes, result.best_state.basis_label),
+        "best_state": _state_json(result.best_state.amplitudes.tolist(), result.best_state.basis_label),
         "converged": result.converged,
         "iterations_used": result.iterations_used,
         "restart_values": result.restart_values.tolist(),
@@ -238,10 +242,10 @@ def cmd_search(args) -> int:
     return _emit(doc, args.format, failure)
 
 
-def _preset_json(preset) -> dict:
-    doc = {f.name: getattr(preset, f.name) for f in dataclasses.fields(preset)}  # in declaration order
-    state = preset.state
-    return {**doc, "state": None if state is None else _state_json(state.amplitudes, state.basis_label)}
+def _preset_json(p) -> dict:
+    state = None if p.ket is None else _state_json(p.ket[1], p.ket[0])
+    return {"id": p.id, "description": p.description, "system": p.system, "state": state,
+            "expected_concurrence": p.expected_concurrence, "source_note": p.source_note}
 
 
 def cmd_preset_list(args) -> int:
@@ -260,26 +264,32 @@ def cmd_preset_show(args) -> int:
 
 def cmd_preset_analyze(args) -> int:
     preset = PRESETS[args.id]
-    if preset.state is None:
+    if preset.ket is None:
         raise UsageError(f"preset {preset.id!r} is label-only: {preset.source_note}")
-    doc = build_analysis(preset.state.amplitudes, preset.state.basis_label, preset.system, args.tol, None)
-    return _emit_analysis(doc, args.format)
+    label, amplitudes = preset.ket
+    return _emit_analysis(build_analysis(amplitudes, label, preset.system, args.tol, None), args.format)
 
 
 def cmd_convert(args) -> int:
     amps, basis_label, _ = _read_state(args)
-    a = _checked(amps, basis_label, "spin1", "convert expects").amplitudes
-    out = a if args.to == basis_label else _convert(a, args.to)
+    _checked(amps, basis_label, "spin1", "convert expects")
+    out = amps if args.to == basis_label else (cartesian_of if args.to == "cartesian" else spherical_of)(*amps)
     return _emit(_state_json(out, args.to), args.format)
 
 
 def cmd_decompose(args) -> int:
+    import numpy as np
+
+    from .algebra import StateVector
+    from .twoqubit import project_spin1, sector_split
+
     amps, basis_label, _ = _read_state(args)
-    chi = _checked(amps, basis_label, "two-qubit", "decompose expects")
+    _checked(amps, basis_label, "two-qubit", "decompose expects")
+    chi = StateVector(amps, basis_label)
     symmetric, anti = sector_split(chi)
     spin1_state = None
     if np.linalg.norm(symmetric) >= SINGLET_NORM:  # the normalized triplet part, whatever the singlet weight
-        spin1_state = _state_json(project_spin1(chi, tol=np.inf).amplitudes, "spherical")
+        spin1_state = _state_json(project_spin1(chi, tol=np.inf).amplitudes.tolist(), "spherical")
     doc = {
         "schema_version": SCHEMA_VERSION,
         "symmetric_weight": float(np.sum(np.abs(symmetric) ** 2)),
@@ -364,6 +374,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a failure in the numerics, not in the input
+        import traceback  # only a failing process pays for it
+
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         traceback.print_exc()
         return 1

@@ -3,20 +3,22 @@
 The total variance sum_i (<O_i^2> - <O_i>^2) = c - sum_i <O_i>^2, with c the
 scalar Casimir sum C = sum_i O_i^2 of the basis, measures how far a state sits
 from classical reality; its maximizers are the completely entangled (CE) states,
-characterized by all basis expectations vanishing. `fluctuation_report` is the
-one place a state's CE residual and variance concurrence come from; the CE
-verdict is that residual held against a tolerance, by the tolerance's owner.
+characterized by all basis expectations vanishing. `core.variance_report` is the
+one place a state's CE residual and variance concurrence come from, here from
+the expectations `moments` gives on any basis, in the CLI from the closed forms;
+the CE verdict is that residual held against a tolerance, by the tolerance's
+owner.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .algebra import BOUND_SLACK, IMAG_TOL, VARIANCE_CLAMP, ObservableBasis, StateVector
+from .algebra import ObservableBasis, StateVector
+from .core import IMAG_TOL, VARIANCE_CLAMP, variance_report
 
 
 def _apply(ops: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -73,21 +75,6 @@ def fluctuation_report(psi: StateVector, basis: ObservableBasis, v_min: Optional
     """Assemble the full report. The variance concurrence sqrt((V_tot - v_min) /
     (v_max - v_min)), clamped to [0, 1], is included only when both bounds are
     supplied."""
-    return FluctuationReport(*_fluctuation_report(psi.amplitudes, basis, v_min, v_max))
-
-
-def _fluctuation_report(a: np.ndarray, basis: ObservableBasis, v_min, v_max) -> tuple:  # the FluctuationReport fields
-    _, e = moments(a[None], basis)
-    exps, v = e[0], float(variance(e, basis.casimir)[0])
-    residual = max(map(abs, exps.tolist()))
-    conc = None
-    if (v_min is None) != (v_max is None):
-        raise ValueError("pass both variance bounds or neither")
-    if v_min is not None:
-        if not -np.inf < v_min < v_max < np.inf:
-            raise ValueError("variance bounds must be finite with v_max > v_min")
-        if v < v_min - BOUND_SLACK or v > v_max + BOUND_SLACK:
-            raise ValueError(f"total variance {v} lies outside [{v_min}, {v_max}]: inconsistent bounds")
-        conc = math.sqrt(min(max((v - v_min) / (v_max - v_min), 0.0), 1.0))
+    exps = moments(psi.amplitudes[None], basis)[1][0]
     exps.setflags(write=False)
-    return exps, v, residual, conc
+    return FluctuationReport(exps, *variance_report(exps.tolist(), basis.casimir, v_min, v_max))

@@ -7,40 +7,53 @@ the second slot. The helium-3 entries encode which part of the Cooper pair
 order parameter is completely entangled (phi = 0 representative) versus
 coherent (phi = pi/4 representative); the B phase couples spin and orbit and
 is listed as a label only.
+
+The catalog holds each state as Python numbers, so `preset analyze` runs
+without numpy; `Preset.state` is the StateVector, built when first read.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Optional
 
-from .algebra import _SQ2, StateVector
-from .spin1 import ce_basis
+from .core import CE_BASIS, SQRT2
 
 
 @dataclass(frozen=True)
 class Preset:
-    """`system` follows from the state: "two-qubit" for a qubit-pair state,
-    else (label-only entries too) "spin1"."""
+    """`ket` is (basis label, amplitudes as Python complexes), None for a
+    label-only entry. `system` follows from it: "two-qubit" for a qubit-pair
+    state, else (label-only entries too) "spin1"."""
 
     id: str
     description: str
     system: str = field(init=False)
-    state: Optional[StateVector]  # None for label-only
-    expected_concurrence: Optional[float]
+    ket: tuple | None
+    expected_concurrence: float | None
     source_note: str
 
     def __post_init__(self):
-        pair = self.state is not None and self.state.basis_label == "qubit-pair"
+        pair = self.ket is not None and self.ket[0] == "qubit-pair"
         object.__setattr__(self, "system", "two-qubit" if pair else "spin1")
 
+    @functools.cached_property
+    def state(self):
+        """The StateVector of the ket, or None for a label-only entry."""
+        if self.ket is None:
+            return None
+        from .algebra import StateVector  # numpy, for the caller that asks for a StateVector
 
-# (representative state, its concurrence): the concurrences are literals, the
+        label, amplitudes = self.ket
+        return StateVector(amplitudes, label)
+
+
+# (representative ket, its concurrence): the concurrences are literals, the
 # physics the presets assert, not values computed here
-_CE = (ce_basis()[0], 1.0)  # |m=0>, the canonical phi = 0 representative
-_COHERENT = (StateVector([1.0, 0.0, 0.0], "spherical"), 0.0)  # |m=+1>, phi = pi/4
+_CE = (("spherical", CE_BASIS[0]), 1.0)  # |m=0>, the canonical phi = 0 representative
+_COHERENT = (("spherical", (1 + 0j, 0j, 0j)), 0.0)  # |m=+1>, phi = pi/4
 
-# id -> ket of each ce_basis() state, in its order
+# id -> ket of each CE_BASIS state, in its order
 _CE_KETS = {"ce-psi0": "|0>", "ce-psi-plus": "(|+1> + |-1>)/sqrt(2)", "ce-psi-minus": "(|+1> - |-1>)/sqrt(2)"}
 
 # phase -> (spin part, orbital part, source note on each)
@@ -55,46 +68,47 @@ _HE3_PHASES = {
 
 def _he3_presets():
     for phase, (spin, orbital, spin_note, orbital_note) in _HE3_PHASES.items():
-        for part, (state, concurrence), note in (("spin", spin, spin_note), ("orbital", orbital, orbital_note)):
-            yield Preset(f"he3-{phase}-{part}", f"Superfluid He-3 {phase} phase, {part} part", state, concurrence, note)
+        for part, (ket, concurrence), note in (("spin", spin, spin_note), ("orbital", orbital, orbital_note)):
+            yield Preset(f"he3-{phase}-{part}", f"Superfluid He-3 {phase} phase, {part} part", ket, concurrence, note)
 
 
 def _catalog():
     presets = [
-        *(Preset(pid, f"CE basis state {ket}", psi, 1.0, "member of the completely entangled spin-1 basis")
-          for (pid, ket), psi in zip(_CE_KETS.items(), ce_basis())),
+        *(Preset(pid, f"CE basis state {ket}", ("spherical", amplitudes), 1.0,
+                 "member of the completely entangled spin-1 basis")
+          for (pid, ket), amplitudes in zip(_CE_KETS.items(), CE_BASIS)),
         Preset(
             "coherent-plus1",
             "Coherent state |m=+1>",
-            StateVector([1.0, 0.0, 0.0], "spherical"),
+            ("spherical", (1 + 0j, 0j, 0j)),
             0.0,
             "spin coherent state, minimal quantum fluctuations",
         ),
         Preset(
             "coherent-minus1",
             "Coherent state |m=-1>",
-            StateVector([0.0, 0.0, 1.0], "spherical"),
+            ("spherical", (0j, 0j, 1 + 0j)),
             0.0,
             "spin coherent state, minimal quantum fluctuations",
         ),
         Preset(
             "pion-plus",
             "pi+ = u dbar (flavor product state)",
-            StateVector([0.0, 1.0, 0.0, 0.0], "qubit-pair"),
+            ("qubit-pair", (0j, 1 + 0j, 0j, 0j)),
             0.0,
             "charged pions are coherent states of the quark isodoublet",
         ),
         Preset(
             "pion-minus",
             "pi- = ubar d (flavor product state)",
-            StateVector([0.0, 0.0, 1.0, 0.0], "qubit-pair"),
+            ("qubit-pair", (0j, 0j, 1 + 0j, 0j)),
             0.0,
             "charged pions are coherent states of the quark isodoublet",
         ),
         Preset(
             "pion-zero",
             "pi0 = (u ubar - d dbar)/sqrt(2)",
-            StateVector([1 / _SQ2, 0.0, 0.0, -1 / _SQ2], "qubit-pair"),
+            ("qubit-pair", (1 / SQRT2 + 0j, 0j, 0j, -1 / SQRT2 + 0j)),
             1.0,
             "the neutral pion is a completely entangled flavor state",
         ),

@@ -9,39 +9,24 @@ completely entangled states and phi = pi/4 the coherent ones.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .algebra import _SQ2, CE_TOL_DEFAULT, NU_CUTOFF, PHI_SLACK, UNIT_VECTOR_TOL, StateVector
-
-# Columns are the Cartesian images of |+1>, |0>, |-1> (Condon-Shortley):
-# |+1> = -(e_x + i e_y)/sqrt(2), |0> = e_z, |-1> = (e_x - i e_y)/sqrt(2)
-SPH_TO_CART = np.array(
-    [
-        [-1 / _SQ2, 0.0, 1 / _SQ2],
-        [-1j / _SQ2, 0.0, -1j / _SQ2],
-        [0.0, 1.0, 0.0],
-    ]
-)
-CART_TO_SPH = SPH_TO_CART.conj().T  # its inverse
-
-
-def _convert(a: np.ndarray, to: str) -> np.ndarray:
-    """Spin-1 amplitudes a in the basis `to`, "cartesian" or "spherical" (a is in the other)."""
-    return (SPH_TO_CART if to == "cartesian" else CART_TO_SPH) @ a
+from .algebra import StateVector
+from .core import (CE_BASIS, CE_TOL_DEFAULT, UNIT_VECTOR_TOL, canonical, cartesian_of, check_phi, spherical_concurrence,
+                   spherical_of)
 
 
 def to_cartesian(psi: StateVector) -> StateVector:
-    """Spherical components (psi_+1, psi_0, psi_-1) to Cartesian (x, y, z)."""
-    return StateVector(_convert(psi.require("spherical", 3), "cartesian"), "cartesian")
+    """Spherical components (psi_+1, psi_0, psi_-1) to Cartesian (x, y, z), by `core.cartesian_of`."""
+    return StateVector(cartesian_of(*psi.require("spherical", 3).tolist()), "cartesian")
 
 
 def to_spherical(psi: StateVector) -> StateVector:
-    """Exact inverse of to_cartesian."""
-    return StateVector(_convert(psi.require("cartesian"), "spherical"), "spherical")
+    """Exact inverse of to_cartesian, by `core.spherical_of`."""
+    return StateVector(spherical_of(*psi.require("cartesian").tolist()), "spherical")
 
 
 @dataclass(frozen=True)
@@ -56,31 +41,16 @@ class CanonicalForm:
 
 
 def canonical_form(psi: StateVector) -> CanonicalForm:
-    """Extract (theta, phi, mu, nu) from a Cartesian spin-1 state.
-
-    The bilinear form w = sum_k psi_k^2 fixes the global phase: with theta =
-    arg(w)/2 folded into [0, pi), the real and imaginary parts of
-    e^{-i theta} psi are orthogonal and |real|^2 - |imag|^2 = |w| exactly. Any
-    theta serves at w = 0; where rounding near w = 0 leaves |imag| > |real|,
-    phi is capped at pi/4. atan2 gives phi stably near 0.
-    """
-    return CanonicalForm(*_canonical_form(psi.require("cartesian")))
+    """Extract (theta, phi, mu, nu) from a Cartesian spin-1 state, by
+    `core.canonical` on its amplitudes; mu and nu as read-only arrays."""
+    theta, phi, mu, nu = canonical(*psi.require("cartesian").tolist())
+    return CanonicalForm(theta, phi, _read_only(mu), None if nu is None else _read_only(nu))
 
 
-def _canonical_form(a: np.ndarray) -> tuple:  # the CanonicalForm fields (theta, phi, mu, nu)
-    w = np.add.reduce(a * a, axis=None)
-    # arg(w) as np.angle takes it; a tiny negative angle % pi rounds to pi itself, the second % takes that to 0
-    theta = 0.5 * float(np.arctan2(w.imag, w.real)) % math.pi % math.pi
-    dephased = a * np.exp(-1j * theta)
-    x, y = dephased.real, dephased.imag
-    nx, ny = math.sqrt(x @ x), math.sqrt(y @ y)  # np.linalg.norm's dot and sqrt, bit for bit
-    phi = min(float(np.arctan2(ny, nx)), np.pi / 4)
-    mu = x / nx
-    nu = y / ny if ny > NU_CUTOFF else None
-    mu.setflags(write=False)
-    if nu is not None:
-        nu.setflags(write=False)
-    return theta, phi, mu, nu
+def _read_only(values) -> np.ndarray:
+    a = np.array(values)
+    a.setflags(write=False)
+    return a
 
 
 def spin_projection_operator(omega) -> np.ndarray:
@@ -101,32 +71,16 @@ def spin_projection_operator(omega) -> np.ndarray:
     return op
 
 
-def _check_phi(phi: float):
-    if not -PHI_SLACK <= phi <= np.pi / 4 + PHI_SLACK:
-        raise ValueError("phi must lie in [0, pi/4]")
-
-
 def expectation_magnitude_canonical(phi: float) -> float:
     """Maximal |<S_omega>| over directions for a state with invariant phi,
     attained at omega = mu x nu: sin(2 phi)."""
-    _check_phi(phi)
+    check_phi(phi)
     return float(np.sin(2.0 * phi))
 
 
 def concurrence_spherical(psi: StateVector) -> float:
     """2 |psi_+1 psi_-1 - psi_0^2 / 2| in spherical components."""
-    return _concurrence_spherical(psi.require("spherical", 3))
-
-
-def _concurrence_spherical(a: np.ndarray) -> float:
-    p, z, m = a.tolist()
-    return min(2.0 * abs(p * m - z * z / 2.0), 1.0)
-
-
-def concurrence_from_phi(phi: float) -> float:
-    """cos(2 phi): 1 for CE states (phi = 0), 0 for coherent ones (phi = pi/4)."""
-    _check_phi(phi)
-    return float(np.cos(2.0 * phi))
+    return spherical_concurrence(*psi.require("spherical", 3).tolist())
 
 
 def zero_projection_axis(psi: StateVector, tol: float = CE_TOL_DEFAULT) -> Optional[np.ndarray]:
@@ -144,8 +98,4 @@ def zero_projection_axis(psi: StateVector, tol: float = CE_TOL_DEFAULT) -> Optio
 
 def ce_basis():
     """The completely entangled orthonormal basis |0>, (|+1> +- |-1>)/sqrt(2)."""
-    return (
-        StateVector(np.array([0.0, 1.0, 0.0], dtype=complex), "spherical"),
-        StateVector(np.array([1.0, 0.0, 1.0]) / _SQ2, "spherical"),
-        StateVector(np.array([1.0, 0.0, -1.0]) / _SQ2, "spherical"),
-    )
+    return tuple(StateVector(a, "spherical") for a in CE_BASIS)

@@ -10,18 +10,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import _SQ2, PROJECT_TOL_DEFAULT, SINGLET_NORM, StateVector
+from .algebra import StateVector
+from .core import PROJECT_TOL_DEFAULT, SINGLET_NORM, SQRT2, pair_concurrence
 
 
 def embed_symmetric(psi: StateVector) -> StateVector:
     """Triplet embedding: |+1> -> |uu>, |0> -> (|ud>+|du>)/sqrt(2), |-1> -> |dd>."""
-    return StateVector(_embed_symmetric(psi.require("spherical", 3)), "qubit-pair")
-
-
-def _embed_symmetric(a: np.ndarray) -> tuple:  # the amplitudes (uu, ud, du, dd) as Python numbers
-    p, _, m = a.tolist()
-    mid = complex(a[1] / _SQ2)  # numpy's division, whose signed zeros a Python product would flip
-    return p, mid, mid, m
+    p, z, m = psi.require("spherical", 3)
+    mid = z / SQRT2  # numpy's division, whose signed zeros a Python product would flip
+    return StateVector([p, mid, mid, m], "qubit-pair")
 
 
 def sector_split(chi: StateVector):
@@ -29,7 +26,7 @@ def sector_split(chi: StateVector):
     a = chi.require("qubit-pair")
     sym_mid = (a[1] + a[2]) / 2.0
     symmetric = np.array([a[0], sym_mid, sym_mid, a[3]])
-    antisymmetric = (a[1] - a[2]) / _SQ2
+    antisymmetric = (a[1] - a[2]) / SQRT2
     return symmetric, complex(antisymmetric)
 
 
@@ -47,19 +44,15 @@ def project_spin1(chi: StateVector, tol: float = PROJECT_TOL_DEFAULT) -> StateVe
         raise ValueError("state has zero symmetric part (pure singlet)")
     if abs(anti) > tol:
         raise ValueError(f"antisymmetric component {abs(anti):.3e} exceeds tolerance {tol:.3e}")
-    spherical = np.array([symmetric[0], _SQ2 * symmetric[1], symmetric[3]]) / sym_norm
+    spherical = np.array([symmetric[0], SQRT2 * symmetric[1], symmetric[3]]) / sym_norm
     return StateVector(spherical, "spherical")
 
 
 def singlet() -> StateVector:
     """The antisymmetric scalar (|ud> - |du>)/sqrt(2)."""
-    return StateVector(np.array([0.0, 1.0, -1.0, 0.0]) / _SQ2, "qubit-pair")
+    return StateVector(np.array([0.0, 1.0, -1.0, 0.0]) / SQRT2, "qubit-pair")
 
 
 def pure_concurrence(chi: StateVector) -> float:
     """2 |det| of the amplitude matrix: 2 |a_uu a_dd - a_ud a_du|."""
-    return _pure_concurrence(*chi.require("qubit-pair").tolist())
-
-
-def _pure_concurrence(uu: complex, ud: complex, du: complex, dd: complex) -> float:
-    return min(2.0 * abs(uu * dd - ud * du), 1.0)
+    return pair_concurrence(*chi.require("qubit-pair").tolist())

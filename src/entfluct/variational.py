@@ -25,43 +25,16 @@ restarts of an R-restart search are the R'-restart search with the same seed.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import GRADIENT_FLOOR, STEP_TOL_DEFAULT, ObservableBasis, StateVector, check_state_label
+from .algebra import ObservableBasis, StateVector
+from .core import GRADIENT_FLOOR, SearchConfig, check_state_label
 from .fluctuations import _apply, _inner, moments, variance
 
 STOP_REASONS = ("gradient", "stall", "cap")
-MODES = ("maximize", "minimize")
 _EPS = np.finfo(float).eps
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    restarts: int = 16
-    max_iterations: int = 2000
-    step_tolerance: float = STEP_TOL_DEFAULT
-    seed: int = 0
-    mode: str = "maximize"
-
-    def __post_init__(self):
-        for name in ("restarts", "max_iterations", "seed"):
-            value = getattr(self, name)  # an int or numpy integer, not a bool, float or string
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if self.restarts < 1 or self.max_iterations < 1:
-            raise ValueError("restarts and max_iterations must be positive")
-        tol = self.step_tolerance  # a real number, not a bool or string
-        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < np.inf:
-            raise ValueError("step_tolerance must be positive and finite")
-        object.__setattr__(self, "step_tolerance", float(tol))
-        if self.mode not in MODES:
-            raise ValueError("mode must be 'maximize' or 'minimize'")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 unsigned bits")
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ import pytest
 
 import entfluct
 import entfluct.cli
+import entfluct.core
 import entfluct.presets
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -24,13 +25,19 @@ def test_bulk_batch_and_presets_pass_the_oracle():
     for pid, (amps, basis) in workloads.preset_states(entfluct.presets).items():
         states.append((amps, basis, entfluct.presets.PRESETS[pid].system))
     tracer = Tracer()
+    build = tracer.wrap("cli.build_analysis", entfluct.cli.build_analysis)  # as the traced analyze-bulk run does
     with traced_module(tracer, entfluct.cli):
         for amps, basis, system in states:
-            doc = json.loads(json.dumps(entfluct.cli.build_analysis(amps, basis, system, workloads.CE_TOL, None)))
+            doc = json.loads(json.dumps(build(amps, basis, system, workloads.CE_TOL, None)))
             assert oracle.check_analysis(doc, amps, basis, workloads.CE_TOL) == [], (basis, amps)
-    assert tracer.durations("algebra.spin_generators").size > 0
+    # the closed-form layer shows as spans inside build_analysis
+    spans, build_id = tracer.spans(), tracer.names.index("cli.build_analysis")
+    for name in ("core.spin1_expectations", "core.pair_expectations", "core.variance_report", "core.canonical"):
+        picked = spans["name"] == tracer.names.index(name)
+        assert picked.any(), name
+        assert (spans["name"][spans["parent"][picked]] == build_id).all(), name
     assert tracer.orphan_spans() == 0
-    assert entfluct.cli.spin_generators is entfluct.algebra.spin_generators  # unwrapped again
+    assert entfluct.cli.variance_report is entfluct.core.variance_report  # unwrapped again
 
 
 _PROBLEMS = workloads.search_problems(0, 0)

@@ -10,12 +10,10 @@ import numpy as np
 import pytest
 
 import entfluct.cli
-from entfluct import StateVector, embed_symmetric, local_two_qubit_basis, spin_generators
-from entfluct.algebra import _SQ2, CE_TOL_DEFAULT
+from entfluct import StateVector, embed_symmetric, local_two_qubit_basis, spin_generators, to_spherical
 from entfluct.cli import build_analysis, main
+from entfluct.core import CE_TOL_DEFAULT, SQRT2, cartesian_of, spherical_of
 from entfluct.presets import PRESETS
-from entfluct.spin1 import _convert
-from entfluct.twoqubit import _embed_symmetric
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import workloads  # noqa: E402  (bench/workloads.py: the benchmark's seeded and edge states)
@@ -247,7 +245,7 @@ class TestAnalyze:
         assert conc["max_pairwise_delta"] <= 3e-8
 
     def test_two_qubit_disagreement_exits_1(self, capsys, monkeypatch):
-        monkeypatch.setattr("entfluct.cli._pure_concurrence", lambda *args: 0.5)
+        monkeypatch.setattr("entfluct.cli.pair_concurrence", lambda *args: 0.5)
         code, out, err = run(
             capsys, monkeypatch,
             ["analyze", "--system", "two-qubit", "--format", "json"],
@@ -262,12 +260,12 @@ class TestAnalyze:
     @pytest.mark.parametrize("oracle", ["spherical_formula", "canonical_phi", "variance_ratio", "two_qubit_det"])
     def test_non_finite_concurrence_fails_the_cross_check(self, capsys, monkeypatch, oracle):
         # max() drops a NaN unless it comes first, so whichever oracle yields it, it must not pass
-        report = entfluct.cli._fluctuation_report
+        report = entfluct.cli.variance_report
         patch = {
-            "spherical_formula": ("_concurrence_spherical", lambda a: math.nan),
+            "spherical_formula": ("spherical_concurrence", lambda *args: math.nan),
             "canonical_phi": ("concurrence_from_phi", lambda phi: math.nan),
-            "variance_ratio": ("_fluctuation_report", lambda *args: (*report(*args)[:3], math.nan)),
-            "two_qubit_det": ("_pure_concurrence", lambda *args: math.nan),
+            "variance_ratio": ("variance_report", lambda *args: (*report(*args)[:2], math.nan)),
+            "two_qubit_det": ("pair_concurrence", lambda *args: math.nan),
         }
         monkeypatch.setattr(entfluct.cli, *patch[oracle])
         code, out, err = run(
@@ -293,7 +291,7 @@ class TestAnalyze:
         def broken(*args, **kwargs):
             raise ValueError("total variance is negative beyond tolerance")
 
-        monkeypatch.setattr("entfluct.cli._fluctuation_report", broken)
+        monkeypatch.setattr("entfluct.cli.variance_report", broken)
         code, out, err = run(capsys, monkeypatch, ["analyze"], state_json([0, 1, 0], "spherical"))
         assert code == 1
         assert out == ""
@@ -714,7 +712,7 @@ class TestFlags:
         assert "cannot read" in err and "internal error" not in err
 
     def test_defaults_come_from_the_code_that_reads_them(self):
-        from entfluct.algebra import CE_TOL_DEFAULT
+        from entfluct.core import CE_TOL_DEFAULT
         from entfluct.cli import build_parser
         from entfluct.variational import SearchConfig
 
@@ -749,27 +747,83 @@ def test_undecodable_stdin_exits_2():
     assert b"cannot read stdin" in proc.stderr and b"internal error" not in proc.stderr
 
 
+def _child(argv, stdin=b""):
+    """(exit code, stdout, the set of modules) of `python -X importtime argv`:
+    importtime names on stderr each module the child imports."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", *argv], input=stdin, capture_output=True,
+                          env=_cli_env(), timeout=60)
+    modules = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.decode().splitlines()
+               if line.startswith("import time:")}
+    return proc.returncode, proc.stdout, modules
+
+
+class TestColdPath:
+    """analyze, preset analyze and convert run on entfluct.core and never import
+    numpy; search and decompose import it, and what else they need, when they run."""
+
+    def test_importing_the_cli_imports_no_numpy(self):
+        code, _, modules = _child(["-c", "import entfluct.cli, sys; assert 'numpy' not in sys.modules"])
+        assert code == 0
+        assert "entfluct.core" in modules and "numpy" not in modules
+
+    @pytest.mark.parametrize("basis,system,amps", [
+        ("spherical", "spin1", [0.6, 0.48j, 0.64]),
+        ("cartesian", "spin1", [0.6, 0.8j, 0]),
+        ("qubit-pair", "two-qubit", [0.6, 0, 0, -0.8j]),
+    ])
+    def test_analyze_imports_no_numpy(self, basis, system, amps):
+        code, out, modules = _child(["-m", "entfluct.cli", "analyze", "--system", system, "--format", "json"],
+                                    state_json(amps, basis).encode())
+        assert code == 0
+        assert not {m for m in modules if m == "numpy" or m.startswith("numpy.")}
+        assert json.loads(out) == json.loads(json.dumps(build_analysis(np.array(amps), basis, system,
+                                                                       CE_TOL_DEFAULT, None)))
+
+    @pytest.mark.parametrize("argv,stdin,key", [
+        (["preset", "analyze", "pion-zero"], "", "ce"),
+        (["convert", "--to", "cartesian"], state_json([0.6, 0, 0.8j], "spherical"), "components"),
+    ], ids=["preset-analyze", "convert"])
+    def test_closed_form_commands_import_no_numpy(self, argv, stdin, key):
+        code, out, modules = _child(["-m", "entfluct.cli", *argv, "--format", "json"], stdin.encode())
+        assert code == 0
+        assert key in json.loads(out)
+        assert "numpy" not in modules
+
+    @pytest.mark.parametrize("argv,stdin,key", [
+        (["search", "--restarts", "2"], "", "best_state"),
+        (["decompose"], state_json([0, 0.6, 0.8, 0], "qubit-pair"), "spin1_component"),
+    ], ids=["search", "decompose"])
+    def test_array_commands_import_numpy_when_they_run(self, argv, stdin, key):
+        code, out, modules = _child(["-m", "entfluct.cli", *argv, "--format", "json"], stdin.encode())
+        assert code == 0
+        assert key in json.loads(out)
+        assert "numpy" in modules
+
+
 class TestValidatedOnce:
     """The state is checked once, as it enters; the analysis stages run on its
     amplitudes and are not re-checked, since they keep the norm to rounding."""
 
     @pytest.mark.parametrize("basis,system", [
         ("spherical", "spin1"), ("cartesian", "spin1"), ("qubit-pair", "two-qubit")])
-    def test_build_analysis_constructs_one_state_vector(self, monkeypatch, basis, system):
-        calls = []
-        post_init = StateVector.__post_init__
-        monkeypatch.setattr(StateVector, "__post_init__", lambda psi: calls.append(psi) or post_init(psi))
+    def test_build_analysis_checks_the_state_once(self, monkeypatch, basis, system):
+        # by StateVector's own rule, core.check_state, and without building a StateVector
+        calls, built = [], []
+        check, post_init = entfluct.cli.check_state, StateVector.__post_init__
+        monkeypatch.setattr(entfluct.cli, "check_state", lambda *args: calls.append(args) or check(*args))
+        monkeypatch.setattr(StateVector, "__post_init__", lambda psi: built.append(psi) or post_init(psi))
         rng = np.random.default_rng(3)
         for _ in range(8):
             a = [1, 1j] @ rng.normal(size=(2, 4 if system == "two-qubit" else 3))
             calls.clear()
             build_analysis(a / np.linalg.norm(a), basis, system, CE_TOL_DEFAULT, None)
             assert len(calls) == 1
+        assert built == []
 
     def test_build_analysis_enters_no_numpy_python_frame(self):
-        # on 3- and 4-vectors numpy's Python-level wrappers (ndarray.sum, np.angle, the errstate
-        # decorator, ...) cost more than the arithmetic: the stages reach numpy through ufuncs,
-        # reductions with an explicit axis, ndarray C methods and @ only
+        # a numpy input's values are taken with one tolist(), a C method, and every stage runs on
+        # Python numbers: on 3- and 4-vectors numpy's Python-level wrappers (ndarray.sum, np.angle,
+        # the errstate decorator, ...) would cost more than the arithmetic
         numpy_dir = os.path.join(os.path.dirname(np.__file__), "")
         states = workloads.bulk_batch(0, 0) + [
             (p.state.amplitudes, p.state.basis_label, p.system) for p in PRESETS.values() if p.state is not None]
@@ -797,9 +851,9 @@ class TestValidatedOnce:
                    for _, basis, system, amps in workloads.EDGE_STATES if system == "spin1"]
         for a, basis in states:
             assert abs(np.sum(np.abs(a) ** 2) - 1) <= 8 * eps
-            other = "spherical" if basis == "cartesian" else "cartesian"
-            sph = a if basis == "spherical" else _convert(a, "spherical")
-            for out in (_convert(a, other), sph, _embed_symmetric(sph)):
+            sph = tuple(a.tolist()) if basis == "spherical" else spherical_of(*a.tolist())
+            p, z, m = sph
+            for out in (cartesian_of(*sph), sph, (p, z / SQRT2, z / SQRT2, m)):
                 assert abs(np.sum(np.abs(out) ** 2) - 1) <= 8 * eps, (basis, a)
 
     @pytest.mark.parametrize("states", ["signed_zeros", "bulk"])
@@ -811,12 +865,12 @@ class TestValidatedOnce:
             states = [np.array([complex(pr, pi), complex(zr, zi), complex(math.sqrt(1 - zr * zr - zi * zi), -0.0)])
                       for pr in (0.0, -0.0) for pi in (0.0, -0.0) for zr in parts for zi in parts]
         else:
-            states = [a if basis == "spherical" else _convert(a, "spherical")
+            states = [a if basis == "spherical" else to_spherical(StateVector(a, "cartesian")).amplitudes
                       for a, basis, system in workloads.bulk_batch(0, 0) if system == "spin1"]
         assert states
         for sph in states:
             p, z, m = sph
-            want = np.array([p, z / _SQ2, z / _SQ2, m])
+            want = np.array([p, z / SQRT2, z / SQRT2, m])
             got = embed_symmetric(StateVector(sph, "spherical")).amplitudes
             assert (got.view(np.uint64) == want.view(np.uint64)).all(), sph
 

@@ -1,0 +1,160 @@
+"""The closed forms of entfluct.core, which `analyze` runs on, held against the
+array pipeline of the public API (`moments`, `total_variance`, the spin-1 and
+two-qubit functions) and LAPACK's determinant, over the benchmark's bulk
+states, every preset and every edge state. Bounds, in eps = 2.2e-16: the
+expectations within 4 eps and V_tot within 8 eps (two roundings apart on
+values up to 2), the basis change within 4 eps, the canonical form rebuilt
+within 8 eps, the exact concurrences within CROSS_CHECK_TOL. Every verdict
+(CE, nu defined, the cross-check) must be the public pipeline's."""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import entfluct.cli
+from entfluct import (StateVector, canonical_form, concurrence_from_phi, concurrence_spherical, embed_symmetric,
+                      fluctuation_report, local_two_qubit_basis, moments, pure_concurrence, spin_generators,
+                      spin_projection_operator, to_cartesian, to_spherical, total_variance)
+from entfluct.core import (CE_TOL_DEFAULT, CROSS_CHECK_TOL, NU_CUTOFF, canonical, cartesian_of, pair_concurrence,
+                           pair_expectations, spherical_concurrence, spherical_of, spin1_expectations, variance_report)
+from entfluct.presets import PRESETS
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import workloads  # noqa: E402  (bench/workloads.py: the benchmark's seeded and edge states)
+
+EPS = np.finfo(float).eps
+
+
+def _states():
+    rng = np.random.default_rng(0)
+    states = [(a, basis) for seed in (0, 1) for b in range(4) for a, basis, _ in workloads.bulk_batch(seed, b)]
+    states += [(p.state.amplitudes, p.state.basis_label) for p in PRESETS.values() if p.state is not None]
+    states += [(np.asarray(amps(rng) if callable(amps) else amps, dtype=complex), basis)
+               for _, basis, _, amps in workloads.EDGE_STATES]
+    return states
+
+
+STATES = _states()
+SPIN1_STATES = [(a, basis) for a, basis in STATES if basis != "qubit-pair"]
+PAIR_STATES = [a for a, basis in STATES if basis == "qubit-pair"]
+
+
+def _spin1_pictures(a, basis):
+    """(spherical, cartesian) of a spin-1 state: Python complexes by the closed
+    forms, StateVectors by the public API."""
+    psi = StateVector(a, basis)
+    if basis == "spherical":
+        return tuple(a.tolist()), cartesian_of(*a.tolist()), psi, to_cartesian(psi)
+    return spherical_of(*a.tolist()), tuple(a.tolist()), to_spherical(psi), psi
+
+
+def test_the_state_sets_are_not_empty():
+    assert len(SPIN1_STATES) > 2000 and len(PAIR_STATES) > 500
+
+
+def test_basis_change_carries_the_spin_operators():
+    # <S_k> in the Cartesian picture, with the public cross-product operators, is <S_k> of the spherical one
+    s1, axes = spin_generators(1), [spin_projection_operator(e) for e in np.eye(3)]
+    for a, basis in SPIN1_STATES:
+        sph, cart, sph_psi, _ = _spin1_pictures(a, basis)
+        c = np.array(cart)
+        in_cartesian = [np.vdot(c, op @ c).real for op in axes]
+        assert np.max(np.abs(np.array(in_cartesian) - moments(sph_psi.amplitudes[None], s1)[1][0])) <= 4 * EPS
+        assert np.max(np.abs(np.array(spherical_of(*cartesian_of(*sph))) - np.array(sph))) <= 4 * EPS, (basis, a)
+
+
+def test_spin1_expectations_and_variance_hold_against_moments():
+    s1 = spin_generators(1)
+    for a, basis in SPIN1_STATES:
+        sph, _, sph_psi, _ = _spin1_pictures(a, basis)
+        exps = spin1_expectations(*sph)
+        assert np.max(np.abs(np.array(exps) - moments(sph_psi.amplitudes[None], s1)[1][0])) <= 4 * EPS, (basis, a)
+        v_tot, residual, _ = variance_report(exps, s1.casimir)
+        assert abs(v_tot - total_variance(sph_psi, s1)) <= 8 * EPS, (basis, a)
+        assert (residual <= CE_TOL_DEFAULT) == (fluctuation_report(sph_psi, s1).ce_residual <= CE_TOL_DEFAULT)
+
+
+def test_pair_expectations_and_variance_hold_against_moments():
+    pair = local_two_qubit_basis()
+    for a in PAIR_STATES:
+        psi = StateVector(a, "qubit-pair")
+        exps = pair_expectations(*a.tolist())
+        assert np.max(np.abs(np.array(exps) - moments(psi.amplitudes[None], pair)[1][0])) <= 4 * EPS, a
+        v_tot, residual, _ = variance_report(exps, pair.casimir)
+        assert abs(v_tot - total_variance(psi, pair)) <= 8 * EPS, a
+        assert (residual <= CE_TOL_DEFAULT) == (fluctuation_report(psi, pair).ce_residual <= CE_TOL_DEFAULT)
+
+
+def test_canonical_form_rebuilds_the_state_and_matches_the_public_one():
+    for a, basis in SPIN1_STATES:
+        _, cart, _, cart_psi = _spin1_pictures(a, basis)
+        theta, phi, mu, nu = canonical(*cart)
+        form = canonical_form(cart_psi)
+        assert (nu is None) == (form.nu is None), (basis, a)
+        assert abs(concurrence_from_phi(phi) - concurrence_from_phi(form.phi)) <= CROSS_CHECK_TOL, (basis, a)
+        sin_part = 0.0 if nu is None else 1j * np.sin(phi) * np.array(nu)  # below NU_CUTOFF where nu is None
+        rebuilt = np.exp(1j * theta) * (np.cos(phi) * np.array(mu) + sin_part)
+        bound = 8 * EPS + (NU_CUTOFF if nu is None else 0.0)
+        assert np.max(np.abs(rebuilt - np.array(cart))) <= bound, (basis, a)
+        assert abs(np.dot(mu, mu) - 1) <= 4 * EPS and (nu is None or abs(np.dot(nu, nu) - 1) <= 4 * EPS)
+
+
+def _det_concurrence(pair) -> float:
+    """2 |det| of the 2x2 amplitude matrix, by LAPACK."""
+    return min(2.0 * abs(np.linalg.det(np.reshape(pair, (2, 2)))), 1.0)
+
+
+def test_exact_concurrences_hold_against_the_determinant():
+    for a, basis in SPIN1_STATES:
+        sph, cart, sph_psi, _ = _spin1_pictures(a, basis)
+        det = _det_concurrence(embed_symmetric(sph_psi).amplitudes)
+        p, z, m = sph
+        mid = z / np.sqrt(2.0)
+        phi = canonical(*cart)[1]
+        for c in (spherical_concurrence(*sph), pair_concurrence(p, mid, mid, m), concurrence_from_phi(phi)):
+            assert abs(c - det) <= CROSS_CHECK_TOL, (basis, a)
+    for a in PAIR_STATES:
+        assert abs(pair_concurrence(*a.tolist()) - _det_concurrence(a)) <= CROSS_CHECK_TOL, a
+
+
+def _public_document(a, basis, system, tol):
+    """What build_analysis reports, from the array pipeline of the public API."""
+    psi = StateVector(a, basis)
+    if system == "spin1":
+        sph_psi = psi if basis == "spherical" else to_spherical(psi)
+        report = fluctuation_report(sph_psi, spin_generators(1), 1.0, 2.0)
+        form = canonical_form(psi if basis == "cartesian" else to_cartesian(psi))
+        concurrences = {"spherical_formula": concurrence_spherical(sph_psi),
+                        "canonical_phi": concurrence_from_phi(form.phi),
+                        "variance_ratio": report.concurrence_variance,
+                        "two_qubit_det": pure_concurrence(embed_symmetric(sph_psi))}
+        nu_defined = form.nu is not None
+    else:
+        report = fluctuation_report(psi, local_two_qubit_basis(), 1.0, 1.5)
+        concurrences = {"variance_ratio": report.concurrence_variance, "two_qubit_det": pure_concurrence(psi)}
+        nu_defined = None
+    cross = entfluct.cli._concurrence_json(concurrences)
+    return report, cross, nu_defined, bool(report.ce_residual <= tol)
+
+
+@pytest.mark.parametrize("tol", [CE_TOL_DEFAULT, 0.5])
+def test_every_verdict_is_the_public_pipelines(tol):
+    for a, basis in STATES:
+        system = "two-qubit" if basis == "qubit-pair" else "spin1"
+        doc = entfluct.cli.build_analysis(a, basis, system, tol, None)
+        report, cross, nu_defined, ce = _public_document(a, basis, system, tol)
+        assert doc["ce"]["completely_entangled"] is ce, (basis, a)
+        assert doc["concurrence"]["consistent"] is cross["consistent"] is True, (basis, a)
+        if nu_defined is not None:
+            assert doc["canonical_form"]["nu_defined"] is nu_defined, (basis, a)
+        assert np.max(np.abs(np.array(doc["fluctuations"]["expectations"]) - report.expectations)) <= 4 * EPS
+        assert abs(doc["fluctuations"]["v_tot"] - report.v_tot) <= 8 * EPS
+
+
+def test_system_table_holds_the_bases_label_and_casimir():
+    # analyze reads them from the table, search builds the basis: the two must agree
+    for system, basis in (("spin1", spin_generators(1)), ("two-qubit", local_two_qubit_basis())):
+        label, _, dim, casimir, _ = entfluct.cli._SYSTEMS[system]
+        assert (label, dim, casimir) == (basis.label, basis.dim, basis.casimir)

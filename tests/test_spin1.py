@@ -16,8 +16,7 @@ from entfluct import (
     to_spherical,
     zero_projection_axis,
 )
-from entfluct.algebra import PHI_SLACK
-from entfluct.spin1 import SPH_TO_CART
+from entfluct.core import PHI_SLACK
 from util import random_orthogonal, random_orthonormal_pair, random_state, state_from_canonical
 
 SQ2 = np.sqrt(2.0)
@@ -29,6 +28,10 @@ def sph(components):
 
 def cart(components):
     return StateVector(components, "cartesian")
+
+
+# the matrix of to_cartesian: its columns are the Cartesian images of |+1>, |0>, |-1>
+SPH_TO_CART = np.column_stack([to_cartesian(sph(e)).amplitudes for e in np.eye(3)])
 
 
 amplitude_triples = st.lists(

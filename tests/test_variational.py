@@ -18,7 +18,7 @@ from entfluct import (
     total_variance,
 )
 from entfluct import variational
-from entfluct.algebra import GRADIENT_FLOOR, STEP_TOL_DEFAULT
+from entfluct.core import GRADIENT_FLOOR, STEP_TOL_DEFAULT
 from entfluct.fluctuations import _inner
 from entfluct.variational import _best_angle, _line_coefficients, _line_terms, _value_and_gradient
 from util import non_lie_basis, random_basis, random_state

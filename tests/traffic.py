@@ -17,6 +17,8 @@ the last line. The parts, in this order:
   to `decompose`, four spherical amplitudes to spin-1 `analyze`, a cartesian
   state to two-qubit `analyze`; each exits 2 with an empty stdout) in both
   formats, and `search` in both modes on both systems, seeds 0 and 16;
+- `cli-stderr`: the stderr of the same runs, apart from their stdout, so that
+  a changed error or failure message moves this part alone;
 - `bulk`: the `analyze --format json` stdout and exit code of every state of the
   benchmark's `bulk_batch(0, b)`, b = 0..3;
 - one part per search problem and mode, `j=1/2-max`, `j=1/2-min`, ...,
@@ -59,24 +61,27 @@ def _state(amps, label: str) -> str:
     return json.dumps({"basis": label, "components": [[float(c.real), float(c.imag)] for c in amps]})
 
 
-def _run(digest, argv: list, stdin: str = "") -> str:
-    """Feed stdin to `entfluct argv`, hash argv, stdin, exit code and stdout; return stdout."""
-    out, saved = io.StringIO(), sys.stdin
+def _run(digest, argv: list, stdin: str = "", stream: str = "stdout") -> str:
+    """Feed stdin to `entfluct argv`; hash argv, stdin, and the exit code and
+    stdout, or with stream="stderr" the stderr alone; return stdout."""
+    out, err, saved = io.StringIO(), io.StringIO(), sys.stdin
     sys.stdin = io.StringIO(stdin)
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
     finally:
         sys.stdin = saved
-    digest.update(json.dumps([argv, stdin, code, out.getvalue()]).encode())
+    seen = [code, out.getvalue()] if stream == "stdout" else [err.getvalue()]
+    digest.update(json.dumps([argv, stdin, *seen]).encode())
     return out.getvalue()
 
 
-def cli_traffic(digest):
-    presets = json.loads(_run(digest, ["preset", "list", "--format", "json"]))
+def cli_traffic(digest, stream: str = "stdout"):
+    run = functools.partial(_run, digest, stream=stream)
+    presets = json.loads(run(["preset", "list", "--format", "json"]))
     for preset in presets:
         for action in ("show", "analyze"):
-            _run(digest, ["preset", action, preset["id"], "--format", "json"])
+            run(["preset", action, preset["id"], "--format", "json"])
     rng = np.random.default_rng(20040917)
     states = [("spin1", "spherical", 3), ("spin1", "cartesian", 3), ("two-qubit", "qubit-pair", 4)]
     for system, label, dim in states:
@@ -84,26 +89,26 @@ def cli_traffic(digest):
         for amps in (unit, 2.5 * unit, np.zeros(dim)):
             for fmt in ("json", "text"):
                 for extra in ([], ["--normalize"]):
-                    _run(digest, ["analyze", "--system", system, "--format", fmt, *extra], _state(amps, label))
+                    run(["analyze", "--system", system, "--format", fmt, *extra], _state(amps, label))
     edges = [("spin1", "spherical", [1e300, 1e300, 0]), ("spin1", "spherical", [1.5e308 + 1.5e308j, 0, 0]),
              ("two-qubit", "qubit-pair", [1e-200, 0, 0, 1e-200]), ("spin1", "spherical", [1e-160, 3e-161, 0]),
              ("spin1", "spherical", [5e-324, 5e-324, 0]), ("spin1", "spherical", [0.6, complex(0.0, math.nan), 0.8])]
     for system, label, amps in edges:
         for extra in ([], ["--normalize"]):
-            _run(digest, ["analyze", "--system", system, "--format", "json", *extra], _state(np.array(amps), label))
+            run(["analyze", "--system", system, "--format", "json", *extra], _state(np.array(amps), label))
     for label, to in (("spherical", "cartesian"), ("cartesian", "spherical")):
-        _run(digest, ["convert", "--to", to, "--format", "json"], _state(_unit(rng, 3), label))
+        run(["convert", "--to", to, "--format", "json"], _state(_unit(rng, 3), label))
     for amps in (_unit(rng, 4), np.array([0, 1, -1, 0]) / np.sqrt(2.0), np.array([1, 0, 0, 0])):
-        _run(digest, ["decompose", "--format", "json"], _state(amps, "qubit-pair"))
+        run(["decompose", "--format", "json"], _state(amps, "qubit-pair"))
     mismatched = [(["convert", "--to", "cartesian"], [1, 0, 0, 0], "qubit-pair"), (["decompose"], [0, 1, 0], "spherical"),
                   (["analyze"], [1, 0, 0, 0], "spherical"), (["analyze", "--system", "two-qubit"], [1, 0, 0], "cartesian")]
     for argv, amps, label in mismatched:
         for fmt in ("json", "text"):
-            _run(digest, [*argv, "--format", fmt], _state(np.array(amps), label))
+            run([*argv, "--format", fmt], _state(np.array(amps), label))
     for system in ("spin1", "two-qubit"):
         for mode in ("maximize", "minimize"):
             for seed in ("0", "16"):
-                _run(digest, ["search", "--system", system, "--mode", mode, "--seed", seed, "--format", "json"])
+                run(["search", "--system", system, "--mode", mode, "--seed", seed, "--format", "json"])
 
 
 def bulk_traffic(digest):
@@ -122,8 +127,9 @@ def search_traffic(digest, basis, label: str, mode: str):
 
 
 def parts():
-    """(name, traffic) in hashing order: cli, bulk, then j=1/2-max ... pair-min."""
+    """(name, traffic) in hashing order: cli, cli-stderr, bulk, then j=1/2-max ... pair-min."""
     yield "cli", cli_traffic
+    yield "cli-stderr", functools.partial(cli_traffic, stream="stderr")
     yield "bulk", bulk_traffic
     problems = [(f"j={fractions.Fraction(j)}", spin_generators(j), "spherical") for j in (0.5, 1, 1.5, 2, 3, 10, 40)]
     for name, basis, label in problems + [("pair", local_two_qubit_basis(), "qubit-pair")]:
