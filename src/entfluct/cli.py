@@ -8,23 +8,22 @@ as an aligned `dotted.key value` line. Exit codes: 0 success, 1
 non-convergence, a failed cross-check, a stdout closed by its reader or an
 internal error, 2 usage/validation errors.
 
-analyze, preset and convert run on the closed forms of entfluct.core and never
-import numpy; search and decompose import it, with the basis types and the
-search, when they run.
+analyze, preset, convert and decompose run on the closed forms of entfluct.core
+and never import numpy, or dataclasses and the inspect it imports; search
+imports numpy, with the basis types and the search, when it runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
 import sys
 
-from .core import (CE_TOL_DEFAULT, CROSS_CHECK_TOL, MODES, SINGLET_NORM, SQRT2, STATE_BASIS_LABELS, VARIANCE_CROSS_TOL,
-                   SearchConfig, canonical, cartesian_of, check_state, concurrence_from_phi, is_normalized,
-                   pair_concurrence, pair_expectations, spherical_concurrence, spherical_of, spin1_expectations,
+from .core import (CE_TOL_DEFAULT, CROSS_CHECK_TOL, MODES, SQRT2, STATE_BASIS_LABELS, VARIANCE_CROSS_TOL, SearchConfig,
+                   canonical, cartesian_of, check_state, concurrence_from_phi, is_normalized, pair_concurrence,
+                   pair_expectations, pair_sectors, spherical_concurrence, spherical_of, spin1_expectations,
                    variance_report)
 from .presets import PRESETS
 
@@ -214,7 +213,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_search(args) -> int:
     try:  # every search flag stores into the SearchConfig field it sets
-        config = SearchConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(SearchConfig)})
+        config = SearchConfig(**{name: getattr(args, name) for name in SearchConfig._FIELDS})
     except ValueError as exc:
         raise UsageError(str(exc))
     from .algebra import local_two_qubit_basis, spin_generators
@@ -278,24 +277,16 @@ def cmd_convert(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    import numpy as np
-
-    from .algebra import StateVector
-    from .twoqubit import project_spin1, sector_split
-
     amps, basis_label, _ = _read_state(args)
     _checked(amps, basis_label, "two-qubit", "decompose expects")
-    chi = StateVector(amps, basis_label)
-    symmetric, anti = sector_split(chi)
-    spin1_state = None
-    if np.linalg.norm(symmetric) >= SINGLET_NORM:  # the normalized triplet part, whatever the singlet weight
-        spin1_state = _state_json(project_spin1(chi, tol=np.inf).amplitudes.tolist(), "spherical")
+    _, singlet, symmetric_weight, singlet_weight, triplet = pair_sectors(*amps)
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "symmetric_weight": float(np.sum(np.abs(symmetric) ** 2)),
-        "antisymmetric_weight": float(abs(anti) ** 2),
-        "singlet_amplitude": [float(anti.real), float(anti.imag)],
-        "spin1_component": spin1_state,
+        "symmetric_weight": symmetric_weight,
+        "antisymmetric_weight": singlet_weight,
+        "singlet_amplitude": [singlet.real, singlet.imag],
+        # the normalized triplet part, whatever the singlet weight
+        "spin1_component": None if triplet is None else _state_json(triplet, "spherical"),
     }
     return _emit(doc, args.format)
 

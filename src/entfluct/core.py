@@ -16,7 +16,6 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-from dataclasses import dataclass
 
 # Tolerances: every numeric threshold of the package, defined once (this block
 # runs to the next blank line; tests/test_tolerances.py keeps it the only home
@@ -92,30 +91,55 @@ def check_state(amps, label: str) -> None:
         raise ValueError(f"state vector is not normalized within {NORM_TOL:g}")
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    restarts: int = 16
-    max_iterations: int = 2000
-    step_tolerance: float = STEP_TOL_DEFAULT
-    seed: int = 0
-    mode: str = "maximize"
+class Frozen:
+    """Fields set once, by __init__ through vars(self), then read-only, and
+    compared, hashed and shown by value, as in a frozen dataclass; `_FIELDS`
+    names them in order. `dataclasses` would cost a cold command more than its
+    work: with the `inspect` it imports it is the largest import of the CLI."""
 
-    def __post_init__(self):
-        for name in ("restarts", "max_iterations", "seed"):
-            value = getattr(self, name)  # an int or numpy integer, not a bool, float or string
+    _FIELDS = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(map(vars(self).__getitem__, self._FIELDS))
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._FIELDS, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+
+class SearchConfig(Frozen):
+    _FIELDS = ("restarts", "max_iterations", "step_tolerance", "seed", "mode")
+
+    def __init__(self, restarts: int = 16, max_iterations: int = 2000, step_tolerance: float = STEP_TOL_DEFAULT,
+                 seed: int = 0, mode: str = "maximize"):
+        for name, value in (("restarts", restarts), ("max_iterations", max_iterations), ("seed", seed)):
+            # an int or numpy integer, not a bool, float or string
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if self.restarts < 1 or self.max_iterations < 1:
+        restarts, max_iterations, seed = int(restarts), int(max_iterations), int(seed)
+        if restarts < 1 or max_iterations < 1:
             raise ValueError("restarts and max_iterations must be positive")
-        tol = self.step_tolerance  # a real number, not a bool or string
+        tol = step_tolerance  # a real number, not a bool or string
         if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < math.inf:
             raise ValueError("step_tolerance must be positive and finite")
-        object.__setattr__(self, "step_tolerance", float(tol))
-        if self.mode not in MODES:
+        if mode not in MODES:
             raise ValueError("mode must be 'maximize' or 'minimize'")
-        if not 0 <= self.seed < 2**64:
+        if not 0 <= seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
+        vars(self).update(restarts=restarts, max_iterations=max_iterations, step_tolerance=float(tol), seed=seed,
+                          mode=mode)
 
 
 # ---- closed forms on Python complexes; each divides by the squared norm n, so it
@@ -216,6 +240,28 @@ def concurrence_from_phi(phi: float) -> float:
 def spherical_concurrence(p: complex, z: complex, m: complex) -> float:
     """2 |psi_+1 psi_-1 - psi_0^2 / 2|, at most 1."""
     return min(2.0 * abs(p * m - z * z / 2.0), 1.0)
+
+
+def pair_sectors(uu: complex, ud: complex, du: complex, dd: complex) -> tuple:
+    """The triplet/singlet split of a unit qubit pair, (s, a, w_s, w_a, triplet):
+    the symmetric part is (uu, s, s, dd) with s = (ud + du)/2, the singlet
+    amplitude a = (ud - du)/sqrt(2), their weights are w_s = |(uu, s, s, dd)|^2
+    and w_a = |a|^2, and the triplet is the spherical (uu, sqrt(2) s, dd) /
+    sqrt(w_s), the inverse of the embedding, renormalized; None where sqrt(w_s)
+    < SINGLET_NORM, a pure singlet.
+
+    The sums and scalings round as numpy's norm and division did on these
+    vectors: w_s adds the real parts' squares, then the imaginary parts', each
+    as two interleaved pairs, and a division by x is a product with 1/x."""
+    mid, singlet = (ud + du) / 2.0, (ud - du) * (1.0 / SQRT2)
+    w_s = ((uu.real * uu.real + mid.real * mid.real) + (mid.real * mid.real + dd.real * dd.real)) + (
+        (uu.imag * uu.imag + mid.imag * mid.imag) + (mid.imag * mid.imag + dd.imag * dd.imag))
+    w_a = singlet.real * singlet.real + singlet.imag * singlet.imag
+    n = math.sqrt(w_s)
+    if n < SINGLET_NORM:
+        return mid, singlet, w_s, w_a, None
+    r = 1.0 / n
+    return mid, singlet, w_s, w_a, (uu * r, SQRT2 * mid * r, dd * r)
 
 
 def pair_concurrence(uu: complex, ud: complex, du: complex, dd: complex) -> float:

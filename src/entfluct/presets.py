@@ -15,27 +15,22 @@ without numpy; `Preset.state` is the StateVector, built when first read.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 
-from .core import CE_BASIS, SQRT2
+from .core import CE_BASIS, SQRT2, Frozen
 
 
-@dataclass(frozen=True)
-class Preset:
+class Preset(Frozen):
     """`ket` is (basis label, amplitudes as Python complexes), None for a
     label-only entry. `system` follows from it: "two-qubit" for a qubit-pair
     state, else (label-only entries too) "spin1"."""
 
-    id: str
-    description: str
-    system: str = field(init=False)
-    ket: tuple | None
-    expected_concurrence: float | None
-    source_note: str
+    _FIELDS = ("id", "description", "system", "ket", "expected_concurrence", "source_note")
 
-    def __post_init__(self):
-        pair = self.ket is not None and self.ket[0] == "qubit-pair"
-        object.__setattr__(self, "system", "two-qubit" if pair else "spin1")
+    def __init__(self, id: str, description: str, ket: tuple | None, expected_concurrence: float | None,
+                 source_note: str):
+        system = "two-qubit" if ket is not None and ket[0] == "qubit-pair" else "spin1"
+        vars(self).update(id=id, description=description, system=system, ket=ket,
+                          expected_concurrence=expected_concurrence, source_note=source_note)
 
     @functools.cached_property
     def state(self):

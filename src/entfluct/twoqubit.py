@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import StateVector
-from .core import PROJECT_TOL_DEFAULT, SINGLET_NORM, SQRT2, pair_concurrence
+from .core import PROJECT_TOL_DEFAULT, SQRT2, pair_concurrence, pair_sectors
 
 
 def embed_symmetric(psi: StateVector) -> StateVector:
@@ -22,30 +22,26 @@ def embed_symmetric(psi: StateVector) -> StateVector:
 
 
 def sector_split(chi: StateVector):
-    """(symmetric 4-vector, singlet amplitude); squared norms sum to one."""
-    a = chi.require("qubit-pair")
-    sym_mid = (a[1] + a[2]) / 2.0
-    symmetric = np.array([a[0], sym_mid, sym_mid, a[3]])
-    antisymmetric = (a[1] - a[2]) / SQRT2
-    return symmetric, complex(antisymmetric)
+    """(symmetric 4-vector, singlet amplitude), by `core.pair_sectors`; squared norms sum to one."""
+    uu, ud, du, dd = chi.require("qubit-pair").tolist()
+    mid, singlet_amplitude, _, _, _ = pair_sectors(uu, ud, du, dd)
+    return np.array([uu, mid, mid, dd]), singlet_amplitude
 
 
 def project_spin1(chi: StateVector, tol: float = PROJECT_TOL_DEFAULT) -> StateVector:
-    """Inverse of embed_symmetric on the triplet sector, renormalized.
+    """Inverse of embed_symmetric on the triplet sector, renormalized, by `core.pair_sectors`.
 
     Rejects states with an antisymmetric component above tol: they do not lie
     in the spin-1 subspace.
     """
     if not tol >= 0:  # also NaN
         raise ValueError(f"tol must be >= 0, got {tol}")
-    symmetric, anti = sector_split(chi)
-    sym_norm = np.linalg.norm(symmetric)
-    if sym_norm < SINGLET_NORM:
+    _, anti, _, _, triplet = pair_sectors(*chi.require("qubit-pair").tolist())
+    if triplet is None:
         raise ValueError("state has zero symmetric part (pure singlet)")
     if abs(anti) > tol:
         raise ValueError(f"antisymmetric component {abs(anti):.3e} exceeds tolerance {tol:.3e}")
-    spherical = np.array([symmetric[0], SQRT2 * symmetric[1], symmetric[3]]) / sym_norm
-    return StateVector(spherical, "spherical")
+    return StateVector(triplet, "spherical")
 
 
 def singlet() -> StateVector:

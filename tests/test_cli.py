@@ -757,46 +757,57 @@ def _child(argv, stdin=b""):
     return proc.returncode, proc.stdout, modules
 
 
-class TestColdPath:
-    """analyze, preset analyze and convert run on entfluct.core and never import
-    numpy; search and decompose import it, and what else they need, when they run."""
+# what a cold command that needs no arrays must not import: numpy, and dataclasses
+# with the inspect it imports, the largest imports left after numpy
+COLD_EXCLUDED = ("numpy", "dataclasses", "inspect")
 
-    def test_importing_the_cli_imports_no_numpy(self):
-        code, _, modules = _child(["-c", "import entfluct.cli, sys; assert 'numpy' not in sys.modules"])
+
+def _excluded(modules) -> set:
+    return {m for m in modules for name in COLD_EXCLUDED if m == name or m.startswith(name + ".")}
+
+
+class TestColdPath:
+    """analyze, preset, convert and decompose run on entfluct.core and never
+    import numpy, dataclasses or inspect; search imports numpy, and what else it
+    needs, when it runs."""
+
+    def test_importing_the_cli_imports_none_of_the_excluded(self):
+        code, _, modules = _child(["-c", "import entfluct.cli, sys; "
+                                         "assert not {'numpy', 'dataclasses', 'inspect'} & {*sys.modules}"])
         assert code == 0
-        assert "entfluct.core" in modules and "numpy" not in modules
+        assert "entfluct.core" in modules and not _excluded(modules)
 
     @pytest.mark.parametrize("basis,system,amps", [
         ("spherical", "spin1", [0.6, 0.48j, 0.64]),
         ("cartesian", "spin1", [0.6, 0.8j, 0]),
         ("qubit-pair", "two-qubit", [0.6, 0, 0, -0.8j]),
     ])
-    def test_analyze_imports_no_numpy(self, basis, system, amps):
+    def test_analyze_imports_none_of_the_excluded(self, basis, system, amps):
         code, out, modules = _child(["-m", "entfluct.cli", "analyze", "--system", system, "--format", "json"],
                                     state_json(amps, basis).encode())
         assert code == 0
-        assert not {m for m in modules if m == "numpy" or m.startswith("numpy.")}
+        assert not _excluded(modules)
         assert json.loads(out) == json.loads(json.dumps(build_analysis(np.array(amps), basis, system,
                                                                        CE_TOL_DEFAULT, None)))
 
     @pytest.mark.parametrize("argv,stdin,key", [
+        (["preset", "list"], "", "source_note"),
+        (["preset", "show", "he3-A-spin"], "", "source_note"),
         (["preset", "analyze", "pion-zero"], "", "ce"),
         (["convert", "--to", "cartesian"], state_json([0.6, 0, 0.8j], "spherical"), "components"),
-    ], ids=["preset-analyze", "convert"])
-    def test_closed_form_commands_import_no_numpy(self, argv, stdin, key):
-        code, out, modules = _child(["-m", "entfluct.cli", *argv, "--format", "json"], stdin.encode())
-        assert code == 0
-        assert key in json.loads(out)
-        assert "numpy" not in modules
-
-    @pytest.mark.parametrize("argv,stdin,key", [
-        (["search", "--restarts", "2"], "", "best_state"),
         (["decompose"], state_json([0, 0.6, 0.8, 0], "qubit-pair"), "spin1_component"),
-    ], ids=["search", "decompose"])
-    def test_array_commands_import_numpy_when_they_run(self, argv, stdin, key):
+    ], ids=["preset-list", "preset-show", "preset-analyze", "convert", "decompose"])
+    def test_closed_form_commands_import_none_of_the_excluded(self, argv, stdin, key):
         code, out, modules = _child(["-m", "entfluct.cli", *argv, "--format", "json"], stdin.encode())
         assert code == 0
-        assert key in json.loads(out)
+        doc = json.loads(out)
+        assert key in (doc[0] if isinstance(doc, list) else doc)
+        assert not _excluded(modules)
+
+    def test_search_imports_numpy_when_it_runs(self):
+        code, out, modules = _child(["-m", "entfluct.cli", "search", "--restarts", "2", "--format", "json"])
+        assert code == 0
+        assert "best_state" in json.loads(out)
         assert "numpy" in modules
 
 

@@ -17,8 +17,10 @@ import entfluct.cli
 from entfluct import (StateVector, canonical_form, concurrence_from_phi, concurrence_spherical, embed_symmetric,
                       fluctuation_report, local_two_qubit_basis, moments, pure_concurrence, spin_generators,
                       spin_projection_operator, to_cartesian, to_spherical, total_variance)
-from entfluct.core import (CE_TOL_DEFAULT, CROSS_CHECK_TOL, NU_CUTOFF, canonical, cartesian_of, pair_concurrence,
-                           pair_expectations, spherical_concurrence, spherical_of, spin1_expectations, variance_report)
+import entfluct.twoqubit
+from entfluct.core import (CE_TOL_DEFAULT, CROSS_CHECK_TOL, NU_CUTOFF, SINGLET_NORM, canonical, cartesian_of,
+                           pair_concurrence, pair_expectations, pair_sectors, spherical_concurrence, spherical_of,
+                           spin1_expectations, variance_report)
 from entfluct.presets import PRESETS
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -117,6 +119,40 @@ def test_exact_concurrences_hold_against_the_determinant():
             assert abs(c - det) <= CROSS_CHECK_TOL, (basis, a)
     for a in PAIR_STATES:
         assert abs(pair_concurrence(*a.tolist()) - _det_concurrence(a)) <= CROSS_CHECK_TOL, a
+
+
+def test_pair_sectors_hold_against_the_swap_projection():
+    # the symmetric part is (1 + SWAP)/2 of the pair and the singlet amplitude its overlap with the
+    # singlet, by numpy arrays; an embedded spin-1 state comes back, with no singlet part
+    swap, singlet = np.eye(4)[[0, 2, 1, 3]], np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
+    rng = np.random.default_rng(4)
+    spin1 = [_spin1_pictures(a, basis)[2] for a, basis in SPIN1_STATES[::8]]
+    embedded = [embed_symmetric(psi).amplitudes for psi in spin1]
+    pairs = PAIR_STATES + embedded + [singlet.astype(complex)]
+    for _ in range(2000):
+        a = rng.normal(size=4) + 1j * rng.normal(size=4)
+        pairs.append(a / np.linalg.norm(a))
+    for a in pairs:
+        mid, anti, w_s, w_a, triplet = pair_sectors(*a.tolist())
+        sym = (a + swap @ a) / 2
+        assert np.max(np.abs(np.array([a[0], mid, mid, a[3]]) - sym)) <= EPS, a
+        assert abs(anti - np.vdot(singlet, a)) <= 2 * EPS, a
+        assert abs(w_s - np.vdot(sym, sym).real) <= 4 * EPS and abs(w_a - abs(anti) ** 2) <= 4 * EPS, a
+        assert abs(w_s + w_a - 1) <= 8 * EPS, a
+        if np.linalg.norm(sym) < SINGLET_NORM:
+            assert triplet is None, a
+            continue
+        expected = np.array([sym[0], np.sqrt(2.0) * sym[1], sym[3]]) / np.linalg.norm(sym)
+        assert np.max(np.abs(np.array(triplet) - expected)) <= 4 * EPS, a
+    for psi, chi in zip(spin1, embedded):
+        _, anti, _, w_a, triplet = pair_sectors(*chi.tolist())
+        assert anti == 0 and w_a == 0
+        assert np.max(np.abs(np.array(triplet) - psi.amplitudes)) <= 4 * EPS, psi.amplitudes
+    assert pair_sectors(*singlet.tolist())[4] is None
+
+
+def test_decompose_and_the_public_split_share_one_kernel():
+    assert entfluct.cli.pair_sectors is entfluct.twoqubit.pair_sectors is pair_sectors
 
 
 def _public_document(a, basis, system, tol):

@@ -557,6 +557,29 @@ class TestDeterminismAndConsistency:
             config = SearchConfig(step_tolerance=tol)
             assert type(config.step_tolerance) is float and config.step_tolerance == tol
 
+    def test_config_is_immutable(self):
+        config = SearchConfig()
+        for name, value in vars(SearchConfig(restarts=3, seed=9, mode="minimize")).items():
+            with pytest.raises(AttributeError, match=name):
+                setattr(config, name, value)
+            with pytest.raises(AttributeError, match=name):
+                delattr(config, name)
+        with pytest.raises(AttributeError):
+            config.extra = 1
+        assert config == SearchConfig()
+
+    def test_config_compares_and_hashes_by_value(self):
+        c = SearchConfig(restarts=np.int64(4), step_tolerance=np.float32(0.5), seed=7, mode="minimize")
+        same = SearchConfig(restarts=4, step_tolerance=0.5, seed=7, mode="minimize")
+        assert c == same and hash(c) == hash(same) and len({c, same}) == 1
+        assert SearchConfig(**vars(c)) == c
+        assert list(vars(c)) == ["restarts", "max_iterations", "step_tolerance", "seed", "mode"]
+        for field, other in (("restarts", 5), ("max_iterations", 3), ("step_tolerance", 0.25), ("seed", 8),
+                             ("mode", "maximize")):
+            assert SearchConfig(**{**vars(c), field: other}) != c
+        assert c != vars(c) and c != tuple(vars(c).values())
+        assert repr(c) == "SearchConfig(restarts=4, max_iterations=2000, step_tolerance=0.5, seed=7, mode='minimize')"
+
     def test_golden_start_states(self, monkeypatch):
         # pins the normalized rows of Philox(key=seed), which no direction rule touches;
         # rows 1-3 were re-recorded when the restarts moved from the keys seed ^ k to one stream
