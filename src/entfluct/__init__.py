@@ -18,11 +18,11 @@ import importlib
 # public name -> the module that defines it
 _HOMES = {
     "ObservableBasis": "algebra",
-    "StateVector": "algebra",
     "local_two_qubit_basis": "algebra",
     "rotate_basis": "algebra",
     "spin_generators": "algebra",
     "SearchConfig": "core",
+    "StateVector": "core",
     "concurrence_from_phi": "core",
     "FluctuationReport": "fluctuations",
     "fluctuation_report": "fluctuations",

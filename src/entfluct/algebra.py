@@ -2,27 +2,24 @@
 one (k, d, d) array of Hermitian matrices whose Casimir sum C = sum_i O_i^2
 is a scalar c I, recorded as `casimir`.
 
-All containers are immutable after construction and validate their defining
-invariants (Hermiticity, a scalar Casimir, unit norm, su(2) commutation, the
-dimension a state label requires) once, where a value enters, so downstream
-numerics never re-check them. A state is checked by `core.check_state`, the
-rule the command-line reader applies too.
+A basis is a `core.Frozen` record, immutable after construction, that checks
+its defining invariants (Hermiticity, a scalar Casimir, su(2) commutation) once,
+where it enters, so downstream numerics never re-check them. The one state
+type, `StateVector`, lives in `core` and is re-exported here.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (COMMUTATOR_TOL, HALF_INTEGER_TOL, HERMITICITY_TOL, ORTHOGONALITY_TOL, SCALAR_CASIMIR_TOL,
-                   check_state)
+from .core import (COMMUTATOR_TOL, HALF_INTEGER_TOL, HERMITICITY_TOL, ORTHOGONALITY_TOL, SCALAR_CASIMIR_TOL, Frozen,
+                   StateVector)  # StateVector re-exported
 
 
-@dataclass(frozen=True, eq=False)
-class ObservableBasis:
+class ObservableBasis(Frozen):
     """Ordered basis of the algebra of essential observables: `operators` is one
     read-only (k, d, d) complex stack, copied from any array-like and checked
     once (square, finite, Hermitian; su(2) commutation for an `su2-spin-*`
@@ -32,12 +29,11 @@ class ObservableBasis:
     j(j+1), the local qubit pair: 3/2). Equality is identity, so a basis is
     hashable."""
 
-    operators: np.ndarray
-    label: str = ""
-    casimir: float = field(init=False, repr=False)
+    _FIELDS = ("operators", "label")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
-        ops = np.array(self.operators, dtype=complex)  # a ragged stack raises ValueError
+    def __init__(self, operators, label: str = ""):
+        ops = np.array(operators, dtype=complex)  # a ragged stack raises ValueError
         if ops.ndim != 3 or ops.shape[1] != ops.shape[2] or 0 in ops.shape:
             raise ValueError(f"expected a nonempty (k, d, d) stack of square matrices, got shape {ops.shape}")
         if not np.isfinite(ops).all():
@@ -45,14 +41,14 @@ class ObservableBasis:
         if np.max(np.abs(ops - ops.conj().transpose(0, 2, 1))) > HERMITICITY_TOL:
             raise ValueError(f"basis element is not Hermitian within {HERMITICITY_TOL:g}; refusing to symmetrize")
         ops.setflags(write=False)
-        object.__setattr__(self, "operators", ops)
-        if self.label.startswith("su2-spin-"):
+        if label.startswith("su2-spin-"):
             self._check_su2_commutation(ops)
+        dim = ops.shape[1]
         c_op = np.sum(ops @ ops, axis=0)
-        c = float(np.trace(c_op).real) / self.dim
-        if np.max(np.abs(c_op - c * np.eye(self.dim))) > SCALAR_CASIMIR_TOL * max(1.0, abs(c)):
+        c = float(np.trace(c_op).real) / dim
+        if np.max(np.abs(c_op - c * np.eye(dim))) > SCALAR_CASIMIR_TOL * max(1.0, abs(c)):
             raise ValueError(f"Casimir sum C = sum_i O_i^2 is not a scalar within {SCALAR_CASIMIR_TOL:g}")
-        object.__setattr__(self, "casimir", c)
+        vars(self).update(operators=ops, label=label, casimir=c)
 
     @staticmethod
     def _check_su2_commutation(ops):
@@ -69,33 +65,6 @@ class ObservableBasis:
 
     def __len__(self) -> int:
         return len(self.operators)
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """A normalized pure state over a labeled basis; `cartesian` (spin 1) needs
-    3 amplitudes, `qubit-pair` (order uu, ud, du, dd) 4."""
-
-    amplitudes: np.ndarray
-    basis_label: str
-
-    def __post_init__(self):
-        a = np.array(self.amplitudes, dtype=complex).reshape(-1)
-        check_state(a.tolist(), self.basis_label)
-        a.setflags(write=False)
-        object.__setattr__(self, "amplitudes", a)
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
-    def require(self, label: str, dim: int | None = None) -> np.ndarray:
-        """The amplitudes, if the state carries this basis label (and, when
-        given, this dimension); else ValueError."""
-        if self.basis_label != label or dim not in (None, self.dim):
-            want = label if dim is None else f"{dim}-component {label}"
-            raise ValueError(f"expected a {want} state, got a {self.dim}-component {self.basis_label} state")
-        return self.amplitudes
 
 
 def _spin_label(two_j: int) -> str:

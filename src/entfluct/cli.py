@@ -9,8 +9,9 @@ non-convergence, a failed cross-check, a stdout closed by its reader or an
 internal error, 2 usage/validation errors.
 
 analyze, preset, convert and decompose run on the closed forms of entfluct.core
-and never import numpy, or dataclasses and the inspect it imports; search
-imports numpy, with the basis types and the search, when it runs.
+and never import numpy, nor inspect or numbers; a preset's state is a numpy-free
+core.StateVector. search imports numpy, with the basis types and the search,
+when it runs.
 """
 
 from __future__ import annotations
@@ -242,7 +243,7 @@ def cmd_search(args) -> int:
 
 
 def _preset_json(p) -> dict:
-    state = None if p.ket is None else _state_json(p.ket[1], p.ket[0])
+    state = None if p.state is None else _state_json(p.state.components, p.state.basis_label)
     return {"id": p.id, "description": p.description, "system": p.system, "state": state,
             "expected_concurrence": p.expected_concurrence, "source_note": p.source_note}
 
@@ -263,10 +264,11 @@ def cmd_preset_show(args) -> int:
 
 def cmd_preset_analyze(args) -> int:
     preset = PRESETS[args.id]
-    if preset.ket is None:
+    state = preset.state
+    if state is None:
         raise UsageError(f"preset {preset.id!r} is label-only: {preset.source_note}")
-    label, amplitudes = preset.ket
-    return _emit_analysis(build_analysis(amplitudes, label, preset.system, args.tol, None), args.format)
+    return _emit_analysis(build_analysis(state.components, state.basis_label, preset.system, args.tol, None),
+                          args.format)
 
 
 def cmd_convert(args) -> int:
@@ -328,12 +330,12 @@ def build_parser() -> argparse.ArgumentParser:
                 "--normalize", "--tol", "--file", "--system")
 
     p = _subcommand(sub, "search", cmd_search, "variational search for extremal total variance", "--system")
-    defaults = SearchConfig()
-    p.add_argument("--mode", choices=MODES, default=defaults.mode)
-    p.add_argument("--restarts", type=int, default=defaults.restarts)
-    p.add_argument("--seed", type=int, default=defaults.seed)
-    p.add_argument("--max-iter", dest="max_iterations", type=int, default=defaults.max_iterations)
-    p.add_argument("--step-tol", dest="step_tolerance", type=float, default=defaults.step_tolerance)
+    defaults = dict(zip(SearchConfig._FIELDS, SearchConfig.__init__.__defaults__))  # read, not built
+    p.add_argument("--mode", choices=MODES, default=defaults["mode"])
+    p.add_argument("--restarts", type=int, default=defaults["restarts"])
+    p.add_argument("--seed", type=int, default=defaults["seed"])
+    p.add_argument("--max-iter", dest="max_iterations", type=int, default=defaults["max_iterations"])
+    p.add_argument("--step-tol", dest="step_tolerance", type=float, default=defaults["step_tolerance"])
 
     actions = sub.add_parser("preset", help="catalog of physical example states").add_subparsers(
         dest="action", required=True)

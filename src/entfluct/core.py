@@ -1,6 +1,7 @@
 """The numpy-free core: every tolerance, the state labels and the one
-normalization rule, the search settings, and the paper's closed forms for the
-two fixed systems on Python numbers.
+normalization rule, the one record convention (`Frozen`), the one state type
+(`StateVector`), the search settings, and the paper's closed forms for the two
+fixed systems on Python numbers.
 
 On spin 1 and on the local qubit pair every expectation is a short closed form
 in the amplitudes, V_tot = c - sum_i <O_i>^2 with c the scalar Casimir sum, and
@@ -14,8 +15,8 @@ module imports nothing of the package.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-import numbers
 
 # Tolerances: every numeric threshold of the package, defined once (this block
 # runs to the next blank line; tests/test_tolerances.py keeps it the only home
@@ -92,12 +93,19 @@ def check_state(amps, label: str) -> None:
 
 
 class Frozen:
-    """Fields set once, by __init__ through vars(self), then read-only, and
-    compared, hashed and shown by value, as in a frozen dataclass; `_FIELDS`
-    names them in order. `dataclasses` would cost a cold command more than its
-    work: with the `inspect` it imports it is the largest import of the CLI."""
+    """A record: its fields, named in order by `_FIELDS`, are set once by
+    __init__ through vars(self), then read-only, and compared, hashed, shown and
+    pickled by value (a copy is rebuilt by __init__). The plain constructor takes
+    each field once, positional or by keyword; a record that checks its input
+    has its own."""
 
     _FIELDS = ()
+
+    def __init__(self, *args, **kwargs):
+        values = {**dict(zip(self._FIELDS, args)), **kwargs}
+        if len(values) != len(args) + len(kwargs) or values.keys() != set(self._FIELDS):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(self._FIELDS)}, each once")
+        vars(self).update(values)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -118,12 +126,57 @@ class Frozen:
         fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._FIELDS, self._values()))
         return f"{type(self).__name__}({fields})"
 
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class StateVector(Frozen):
+    """A normalized pure state over a labeled basis: `components` are Python
+    complexes, checked once by `check_state`; `cartesian` (spin 1) needs 3,
+    `qubit-pair` (order uu, ud, du, dd) 4. Any array-like is flattened, through
+    numpy unless it is a flat list or tuple of Python numbers."""
+
+    _FIELDS = ("components", "basis_label")
+
+    def __init__(self, components, basis_label: str):
+        if type(components) in (list, tuple) and all(type(z) in (int, float, complex) for z in components):
+            amps = tuple(map(complex, components))
+        else:  # an array, nested lists, numpy scalars
+            import numpy as np
+
+            amps = tuple(np.array(components, dtype=complex).reshape(-1).tolist())
+        check_state(amps, basis_label)
+        vars(self).update(components=amps, basis_label=basis_label)
+
+    @functools.cached_property
+    def amplitudes(self):
+        """The components as a read-only complex array, built (with numpy's import) when first read."""
+        import numpy as np
+
+        a = np.array(self.components, dtype=complex)
+        a.setflags(write=False)
+        return a
+
+    @property
+    def dim(self) -> int:
+        return len(self.components)
+
+    def require(self, label: str, dim: int | None = None):
+        """The amplitudes, if the state carries this basis label (and, when
+        given, this dimension); else ValueError."""
+        if self.basis_label != label or dim not in (None, self.dim):
+            want = label if dim is None else f"{dim}-component {label}"
+            raise ValueError(f"expected a {want} state, got a {self.dim}-component {self.basis_label} state")
+        return self.amplitudes
+
 
 class SearchConfig(Frozen):
     _FIELDS = ("restarts", "max_iterations", "step_tolerance", "seed", "mode")
 
     def __init__(self, restarts: int = 16, max_iterations: int = 2000, step_tolerance: float = STEP_TOL_DEFAULT,
                  seed: int = 0, mode: str = "maximize"):
+        import numbers  # here, not at the top: no command but search builds a config
+
         for name, value in (("restarts", restarts), ("max_iterations", max_iterations), ("seed", seed)):
             # an int or numpy integer, not a bool, float or string
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):

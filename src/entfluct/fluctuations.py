@@ -12,13 +12,10 @@ owner.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
-from .algebra import ObservableBasis, StateVector
-from .core import IMAG_TOL, VARIANCE_CLAMP, variance_report
+from .algebra import ObservableBasis
+from .core import IMAG_TOL, VARIANCE_CLAMP, Frozen, StateVector, variance_report
 
 
 def _apply(ops: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -57,21 +54,17 @@ def total_variance(psi: StateVector, basis: ObservableBasis) -> float:
     return float(variance(moments(psi.amplitudes[None], basis)[1], basis.casimir)[0])
 
 
-@dataclass(frozen=True)
-class FluctuationReport:
-    """Expectations, total variance, CE residual and (optionally) the variance
-    concurrence for a single state. The CE residual is max_i |<O_i>|, and
-    linearity makes the basis elements suffice for the whole algebra; the state
-    is CE within a tolerance tol where ce_residual <= tol."""
+class FluctuationReport(Frozen):
+    """Expectations (a read-only array), total variance, CE residual and
+    (optionally) the variance concurrence for a single state. The CE residual is
+    max_i |<O_i>|, and linearity makes the basis elements suffice for the whole
+    algebra; the state is CE within a tolerance tol where ce_residual <= tol."""
 
-    expectations: np.ndarray
-    v_tot: float
-    ce_residual: float
-    concurrence_variance: Optional[float]
+    _FIELDS = ("expectations", "v_tot", "ce_residual", "concurrence_variance")
 
 
-def fluctuation_report(psi: StateVector, basis: ObservableBasis, v_min: Optional[float] = None,
-                       v_max: Optional[float] = None) -> FluctuationReport:
+def fluctuation_report(psi: StateVector, basis: ObservableBasis, v_min: float | None = None,
+                       v_max: float | None = None) -> FluctuationReport:
     """Assemble the full report. The variance concurrence sqrt((V_tot - v_min) /
     (v_max - v_min)), clamped to [0, 1], is included only when both bounds are
     supplied."""

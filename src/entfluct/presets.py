@@ -8,45 +8,31 @@ order parameter is completely entangled (phi = 0 representative) versus
 coherent (phi = pi/4 representative); the B phase couples spin and orbit and
 is listed as a label only.
 
-The catalog holds each state as Python numbers, so `preset analyze` runs
-without numpy; `Preset.state` is the StateVector, built when first read.
+Each state is a numpy-free `core.StateVector`, so `preset analyze` runs
+without numpy; `state.amplitudes` builds the array when first read.
 """
 
 from __future__ import annotations
 
-import functools
-
-from .core import CE_BASIS, SQRT2, Frozen
+from .core import CE_BASIS, SQRT2, Frozen, StateVector
 
 
 class Preset(Frozen):
-    """`ket` is (basis label, amplitudes as Python complexes), None for a
-    label-only entry. `system` follows from it: "two-qubit" for a qubit-pair
-    state, else (label-only entries too) "spin1"."""
+    """`state` is a StateVector, None for a label-only entry. `system` follows
+    from it: "two-qubit" for a qubit-pair state, else (label-only entries too)
+    "spin1"."""
 
-    _FIELDS = ("id", "description", "system", "ket", "expected_concurrence", "source_note")
+    _FIELDS = ("id", "description", "state", "expected_concurrence", "source_note")
 
-    def __init__(self, id: str, description: str, ket: tuple | None, expected_concurrence: float | None,
-                 source_note: str):
-        system = "two-qubit" if ket is not None and ket[0] == "qubit-pair" else "spin1"
-        vars(self).update(id=id, description=description, system=system, ket=ket,
-                          expected_concurrence=expected_concurrence, source_note=source_note)
-
-    @functools.cached_property
-    def state(self):
-        """The StateVector of the ket, or None for a label-only entry."""
-        if self.ket is None:
-            return None
-        from .algebra import StateVector  # numpy, for the caller that asks for a StateVector
-
-        label, amplitudes = self.ket
-        return StateVector(amplitudes, label)
+    @property
+    def system(self) -> str:
+        return "two-qubit" if self.state is not None and self.state.basis_label == "qubit-pair" else "spin1"
 
 
-# (representative ket, its concurrence): the concurrences are literals, the
+# (representative state, its concurrence): the concurrences are literals, the
 # physics the presets assert, not values computed here
-_CE = (("spherical", CE_BASIS[0]), 1.0)  # |m=0>, the canonical phi = 0 representative
-_COHERENT = (("spherical", (1 + 0j, 0j, 0j)), 0.0)  # |m=+1>, phi = pi/4
+_CE = (StateVector(CE_BASIS[0], "spherical"), 1.0)  # |m=0>, the canonical phi = 0 representative
+_COHERENT = (StateVector((1 + 0j, 0j, 0j), "spherical"), 0.0)  # |m=+1>, phi = pi/4
 
 # id -> ket of each CE_BASIS state, in its order
 _CE_KETS = {"ce-psi0": "|0>", "ce-psi-plus": "(|+1> + |-1>)/sqrt(2)", "ce-psi-minus": "(|+1> - |-1>)/sqrt(2)"}
@@ -63,47 +49,47 @@ _HE3_PHASES = {
 
 def _he3_presets():
     for phase, (spin, orbital, spin_note, orbital_note) in _HE3_PHASES.items():
-        for part, (ket, concurrence), note in (("spin", spin, spin_note), ("orbital", orbital, orbital_note)):
-            yield Preset(f"he3-{phase}-{part}", f"Superfluid He-3 {phase} phase, {part} part", ket, concurrence, note)
+        for part, (state, concurrence), note in (("spin", spin, spin_note), ("orbital", orbital, orbital_note)):
+            yield Preset(f"he3-{phase}-{part}", f"Superfluid He-3 {phase} phase, {part} part", state, concurrence, note)
 
 
 def _catalog():
     presets = [
-        *(Preset(pid, f"CE basis state {ket}", ("spherical", amplitudes), 1.0,
+        *(Preset(pid, f"CE basis state {ket}", StateVector(amplitudes, "spherical"), 1.0,
                  "member of the completely entangled spin-1 basis")
           for (pid, ket), amplitudes in zip(_CE_KETS.items(), CE_BASIS)),
         Preset(
             "coherent-plus1",
             "Coherent state |m=+1>",
-            ("spherical", (1 + 0j, 0j, 0j)),
+            StateVector((1 + 0j, 0j, 0j), "spherical"),
             0.0,
             "spin coherent state, minimal quantum fluctuations",
         ),
         Preset(
             "coherent-minus1",
             "Coherent state |m=-1>",
-            ("spherical", (0j, 0j, 1 + 0j)),
+            StateVector((0j, 0j, 1 + 0j), "spherical"),
             0.0,
             "spin coherent state, minimal quantum fluctuations",
         ),
         Preset(
             "pion-plus",
             "pi+ = u dbar (flavor product state)",
-            ("qubit-pair", (0j, 1 + 0j, 0j, 0j)),
+            StateVector((0j, 1 + 0j, 0j, 0j), "qubit-pair"),
             0.0,
             "charged pions are coherent states of the quark isodoublet",
         ),
         Preset(
             "pion-minus",
             "pi- = ubar d (flavor product state)",
-            ("qubit-pair", (0j, 0j, 1 + 0j, 0j)),
+            StateVector((0j, 0j, 1 + 0j, 0j), "qubit-pair"),
             0.0,
             "charged pions are coherent states of the quark isodoublet",
         ),
         Preset(
             "pion-zero",
             "pi0 = (u ubar - d dbar)/sqrt(2)",
-            ("qubit-pair", (1 / SQRT2 + 0j, 0j, 0j, -1 / SQRT2 + 0j)),
+            StateVector((1 / SQRT2 + 0j, 0j, 0j, -1 / SQRT2 + 0j), "qubit-pair"),
             1.0,
             "the neutral pion is a completely entangled flavor state",
         ),

@@ -9,14 +9,10 @@ completely entangled states and phi = pi/4 the coherent ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
-from .algebra import StateVector
-from .core import (CE_BASIS, CE_TOL_DEFAULT, UNIT_VECTOR_TOL, canonical, cartesian_of, check_phi, spherical_concurrence,
-                   spherical_of)
+from .core import (CE_BASIS, CE_TOL_DEFAULT, UNIT_VECTOR_TOL, Frozen, StateVector, canonical, cartesian_of, check_phi,
+                   spherical_concurrence, spherical_of)
 
 
 def to_cartesian(psi: StateVector) -> StateVector:
@@ -29,15 +25,11 @@ def to_spherical(psi: StateVector) -> StateVector:
     return StateVector(spherical_of(*psi.require("cartesian").tolist()), "spherical")
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
-    """(theta, phi, mu, nu) with psi = e^{i theta}(cos phi mu + i sin phi nu);
-    nu is None where phi ~ 0 leaves it undetermined."""
+class CanonicalForm(Frozen):
+    """(theta, phi, mu, nu) with psi = e^{i theta}(cos phi mu + i sin phi nu),
+    mu and nu read-only arrays; nu is None where phi ~ 0 leaves it undetermined."""
 
-    theta: float
-    phi: float
-    mu: np.ndarray
-    nu: Optional[np.ndarray]
+    _FIELDS = ("theta", "phi", "mu", "nu")
 
 
 def canonical_form(psi: StateVector) -> CanonicalForm:
@@ -83,7 +75,7 @@ def concurrence_spherical(psi: StateVector) -> float:
     return spherical_concurrence(*psi.require("spherical", 3).tolist())
 
 
-def zero_projection_axis(psi: StateVector, tol: float = CE_TOL_DEFAULT) -> Optional[np.ndarray]:
+def zero_projection_axis(psi: StateVector, tol: float = CE_TOL_DEFAULT) -> np.ndarray | None:
     """Axis with (near-)vanishing spin projection, or None.
 
     CE states are exactly those with spin projection zero onto some direction;

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import StateVector
-from .core import PROJECT_TOL_DEFAULT, SQRT2, pair_concurrence, pair_sectors
+from .core import PROJECT_TOL_DEFAULT, SQRT2, StateVector, pair_concurrence, pair_sectors
 
 
 def embed_symmetric(psi: StateVector) -> StateVector:

@@ -25,32 +25,24 @@ restarts of an R-restart search are the R'-restart search with the same seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .algebra import ObservableBasis, StateVector
-from .core import GRADIENT_FLOOR, SearchConfig, check_state_label
+from .algebra import ObservableBasis
+from .core import GRADIENT_FLOOR, Frozen, SearchConfig, StateVector, check_state_label
 from .fluctuations import _apply, _inner, moments, variance
 
 STOP_REASONS = ("gradient", "stall", "cap")
 _EPS = np.finfo(float).eps
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(Frozen):
     """The restart of best V is returned, its index `best_restart`; among exact ties of V, the
     first that stopped on the gradient, else the first. `converged`: the returned restart stopped
-    on the gradient. Per restart: final value, stop reason (one of STOP_REASONS), tangent-gradient norm at the end."""
+    on the gradient. Per restart, in read-only arrays and a tuple: final value, stop reason (one of
+    STOP_REASONS), tangent-gradient norm at the end."""
 
-    best_state: StateVector
-    best_value: float
-    converged: bool
-    iterations_used: int
-    best_restart: int
-    restart_values: np.ndarray
-    restart_stop: tuple
-    restart_gradients: np.ndarray
+    _FIELDS = ("best_state", "best_value", "converged", "iterations_used", "best_restart", "restart_values",
+               "restart_stop", "restart_gradients")
 
 
 def _value_and_gradient(a: np.ndarray, basis: ObservableBasis):

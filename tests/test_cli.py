@@ -758,8 +758,9 @@ def _child(argv, stdin=b""):
 
 
 # what a cold command that needs no arrays must not import: numpy, and dataclasses
-# with the inspect it imports, the largest imports left after numpy
-COLD_EXCLUDED = ("numpy", "dataclasses", "inspect")
+# with the inspect it imports, the largest imports left after numpy, and numbers,
+# which only SearchConfig's checks read
+COLD_EXCLUDED = ("numpy", "dataclasses", "inspect", "numbers")
 
 
 def _excluded(modules) -> set:
@@ -768,14 +769,29 @@ def _excluded(modules) -> set:
 
 class TestColdPath:
     """analyze, preset, convert and decompose run on entfluct.core and never
-    import numpy, dataclasses or inspect; search imports numpy, and what else it
-    needs, when it runs."""
+    import numpy, dataclasses, inspect or numbers; search imports numpy, and
+    what else it needs, when it runs."""
 
     def test_importing_the_cli_imports_none_of_the_excluded(self):
         code, _, modules = _child(["-c", "import entfluct.cli, sys; "
-                                         "assert not {'numpy', 'dataclasses', 'inspect'} & {*sys.modules}"])
+                                         "assert not {'numpy', 'dataclasses', 'inspect', 'numbers'} & {*sys.modules}"])
         assert code == 0
         assert "entfluct.core" in modules and not _excluded(modules)
+
+    def test_a_state_is_built_and_compared_without_numpy(self):
+        code, _, modules = _child(["-c", "from entfluct.core import StateVector; import sys; "
+                                         "psi = StateVector((0.6, 0.8j, 0), 'spherical'); "
+                                         "assert psi == StateVector([0.6, 0.8j, 0], 'spherical') and hash(psi); "
+                                         "assert 'numpy' not in sys.modules"])
+        assert code == 0
+        assert "entfluct.core" in modules and "numpy" not in modules
+
+    def test_the_array_modules_import_no_dataclasses(self):
+        # numpy itself imports inspect, typing and numbers, but not dataclasses
+        code, _, modules = _child(["-c", "import entfluct.variational, entfluct.spin1, entfluct.twoqubit, "
+                                         "entfluct.presets, sys; assert 'dataclasses' not in sys.modules"])
+        assert code == 0
+        assert "entfluct.variational" in modules and "dataclasses" not in modules
 
     @pytest.mark.parametrize("basis,system,amps", [
         ("spherical", "spin1", [0.6, 0.48j, 0.64]),
@@ -820,9 +836,9 @@ class TestValidatedOnce:
     def test_build_analysis_checks_the_state_once(self, monkeypatch, basis, system):
         # by StateVector's own rule, core.check_state, and without building a StateVector
         calls, built = [], []
-        check, post_init = entfluct.cli.check_state, StateVector.__post_init__
+        check, init = entfluct.cli.check_state, StateVector.__init__
         monkeypatch.setattr(entfluct.cli, "check_state", lambda *args: calls.append(args) or check(*args))
-        monkeypatch.setattr(StateVector, "__post_init__", lambda psi: built.append(psi) or post_init(psi))
+        monkeypatch.setattr(StateVector, "__init__", lambda psi, *args: built.append(psi) or init(psi, *args))
         rng = np.random.default_rng(3)
         for _ in range(8):
             a = [1, 1j] @ rng.normal(size=(2, 4 if system == "two-qubit" else 3))

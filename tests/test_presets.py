@@ -68,11 +68,11 @@ def test_preset_fields(pid, description, system, state, concurrence, note):
 
 def test_presets_are_immutable_and_build_their_state_once():
     p = PRESETS["pion-zero"]
-    for name in ("id", "description", "system", "ket", "expected_concurrence", "source_note", "state"):
+    for name in ("id", "description", "system", "state", "expected_concurrence", "source_note"):
         with pytest.raises(AttributeError, match=name):
             setattr(p, name, None)
     assert p.system == "two-qubit" and p.state is p.state
     with pytest.raises(AttributeError):
         del p.id
-    copy = type(p)(p.id, p.description, p.ket, p.expected_concurrence, p.source_note)
+    copy = type(p)(p.id, p.description, p.state, p.expected_concurrence, p.source_note)
     assert copy == p and hash(copy) == hash(p) and copy != PRESETS["pion-plus"]
