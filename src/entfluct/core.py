@@ -164,10 +164,15 @@ class StateVector(Frozen):
     def require(self, label: str, dim: int | None = None):
         """The amplitudes, if the state carries this basis label (and, when
         given, this dimension); else ValueError."""
+        self._components_in(label, dim)
+        return self.amplitudes
+
+    def _components_in(self, label: str, dim: int | None = None) -> tuple:
+        """`require` on the components, which builds no array."""
         if self.basis_label != label or dim not in (None, self.dim):
             want = label if dim is None else f"{dim}-component {label}"
             raise ValueError(f"expected a {want} state, got a {self.dim}-component {self.basis_label} state")
-        return self.amplitudes
+        return self.components
 
 
 class SearchConfig(Frozen):

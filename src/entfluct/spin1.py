@@ -17,12 +17,12 @@ from .core import (CE_BASIS, CE_TOL_DEFAULT, UNIT_VECTOR_TOL, Frozen, StateVecto
 
 def to_cartesian(psi: StateVector) -> StateVector:
     """Spherical components (psi_+1, psi_0, psi_-1) to Cartesian (x, y, z), by `core.cartesian_of`."""
-    return StateVector(cartesian_of(*psi.require("spherical", 3).tolist()), "cartesian")
+    return StateVector(cartesian_of(*psi._components_in("spherical", 3)), "cartesian")
 
 
 def to_spherical(psi: StateVector) -> StateVector:
     """Exact inverse of to_cartesian, by `core.spherical_of`."""
-    return StateVector(spherical_of(*psi.require("cartesian").tolist()), "spherical")
+    return StateVector(spherical_of(*psi._components_in("cartesian")), "spherical")
 
 
 class CanonicalForm(Frozen):
@@ -35,7 +35,7 @@ class CanonicalForm(Frozen):
 def canonical_form(psi: StateVector) -> CanonicalForm:
     """Extract (theta, phi, mu, nu) from a Cartesian spin-1 state, by
     `core.canonical` on its amplitudes; mu and nu as read-only arrays."""
-    theta, phi, mu, nu = canonical(*psi.require("cartesian").tolist())
+    theta, phi, mu, nu = canonical(*psi._components_in("cartesian"))
     return CanonicalForm(theta, phi, _read_only(mu), None if nu is None else _read_only(nu))
 
 
@@ -72,7 +72,7 @@ def expectation_magnitude_canonical(phi: float) -> float:
 
 def concurrence_spherical(psi: StateVector) -> float:
     """2 |psi_+1 psi_-1 - psi_0^2 / 2| in spherical components."""
-    return spherical_concurrence(*psi.require("spherical", 3).tolist())
+    return spherical_concurrence(*psi._components_in("spherical", 3))
 
 
 def zero_projection_axis(psi: StateVector, tol: float = CE_TOL_DEFAULT) -> np.ndarray | None:

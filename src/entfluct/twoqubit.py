@@ -22,7 +22,7 @@ def embed_symmetric(psi: StateVector) -> StateVector:
 
 def sector_split(chi: StateVector):
     """(symmetric 4-vector, singlet amplitude), by `core.pair_sectors`; squared norms sum to one."""
-    uu, ud, du, dd = chi.require("qubit-pair").tolist()
+    uu, ud, du, dd = chi._components_in("qubit-pair")
     mid, singlet_amplitude, _, _, _ = pair_sectors(uu, ud, du, dd)
     return np.array([uu, mid, mid, dd]), singlet_amplitude
 
@@ -35,7 +35,7 @@ def project_spin1(chi: StateVector, tol: float = PROJECT_TOL_DEFAULT) -> StateVe
     """
     if not tol >= 0:  # also NaN
         raise ValueError(f"tol must be >= 0, got {tol}")
-    _, anti, _, _, triplet = pair_sectors(*chi.require("qubit-pair").tolist())
+    _, anti, _, _, triplet = pair_sectors(*chi._components_in("qubit-pair"))
     if triplet is None:
         raise ValueError("state has zero symmetric part (pure singlet)")
     if abs(anti) > tol:
@@ -50,4 +50,4 @@ def singlet() -> StateVector:
 
 def pure_concurrence(chi: StateVector) -> float:
     """2 |det| of the amplitude matrix: 2 |a_uu a_dd - a_ud a_du|."""
-    return pair_concurrence(*chi.require("qubit-pair").tolist())
+    return pair_concurrence(*chi._components_in("qubit-pair"))

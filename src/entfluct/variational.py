@@ -6,8 +6,9 @@ Both modes take an exact line search: on a great circle a cos t + d sin t each
 <O> is m + u cos 2t + r sin 2t, so V = c - sum_i <O_i>^2 (c the scalar Casimir
 sum_i O_i^2) is a trigonometric polynomial of degree 2 in s = 2t. The line
 search evaluates that polynomial on a 128-point grid, one matmul with a module
-table of the grid's four line terms, and polishes the best grid point of each of
-its (at most two) local maxima with two clipped Newton steps that compute the
+table of the grid's four line terms padded by one cyclic neighbour at each end,
+so a grid point's neighbours are slices, and polishes the best grid point of each
+of its (at most two) local maxima with two clipped Newton steps that compute the
 first two derivatives alone; V itself is evaluated once more, to pick the best
 polished point. The gradient is 2 (F - <F>) a with F = c - 2 sum_i <O_i> O_i.
 Maximize steps along the damped Gauss-Newton direction of the CE condition
@@ -18,14 +19,21 @@ any other basis the search then steps along the tangent gradient. Both
 directions are ascents by construction. A restart stops on the gradient test,
 or on stall where its tangent gradient is within the rounding floor
 GRADIENT_FLOOR eps c sqrt(d) or a line search gains nothing. Restarts start
-on one Philox stream keyed by the seed and advance together as the rows of one
-(R, d) array, every operation (eigh and solve too) row by row: the first R'
-restarts of an R-restart search are the R'-restart search with the same seed.
+on one Philox stream keyed by the seed, handed the key directly so that it draws
+no OS entropy, and advance together as the rows of one (R, d) array, every
+operation (eigh and solve too) row by row: the first R' restarts of an R-restart
+search are the R'-restart search with the same seed. At d <= 4 numpy's per-call
+overhead is the cost: the search makes few calls, and enters no numpy wrapper
+but np.where's dispatcher, without changing the IEEE operations or their order.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+from numpy.linalg import _umath_linalg  # the gufuncs of np.linalg.solve and eigh, called without their wrappers
+from numpy.random.bit_generator import ISeedSequence
 
 from .algebra import ObservableBasis
 from .core import GRADIENT_FLOOR, Frozen, SearchConfig, StateVector, check_state_label
@@ -56,13 +64,18 @@ def _value_and_gradient(a: np.ndarray, basis: ObservableBasis):
 def _line_coefficients(d, oa, e, basis: ObservableBasis) -> np.ndarray:
     """(c1, s1, c2, s2) of V(a cos t + d sin t) = c0 + c1 cos s + s1 sin s
     + c2 cos 2s + s2 sin 2s, s = 2t, for every row, from O a and <O> at a; (R, 4)."""
-    od = _apply(basis.operators, d)
-    m = (e + _inner(d[:, None, :], od).real) / 2
-    u, r = e - m, _inner(oa, d[:, None, :]).real  # r = Re<a|O|d>, O Hermitian
-    return np.array([-2.0 * np.add.reduce(m * u, axis=-1), -2.0 * np.add.reduce(m * r, axis=-1),
-                     -np.add.reduce(u**2 - r**2, axis=-1) / 2, -np.add.reduce(u * r, axis=-1)]).T
+    dc = d.conj()[:, None, :]
+    m = (e + np.add.reduce(dc * _apply(basis.operators, d), axis=-1).real) / 2
+    u, r = e - m, np.add.reduce(dc * oa, axis=-1).real  # r = Re<d|O|a> = Re<a|O|d>, O Hermitian
+    terms = np.empty((4, *e.shape))  # m u, m r, u^2 - r^2, u r, summed over i in one reduce
+    np.multiply(m, u, out=terms[0])
+    np.multiply(m, r, out=terms[1])
+    np.subtract(u**2, r**2, out=terms[2])
+    np.multiply(u, r, out=terms[3])
+    return (_LINE_WEIGHT * np.add.reduce(terms, axis=-1)).T
 
 
+_LINE_WEIGHT = np.array([-2.0, -2.0, -0.5, -1.0])[:, None]
 _TERM_FREQ = np.array([0.5, 1.0, 1.0, 2.0])
 
 
@@ -75,8 +88,10 @@ def _line_terms(s: np.ndarray) -> np.ndarray:
 
 
 _GRID = np.linspace(0.0, 2 * np.pi, 128, endpoint=False)
-_GRID_TERMS = _line_terms(_GRID)  # (4, 128)
-_PREV, _NEXT = np.roll(np.arange(len(_GRID)), 1), np.roll(np.arange(len(_GRID)), -1)  # cyclic neighbours
+_CLIP = float(_GRID[1])  # largest Newton step
+# the grid's line terms, padded with its last point in front and its first behind,
+# so the gains at a grid point's cyclic neighbours are the slices [:-2] and [2:]
+_GRID_TERMS = _line_terms(_GRID[np.arange(-1, len(_GRID) + 1) % len(_GRID)])  # (4, 130)
 _NEWTON_STEPS = 2
 # sin s, cos s, sin 2s, cos 2s = sin(s * _NEWTON_FREQ + _NEWTON_PHASE)
 _NEWTON_FREQ, _NEWTON_PHASE = np.array([[1.0, 1.0, 2.0, 2.0], [0.0, np.pi / 2, 0.0, np.pi / 2]])[:, :, None, None]
@@ -93,20 +108,31 @@ def _best_angle(coef: np.ndarray):
     grid point of each from d1 and d2 alone. The result is the best of the top grid point and
     the two polished ones, the grid point on ties."""
     rows = np.arange(len(coef))
-    grid_gain = coef @ _GRID_TERMS
-    peaks = np.where(grid_gain >= np.maximum(grid_gain[:, _PREV], grid_gain[:, _NEXT]), grid_gain, -np.inf)
+    padded = coef @ _GRID_TERMS
+    grid_gain = padded[:, 1:-1]
+    peaks = np.where(grid_gain >= np.maximum(padded[:, :-2], padded[:, 2:]), grid_gain, -np.inf)
     top = peaks.argmax(axis=-1)
     peaks[rows, top] = -np.inf
-    s = _GRID[np.array([top, peaks.argmax(axis=-1)])]  # (2, R): one seed per local maximum
+    s = _GRID[np.array([top, top, peaks.argmax(axis=-1)])]  # the top grid point, then one seed per local maximum
     newton = _NEWTON_WEIGHT * coef.T[_NEWTON_COEF][:, :, None, :]
     for _ in range(_NEWTON_STEPS):
-        d1, bend = np.add.reduce(newton * np.sin(_NEWTON_FREQ * s + _NEWTON_PHASE), axis=1)
+        d1, bend = np.add.reduce(newton * np.sin(_NEWTON_FREQ * s[1:] + _NEWTON_PHASE), axis=1)
         step = d1 / np.where(bend > 0, bend, np.inf)  # no step where the curvature is not negative
-        s = s + np.minimum(np.maximum(step, -_GRID[1]), _GRID[1])
-    s = np.concatenate([_GRID[top][None], s])
+        s[1:] += np.minimum(np.maximum(step, -_CLIP), _CLIP)
     gain = np.add.reduce(coef.T[:, None, :] * _line_terms(s), axis=0)
     best = gain.argmax(axis=0)
     return s[best, rows], gain[best, rows]
+
+
+class _PhiloxKey(ISeedSequence):
+    """A seed handed to Philox as its 128-bit key (the low word; the high word 0): the stream
+    of Philox(key=seed), without the SeedSequence that Philox first fills from OS entropy."""
+
+    def __init__(self, seed: int):
+        self.seed = seed
+
+    def generate_state(self, n_words, dtype=np.uint64):
+        return np.array([self.seed, 0], dtype=np.uint64)
 
 
 def _search(basis: ObservableBasis, config: SearchConfig, mode: str, state_label: str):
@@ -116,14 +142,17 @@ def _search(basis: ObservableBasis, config: SearchConfig, mode: str, state_label
     check_state_label(state_label, basis.dim)  # before the first draw, not at the returned state
     maximize = mode == "maximize"
     sign = 1.0 if maximize else -1.0
-    ascent, floor = sign * (basis.dim > 1), GRADIENT_FLOOR * _EPS * basis.casimir * np.sqrt(basis.dim)
-    draws = np.random.Generator(np.random.Philox(key=config.seed)).standard_normal((config.restarts, 2, basis.dim))
+    ascent, floor = sign * (basis.dim > 1), GRADIENT_FLOOR * _EPS * basis.casimir * math.sqrt(basis.dim)
+    draws = np.random.Generator(np.random.Philox(_PhiloxKey(config.seed))).standard_normal(
+        (config.restarts, 2, basis.dim))
     a = draws[:, 0] + 1j * draws[:, 1]
     if not maximize:  # start at the lowest eigenvector of c - 2 sum_i <O_i> O_i: |<O>| there is no smaller
         f = moments(a, basis)[1] @ basis.operators.reshape(len(basis), -1)  # sum_i <O_i> O_i, flattened
-        a = np.linalg.eigh(f.reshape(-1, basis.dim, basis.dim))[1][..., -1]
+        # np.linalg.eigh's gufunc: its wrapper's type checks and errstate cost more than a (16, 4, 4) stack,
+        # and a finite Hermitian stack cannot fail to converge
+        a = _umath_linalg.eigh_lo(f.reshape(-1, basis.dim, basis.dim), signature="D->dD")[1][..., -1]
     a = a / np.sqrt(_inner(a, a).real)[:, None]
-    stop = -np.ones(config.restarts, dtype=int)  # index into STOP_REASONS once stopped
+    stop = np.zeros(config.restarts, dtype=int) - 1  # index into STOP_REASONS once stopped
     iterations = np.zeros(config.restarts, dtype=int)
     # a stopped row takes steps of 0, so the last evaluation holds its final state
     for n in range(1, config.max_iterations + 2):
@@ -140,28 +169,32 @@ def _search(basis: ObservableBasis, config: SearchConfig, mode: str, state_label
         if maximize:  # damped Gauss-Newton towards r = <O> = 0, an ascent: Re<xi, step> = 4 r G (G + mu)^-1 r
             mu = np.add.reduce(e**2, axis=-1) + _EPS * v  # eps tr G (= V) keeps G + mu regular where G is not
             gram = h.view(float) @ h.view(float).swapaxes(1, 2)  # Re<h_i|h_j>, then + mu on the diagonal
-            np.einsum("rii->ri", gram)[...] += mu[:, None]
-            direction = -(np.linalg.solve(gram, e[..., None]).swapaxes(1, 2) @ h)[:, 0]
+            gram.reshape(len(gram), -1)[:, ::len(basis) + 1] += mu[:, None]  # a view: matmul's output is C-ordered
+            # np.linalg.solve's gufunc, as for eigh: G + mu is positive definite, mu >= eps c > 0
+            direction = -(_umath_linalg.solve(gram, e[..., None], signature="dd->d").swapaxes(1, 2) @ h)[:, 0]
             direction = direction - _inner(a, direction)[:, None] * a  # back onto the tangent space
         dn = np.sqrt(_inner(direction, direction).real)[:, None]
-        d = np.divide(direction, dn, out=np.zeros_like(direction), where=dn > 0)
+        d = np.divide(direction, dn, out=np.zeros(direction.shape, complex), where=dn > 0)
         s, gain = _best_angle(sign * _line_coefficients(d, oa, e, basis))
         stop[(stop < 0) & ~(gain > 0)] = 1
-        t = np.where(stop < 0, s, 0.0)[:, None] / 2
+        s[stop >= 0] = 0.0
+        t = s[:, None] / 2
         a = a * np.cos(t) + d * np.sin(t)
     stop[stop < 0] = 2
 
-    best_k = int(np.lexsort((stop != 0, -sign * v))[0])  # best V; on exact ties stopped on gradient, then first
+    values, stops = v.tolist(), stop.tolist()
+    # best V; on exact ties the first that stopped on the gradient, else the first
+    best_k = min(range(len(values)), key=lambda k: (-sign * values[k], stops[k] != 0))
     v.setflags(write=False)
     gnorm.setflags(write=False)
     return SearchResult(
-        best_state=StateVector(a[best_k], state_label),
-        best_value=float(v[best_k]),
-        converged=bool(stop[best_k] == 0),
+        best_state=StateVector(a[best_k].tolist(), state_label),
+        best_value=values[best_k],
+        converged=stops[best_k] == 0,
         iterations_used=int(iterations[best_k]),
         best_restart=best_k,
         restart_values=v,
-        restart_stop=tuple(STOP_REASONS[c] for c in stop),
+        restart_stop=tuple(map(STOP_REASONS.__getitem__, stops)),
         restart_gradients=gnorm,
     )
 

@@ -298,6 +298,18 @@ class TestRequire:
         with pytest.raises(ValueError, match="expected a cartesian state"):
             psi.require("cartesian")
 
+    @pytest.mark.parametrize("fn,label", [
+        *((fn, "spherical") for fn in (to_cartesian, concurrence_spherical)),
+        *((fn, "cartesian") for fn in (to_spherical, canonical_form)),
+        *((fn, "qubit-pair") for fn in (sector_split, project_spin1, pure_concurrence)),
+    ], ids=lambda x: getattr(x, "__name__", x))
+    def test_reads_the_components_without_an_array(self, fn, label):
+        # the closed forms run on the Python complexes the state holds, so the amplitude
+        # array, built on first read, is never built; (1, 0, ...) is no pure singlet
+        psi = _unit(4 if label == "qubit-pair" else 3, label)
+        fn(psi)
+        assert "amplitudes" not in vars(psi)
+
     # each function with states it must refuse; a 4-component spherical state
     # has a qubit pair's dimension and a 5-component one is no spin 1
     @pytest.mark.parametrize("fn,wrong", _WRONG_STATES, ids=[fn.__name__ for fn, _ in _WRONG_STATES])

@@ -1,8 +1,10 @@
+import os
 import sys
 import threading
 
 import numpy as np
 import pytest
+from numpy.random import bit_generator
 
 from entfluct import (
     ObservableBasis,
@@ -606,6 +608,49 @@ class TestDeterminismAndConsistency:
         x = np.random.Generator(np.random.Philox(key=seed)).standard_normal((16, 2, basis.dim))
         z = x[:, 0] + 1j * x[:, 1]
         assert np.array_equal(starts[0], z / np.sqrt(_inner(z, z).real)[:, None])
+
+    def test_search_enters_only_the_where_dispatcher_of_numpy(self):
+        # at d <= 4 numpy's Python-level wrappers cost more than the arithmetic: the search calls
+        # C entry points (the linalg gufuncs, ufuncs, array methods) and only np.where's dispatcher
+        numpy_dir = os.path.join(os.path.dirname(np.__file__), "")
+        entered = set()
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename.startswith(numpy_dir):
+                entered.add(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            for basis, label in ((spin_generators(1.5), "spherical"), (local_two_qubit_basis(), "qubit-pair")):
+                maximize_total_variance(basis, SearchConfig(seed=1), state_label=label)
+                minimize_total_variance(basis, SearchConfig(seed=1, mode="minimize"), state_label=label)
+        finally:
+            sys.setprofile(None)
+        assert entered == {"where"}
+
+    @pytest.mark.parametrize("seed", [0, 5, 123456789, 2**63 + 5, 2**64 - 1])
+    def test_keyed_stream_is_philox_keyed_by_the_seed(self, seed):
+        keyed = np.random.Philox(variational._PhiloxKey(seed))
+        assert np.array_equal(keyed.random_raw(12), np.random.Philox(key=seed).random_raw(12))
+
+    def test_stream_draws_no_os_entropy(self, monkeypatch):
+        # Philox(key=seed) first fills a SeedSequence from OS entropy, then discards it;
+        # the search hands Philox the key as a seed sequence of its own, which draws nothing
+        made, philox = [], np.random.Philox
+
+        def recorded(*args, **kwargs):
+            made.append(philox(*args, **kwargs))
+            return made[-1]
+
+        def no_entropy(bits):
+            raise AssertionError("the search drew OS entropy")
+
+        monkeypatch.setattr(np.random, "Philox", recorded)
+        monkeypatch.setattr(bit_generator, "randbits", no_entropy)
+        maximize_total_variance(SPIN1, SearchConfig(restarts=3, seed=5))
+        (made,) = made
+        assert isinstance(made.seed_seq, bit_generator.ISeedSequence)
+        assert not isinstance(made.seed_seq, np.random.SeedSequence)
 
     def test_seeds_share_no_start(self, monkeypatch):
         # at 16 restarts seeds 0-15 draw 16 disjoint start sets: no block of seeds shares one
