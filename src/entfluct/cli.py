@@ -229,10 +229,10 @@ def cmd_search(args) -> int:
         "system": args.system,
         "mode": args.mode,
         "best_value": result.best_value,
-        "best_state": _state_json(result.best_state.amplitudes.tolist(), result.best_state.basis_label),
+        "best_state": _state_json(result.best_state.components, result.best_state.basis_label),
         "converged": result.converged,
         "iterations_used": result.iterations_used,
-        "restart_values": result.restart_values.tolist(),
+        "restart_values": list(result.restart_values),
     }
     stop = result.restart_stop[result.best_restart]
     limit = f"--max-iter {args.max_iterations}" if stop == "cap" else "no step gained, or gradient at rounding floor"

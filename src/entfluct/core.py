@@ -7,9 +7,9 @@ On spin 1 and on the local qubit pair every expectation is a short closed form
 in the amplitudes, V_tot = c - sum_i <O_i>^2 with c the scalar Casimir sum, and
 a state is completely entangled where every <O_i> vanishes. So `entfluct
 analyze` needs no matrix: it runs on this module alone, and a cold process never
-imports numpy. The array modules (algebra, fluctuations, spin1, twoqubit,
-variational) take their constants and single-state formulas from here; this
-module imports nothing of the package.
+imports numpy. The array modules (algebra, fluctuations, spin1, variational)
+and the numpy-free twoqubit take their constants and single-state formulas from
+here; this module imports nothing of the package.
 """
 
 from __future__ import annotations
@@ -161,14 +161,9 @@ class StateVector(Frozen):
     def dim(self) -> int:
         return len(self.components)
 
-    def require(self, label: str, dim: int | None = None):
-        """The amplitudes, if the state carries this basis label (and, when
+    def require(self, label: str, dim: int | None = None) -> tuple:
+        """The components, if the state carries this basis label (and, when
         given, this dimension); else ValueError."""
-        self._components_in(label, dim)
-        return self.amplitudes
-
-    def _components_in(self, label: str, dim: int | None = None) -> tuple:
-        """`require` on the components, which builds no array."""
         if self.basis_label != label or dim not in (None, self.dim):
             want = label if dim is None else f"{dim}-component {label}"
             raise ValueError(f"expected a {want} state, got a {self.dim}-component {self.basis_label} state")

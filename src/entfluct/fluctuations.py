@@ -55,7 +55,7 @@ def total_variance(psi: StateVector, basis: ObservableBasis) -> float:
 
 
 class FluctuationReport(Frozen):
-    """Expectations (a read-only array), total variance, CE residual and
+    """Expectations (a tuple of floats), total variance, CE residual and
     (optionally) the variance concurrence for a single state. The CE residual is
     max_i |<O_i>|, and linearity makes the basis elements suffice for the whole
     algebra; the state is CE within a tolerance tol where ce_residual <= tol."""
@@ -68,6 +68,5 @@ def fluctuation_report(psi: StateVector, basis: ObservableBasis, v_min: float | 
     """Assemble the full report. The variance concurrence sqrt((V_tot - v_min) /
     (v_max - v_min)), clamped to [0, 1], is included only when both bounds are
     supplied."""
-    exps = moments(psi.amplitudes[None], basis)[1][0]
-    exps.setflags(write=False)
-    return FluctuationReport(exps, *variance_report(exps.tolist(), basis.casimir, v_min, v_max))
+    exps = tuple(moments(psi.amplitudes[None], basis)[1][0].tolist())
+    return FluctuationReport(exps, *variance_report(exps, basis.casimir, v_min, v_max))

@@ -17,32 +17,24 @@ from .core import (CE_BASIS, CE_TOL_DEFAULT, UNIT_VECTOR_TOL, Frozen, StateVecto
 
 def to_cartesian(psi: StateVector) -> StateVector:
     """Spherical components (psi_+1, psi_0, psi_-1) to Cartesian (x, y, z), by `core.cartesian_of`."""
-    return StateVector(cartesian_of(*psi._components_in("spherical", 3)), "cartesian")
+    return StateVector(cartesian_of(*psi.require("spherical", 3)), "cartesian")
 
 
 def to_spherical(psi: StateVector) -> StateVector:
     """Exact inverse of to_cartesian, by `core.spherical_of`."""
-    return StateVector(spherical_of(*psi._components_in("cartesian")), "spherical")
+    return StateVector(spherical_of(*psi.require("cartesian")), "spherical")
 
 
 class CanonicalForm(Frozen):
     """(theta, phi, mu, nu) with psi = e^{i theta}(cos phi mu + i sin phi nu),
-    mu and nu read-only arrays; nu is None where phi ~ 0 leaves it undetermined."""
+    mu and nu real unit 3-tuples; nu is None where phi ~ 0 leaves it undetermined."""
 
     _FIELDS = ("theta", "phi", "mu", "nu")
 
 
 def canonical_form(psi: StateVector) -> CanonicalForm:
-    """Extract (theta, phi, mu, nu) from a Cartesian spin-1 state, by
-    `core.canonical` on its amplitudes; mu and nu as read-only arrays."""
-    theta, phi, mu, nu = canonical(*psi._components_in("cartesian"))
-    return CanonicalForm(theta, phi, _read_only(mu), None if nu is None else _read_only(nu))
-
-
-def _read_only(values) -> np.ndarray:
-    a = np.array(values)
-    a.setflags(write=False)
-    return a
+    """Extract (theta, phi, mu, nu) from a Cartesian spin-1 state, by `core.canonical` on its components."""
+    return CanonicalForm(*canonical(*psi.require("cartesian")))
 
 
 def spin_projection_operator(omega) -> np.ndarray:
@@ -72,10 +64,10 @@ def expectation_magnitude_canonical(phi: float) -> float:
 
 def concurrence_spherical(psi: StateVector) -> float:
     """2 |psi_+1 psi_-1 - psi_0^2 / 2| in spherical components."""
-    return spherical_concurrence(*psi._components_in("spherical", 3))
+    return spherical_concurrence(*psi.require("spherical", 3))
 
 
-def zero_projection_axis(psi: StateVector, tol: float = CE_TOL_DEFAULT) -> np.ndarray | None:
+def zero_projection_axis(psi: StateVector, tol: float = CE_TOL_DEFAULT) -> tuple | None:
     """Axis with (near-)vanishing spin projection, or None.
 
     CE states are exactly those with spin projection zero onto some direction;

@@ -8,23 +8,23 @@ states are StateVector(amplitudes, "qubit-pair") over |uu>, |ud>, |du>, |dd>.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .core import PROJECT_TOL_DEFAULT, SQRT2, StateVector, pair_concurrence, pair_sectors
 
 
 def embed_symmetric(psi: StateVector) -> StateVector:
     """Triplet embedding: |+1> -> |uu>, |0> -> (|ud>+|du>)/sqrt(2), |-1> -> |dd>."""
     p, z, m = psi.require("spherical", 3)
-    mid = z / SQRT2  # numpy's division, whose signed zeros a Python product would flip
-    return StateVector([p, mid, mid, m], "qubit-pair")
+    # z / sqrt(2) as numpy divides (Smith's formula), whose rounding and signed zeros Python's z / SQRT2 misses
+    r = 1.0 / SQRT2
+    mid = complex((z.real + z.imag * 0.0) * r, (z.imag - z.real * 0.0) * r)
+    return StateVector((p, mid, mid, m), "qubit-pair")
 
 
 def sector_split(chi: StateVector):
-    """(symmetric 4-vector, singlet amplitude), by `core.pair_sectors`; squared norms sum to one."""
-    uu, ud, du, dd = chi._components_in("qubit-pair")
+    """(symmetric 4-tuple, singlet amplitude), by `core.pair_sectors`; squared norms sum to one."""
+    uu, ud, du, dd = chi.require("qubit-pair")
     mid, singlet_amplitude, _, _, _ = pair_sectors(uu, ud, du, dd)
-    return np.array([uu, mid, mid, dd]), singlet_amplitude
+    return (uu, mid, mid, dd), singlet_amplitude
 
 
 def project_spin1(chi: StateVector, tol: float = PROJECT_TOL_DEFAULT) -> StateVector:
@@ -35,7 +35,7 @@ def project_spin1(chi: StateVector, tol: float = PROJECT_TOL_DEFAULT) -> StateVe
     """
     if not tol >= 0:  # also NaN
         raise ValueError(f"tol must be >= 0, got {tol}")
-    _, anti, _, _, triplet = pair_sectors(*chi._components_in("qubit-pair"))
+    _, anti, _, _, triplet = pair_sectors(*chi.require("qubit-pair"))
     if triplet is None:
         raise ValueError("state has zero symmetric part (pure singlet)")
     if abs(anti) > tol:
@@ -45,9 +45,9 @@ def project_spin1(chi: StateVector, tol: float = PROJECT_TOL_DEFAULT) -> StateVe
 
 def singlet() -> StateVector:
     """The antisymmetric scalar (|ud> - |du>)/sqrt(2)."""
-    return StateVector(np.array([0.0, 1.0, -1.0, 0.0]) / SQRT2, "qubit-pair")
+    return StateVector((0j, 1 / SQRT2 + 0j, -1 / SQRT2 + 0j, 0j), "qubit-pair")
 
 
 def pure_concurrence(chi: StateVector) -> float:
     """2 |det| of the amplitude matrix: 2 |a_uu a_dd - a_ud a_du|."""
-    return pair_concurrence(*chi._components_in("qubit-pair"))
+    return pair_concurrence(*chi.require("qubit-pair"))

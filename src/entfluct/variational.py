@@ -46,8 +46,8 @@ _EPS = np.finfo(float).eps
 class SearchResult(Frozen):
     """The restart of best V is returned, its index `best_restart`; among exact ties of V, the
     first that stopped on the gradient, else the first. `converged`: the returned restart stopped
-    on the gradient. Per restart, in read-only arrays and a tuple: final value, stop reason (one of
-    STOP_REASONS), tangent-gradient norm at the end."""
+    on the gradient. Per restart, in tuples: final value, stop reason (one of STOP_REASONS),
+    tangent-gradient norm at the end."""
 
     _FIELDS = ("best_state", "best_value", "converged", "iterations_used", "best_restart", "restart_values",
                "restart_stop", "restart_gradients")
@@ -185,17 +185,15 @@ def _search(basis: ObservableBasis, config: SearchConfig, mode: str, state_label
     values, stops = v.tolist(), stop.tolist()
     # best V; on exact ties the first that stopped on the gradient, else the first
     best_k = min(range(len(values)), key=lambda k: (-sign * values[k], stops[k] != 0))
-    v.setflags(write=False)
-    gnorm.setflags(write=False)
     return SearchResult(
         best_state=StateVector(a[best_k].tolist(), state_label),
         best_value=values[best_k],
         converged=stops[best_k] == 0,
         iterations_used=int(iterations[best_k]),
         best_restart=best_k,
-        restart_values=v,
+        restart_values=tuple(values),
         restart_stop=tuple(map(STOP_REASONS.__getitem__, stops)),
-        restart_gradients=gnorm,
+        restart_gradients=tuple(gnorm.tolist()),
     )
 
 

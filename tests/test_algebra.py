@@ -289,10 +289,10 @@ _WRONG_STATES = [
 class TestRequire:
     """Every function that takes one kind of state checks it through StateVector.require."""
 
-    def test_returns_the_amplitudes(self):
+    def test_returns_the_components(self):
         psi = _unit(3, "spherical")
-        assert psi.require("spherical") is psi.amplitudes
-        assert psi.require("spherical", 3) is psi.amplitudes
+        assert psi.require("spherical") is psi.components
+        assert psi.require("spherical", 3) is psi.components
         with pytest.raises(ValueError, match="expected a 4-component spherical state"):
             psi.require("spherical", 4)
         with pytest.raises(ValueError, match="expected a cartesian state"):

@@ -786,6 +786,15 @@ class TestColdPath:
         assert code == 0
         assert "entfluct.core" in modules and "numpy" not in modules
 
+    def test_the_pair_bridge_runs_without_numpy(self):
+        code, _, modules = _child(["-c", "from entfluct.twoqubit import *; from entfluct.core import StateVector; "
+                                         "import sys; psi = StateVector((0.6, 0.8j, 0), 'spherical'); "
+                                         "chi = embed_symmetric(psi); assert project_spin1(chi) == psi; "
+                                         "sector_split(chi); pure_concurrence(singlet()); "
+                                         "assert 'numpy' not in sys.modules"])
+        assert code == 0
+        assert "entfluct.twoqubit" in modules and "numpy" not in modules
+
     def test_the_array_modules_import_no_dataclasses(self):
         # numpy itself imports inspect, typing and numbers, but not dataclasses
         code, _, modules = _child(["-c", "import entfluct.variational, entfluct.spin1, entfluct.twoqubit, "

@@ -84,7 +84,7 @@ class TestTotalVariance:
         for _ in range(10):
             psi = random_state(rng, basis.dim)
             v = total_variance(psi, basis)
-            mag2 = np.sum(fluctuation_report(psi, basis).expectations ** 2)
+            mag2 = np.sum(np.array(fluctuation_report(psi, basis).expectations) ** 2)
             assert abs(v - (j * (j + 1) - mag2)) < 1e-10
 
     def test_global_phase_invariance(self):
@@ -104,7 +104,7 @@ class TestSpinJProperties:
         basis = spin_generators(j)
         psi = random_state(np.random.default_rng(seed), basis.dim)
         v = total_variance(psi, basis)
-        s = fluctuation_report(psi, basis).expectations
+        s = np.array(fluctuation_report(psi, basis).expectations)
         tol = 1e-12 * j * j
         assert j - tol <= v <= j * (j + 1) + tol
         assert abs(v - (j * (j + 1) - s @ s)) <= tol

@@ -1,7 +1,8 @@
 """The one record convention, `core.Frozen`, and the one state type,
 `core.StateVector`. Every record is built from its fields, positional or by
-keyword, each once, and is read-only after that; a state compares, hashes,
-pickles and copies by value; a basis is equal only to itself."""
+keyword, each once, and is read-only after that; every record but the basis
+holds Python values and compares, hashes, pickles and copies by value, the
+package's outputs too; a basis is equal only to itself."""
 
 import copy
 import pickle
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from entfluct import (CanonicalForm, FluctuationReport, ObservableBasis, SearchConfig, SearchResult, StateVector,
-                      spin_generators)
+                      canonical_form, fluctuation_report, maximize_total_variance, spin_generators, to_cartesian)
 from entfluct.presets import PRESETS, Preset
 
 PSI = StateVector((0.6, 0.8j, 0), "spherical")
@@ -19,26 +20,34 @@ RECORDS = [
     (StateVector, ((0.6 + 0j, 0.8j, 0j), "spherical")),
     (SearchConfig, (4, 100, 1e-10, 7, "minimize")),
     (Preset, ("an-id", "a description", PSI, 1.0, "a note")),
-    (FluctuationReport, (np.zeros(3), 2.0, 0.0, 1.0)),
-    (CanonicalForm, (0.5, 0.25, np.eye(3)[0], None)),
-    (SearchResult, (PSI, 2.0, True, 3, 0, np.zeros(1), ("gradient",), np.zeros(1))),
+    (FluctuationReport, ((0.0, 0.0, 0.0), 2.0, 0.0, 1.0)),
+    (CanonicalForm, (0.5, 0.25, (1.0, 0.0, 0.0), None)),
+    (SearchResult, (PSI, 2.0, True, 3, 0, (2.0,), ("gradient",), (0.0,))),
     (ObservableBasis, (spin_generators(1).operators, "su2-spin-1")),
 ]
 IDS = [cls.__name__ for cls, _ in RECORDS]
 # the records built by the plain constructor of Frozen, with no field of a default value
 PLAIN = [(cls, values) for cls, values in RECORDS if cls in (Preset, FluctuationReport, CanonicalForm, SearchResult)]
-
-
-def _same(a, b) -> bool:
-    return np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+# the records with value semantics: all but the basis
+VALUES = [(cls, values) for cls, values in RECORDS if cls is not ObservableBasis]
+ROUND_TRIPS = {"pickle": lambda x: pickle.loads(pickle.dumps(x)), "deepcopy": copy.deepcopy, "copy": copy.copy}
+# the package's records as it returns them, each with its fields that hold floats per element
+OUTPUTS = {
+    "fluctuation_report": (lambda: fluctuation_report(PSI, spin_generators(1)), ("expectations",)),
+    "canonical_form": (lambda: canonical_form(to_cartesian(PSI)), ("mu", "nu")),
+    "canonical_form-real": (lambda: canonical_form(StateVector((0, 0, 1), "cartesian")), ("mu",)),  # nu is None
+    "maximize_total_variance": (lambda: maximize_total_variance(spin_generators(1), SearchConfig(restarts=3, seed=7)),
+                                ("restart_values", "restart_gradients")),
+}
 
 
 class TestFrozen:
     @pytest.mark.parametrize("cls,values", RECORDS, ids=IDS)
     def test_built_positionally_and_by_keyword(self, cls, values):
         positional, keyword = cls(*values), cls(**dict(zip(cls._FIELDS, values)))
-        for name, value in zip(cls._FIELDS, values):
-            assert _same(getattr(positional, name), value) and _same(getattr(keyword, name), value)
+        for name, value in zip(cls._FIELDS, values):  # assert_equal: the basis holds its operators as an array
+            np.testing.assert_equal(getattr(positional, name), value)
+            np.testing.assert_equal(getattr(keyword, name), value)
 
     @pytest.mark.parametrize("cls,values", RECORDS, ids=IDS)
     def test_an_unknown_or_extra_field_is_a_type_error(self, cls, values):
@@ -69,13 +78,42 @@ class TestFrozen:
                 setattr(record, name, None)
             with pytest.raises(AttributeError, match=name):
                 delattr(record, name)
-            assert _same(getattr(record, name), values[cls._FIELDS.index(name)])
+            np.testing.assert_equal(getattr(record, name), values[cls._FIELDS.index(name)])
 
     def test_basis_equality_stays_identity(self):
         ops = spin_generators(1).operators
         basis, twin = ObservableBasis(ops, "su2-spin-1"), ObservableBasis(ops, "su2-spin-1")
         assert basis == basis and basis != twin and hash(basis) != hash(twin)
         assert len({basis, twin}) == 2
+
+
+class TestValue:
+    @pytest.mark.parametrize("cls,values", VALUES, ids=[cls.__name__ for cls, _ in VALUES])
+    def test_equal_records_compare_and_hash_equal(self, cls, values):
+        a, b = cls(*values), cls(*values)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+
+    @pytest.mark.parametrize("round_trip", ROUND_TRIPS.values(), ids=ROUND_TRIPS)
+    @pytest.mark.parametrize("cls,values", VALUES, ids=[cls.__name__ for cls, _ in VALUES])
+    def test_a_copy_compares_equal(self, cls, values, round_trip):
+        record = cls(*values)
+        back = round_trip(record)
+        assert back == record and hash(back) == hash(record)
+
+    @pytest.mark.parametrize("build,fields", OUTPUTS.values(), ids=OUTPUTS)
+    def test_an_output_holds_tuples_of_floats(self, build, fields):
+        record = build()
+        for name in fields:
+            value = getattr(record, name)
+            assert type(value) is tuple and value and all(type(x) is float for x in value), name
+
+    @pytest.mark.parametrize("round_trip", ROUND_TRIPS.values(), ids=ROUND_TRIPS)
+    @pytest.mark.parametrize("build,fields", OUTPUTS.values(), ids=OUTPUTS)
+    def test_an_output_compares_and_hashes_by_value(self, build, fields, round_trip):
+        record, again = build(), build()
+        assert record == again and hash(record) == hash(again)
+        back = round_trip(record)
+        assert back == record and hash(back) == hash(record)
 
 
 class TestStateValue:
@@ -99,8 +137,7 @@ class TestStateValue:
         assert repr(StateVector(values, "spherical").components) == repr(
             StateVector(np.array(values), "spherical").components)
 
-    @pytest.mark.parametrize("round_trip", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy, copy.copy],
-                             ids=["pickle", "deepcopy", "copy"])
+    @pytest.mark.parametrize("round_trip", ROUND_TRIPS.values(), ids=ROUND_TRIPS)
     def test_a_state_survives_a_round_trip(self, round_trip):
         psi = StateVector([0.6, 0.8j, 0], "spherical")
         assert not psi.amplitudes.flags.writeable  # a built array is not carried: the copy builds its own

@@ -218,9 +218,9 @@ class TestExtremes:
         run = maximize_total_variance if mode == "maximize" else minimize_total_variance
         result = run(spin_generators(j), config)
         target = j * (j + 1) if mode == "maximize" else j
-        assert np.max(np.abs(result.restart_values - target)) <= 1e-9
+        assert np.max(np.abs(np.array(result.restart_values) - target)) <= 1e-9
         assert result.restart_stop == ("gradient",) * 16
-        assert np.all(result.restart_gradients <= config.step_tolerance)
+        assert np.all(np.array(result.restart_gradients) <= config.step_tolerance)
         assert result.converged
 
     @pytest.mark.parametrize("j", [None, 1, 1.5, 3])
@@ -230,12 +230,12 @@ class TestExtremes:
         v_max = 1.5 if j is None else j * (j + 1)
         for seed in range(20):
             result = maximize_total_variance(basis, SearchConfig(seed=seed))
-            assert np.all(result.restart_values <= v_max)
+            assert np.all(np.array(result.restart_values) <= v_max)
 
     def test_spin3_maximize_reaches_anticoherent_value(self):
         result = maximize_total_variance(spin_generators(3))
         assert result.best_value == pytest.approx(12.0, abs=1e-9)
-        assert np.all(result.restart_gradients <= SearchConfig().step_tolerance)
+        assert np.all(np.array(result.restart_gradients) <= SearchConfig().step_tolerance)
 
 
 class TestConvergedFlag:
@@ -270,7 +270,7 @@ class TestConvergedFlag:
         # stopped on the gradient, else the first
         config = SearchConfig(restarts=4, seed=0, max_iterations=300)
         result = maximize_total_variance(spin_generators(3), config)
-        tied = np.flatnonzero(result.restart_values == result.best_value)
+        tied = np.flatnonzero(np.array(result.restart_values) == result.best_value)
         best = next((k for k in tied if result.restart_stop[k] == "gradient"), tied[0])
         assert result.best_restart == best
         assert result.converged == (result.restart_stop[best] == "gradient")
@@ -355,8 +355,8 @@ class TestRoundingFloor:
             config = SearchConfig(restarts=16, seed=seed, max_iterations=1, mode="minimize")
             result = minimize_total_variance(basis, config)
             assert set(result.restart_stop) <= {"gradient", "stall"}  # a row still running would cap
-            assert np.all(result.restart_gradients <= self.floor(basis))
-            assert np.max(np.abs(result.restart_values - 40)) <= 8 * np.finfo(float).eps * basis.casimir
+            assert np.all(np.array(result.restart_gradients) <= self.floor(basis))
+            assert np.max(np.abs(np.array(result.restart_values) - 40)) <= 8 * np.finfo(float).eps * basis.casimir
 
 
 class TestGaussNewtonDirection:
@@ -464,7 +464,7 @@ class TestFixedPoints:
             result = minimize_total_variance(basis, config, state_label=label)
             assert result.restart_stop == ("gradient",) * 16
             assert result.iterations_used == 1 and len(calls) == 1
-            assert np.max(np.abs(result.restart_values - v_min)) <= 1e-9
+            assert np.max(np.abs(np.array(result.restart_values) - v_min)) <= 1e-9
 
     def test_minimize_leaves_a_start_that_is_not_coherent(self, monkeypatch):
         # with a scalar Casimir but no Lie algebra the eigenvector start is not
@@ -475,7 +475,7 @@ class TestFixedPoints:
         result = minimize_total_variance(basis, SearchConfig(mode="minimize"))
         assert result.iterations_used > 1
         assert result.restart_stop == ("gradient",) * 16
-        assert np.all(result.restart_values <= _value_and_gradient(starts[0], basis)[0])
+        assert np.all(np.array(result.restart_values) <= _value_and_gradient(starts[0], basis)[0])
 
     @pytest.mark.parametrize("mode", ["maximize", "minimize"])
     def test_one_dimensional_state_space(self, mode):
@@ -485,7 +485,7 @@ class TestFixedPoints:
         result = run(ObservableBasis([[[0.7]], [[1.3]]]), config)
         assert result.restart_stop == ("gradient",) * 16
         assert result.iterations_used == 1
-        assert np.all(result.restart_gradients == 0)
+        assert np.all(np.array(result.restart_gradients) == 0)
 
 
 class TestDeterminismAndConsistency:
@@ -499,9 +499,9 @@ class TestDeterminismAndConsistency:
         batch = run(basis, SearchConfig(restarts=8, seed=2024, mode=mode), state_label=label)
         for restarts in (1, 3, 8):
             head = run(basis, SearchConfig(restarts=restarts, seed=2024, mode=mode), state_label=label)
-            assert head.restart_values.tobytes() == batch.restart_values[:restarts].tobytes()
+            assert np.array(head.restart_values).tobytes() == np.array(batch.restart_values[:restarts]).tobytes()
             assert head.restart_stop == batch.restart_stop[:restarts]
-            assert head.restart_gradients.tobytes() == batch.restart_gradients[:restarts].tobytes()
+            assert np.array(head.restart_gradients).tobytes() == np.array(batch.restart_gradients[:restarts]).tobytes()
             if batch.best_restart < restarts:
                 assert head.best_restart == batch.best_restart
                 assert head.best_state.amplitudes.tobytes() == batch.best_state.amplitudes.tobytes()
@@ -704,13 +704,13 @@ class TestDeterminismAndConsistency:
         # when the kernels moved (its values by 1 ulp, so another restart wins);
         # and the qubit-pair values of restarts 1-3 when they moved from the keys seed ^ k to one stream
         r = maximize_total_variance(spin_generators(1.5), SearchConfig(restarts=4, seed=3))
-        assert r.restart_values.tolist() == [3.75, 3.75, 3.75, 3.75]
+        assert list(r.restart_values) == [3.75, 3.75, 3.75, 3.75]
         assert r.best_state.amplitudes.tolist() == [
             0.40341949467079313 + 0.07689579643802592j, 0.36434020949604146 - 0.5810752633234j,
             0.06359758548071699 + 0.22178839182030632j, -0.503234077661606 + 0.23338426974113646j]
         config = SearchConfig(restarts=4, seed=3, mode="minimize")
         r = minimize_total_variance(local_two_qubit_basis(), config, state_label="qubit-pair")
-        assert r.restart_values.tolist() == [0.9999999999999999, 0.9999999999999999, 1.0, 1.0]
+        assert list(r.restart_values) == [0.9999999999999999, 0.9999999999999999, 1.0, 1.0]
         assert r.best_state.amplitudes.tolist() == [
             -0.49950858116502905 + 0j, -0.46263177778769227 + 0.6578100153391059j,
             0.16214474637079526 + 0.05091109428141193j, 0.2172197717396056 - 0.16637821886255974j]

@@ -121,8 +121,8 @@ def search_traffic(digest, basis, label: str, mode: str):
     run = maximize_total_variance if mode == "maximize" else minimize_total_variance
     for seed in range(0, 80, 16):
         r = run(basis, SearchConfig(restarts=16, seed=seed, mode=mode), state_label=label)
-        digest.update(r.best_state.amplitudes.tobytes() + r.restart_values.tobytes()
-                      + r.restart_gradients.tobytes())
+        digest.update(r.best_state.amplitudes.tobytes() + np.array(r.restart_values).tobytes()
+                      + np.array(r.restart_gradients).tobytes())
         digest.update(repr((r.best_value, r.converged, r.iterations_used, r.restart_stop)).encode())
 
 

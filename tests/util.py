@@ -50,5 +50,5 @@ def random_orthonormal_pair(rng):
 def state_from_canonical(theta, phi, mu, nu):
     """e^{i theta}(cos phi mu + i sin phi nu), normalized; nu = None (left
     undetermined by canonical_form at phi ~ 0) drops the sin phi term."""
-    amps = np.exp(1j * theta) * (np.cos(phi) * mu + 1j * np.sin(phi) * (0.0 if nu is None else nu))
+    amps = np.exp(1j * theta) * (np.cos(phi) * np.array(mu) + 1j * np.sin(phi) * (0.0 if nu is None else np.array(nu)))
     return StateVector(amps / np.linalg.norm(amps), "cartesian")
