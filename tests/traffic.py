@@ -16,7 +16,12 @@ the last line. The parts, in this order:
   command's system does not take (a qubit pair to `convert`, a spherical state
   to `decompose`, four spherical amplitudes to spin-1 `analyze`, a cartesian
   state to two-qubit `analyze`; each exits 2 with an empty stdout) in both
-  formats, and `search` in both modes on both systems, seeds 0 and 16;
+  formats, `search` in both modes on both systems, seeds 0 and 16, and the
+  parser's own output: `--help` of the top parser and of every command and
+  preset action, and the usage errors of no arguments, a bad command, a bad
+  `--system`, an unknown and a missing preset id, a missing `--to` and an
+  unrecognized argument (`analyze --bogus`, which prints the top-level usage);
+  all with COLUMNS=80, so that argparse wraps as on no particular terminal;
 - `cli-stderr`: the stderr of the same runs, apart from their stdout, so that
   a changed error or failure message moves this part alone;
 - `bulk`: the `analyze --format json` stdout and exit code of every state of the
@@ -39,8 +44,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import pathlib
 import sys
+from unittest import mock
 
 import numpy as np
 
@@ -67,7 +74,7 @@ def _run(digest, argv: list, stdin: str = "", stream: str = "stdout") -> str:
     out, err, saved = io.StringIO(), io.StringIO(), sys.stdin
     sys.stdin = io.StringIO(stdin)
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), mock.patch.dict(os.environ, COLUMNS="80"):
             code = main(argv)
     finally:
         sys.stdin = saved
@@ -109,6 +116,12 @@ def cli_traffic(digest, stream: str = "stdout"):
         for mode in ("maximize", "minimize"):
             for seed in ("0", "16"):
                 run(["search", "--system", system, "--mode", mode, "--seed", seed, "--format", "json"])
+    commands = [[], ["analyze"], ["search"], ["preset"], ["preset", "list"], ["preset", "show"], ["preset", "analyze"],
+                ["convert"], ["decompose"]]
+    usage_errors = [[], ["bogus"], ["analyze", "--system", "spin2"], ["preset", "analyze", "nope"], ["preset", "show"],
+                    ["convert"], ["analyze", "--bogus"]]
+    for argv in [*([*command, "--help"] for command in commands), *usage_errors]:
+        run(argv)
 
 
 def bulk_traffic(digest):
