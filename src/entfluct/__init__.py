@@ -21,13 +21,13 @@ _HOMES = {
     "local_two_qubit_basis": "algebra",
     "rotate_basis": "algebra",
     "spin_generators": "algebra",
-    "SearchConfig": "core",
-    "StateVector": "core",
     "concurrence_from_phi": "core",
     "FluctuationReport": "fluctuations",
     "fluctuation_report": "fluctuations",
     "moments": "fluctuations",
     "total_variance": "fluctuations",
+    "SearchConfig": "records",
+    "StateVector": "records",
     "CanonicalForm": "spin1",
     "canonical_form": "spin1",
     "ce_basis": "spin1",

@@ -2,21 +2,19 @@
 one (k, d, d) array of Hermitian matrices whose Casimir sum C = sum_i O_i^2
 is a scalar c I, recorded as `casimir`.
 
-A basis is a `core.Frozen` record, immutable after construction, that checks
+A basis is a `records.Frozen` record, immutable after construction, that checks
 its defining invariants (Hermiticity, a scalar Casimir, su(2) commutation) once,
 where it enters, so downstream numerics never re-check them. The one state
-type, `StateVector`, lives in `core` and is re-exported here.
+type, `StateVector`, lives in `records` and is re-exported here.
 """
-
-from __future__ import annotations
 
 import functools
 import math
 
 import numpy as np
 
-from .core import (COMMUTATOR_TOL, HALF_INTEGER_TOL, HERMITICITY_TOL, ORTHOGONALITY_TOL, SCALAR_CASIMIR_TOL, Frozen,
-                   StateVector)  # StateVector re-exported
+from .core import COMMUTATOR_TOL, HALF_INTEGER_TOL, HERMITICITY_TOL, ORTHOGONALITY_TOL, SCALAR_CASIMIR_TOL
+from .records import Frozen, StateVector  # StateVector re-exported
 
 
 class ObservableBasis(Frozen):

@@ -9,12 +9,11 @@ non-convergence, a failed cross-check, a stdout closed by its reader or an
 internal error, 2 usage/validation errors.
 
 analyze, preset, convert and decompose run on the closed forms of entfluct.core
-and never import numpy, nor inspect or numbers; a preset's state is a numpy-free
-core.StateVector. search imports numpy, with the basis types and the search,
-when it runs.
+and never import numpy, nor inspect or numbers. A process builds the parser of
+its command alone, so `analyze` imports `core` alone of the package: a preset
+command imports the catalog, whose states are numpy-free records.StateVector;
+search imports numpy, with the basis types and the search, when it runs.
 """
-
-from __future__ import annotations
 
 import argparse
 import json
@@ -22,11 +21,9 @@ import math
 import os
 import sys
 
-from .core import (CE_TOL_DEFAULT, CROSS_CHECK_TOL, MODES, SQRT2, STATE_BASIS_LABELS, VARIANCE_CROSS_TOL, SearchConfig,
-                   canonical, cartesian_of, check_state, concurrence_from_phi, is_normalized, pair_concurrence,
-                   pair_expectations, pair_sectors, spherical_concurrence, spherical_of, spin1_expectations,
-                   variance_report)
-from .presets import PRESETS
+from .core import (CE_TOL_DEFAULT, CROSS_CHECK_TOL, MODES, SQRT2, STATE_BASIS_LABELS, VARIANCE_CROSS_TOL, canonical,
+                   cartesian_of, check_state, concurrence_from_phi, is_normalized, pair_concurrence, pair_expectations,
+                   spherical_concurrence, spherical_of, spin1_expectations, variance_report)
 
 SCHEMA_VERSION = 1
 
@@ -213,13 +210,14 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_search(args) -> int:
+    from .algebra import local_two_qubit_basis, spin_generators
+    from .records import SearchConfig
+    from .variational import maximize_total_variance, minimize_total_variance
+
     try:  # every search flag stores into the SearchConfig field it sets
         config = SearchConfig(**{name: getattr(args, name) for name in SearchConfig._FIELDS})
     except ValueError as exc:
         raise UsageError(str(exc))
-    from .algebra import local_two_qubit_basis, spin_generators
-    from .variational import maximize_total_variance, minimize_total_variance
-
     run = maximize_total_variance if args.mode == "maximize" else minimize_total_variance
     basis = spin_generators(1) if args.system == "spin1" else local_two_qubit_basis()
     _, labels, _, _, _ = _SYSTEMS[args.system]
@@ -248,22 +246,28 @@ def _preset_json(p) -> dict:
             "expected_concurrence": p.expected_concurrence, "source_note": p.source_note}
 
 
+def _presets() -> dict:
+    from .presets import PRESETS  # the catalog, imported and built only for a preset command
+
+    return PRESETS
+
+
 def cmd_preset_list(args) -> int:
     if args.format == "json":
-        print(json.dumps([_preset_json(p) for p in PRESETS.values()]))
+        print(json.dumps([_preset_json(p) for p in _presets().values()]))
     else:
-        for p in PRESETS.values():
+        for p in _presets().values():
             expected = "-" if p.expected_concurrence is None else f"{p.expected_concurrence:g}"
             print(f"{p.id:<18} {p.system:<10} C={expected:<4} {p.description}")
     return 0
 
 
 def cmd_preset_show(args) -> int:
-    return _emit(_preset_json(PRESETS[args.id]), args.format)
+    return _emit(_preset_json(_presets()[args.id]), args.format)
 
 
 def cmd_preset_analyze(args) -> int:
-    preset = PRESETS[args.id]
+    preset = _presets()[args.id]
     state = preset.state
     if state is None:
         raise UsageError(f"preset {preset.id!r} is label-only: {preset.source_note}")
@@ -281,6 +285,8 @@ def cmd_convert(args) -> int:
 def cmd_decompose(args) -> int:
     amps, basis_label, _ = _read_state(args)
     _checked(amps, basis_label, "two-qubit", "decompose expects")
+    from .twoqubit import pair_sectors
+
     _, singlet, symmetric_weight, singlet_weight, triplet = pair_sectors(*amps)
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -300,58 +306,72 @@ def _positive_float(text: str) -> float:
     return value
 
 
-# every flag and argument, declared once; each subcommand registers those its command reads
+def _search_default(field: str):
+    from .records import SearchConfig  # only search's parser reads it
+
+    return SearchConfig.__init__.__defaults__[SearchConfig._FIELDS.index(field)]  # read, not built
+
+
+# every flag and argument, declared once; a callable is called as its command's parser is built, not by `analyze`
 _FLAGS = {
-    "id": dict(choices=tuple(PRESETS), metavar="ID"),
+    "id": lambda: dict(choices=tuple(_presets()), metavar="ID"),
     "--format": dict(choices=("text", "json"), default="text"),
     "--normalize": dict(action="store_true", help="rescale non-normalized input states"),
     "--tol": dict(type=_positive_float, default=CE_TOL_DEFAULT,
                   help="CE residual tolerance, finite and > 0 (default %(default)g)"),
     "--file": dict(help="read the state JSON from a file instead of stdin"),
     "--system": dict(choices=tuple(_SYSTEMS), default="spin1"),
+    "--mode": lambda: dict(choices=MODES, default=_search_default("mode")),
+    "--restarts": lambda: dict(type=int, default=_search_default("restarts")),
+    "--seed": lambda: dict(type=int, default=_search_default("seed")),
+    "--max-iter": lambda: dict(dest="max_iterations", type=int, default=_search_default("max_iterations")),
+    "--step-tol": lambda: dict(dest="step_tolerance", type=float, default=_search_default("step_tolerance")),
+    "--to": dict(choices=("spherical", "cartesian"), required=True),
+}
+
+# command -> (help, handler, the flags after --format that it reads); a command of actions has their table as handler
+_COMMANDS = {
+    "analyze": ("full fluctuation/concurrence report for a state", cmd_analyze, "--normalize", "--tol", "--file",
+                "--system"),
+    "search": ("variational search for extremal total variance", cmd_search, "--system", "--mode", "--restarts",
+               "--seed", "--max-iter", "--step-tol"),
+    "preset": ("catalog of physical example states", {
+        "list": ("every preset, one line each", cmd_preset_list),
+        "show": ("the fields of one preset", cmd_preset_show, "id"),
+        "analyze": ("full report for a preset's state", cmd_preset_analyze, "id", "--tol"),
+    }),
+    "convert": ("spherical <-> cartesian spin-1 components", cmd_convert, "--normalize", "--file", "--to"),
+    "decompose": ("triplet/singlet split of a qubit-pair state", cmd_decompose, "--normalize", "--file"),
 }
 
 
-def _subcommand(sub, name: str, func, help: str, *flags):
-    p = sub.add_parser(name, help=help)
-    for flag in ("--format", *flags):
-        p.add_argument(flag, **_FLAGS[flag])
-    p.set_defaults(func=func)
-    return p
+def _add_commands(sub, commands: dict, argv) -> None:
+    """Add to `sub` the parser of argv[0]'s command alone if it names one (the usage line names all), else of all."""
+    if argv and argv[0] in commands:
+        sub.metavar = "{" + ",".join(commands) + "}"
+        commands = {argv[0]: commands[argv[0]]}
+    for name, (help, handler, *flags) in commands.items():
+        p = sub.add_parser(name, help=help)
+        if isinstance(handler, dict):
+            _add_commands(p.add_subparsers(dest="action", required=True), handler, argv[1:])
+            continue
+        for flag in ("--format", *flags):
+            spec = _FLAGS[flag]
+            p.add_argument(flag, **(spec() if callable(spec) else spec))
+        p.set_defaults(func=handler)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser of `entfluct argv`, of argv[0]'s command alone if it names one; it parses argv as build_parser()."""
     parser = argparse.ArgumentParser(
-        prog="entfluct",
-        description="Entanglement as extremal quantum fluctuations of an observable algebra",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    _subcommand(sub, "analyze", cmd_analyze, "full fluctuation/concurrence report for a state",
-                "--normalize", "--tol", "--file", "--system")
-
-    p = _subcommand(sub, "search", cmd_search, "variational search for extremal total variance", "--system")
-    defaults = dict(zip(SearchConfig._FIELDS, SearchConfig.__init__.__defaults__))  # read, not built
-    p.add_argument("--mode", choices=MODES, default=defaults["mode"])
-    p.add_argument("--restarts", type=int, default=defaults["restarts"])
-    p.add_argument("--seed", type=int, default=defaults["seed"])
-    p.add_argument("--max-iter", dest="max_iterations", type=int, default=defaults["max_iterations"])
-    p.add_argument("--step-tol", dest="step_tolerance", type=float, default=defaults["step_tolerance"])
-
-    actions = sub.add_parser("preset", help="catalog of physical example states").add_subparsers(
-        dest="action", required=True)
-    _subcommand(actions, "list", cmd_preset_list, "every preset, one line each")
-    _subcommand(actions, "show", cmd_preset_show, "the fields of one preset", "id")
-    _subcommand(actions, "analyze", cmd_preset_analyze, "full report for a preset's state", "id", "--tol")
-
-    p = _subcommand(sub, "convert", cmd_convert, "spherical <-> cartesian spin-1 components", "--normalize", "--file")
-    p.add_argument("--to", choices=("spherical", "cartesian"), required=True)
-
-    _subcommand(sub, "decompose", cmd_decompose, "triplet/singlet split of a qubit-pair state", "--normalize", "--file")
+        prog="entfluct", description="Entanglement as extremal quantum fluctuations of an observable algebra")
+    _add_commands(parser.add_subparsers(dest="command", required=True), _COMMANDS, argv)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -10,12 +10,11 @@ the CE verdict is that residual held against a tolerance, by the tolerance's
 owner.
 """
 
-from __future__ import annotations
-
 import numpy as np
 
 from .algebra import ObservableBasis
-from .core import IMAG_TOL, VARIANCE_CLAMP, Frozen, StateVector, variance_report
+from .core import IMAG_TOL, VARIANCE_CLAMP, variance_report
+from .records import Frozen, StateVector
 
 
 def _apply(ops: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -41,9 +40,10 @@ def moments(a: np.ndarray, basis: ObservableBasis):
     return oa, e.real
 
 
-def variance(e: np.ndarray, c: float) -> np.ndarray:
-    """V_tot = c - sum_i <O_i>^2 for each row of moments' <O>, c the basis's Casimir."""
-    v = c - np.add.reduce(e**2, axis=-1)
+def variance(square: np.ndarray, c: float) -> np.ndarray:
+    """V_tot = c - sum_i <O_i>^2 for each row, from the rows' sums `square` of moments' <O>^2, c the basis's
+    Casimir."""
+    v = c - square
     if np.minimum.reduce(v, axis=None) < -VARIANCE_CLAMP:
         raise ValueError("total variance is negative beyond tolerance")
     return np.maximum(v, 0.0)
@@ -51,7 +51,7 @@ def variance(e: np.ndarray, c: float) -> np.ndarray:
 
 def total_variance(psi: StateVector, basis: ObservableBasis) -> float:
     """Sum of variances of the basis observables in the state psi."""
-    return float(variance(moments(psi.amplitudes[None], basis)[1], basis.casimir)[0])
+    return float(variance(np.add.reduce(moments(psi.amplitudes[None], basis)[1] ** 2, axis=-1), basis.casimir)[0])
 
 
 class FluctuationReport(Frozen):

@@ -8,13 +8,12 @@ order parameter is completely entangled (phi = 0 representative) versus
 coherent (phi = pi/4 representative); the B phase couples spin and orbit and
 is listed as a label only.
 
-Each state is a numpy-free `core.StateVector`, so `preset analyze` runs
+Each state is a numpy-free `records.StateVector`, so `preset analyze` runs
 without numpy; `state.amplitudes` builds the array when first read.
 """
 
-from __future__ import annotations
-
-from .core import CE_BASIS, SQRT2, Frozen, StateVector
+from .core import CE_BASIS, SQRT2
+from .records import Frozen, StateVector
 
 
 class Preset(Frozen):

@@ -7,12 +7,11 @@ rotation-invariant parameter; the concurrence is cos(2 phi), phi = 0 marks the
 completely entangled states and phi = pi/4 the coherent ones.
 """
 
-from __future__ import annotations
-
 import numpy as np
 
-from .core import (CE_BASIS, CE_TOL_DEFAULT, UNIT_VECTOR_TOL, Frozen, StateVector, canonical, cartesian_of, check_phi,
-                   spherical_concurrence, spherical_of)
+from .core import (CE_BASIS, CE_TOL_DEFAULT, UNIT_VECTOR_TOL, canonical, cartesian_of, check_phi, spherical_concurrence,
+                   spherical_of)
+from .records import Frozen, StateVector
 
 
 def to_cartesian(psi: StateVector) -> StateVector:

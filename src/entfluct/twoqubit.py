@@ -1,14 +1,37 @@
 """Clebsch-Gordan bridge between spin-1 and a qubit pair.
 
-The pair space splits into the symmetric triplet (spin 1) and the
-antisymmetric singlet; embedding a spin-1 state into the triplet lets the
+The pair space splits into the symmetric triplet (spin 1) and the antisymmetric
+singlet (`pair_sectors`); embedding a spin-1 state into the triplet lets the
 two-qubit determinant concurrence 2|det| double as a spin-1 measure. Pair
 states are StateVector(amplitudes, "qubit-pair") over |uu>, |ud>, |du>, |dd>.
 """
 
-from __future__ import annotations
+import math
 
-from .core import PROJECT_TOL_DEFAULT, SQRT2, StateVector, pair_concurrence, pair_sectors
+from .core import PROJECT_TOL_DEFAULT, SINGLET_NORM, SQRT2, pair_concurrence
+from .records import StateVector
+
+
+def pair_sectors(uu: complex, ud: complex, du: complex, dd: complex) -> tuple:
+    """The triplet/singlet split of a unit qubit pair, (s, a, w_s, w_a, triplet):
+    the symmetric part is (uu, s, s, dd) with s = (ud + du)/2, the singlet
+    amplitude a = (ud - du)/sqrt(2), their weights are w_s = |(uu, s, s, dd)|^2
+    and w_a = |a|^2, and the triplet is the spherical (uu, sqrt(2) s, dd) /
+    sqrt(w_s), the inverse of the embedding, renormalized; None where sqrt(w_s)
+    < SINGLET_NORM, a pure singlet.
+
+    The sums and scalings round as numpy's norm and division did on these
+    vectors: w_s adds the real parts' squares, then the imaginary parts', each
+    as two interleaved pairs, and a division by x is a product with 1/x."""
+    mid, singlet = (ud + du) / 2.0, (ud - du) * (1.0 / SQRT2)
+    w_s = ((uu.real * uu.real + mid.real * mid.real) + (mid.real * mid.real + dd.real * dd.real)) + (
+        (uu.imag * uu.imag + mid.imag * mid.imag) + (mid.imag * mid.imag + dd.imag * dd.imag))
+    w_a = singlet.real * singlet.real + singlet.imag * singlet.imag
+    n = math.sqrt(w_s)
+    if n < SINGLET_NORM:
+        return mid, singlet, w_s, w_a, None
+    r = 1.0 / n
+    return mid, singlet, w_s, w_a, (uu * r, SQRT2 * mid * r, dd * r)
 
 
 def embed_symmetric(psi: StateVector) -> StateVector:
@@ -21,14 +44,14 @@ def embed_symmetric(psi: StateVector) -> StateVector:
 
 
 def sector_split(chi: StateVector):
-    """(symmetric 4-tuple, singlet amplitude), by `core.pair_sectors`; squared norms sum to one."""
+    """(symmetric 4-tuple, singlet amplitude), by `pair_sectors`; squared norms sum to one."""
     uu, ud, du, dd = chi.require("qubit-pair")
     mid, singlet_amplitude, _, _, _ = pair_sectors(uu, ud, du, dd)
     return (uu, mid, mid, dd), singlet_amplitude
 
 
 def project_spin1(chi: StateVector, tol: float = PROJECT_TOL_DEFAULT) -> StateVector:
-    """Inverse of embed_symmetric on the triplet sector, renormalized, by `core.pair_sectors`.
+    """Inverse of embed_symmetric on the triplet sector, renormalized, by `pair_sectors`.
 
     Rejects states with an antisymmetric component above tol: they do not lie
     in the spin-1 subspace.

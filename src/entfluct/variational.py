@@ -27,8 +27,6 @@ overhead is the cost: the search makes few calls, and enters no numpy wrapper
 but np.where's dispatcher, without changing the IEEE operations or their order.
 """
 
-from __future__ import annotations
-
 import math
 
 import numpy as np
@@ -36,8 +34,9 @@ from numpy.linalg import _umath_linalg  # the gufuncs of np.linalg.solve and eig
 from numpy.random.bit_generator import ISeedSequence
 
 from .algebra import ObservableBasis
-from .core import GRADIENT_FLOOR, Frozen, SearchConfig, StateVector, check_state_label
+from .core import GRADIENT_FLOOR, check_state_label
 from .fluctuations import _apply, _inner, moments, variance
+from .records import Frozen, SearchConfig, StateVector
 
 STOP_REASONS = ("gradient", "stall", "cap")
 _EPS = np.finfo(float).eps
@@ -54,11 +53,12 @@ class SearchResult(Frozen):
 
 
 def _value_and_gradient(a: np.ndarray, basis: ObservableBasis):
-    """V, the gradient -4 sum_i <O_i> h_i, O a, <O> and the centred
-    h_i = O_i a - <O_i> a for every unit row of a (R, d)."""
+    """V, the gradient -4 sum_i <O_i> h_i, O a, <O>, the centred
+    h_i = O_i a - <O_i> a and sum_i <O_i>^2 for every unit row of a (R, d)."""
     oa, e = moments(a, basis)
     h = oa - e[:, :, None] * a[:, None, :]
-    return variance(e, basis.casimir), -4.0 * np.add.reduce(e[:, :, None] * h, axis=1), oa, e, h
+    square = np.add.reduce(e**2, axis=-1)
+    return variance(square, basis.casimir), -4.0 * np.add.reduce(e[:, :, None] * h, axis=1), oa, e, h, square
 
 
 def _line_coefficients(d, oa, e, basis: ObservableBasis) -> np.ndarray:
@@ -156,7 +156,7 @@ def _search(basis: ObservableBasis, config: SearchConfig, mode: str, state_label
     iterations = np.zeros(config.restarts, dtype=int)
     # a stopped row takes steps of 0, so the last evaluation holds its final state
     for n in range(1, config.max_iterations + 2):
-        v, g, oa, e, h = _value_and_gradient(a, basis)
+        v, g, oa, e, h, square = _value_and_gradient(a, basis)
         xi = ascent * (g - _inner(a, g)[:, None] * a)  # tangent ascent of sign * V; CP^0 has none
         gnorm = np.sqrt(_inner(xi, xi).real)
         running = stop < 0
@@ -167,7 +167,7 @@ def _search(basis: ObservableBasis, config: SearchConfig, mode: str, state_label
             break
         direction = xi
         if maximize:  # damped Gauss-Newton towards r = <O> = 0, an ascent: Re<xi, step> = 4 r G (G + mu)^-1 r
-            mu = np.add.reduce(e**2, axis=-1) + _EPS * v  # eps tr G (= V) keeps G + mu regular where G is not
+            mu = square + _EPS * v  # eps tr G (= V) keeps G + mu regular where G is not
             gram = h.view(float) @ h.view(float).swapaxes(1, 2)  # Re<h_i|h_j>, then + mu on the diagonal
             gram.reshape(len(gram), -1)[:, ::len(basis) + 1] += mu[:, None]  # a view: matmul's output is C-ordered
             # np.linalg.solve's gufunc, as for eigh: G + mu is positive definite, mu >= eps c > 0

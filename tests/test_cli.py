@@ -1,3 +1,5 @@
+import contextlib
+import hashlib
 import io
 import json
 import math
@@ -11,7 +13,7 @@ import pytest
 
 import entfluct.cli
 from entfluct import StateVector, embed_symmetric, local_two_qubit_basis, spin_generators, to_spherical
-from entfluct.cli import build_analysis, main
+from entfluct.cli import build_analysis, build_parser, main
 from entfluct.core import CE_TOL_DEFAULT, SQRT2, cartesian_of, spherical_of
 from entfluct.presets import PRESETS
 
@@ -767,10 +769,27 @@ def _excluded(modules) -> set:
     return {m for m in modules for name in COLD_EXCLUDED if m == name or m.startswith(name + ".")}
 
 
+# what an `analyze` child does not compile: the preset catalog, the records
+# (StateVector, SearchConfig) and `__future__`
+ANALYZE_EXCLUDED = {"entfluct.presets", "entfluct.records", "__future__"}
+
+
+def _parse(parser, argv):
+    """(the namespace's fields or the exit code, stdout, stderr) of parser.parse_args(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
 class TestColdPath:
     """analyze, preset, convert and decompose run on entfluct.core and never
     import numpy, dataclasses, inspect or numbers; search imports numpy, and
-    what else it needs, when it runs."""
+    what else it needs, when it runs. A `-m entfluct.cli` child compiles the
+    cli once, as __main__: no module it imports imports `entfluct.cli` again."""
 
     def test_importing_the_cli_imports_none_of_the_excluded(self):
         code, _, modules = _child(["-c", "import entfluct.cli, sys; "
@@ -779,15 +798,15 @@ class TestColdPath:
         assert "entfluct.core" in modules and not _excluded(modules)
 
     def test_a_state_is_built_and_compared_without_numpy(self):
-        code, _, modules = _child(["-c", "from entfluct.core import StateVector; import sys; "
+        code, _, modules = _child(["-c", "from entfluct.records import StateVector; import sys; "
                                          "psi = StateVector((0.6, 0.8j, 0), 'spherical'); "
                                          "assert psi == StateVector([0.6, 0.8j, 0], 'spherical') and hash(psi); "
                                          "assert 'numpy' not in sys.modules"])
         assert code == 0
-        assert "entfluct.core" in modules and "numpy" not in modules
+        assert "entfluct.records" in modules and "numpy" not in modules
 
     def test_the_pair_bridge_runs_without_numpy(self):
-        code, _, modules = _child(["-c", "from entfluct.twoqubit import *; from entfluct.core import StateVector; "
+        code, _, modules = _child(["-c", "from entfluct.twoqubit import *; from entfluct.records import StateVector; "
                                          "import sys; psi = StateVector((0.6, 0.8j, 0), 'spherical'); "
                                          "chi = embed_symmetric(psi); assert project_spin1(chi) == psi; "
                                          "sector_split(chi); pure_concurrence(singlet()); "
@@ -812,6 +831,7 @@ class TestColdPath:
                                     state_json(amps, basis).encode())
         assert code == 0
         assert not _excluded(modules)
+        assert "entfluct.core" in modules and not (ANALYZE_EXCLUDED | {"entfluct.cli"}) & modules
         assert json.loads(out) == json.loads(json.dumps(build_analysis(np.array(amps), basis, system,
                                                                        CE_TOL_DEFAULT, None)))
 
@@ -827,13 +847,27 @@ class TestColdPath:
         assert code == 0
         doc = json.loads(out)
         assert key in (doc[0] if isinstance(doc, list) else doc)
-        assert not _excluded(modules)
+        assert not _excluded(modules) and "entfluct.cli" not in modules
 
     def test_search_imports_numpy_when_it_runs(self):
         code, out, modules = _child(["-m", "entfluct.cli", "search", "--restarts", "2", "--format", "json"])
         assert code == 0
         assert "best_state" in json.loads(out)
-        assert "numpy" in modules
+        assert "numpy" in modules and "entfluct.cli" not in modules
+
+    def test_the_invoked_commands_parser_parses_as_the_full_one(self, monkeypatch):
+        # every argv of tests/traffic.py, help and usage errors too: the same namespace, or
+        # the same exit code and output, where the usage line names every command
+        import traffic
+
+        seen, run = [], traffic.main
+        monkeypatch.setattr(traffic, "main", lambda argv: seen.append(argv) or run(argv))
+        traffic.cli_traffic(hashlib.sha256())
+        assert ["analyze", "--bogus"] in seen and [] in seen
+        for argv in seen:
+            assert _parse(build_parser(argv), argv) == _parse(build_parser(), argv), argv
+        # the parser of one command parses no other
+        assert _parse(build_parser(["analyze"]), ["search"])[0] == 2 and _parse(build_parser(), ["search"])[0] != 2
 
 
 class TestValidatedOnce:

@@ -7,6 +7,7 @@ values up to 2), the basis change within 4 eps, the canonical form rebuilt
 within 8 eps, the exact concurrences within CROSS_CHECK_TOL. Every verdict
 (CE, nu defined, the cross-check) must be the public pipeline's."""
 
+import io
 import sys
 from pathlib import Path
 
@@ -19,9 +20,10 @@ from entfluct import (StateVector, canonical_form, concurrence_from_phi, concurr
                       spin_projection_operator, to_cartesian, to_spherical, total_variance)
 import entfluct.twoqubit
 from entfluct.core import (CE_TOL_DEFAULT, CROSS_CHECK_TOL, NU_CUTOFF, SINGLET_NORM, canonical, cartesian_of,
-                           pair_concurrence, pair_expectations, pair_sectors, spherical_concurrence, spherical_of,
-                           spin1_expectations, variance_report)
+                           pair_concurrence, pair_expectations, spherical_concurrence, spherical_of, spin1_expectations,
+                           variance_report)
 from entfluct.presets import PRESETS
+from entfluct.twoqubit import pair_sectors
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import workloads  # noqa: E402  (bench/workloads.py: the benchmark's seeded and edge states)
@@ -151,8 +153,15 @@ def test_pair_sectors_hold_against_the_swap_projection():
     assert pair_sectors(*singlet.tolist())[4] is None
 
 
-def test_decompose_and_the_public_split_share_one_kernel():
-    assert entfluct.cli.pair_sectors is entfluct.twoqubit.pair_sectors is pair_sectors
+def test_decompose_and_the_public_split_share_one_kernel(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(entfluct.twoqubit, "pair_sectors", lambda *a: calls.append(a) or pair_sectors(*a))
+    chi = StateVector((0, 0.6, 0.8, 0), "qubit-pair")
+    stdin = '{"basis": "qubit-pair", "components": [[0, 0], [0.6, 0], [0.8, 0], [0, 0]]}'
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    assert entfluct.cli.main(["decompose", "--format", "json"]) == 0
+    entfluct.twoqubit.sector_split(chi)
+    assert calls == [chi.components] * 2
 
 
 def _public_document(a, basis, system, tol):

@@ -293,9 +293,11 @@ class TestReport:
 
     def test_negative_total_variance_in_the_last_row_rejected(self):
         # with c = 0.5 the CE rows give V = 0.5 and the coherent row along (1, 1, 1)/sqrt(3)
-        # V = -0.5; summed over rows instead, each <S_i>^2 = 1/3 would leave V = 1/6
+        # V = -0.5 (summed over rows instead, each <S_i>^2 = 1/3 would leave V = 1/6): only the
+        # last row's V is negative
         along = np.linalg.eigh(SPIN1.operators.sum(axis=0) / np.sqrt(3))[1][:, -1]
         _, e = moments(np.array([[0, 1, 0], [0, 1, 0], along], dtype=complex), SPIN1)
-        assert variance(e[:2], 0.5) == pytest.approx([0.5, 0.5])
+        square = np.add.reduce(e**2, axis=-1)
+        assert variance(square[:2], 0.5) == pytest.approx([0.5, 0.5])
         with pytest.raises(ValueError, match="negative"):
-            variance(e, 0.5)
+            variance(square, 0.5)

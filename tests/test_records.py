@@ -1,5 +1,5 @@
-"""The one record convention, `core.Frozen`, and the one state type,
-`core.StateVector`. Every record is built from its fields, positional or by
+"""The one record convention, `records.Frozen`, and the one state type,
+`records.StateVector`. Every record is built from its fields, positional or by
 keyword, each once, and is read-only after that; every record but the basis
 holds Python values and compares, hashes, pickles and copies by value, the
 package's outputs too; a basis is equal only to itself."""

@@ -99,7 +99,7 @@ class TestLineCoefficients:
             d = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
             d = d - np.vdot(a, d) * a
             d = d / np.linalg.norm(d)
-            v0, _, oa, e, _ = _value_and_gradient(a[None], basis)
+            v0, _, oa, e, _, _ = _value_and_gradient(a[None], basis)
             coef = _line_coefficients(d[None], oa, e, basis)
             t = rng.uniform(0, 2 * np.pi, size=8)
             line = v0[0] + (coef[0][:, None] * _line_terms(2 * t)).sum(axis=0)
@@ -373,7 +373,7 @@ class TestGaussNewtonDirection:
                             lambda d, oa, e, b: seen.append(d) or _line_coefficients(d, oa, e, b))
         maximize_total_variance(basis, SearchConfig(restarts=64, seed=7, max_iterations=1), state_label=label)
         a, (d,) = starts[0], seen  # for the pair G r = (V - 1) r, so there d is also the gradient's direction
-        v, g, oa, r, h = _value_and_gradient(a, basis)
+        v, g, oa, r, h, _ = _value_and_gradient(a, basis)
         assert np.array_equal(h, oa - r[:, :, None] * a[:, None, :])
         gram = (h.conj()[:, :, None, :] * h[:, None, :, :]).sum(axis=-1).real
         mu = (r**2).sum(axis=-1) + np.finfo(float).eps * v
@@ -414,7 +414,7 @@ class TestAscentByConstruction:
         # so |<O>_b| >= |<O>_a| (Cauchy-Schwarz) and V = c - |<O>|^2 is no larger at b
         rng = np.random.default_rng(31)
         a = np.stack([random_state(rng, basis.dim, label).amplitudes for _ in range(16)])
-        v, _, _, e, _ = _value_and_gradient(a, basis)
+        v, _, _, e, _, _ = _value_and_gradient(a, basis)
         top = np.linalg.eigh((e[:, :, None, None] * basis.operators).sum(axis=1))[1][..., -1]
         assert np.all(_value_and_gradient(top, basis)[0] <= v + 8 * np.finfo(float).eps * basis.casimir)
 

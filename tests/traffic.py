@@ -116,10 +116,10 @@ def cli_traffic(digest, stream: str = "stdout"):
         for mode in ("maximize", "minimize"):
             for seed in ("0", "16"):
                 run(["search", "--system", system, "--mode", mode, "--seed", seed, "--format", "json"])
-    commands = [[], ["analyze"], ["search"], ["preset"], ["preset", "list"], ["preset", "show"], ["preset", "analyze"],
-                ["convert"], ["decompose"]]
-    usage_errors = [[], ["bogus"], ["analyze", "--system", "spin2"], ["preset", "analyze", "nope"], ["preset", "show"],
-                    ["convert"], ["analyze", "--bogus"]]
+    commands = [[], ["analyze"], ["search"], ["preset"], ["preset", "list"], ["preset", "show"],
+                ["preset", "analyze"], ["convert"], ["decompose"]]
+    usage_errors = [[], ["bogus"], ["analyze", "--system", "spin2"], ["preset", "analyze", "nope"],
+                    ["preset", "show"], ["convert"], ["analyze", "--bogus"]]
     for argv in [*([*command, "--help"] for command in commands), *usage_errors]:
         run(argv)
 
