@@ -210,14 +210,15 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_search(args) -> int:
-    from .algebra import local_two_qubit_basis, spin_generators
     from .records import SearchConfig
-    from .variational import maximize_total_variance, minimize_total_variance
 
     try:  # every search flag stores into the SearchConfig field it sets
         config = SearchConfig(**{name: getattr(args, name) for name in SearchConfig._FIELDS})
     except ValueError as exc:
         raise UsageError(str(exc))
+    from .algebra import local_two_qubit_basis, spin_generators
+    from .variational import maximize_total_variance, minimize_total_variance
+
     run = maximize_total_variance if args.mode == "maximize" else minimize_total_variance
     basis = spin_generators(1) if args.system == "spin1" else local_two_qubit_basis()
     _, labels, _, _, _ = _SYSTEMS[args.system]
@@ -312,21 +313,22 @@ def _search_default(field: str):
     return SearchConfig.__init__.__defaults__[SearchConfig._FIELDS.index(field)]  # read, not built
 
 
-# every flag and argument, declared once; a callable is called as its command's parser is built, not by `analyze`
+# every flag and argument, declared once, by a function called as a parser that takes it is built: so the preset
+# ids and the search defaults are read by their commands alone
 _FLAGS = {
     "id": lambda: dict(choices=tuple(_presets()), metavar="ID"),
-    "--format": dict(choices=("text", "json"), default="text"),
-    "--normalize": dict(action="store_true", help="rescale non-normalized input states"),
-    "--tol": dict(type=_positive_float, default=CE_TOL_DEFAULT,
-                  help="CE residual tolerance, finite and > 0 (default %(default)g)"),
-    "--file": dict(help="read the state JSON from a file instead of stdin"),
-    "--system": dict(choices=tuple(_SYSTEMS), default="spin1"),
+    "--format": lambda: dict(choices=("text", "json"), default="text"),
+    "--normalize": lambda: dict(action="store_true", help="rescale non-normalized input states"),
+    "--tol": lambda: dict(type=_positive_float, default=CE_TOL_DEFAULT,
+                          help="CE residual tolerance, finite and > 0 (default %(default)g)"),
+    "--file": lambda: dict(help="read the state JSON from a file instead of stdin"),
+    "--system": lambda: dict(choices=tuple(_SYSTEMS), default="spin1"),
     "--mode": lambda: dict(choices=MODES, default=_search_default("mode")),
     "--restarts": lambda: dict(type=int, default=_search_default("restarts")),
     "--seed": lambda: dict(type=int, default=_search_default("seed")),
     "--max-iter": lambda: dict(dest="max_iterations", type=int, default=_search_default("max_iterations")),
     "--step-tol": lambda: dict(dest="step_tolerance", type=float, default=_search_default("step_tolerance")),
-    "--to": dict(choices=("spherical", "cartesian"), required=True),
+    "--to": lambda: dict(choices=("spherical", "cartesian"), required=True),
 }
 
 # command -> (help, handler, the flags after --format that it reads); a command of actions has their table as handler
@@ -356,8 +358,7 @@ def _add_commands(sub, commands: dict, argv) -> None:
             _add_commands(p.add_subparsers(dest="action", required=True), handler, argv[1:])
             continue
         for flag in ("--format", *flags):
-            spec = _FLAGS[flag]
-            p.add_argument(flag, **(spec() if callable(spec) else spec))
+            p.add_argument(flag, **_FLAGS[flag]())
         p.set_defaults(func=handler)
 
 
@@ -370,8 +371,7 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv)
+    parser = build_parser(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -41,8 +41,7 @@ def moments(a: np.ndarray, basis: ObservableBasis):
 
 
 def variance(square: np.ndarray, c: float) -> np.ndarray:
-    """V_tot = c - sum_i <O_i>^2 for each row, from the rows' sums `square` of moments' <O>^2, c the basis's
-    Casimir."""
+    """V_tot = c - square per row, `square` the sum_i <O_i>^2 of moments' <O>, c the basis's Casimir."""
     v = c - square
     if np.minimum.reduce(v, axis=None) < -VARIANCE_CLAMP:
         raise ValueError("total variance is negative beyond tolerance")
