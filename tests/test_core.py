@@ -153,7 +153,7 @@ def test_pair_sectors_hold_against_the_swap_projection():
     assert pair_sectors(*singlet.tolist())[4] is None
 
 
-def test_decompose_and_the_public_split_share_one_kernel(monkeypatch, capsys):
+def test_decompose_and_the_public_split_share_one_kernel(monkeypatch):
     calls = []
     monkeypatch.setattr(entfluct.twoqubit, "pair_sectors", lambda *a: calls.append(a) or pair_sectors(*a))
     chi = StateVector((0, 0.6, 0.8, 0), "qubit-pair")

@@ -74,7 +74,8 @@ def _run(digest, argv: list, stdin: str = "", stream: str = "stdout") -> str:
     out, err, saved = io.StringIO(), io.StringIO(), sys.stdin
     sys.stdin = io.StringIO(stdin)
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), mock.patch.dict(os.environ, COLUMNS="80"):
+        with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+              mock.patch.dict(os.environ, COLUMNS="80")):
             code = main(argv)
     finally:
         sys.stdin = saved
