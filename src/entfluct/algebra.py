@@ -4,8 +4,7 @@ is a scalar c I, recorded as `casimir`.
 
 A basis is a `records.Frozen` record, immutable after construction, that checks
 its defining invariants (Hermiticity, a scalar Casimir, su(2) commutation) once,
-where it enters, so downstream numerics never re-check them. The one state
-type, `StateVector`, lives in `records` and is re-exported here.
+where it enters, so downstream numerics never re-check them.
 """
 
 import functools
@@ -14,7 +13,7 @@ import math
 import numpy as np
 
 from .core import COMMUTATOR_TOL, HALF_INTEGER_TOL, HERMITICITY_TOL, ORTHOGONALITY_TOL, SCALAR_CASIMIR_TOL
-from .records import Frozen, StateVector  # StateVector re-exported
+from .records import Frozen
 
 
 class ObservableBasis(Frozen):

@@ -212,21 +212,21 @@ def cmd_analyze(args) -> int:
 def cmd_search(args) -> int:
     from .records import SearchConfig
 
-    try:  # every search flag stores into the SearchConfig field it sets
-        config = SearchConfig(**{name: getattr(args, name) for name in SearchConfig._FIELDS})
+    try:  # each search flag given stores into the SearchConfig field it sets; the record holds the defaults
+        config = SearchConfig(**{name: getattr(args, name) for name in SearchConfig._FIELDS if hasattr(args, name)})
     except ValueError as exc:
         raise UsageError(str(exc))
     from .algebra import local_two_qubit_basis, spin_generators
     from .variational import maximize_total_variance, minimize_total_variance
 
-    run = maximize_total_variance if args.mode == "maximize" else minimize_total_variance
+    run = maximize_total_variance if config.mode == "maximize" else minimize_total_variance
     basis = spin_generators(1) if args.system == "spin1" else local_two_qubit_basis()
     _, labels, _, _, _ = _SYSTEMS[args.system]
     result = run(basis, config, state_label=labels[0])
     doc = {
         "schema_version": SCHEMA_VERSION,
         "system": args.system,
-        "mode": args.mode,
+        "mode": config.mode,
         "best_value": result.best_value,
         "best_state": _state_json(result.best_state.components, result.best_state.basis_label),
         "converged": result.converged,
@@ -234,10 +234,10 @@ def cmd_search(args) -> int:
         "restart_values": list(result.restart_values),
     }
     stop = result.restart_stop[result.best_restart]
-    limit = f"--max-iter {args.max_iterations}" if stop == "cap" else "no step gained, or gradient at rounding floor"
+    limit = f"--max-iter {config.max_iterations}" if stop == "cap" else "no step gained, or gradient at rounding floor"
     failure = None if result.converged else (
         f"not converged: the best restart stopped on {stop} at iteration {result.iterations_used} ({limit}),"
-        f" its tangent gradient above --step-tol {args.step_tolerance:g}")
+        f" its tangent gradient above --step-tol {config.step_tolerance:g}")
     return _emit(doc, args.format, failure)
 
 
@@ -307,14 +307,8 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _search_default(field: str):
-    from .records import SearchConfig  # only search's parser reads it
-
-    return SearchConfig.__init__.__defaults__[SearchConfig._FIELDS.index(field)]  # read, not built
-
-
 # every flag and argument, declared once, by a function called as a parser that takes it is built: so the preset
-# ids and the search defaults are read by their commands alone
+# ids are read by their commands alone; a search flag left out is not set, and SearchConfig supplies its default
 _FLAGS = {
     "id": lambda: dict(choices=tuple(_presets()), metavar="ID"),
     "--format": lambda: dict(choices=("text", "json"), default="text"),
@@ -323,11 +317,11 @@ _FLAGS = {
                           help="CE residual tolerance, finite and > 0 (default %(default)g)"),
     "--file": lambda: dict(help="read the state JSON from a file instead of stdin"),
     "--system": lambda: dict(choices=tuple(_SYSTEMS), default="spin1"),
-    "--mode": lambda: dict(choices=MODES, default=_search_default("mode")),
-    "--restarts": lambda: dict(type=int, default=_search_default("restarts")),
-    "--seed": lambda: dict(type=int, default=_search_default("seed")),
-    "--max-iter": lambda: dict(dest="max_iterations", type=int, default=_search_default("max_iterations")),
-    "--step-tol": lambda: dict(dest="step_tolerance", type=float, default=_search_default("step_tolerance")),
+    "--mode": lambda: dict(choices=MODES, default=argparse.SUPPRESS),
+    "--restarts": lambda: dict(type=int, default=argparse.SUPPRESS),
+    "--seed": lambda: dict(type=int, default=argparse.SUPPRESS),
+    "--max-iter": lambda: dict(dest="max_iterations", type=int, default=argparse.SUPPRESS),
+    "--step-tol": lambda: dict(dest="step_tolerance", type=float, default=argparse.SUPPRESS),
     "--to": lambda: dict(choices=("spherical", "cartesian"), required=True),
 }
 

@@ -4,10 +4,10 @@ The total variance sum_i (<O_i^2> - <O_i>^2) = c - sum_i <O_i>^2, with c the
 scalar Casimir sum C = sum_i O_i^2 of the basis, measures how far a state sits
 from classical reality; its maximizers are the completely entangled (CE) states,
 characterized by all basis expectations vanishing. `core.variance_report` is the
-one place a state's CE residual and variance concurrence come from, here from
-the expectations `moments` gives on any basis, in the CLI from the closed forms;
-the CE verdict is that residual held against a tolerance, by the tolerance's
-owner.
+one place a state's V_tot, CE residual and variance concurrence come from, here
+from the expectations `moments` gives on any basis, in the CLI from the closed
+forms; the batched `variance` serves the search alone. The CE verdict is that
+residual held against a tolerance, by the tolerance's owner.
 """
 
 import numpy as np
@@ -48,11 +48,6 @@ def variance(square: np.ndarray, c: float) -> np.ndarray:
     return np.maximum(v, 0.0)
 
 
-def total_variance(psi: StateVector, basis: ObservableBasis) -> float:
-    """Sum of variances of the basis observables in the state psi."""
-    return float(variance(np.add.reduce(moments(psi.amplitudes[None], basis)[1] ** 2, axis=-1), basis.casimir)[0])
-
-
 class FluctuationReport(Frozen):
     """Expectations (a tuple of floats), total variance, CE residual and
     (optionally) the variance concurrence for a single state. The CE residual is
@@ -69,3 +64,8 @@ def fluctuation_report(psi: StateVector, basis: ObservableBasis, v_min: float | 
     supplied."""
     exps = tuple(moments(psi.amplitudes[None], basis)[1][0].tolist())
     return FluctuationReport(exps, *variance_report(exps, basis.casimir, v_min, v_max))
+
+
+def total_variance(psi: StateVector, basis: ObservableBasis) -> float:
+    """Sum of variances of the basis observables in the state psi, the report's `v_tot`."""
+    return fluctuation_report(psi, basis).v_tot

@@ -87,6 +87,9 @@ class StateVector(Frozen):
 
 
 class SearchConfig(Frozen):
+    """The search settings, each checked here, and the one home of their defaults: restarts 16, max_iterations
+    2000, step_tolerance STEP_TOL_DEFAULT, seed 0 (64 unsigned bits) and mode "maximize" (or "minimize")."""
+
     _FIELDS = ("restarts", "max_iterations", "step_tolerance", "seed", "mode")
 
     def __init__(self, restarts: int = 16, max_iterations: int = 2000, step_tolerance: float = STEP_TOL_DEFAULT,

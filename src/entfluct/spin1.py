@@ -7,7 +7,7 @@ rotation-invariant parameter; the concurrence is cos(2 phi), phi = 0 marks the
 completely entangled states and phi = pi/4 the coherent ones.
 """
 
-import numpy as np
+import math
 
 from .core import (CE_BASIS, CE_TOL_DEFAULT, UNIT_VECTOR_TOL, canonical, cartesian_of, check_phi, spherical_concurrence,
                    spherical_of)
@@ -36,20 +36,17 @@ def canonical_form(psi: StateVector) -> CanonicalForm:
     return CanonicalForm(*canonical(*psi.require("cartesian")))
 
 
-def spin_projection_operator(omega) -> np.ndarray:
+def spin_projection_operator(omega):
     """Spin projection onto a direction, the read-only Hermitian 3x3 matrix
     acting on Cartesian components as the infinitesimal rotation x -> i omega x x."""
+    import numpy as np  # here, the one function that builds an array
+
     w = np.asarray(omega, dtype=float).reshape(3)
     if not abs(np.linalg.norm(w) - 1.0) <= UNIT_VECTOR_TOL:  # also a non-finite direction
         raise ValueError(f"direction must be a unit vector within {UNIT_VECTOR_TOL:g}")
-    cross = np.array(
-        [
-            [0.0, -w[2], w[1]],
-            [w[2], 0.0, -w[0]],
-            [-w[1], w[0], 0.0],
-        ]
-    )
-    op = 1j * cross
+    op = 1j * np.array([[0.0, -w[2], w[1]],
+                        [w[2], 0.0, -w[0]],
+                        [-w[1], w[0], 0.0]])  # i times the cross-product matrix of omega
     op.setflags(write=False)
     return op
 
@@ -58,7 +55,7 @@ def expectation_magnitude_canonical(phi: float) -> float:
     """Maximal |<S_omega>| over directions for a state with invariant phi,
     attained at omega = mu x nu: sin(2 phi)."""
     check_phi(phi)
-    return float(np.sin(2.0 * phi))
+    return math.sin(2.0 * phi)
 
 
 def concurrence_spherical(psi: StateVector) -> float:
@@ -73,7 +70,7 @@ def zero_projection_axis(psi: StateVector, tol: float = CE_TOL_DEFAULT) -> tuple
     for canonical phi <= tol that direction is mu, with residual
     |S_mu psi| = sin(phi) <= 10 tol.
     """
-    if not 0 < tol < np.inf:
+    if not 0 < tol < math.inf:
         raise ValueError("tolerance must be positive and finite")
     form = canonical_form(psi)
     return form.mu if form.phi <= tol else None

@@ -35,11 +35,10 @@ def pair_sectors(uu: complex, ud: complex, du: complex, dd: complex) -> tuple:
 
 
 def embed_symmetric(psi: StateVector) -> StateVector:
-    """Triplet embedding: |+1> -> |uu>, |0> -> (|ud>+|du>)/sqrt(2), |-1> -> |dd>."""
+    """Triplet embedding: |+1> -> |uu>, |0> -> (|ud>+|du>)/sqrt(2), |-1> -> |dd>, psi_0 / sqrt(2) rounded as
+    `cli.build_analysis` rounds it, so its 2|det| is the analysis's `two_qubit_det` bit for bit."""
     p, z, m = psi.require("spherical", 3)
-    # z / sqrt(2) as numpy divides (Smith's formula), whose rounding and signed zeros Python's z / SQRT2 misses
-    r = 1.0 / SQRT2
-    mid = complex((z.real + z.imag * 0.0) * r, (z.imag - z.real * 0.0) * r)
+    mid = z / SQRT2
     return StateVector((p, mid, mid, m), "qubit-pair")
 
 

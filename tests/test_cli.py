@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import entfluct.cli
-from entfluct import StateVector, embed_symmetric, local_two_qubit_basis, spin_generators, to_spherical
+from entfluct import (StateVector, embed_symmetric, local_two_qubit_basis, pure_concurrence, spin_generators,
+                      to_spherical)
 from entfluct.cli import build_analysis, build_parser, main
 from entfluct.core import CE_TOL_DEFAULT, SQRT2, cartesian_of, spherical_of
 from entfluct.presets import PRESETS
@@ -713,14 +714,24 @@ class TestFlags:
         assert code == 2
         assert "cannot read" in err and "internal error" not in err
 
-    def test_defaults_come_from_the_code_that_reads_them(self):
-        from entfluct.core import CE_TOL_DEFAULT
-        from entfluct.cli import build_parser
-        from entfluct.variational import SearchConfig
+    def test_defaults_come_from_the_code_that_reads_them(self, capsys, monkeypatch):
+        # a search flag left out is not in the namespace: the search gets SearchConfig's own defaults
+        import entfluct.variational as variational
+        from entfluct.records import SearchConfig
 
+        searched = []
+        for name in ("maximize_total_variance", "minimize_total_variance"):
+            search = getattr(variational, name)
+            monkeypatch.setattr(variational, name, lambda basis, config, search=search, **kw: (
+                searched.append((search.__name__, config)) or search(basis, config, **kw)))
+        for argv, want in ((["search"], ("maximize_total_variance", SearchConfig())),
+                           (["search", "--mode", "minimize"],
+                            ("minimize_total_variance", SearchConfig(mode="minimize")))):
+            searched.clear()
+            code, out, _ = run(capsys, monkeypatch, [*argv, "--format", "json"])
+            assert code == 0 and json.loads(out)["mode"] == want[1].mode
+            assert searched == [want]
         parser = build_parser()
-        search = vars(parser.parse_args(["search"]))
-        assert {k: search[k] for k in vars(SearchConfig())} == vars(SearchConfig())
         assert parser.parse_args(["analyze"]).tol == CE_TOL_DEFAULT
         assert parser.parse_args(["preset", "analyze", "ce-psi0"]).tol == CE_TOL_DEFAULT
 
@@ -813,6 +824,16 @@ class TestColdPath:
                                          "assert 'numpy' not in sys.modules"])
         assert code == 0
         assert "entfluct.twoqubit" in modules and "numpy" not in modules
+
+    def test_the_spin1_closed_forms_run_without_numpy(self):
+        # spin1 imports numpy only in spin_projection_operator, the one function that builds an array
+        code, _, modules = _child(["-c", "from entfluct.spin1 import *; from entfluct.records import StateVector; "
+                                         "import sys; psi = to_cartesian(StateVector((0.6, 0.8j, 0), 'spherical')); "
+                                         "form = canonical_form(psi); concurrence_spherical(to_spherical(psi)); "
+                                         "zero_projection_axis(psi); expectation_magnitude_canonical(form.phi); "
+                                         "ce_basis(); assert 'numpy' not in sys.modules"])
+        assert code == 0
+        assert "entfluct.spin1" in modules and "numpy" not in modules
 
     def test_the_array_modules_import_no_dataclasses(self):
         # numpy itself imports inspect, typing and numbers, but not dataclasses
@@ -927,22 +948,29 @@ class TestValidatedOnce:
                 assert abs(np.sum(np.abs(out) ** 2) - 1) <= 8 * eps, (basis, a)
 
     @pytest.mark.parametrize("states", ["signed_zeros", "bulk"])
-    def test_embedding_keeps_numpys_division_bits(self, states):
-        # numpy's complex division by sqrt(2) adds a product with 0 into each part, which a plain
-        # multiplication would not: the signed zeros of the |0> amplitude tell the two apart
+    def test_embedding_divides_as_the_analysis_does(self, states):
+        # embed_symmetric embeds |0> by Python's z / SQRT2, as build_analysis does: the same
+        # components, signed zeros too, and so the same 2|det| bit for bit
         if states == "signed_zeros":
             parts = (0.0, -0.0, 0.6, -0.6)
-            states = [np.array([complex(pr, pi), complex(zr, zi), complex(math.sqrt(1 - zr * zr - zi * zi), -0.0)])
-                      for pr in (0.0, -0.0) for pi in (0.0, -0.0) for zr in parts for zi in parts]
+            states = [((complex(pr, pi), complex(zr, zi), complex(math.sqrt(1 - zr * zr - zi * zi), -0.0)),
+                       "spherical") for pr in (0.0, -0.0) for pi in (0.0, -0.0) for zr in parts for zi in parts]
         else:
-            states = [a if basis == "spherical" else to_spherical(StateVector(a, "cartesian")).amplitudes
+            states = [(tuple(a.tolist()), basis)
                       for a, basis, system in workloads.bulk_batch(0, 0) if system == "spin1"]
         assert states
-        for sph in states:
-            p, z, m = sph
-            want = np.array([p, z / SQRT2, z / SQRT2, m])
-            got = embed_symmetric(StateVector(sph, "spherical")).amplitudes
-            assert (got.view(np.uint64) == want.view(np.uint64)).all(), sph
+
+        def bits(values):
+            return np.array(values, dtype=complex).view(np.uint64).tolist()
+
+        for amps, basis in states:
+            psi = StateVector(amps, basis)
+            sph = psi if basis == "spherical" else to_spherical(psi)
+            p, z, m = sph.components
+            chi = embed_symmetric(sph)
+            assert bits(chi.components) == bits((p, z / SQRT2, z / SQRT2, m)), amps
+            det = build_analysis(amps, basis, "spin1", CE_TOL_DEFAULT, None)["concurrence"]["two_qubit_det"]
+            assert bits([pure_concurrence(chi)]) == bits([det]), amps
 
 
 def _leaves_of(value):
