@@ -6,14 +6,14 @@ from classical reality; its maximizers are the completely entangled (CE) states,
 characterized by all basis expectations vanishing. `core.variance_report` is the
 one place a state's V_tot, CE residual and variance concurrence come from, here
 from the expectations `moments` gives on any basis, in the CLI from the closed
-forms; the batched `variance` serves the search alone. The CE verdict is that
-residual held against a tolerance, by the tolerance's owner.
+forms. The CE verdict is that residual held against a tolerance, by the
+tolerance's owner.
 """
 
 import numpy as np
 
 from .algebra import ObservableBasis
-from .core import IMAG_TOL, VARIANCE_CLAMP, variance_report
+from .core import IMAG_TOL, variance_report
 from .records import Frozen, StateVector
 
 
@@ -22,30 +22,18 @@ def _apply(ops: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (ops @ x[:, None, :, None])[..., 0]
 
 
-def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Row-wise <x|y> over the last axis."""
-    return np.add.reduce(x.conj() * y, axis=-1)
-
-
 def moments(a: np.ndarray, basis: ObservableBasis):
     """(O a, <O>) for the rows of a (N, d): O a is (N, k, d) and <O> the real
     expectations (N, k) of the k elements in the normalized rows a / |a|. <C>
-    is `basis.casimir` in every state."""
+    is `basis.casimir` in every state. The basis acts on the components as given,
+    so they must be in its own representation; only their number is checked."""
     if a.ndim != 2 or a.shape[1] != basis.dim:
         raise ValueError(f"dimension mismatch: want states of shape (N, {basis.dim}), got {a.shape}")
     oa, ac = _apply(basis.operators, a), a.conj()
-    e = (oa @ ac[:, :, None])[..., 0] / np.add.reduce(ac * a, axis=-1).real[:, None]  # _inner(a, a), one conj
+    e = (oa @ ac[:, :, None])[..., 0] / np.add.reduce(ac * a, axis=-1).real[:, None]  # <a|a>, one conj
     if np.maximum.reduce(np.abs(e.imag), axis=None) > IMAG_TOL:
         raise ValueError("expectation has a non-negligible imaginary part")
     return oa, e.real
-
-
-def variance(square: np.ndarray, c: float) -> np.ndarray:
-    """V_tot = c - square per row, `square` the sum_i <O_i>^2 of moments' <O>, c the basis's Casimir."""
-    v = c - square
-    if np.minimum.reduce(v, axis=None) < -VARIANCE_CLAMP:
-        raise ValueError("total variance is negative beyond tolerance")
-    return np.maximum(v, 0.0)
 
 
 class FluctuationReport(Frozen):
@@ -61,7 +49,8 @@ def fluctuation_report(psi: StateVector, basis: ObservableBasis, v_min: float | 
                        v_max: float | None = None) -> FluctuationReport:
     """Assemble the full report. The variance concurrence sqrt((V_tot - v_min) /
     (v_max - v_min)), clamped to [0, 1], is included only when both bounds are
-    supplied."""
+    supplied. psi's components must be in the basis's own representation; its
+    label is not checked."""
     exps = tuple(moments(psi.amplitudes[None], basis)[1][0].tolist())
     return FluctuationReport(exps, *variance_report(exps, basis.casimir, v_min, v_max))
 

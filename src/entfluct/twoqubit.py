@@ -15,23 +15,18 @@ from .records import StateVector
 def pair_sectors(uu: complex, ud: complex, du: complex, dd: complex) -> tuple:
     """The triplet/singlet split of a unit qubit pair, (s, a, w_s, w_a, triplet):
     the symmetric part is (uu, s, s, dd) with s = (ud + du)/2, the singlet
-    amplitude a = (ud - du)/sqrt(2), their weights are w_s = |(uu, s, s, dd)|^2
-    and w_a = |a|^2, and the triplet is the spherical (uu, sqrt(2) s, dd) /
-    sqrt(w_s), the inverse of the embedding, renormalized; None where sqrt(w_s)
-    < SINGLET_NORM, a pure singlet.
-
-    The sums and scalings round as numpy's norm and division did on these
-    vectors: w_s adds the real parts' squares, then the imaginary parts', each
-    as two interleaved pairs, and a division by x is a product with 1/x."""
-    mid, singlet = (ud + du) / 2.0, (ud - du) * (1.0 / SQRT2)
-    w_s = ((uu.real * uu.real + mid.real * mid.real) + (mid.real * mid.real + dd.real * dd.real)) + (
-        (uu.imag * uu.imag + mid.imag * mid.imag) + (mid.imag * mid.imag + dd.imag * dd.imag))
+    amplitude a = (ud - du)/sqrt(2), their weights are w_s = |uu|^2 + 2|s|^2 +
+    |dd|^2 and w_a = |a|^2, and the triplet is the spherical (uu, sqrt(2) s, dd)
+    / sqrt(w_s), the inverse of the embedding, renormalized; None where
+    sqrt(w_s) < SINGLET_NORM, a pure singlet."""
+    mid, singlet = (ud + du) / 2.0, (ud - du) / SQRT2
+    w_s = (uu.real * uu.real + uu.imag * uu.imag) + 2.0 * (mid.real * mid.real + mid.imag * mid.imag) + (
+        dd.real * dd.real + dd.imag * dd.imag)
     w_a = singlet.real * singlet.real + singlet.imag * singlet.imag
     n = math.sqrt(w_s)
     if n < SINGLET_NORM:
         return mid, singlet, w_s, w_a, None
-    r = 1.0 / n
-    return mid, singlet, w_s, w_a, (uu * r, SQRT2 * mid * r, dd * r)
+    return mid, singlet, w_s, w_a, (uu / n, SQRT2 * mid / n, dd / n)
 
 
 def embed_symmetric(psi: StateVector) -> StateVector:

@@ -34,8 +34,8 @@ from numpy.linalg import _umath_linalg  # the gufuncs of np.linalg.solve and eig
 from numpy.random.bit_generator import ISeedSequence
 
 from .algebra import ObservableBasis
-from .core import GRADIENT_FLOOR, check_state_label
-from .fluctuations import _apply, _inner, moments, variance
+from .core import GRADIENT_FLOOR, VARIANCE_CLAMP, check_state_label
+from .fluctuations import _apply, moments
 from .records import Frozen, SearchConfig, StateVector
 
 STOP_REASONS = ("gradient", "stall", "cap")
@@ -52,13 +52,21 @@ class SearchResult(Frozen):
                "restart_stop", "restart_gradients")
 
 
+def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise <x|y> over the last axis."""
+    return np.add.reduce(x.conj() * y, axis=-1)
+
+
 def _value_and_gradient(a: np.ndarray, basis: ObservableBasis):
-    """V, the gradient -4 sum_i <O_i> h_i, O a, <O>, the centred
-    h_i = O_i a - <O_i> a and sum_i <O_i>^2 for every unit row of a (R, d)."""
+    """V = c - sum_i <O_i>^2 (clamped to 0 from -VARIANCE_CLAMP, an error below), the gradient
+    -4 sum_i <O_i> h_i, O a, <O>, the centred h_i = O_i a - <O_i> a and sum_i <O_i>^2 for every unit row of a (R, d)."""
     oa, e = moments(a, basis)
     h = oa - e[:, :, None] * a[:, None, :]
     square = np.add.reduce(e**2, axis=-1)
-    return variance(square, basis.casimir), -4.0 * np.add.reduce(e[:, :, None] * h, axis=1), oa, e, h, square
+    v = basis.casimir - square
+    if np.minimum.reduce(v, axis=None) < -VARIANCE_CLAMP:
+        raise ValueError("total variance is negative beyond tolerance")
+    return np.maximum(v, 0.0), -4.0 * np.add.reduce(e[:, :, None] * h, axis=1), oa, e, h, square
 
 
 def _line_coefficients(d, oa, e, basis: ObservableBasis) -> np.ndarray:
@@ -202,7 +210,8 @@ def maximize_total_variance(
 ) -> SearchResult:
     """Search for the state of maximal total variance (a CE state). The maximizers
     are the zeros of r = <O>; each step searches along -sum_j x_j h_j, (G + mu) x = r,
-    h_i = O_i a - r_i a, with G_ij = Re<h_i|h_j> the covariance matrix of the basis (tr G = V)."""
+    h_i = O_i a - r_i a, with G_ij = Re<h_i|h_j> the covariance matrix of the basis (tr G = V).
+    The basis acts on the state_label representation; the label is checked for dimension only."""
     return _search(basis, config, "maximize", state_label)
 
 
@@ -211,5 +220,6 @@ def minimize_total_variance(
 ) -> SearchResult:
     """Search for the state of minimal total variance (a coherent state). Each restart
     starts at the lowest eigenvector of F = c - 2 sum_i <O_i> O_i:
-    the coherent state along <S> (V = j) for spin j, a product of two (V = 1) for the pair."""
+    the coherent state along <S> (V = j) for spin j, a product of two (V = 1) for the pair.
+    The basis acts on the state_label representation; the label is checked for dimension only."""
     return _search(basis, config, "minimize", state_label)

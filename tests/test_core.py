@@ -8,6 +8,7 @@ within 8 eps, the exact concurrences within CROSS_CHECK_TOL. Every verdict
 (CE, nu defined, the cross-check) must be the public pipeline's."""
 
 import io
+import math
 import sys
 from pathlib import Path
 
@@ -19,9 +20,9 @@ from entfluct import (StateVector, canonical_form, concurrence_from_phi, concurr
                       fluctuation_report, local_two_qubit_basis, moments, pure_concurrence, spin_generators,
                       spin_projection_operator, to_cartesian, to_spherical, total_variance)
 import entfluct.twoqubit
-from entfluct.core import (CE_TOL_DEFAULT, CROSS_CHECK_TOL, NU_CUTOFF, SINGLET_NORM, canonical, cartesian_of,
-                           pair_concurrence, pair_expectations, spherical_concurrence, spherical_of, spin1_expectations,
-                           variance_report)
+from entfluct.core import (CE_TOL_DEFAULT, CROSS_CHECK_TOL, NU_CUTOFF, SINGLET_NORM, SQRT2, canonical,
+                           cartesian_of, pair_concurrence, pair_expectations, spherical_concurrence, spherical_of,
+                           spin1_expectations, variance_report)
 from entfluct.presets import PRESETS
 from entfluct.twoqubit import pair_sectors
 
@@ -151,6 +152,29 @@ def test_pair_sectors_hold_against_the_swap_projection():
         assert anti == 0 and w_a == 0
         assert np.max(np.abs(np.array(triplet) - psi.amplitudes)) <= 4 * EPS, psi.amplitudes
     assert pair_sectors(*singlet.tolist())[4] is None
+
+
+def test_pair_sectors_divide_as_the_embedding_does():
+    # the singlet divides by SQRT2 as embed_symmetric and build_analysis do, and the triplet
+    # divides by n = sqrt(w_s): no product with a reciprocal, bit for bit, signed zeros too
+    pairs = [a for b in range(4) for a, basis, _ in workloads.bulk_batch(0, b) if basis == "qubit-pair"]
+    pairs.append(entfluct.twoqubit.singlet().amplitudes)
+    assert len(pairs) > 400
+
+    def bits(*values):
+        return np.array(values, dtype=complex).view(np.uint64).tolist()
+
+    for a in pairs:
+        uu, ud, du, dd = a.tolist()
+        mid, anti, w_s, w_a, triplet = pair_sectors(uu, ud, du, dd)
+        assert bits(anti) == bits((ud - du) / SQRT2), a
+        assert abs(w_s + w_a - 1) <= 4 * EPS, a
+        n = math.sqrt(w_s)
+        if n < SINGLET_NORM:
+            assert triplet is None, a
+            continue
+        assert bits(*triplet) == bits(uu / n, SQRT2 * mid / n, dd / n), a
+    assert pair_sectors(*pairs[-1].tolist())[4] is None
 
 
 def test_decompose_and_the_public_split_share_one_kernel(monkeypatch):

@@ -1,3 +1,6 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,8 +18,12 @@ from entfluct import (
     to_cartesian,
     total_variance,
 )
-from entfluct.fluctuations import _apply, variance
+from entfluct.fluctuations import _apply
+from entfluct.variational import _value_and_gradient
 from util import random_basis, random_orthogonal, random_orthonormal_pair, random_state, state_from_canonical
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import workloads  # noqa: E402  (bench/workloads.py: the benchmark's seeded and edge states)
 
 SQ2 = np.sqrt(2.0)
 SPIN1 = spin_generators(1)
@@ -146,6 +153,20 @@ class TestMoments:
             assert np.max(np.abs(e[0] - first)) <= 1e-14
             assert abs(basis.casimir - second.sum()) <= 1e-13
             assert abs(total_variance(psi, basis) - (second - first**2).sum()) <= 1e-13
+
+    def test_each_representation_with_its_own_basis(self):
+        # the basis acts on the components as given: a spherical state on the spherical
+        # generators and its cartesian components on the cartesian ones report the same
+        # <S_i> within 4 eps and V within 8 eps (two roundings apart on values up to 2)
+        cartesian = ObservableBasis([spin_projection_operator(e) for e in np.eye(3)], label="su2-spin-1")
+        states = [a for b in range(10) for a, basis, _ in workloads.bulk_batch(0, b) if basis == "spherical"]
+        assert len(states) == 2579
+        eps = np.finfo(float).eps
+        for a in states:
+            psi = StateVector(a, "spherical")
+            sph, cart = fluctuation_report(psi, SPIN1), fluctuation_report(to_cartesian(psi), cartesian)
+            assert np.max(np.abs(np.subtract(sph.expectations, cart.expectations))) <= 4 * eps, a
+            assert abs(sph.v_tot - cart.v_tot) <= 8 * eps, a
 
     def test_expectations_of_the_normalized_state(self):
         rng = np.random.default_rng(13)
@@ -295,9 +316,10 @@ class TestReport:
         # with c = 0.5 the CE rows give V = 0.5 and the coherent row along (1, 1, 1)/sqrt(3)
         # V = -0.5 (summed over rows instead, each <S_i>^2 = 1/3 would leave V = 1/6): only the
         # last row's V is negative
+        basis = ObservableBasis(SPIN1.operators, SPIN1.label)
+        object.__setattr__(basis, "casimir", 0.5)
         along = np.linalg.eigh(SPIN1.operators.sum(axis=0) / np.sqrt(3))[1][:, -1]
-        _, e = moments(np.array([[0, 1, 0], [0, 1, 0], along], dtype=complex), SPIN1)
-        square = np.add.reduce(e**2, axis=-1)
-        assert variance(square[:2], 0.5) == pytest.approx([0.5, 0.5])
+        rows = np.array([[0, 1, 0], [0, 1, 0], along], dtype=complex)
+        assert _value_and_gradient(rows[:2], basis)[0] == pytest.approx([0.5, 0.5])
         with pytest.raises(ValueError, match="negative"):
-            variance(square, 0.5)
+            _value_and_gradient(rows, basis)

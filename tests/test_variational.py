@@ -21,8 +21,7 @@ from entfluct import (
 )
 from entfluct import variational
 from entfluct.core import GRADIENT_FLOOR, STEP_TOL_DEFAULT
-from entfluct.fluctuations import _inner
-from entfluct.variational import _best_angle, _line_coefficients, _line_terms, _value_and_gradient
+from entfluct.variational import _best_angle, _inner, _line_coefficients, _line_terms, _value_and_gradient
 from util import non_lie_basis, random_basis, random_state
 
 SPIN1 = spin_generators(1)
