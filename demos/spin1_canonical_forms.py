@@ -46,7 +46,7 @@ for psi in samples:
     values = (
         concurrence_spherical(psi),
         concurrence_from_phi(form.phi),
-        fluctuation_report(psi, basis, 1.0, 2.0).concurrence_variance,
+        fluctuation_report(psi, basis, (1.0, 2.0)).concurrence_variance,
         pure_concurrence(embed_symmetric(psi)),
     )
     comps = " ".join(f"{c.real:+.3f}{c.imag:+.3f}i" for c in psi.amplitudes)

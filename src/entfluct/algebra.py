@@ -94,14 +94,10 @@ def _spin_generators(two_j: int) -> ObservableBasis:
     return ObservableBasis([sx, sy, sz], label=_spin_label(two_j))
 
 
+@functools.lru_cache(maxsize=None)
 def local_two_qubit_basis() -> ObservableBasis:
     """{s_a (x) I, I (x) s_a} on the qubit pair, basis order uu, ud, du, dd;
     built once."""
-    return _local_two_qubit_basis()
-
-
-@functools.lru_cache(maxsize=None)
-def _local_two_qubit_basis() -> ObservableBasis:
     half, eye = spin_generators(0.5).operators, np.eye(2)
     return ObservableBasis([np.kron(o, eye) for o in half] + [np.kron(eye, o) for o in half], label="local-2qubit")
 

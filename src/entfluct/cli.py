@@ -123,12 +123,12 @@ def build_analysis(amps, basis_label: str, system: str, tol: float, original_nor
         echo["original_norm"] = original_norm
     hint = "; for a qubit pair pass --system two-qubit" if basis_label == "qubit-pair" else ""
     _checked(a, basis_label, system, f"{system} analysis needs", hint)  # the one check of the state
-    basis, _, _, casimir, (v_min, v_max) = _SYSTEMS[system]
+    basis, _, _, casimir, bounds = _SYSTEMS[system]
     form = None
     if system == "spin1":
         sph, cart = (spherical_of(*a), a) if basis_label == "cartesian" else (a, cartesian_of(*a))
         exps = spin1_expectations(*sph)
-        v_tot, residual, ratio = variance_report(exps, casimir, v_min, v_max)
+        v_tot, residual, ratio = variance_report(exps, casimir, bounds)
         theta, phi, mu, nu = canonical(*cart)
         form = {"theta": theta, "phi": phi, "mu": list(mu), "nu": None if nu is None else list(nu),
                 "nu_defined": nu is not None}
@@ -142,7 +142,7 @@ def build_analysis(amps, basis_label: str, system: str, tol: float, original_nor
         }
     else:
         exps = pair_expectations(*a)
-        v_tot, residual, ratio = variance_report(exps, casimir, v_min, v_max)
+        v_tot, residual, ratio = variance_report(exps, casimir, bounds)
         concurrences = {"variance_ratio": ratio, "two_qubit_det": pair_concurrence(*a)}
     return {
         "schema_version": SCHEMA_VERSION,
@@ -153,8 +153,8 @@ def build_analysis(amps, basis_label: str, system: str, tol: float, original_nor
             "basis": basis,
             "expectations": list(exps),
             "v_tot": v_tot,
-            "v_min": v_min,
-            "v_max": v_max,
+            "v_min": bounds[0],
+            "v_max": bounds[1],
             "ce_residual": residual,
             "concurrence_variance": ratio,
         },

@@ -26,9 +26,9 @@ PHI_SLACK = 1e-12  # rounding allowed outside [0, pi/4] for the canonical phi
 IMAG_TOL = 1e-10  # |Im <O>| accepted as rounding
 VARIANCE_CLAMP = 1e-12  # a negative total variance down to -VARIANCE_CLAMP is rounding, clamped to 0
 BOUND_SLACK = 1e-9  # V_tot may leave [V_min, V_max] by this much
-CE_TOL_DEFAULT = 1e-9  # CE verdict on max_i |<O_i>|, and on the canonical phi (--tol)
+CE_TOL_DEFAULT = 1e-9  # --tol's default CE bound on max_i |<O_i>|, and the bound zero_projection_axis puts on phi
 NU_CUTOFF = 1e-9  # below this |Im| norm the canonical nu is undefined
-PROJECT_TOL_DEFAULT = 1e-9  # largest singlet amplitude project_spin1 accepts
+PROJECT_TOL = 1e-9  # largest singlet amplitude project_spin1 accepts
 SINGLET_NORM = 1e-12  # triplet-part norm below which a pair is a pure singlet
 STEP_TOL_DEFAULT = 1e-12  # tangent-gradient norm at which a search restart stops
 GRADIENT_FLOOR = 8  # tangent gradient, in eps c sqrt(d), at which a restart stops on stall (< 1e-12 for j <= 10)
@@ -112,13 +112,11 @@ def pair_expectations(uu: complex, ud: complex, du: complex, dd: complex) -> tup
     return first.real, first.imag, (a + b - c - d) / (2 * n), second.real, second.imag, (a - b + c - d) / (2 * n)
 
 
-def variance_report(exps, casimir: float, v_min=None, v_max=None) -> tuple:
+def variance_report(exps, casimir: float, bounds=None) -> tuple:
     """(V_tot = c - sum_i <O_i>^2, the CE residual max_i |<O_i>|, the variance
     concurrence sqrt((V_tot - v_min) / (v_max - v_min)) clamped to [0, 1], or
-    None without bounds). A V_tot below -VARIANCE_CLAMP, or outside the bounds
-    by more than BOUND_SLACK, is a ValueError."""
-    if (v_min is None) != (v_max is None):
-        raise ValueError("pass both variance bounds or neither")
+    None without the bounds pair (v_min, v_max)). A V_tot below -VARIANCE_CLAMP,
+    or outside the bounds by more than BOUND_SLACK, is a ValueError."""
     square = 0.0
     for e in exps:
         square += e * e
@@ -127,8 +125,9 @@ def variance_report(exps, casimir: float, v_min=None, v_max=None) -> tuple:
         raise ValueError("total variance is negative beyond tolerance")
     v = max(v, 0.0)
     residual = max(map(abs, exps))
-    if v_min is None:
+    if bounds is None:
         return v, residual, None
+    v_min, v_max = bounds
     if not -math.inf < v_min < v_max < math.inf:
         raise ValueError("variance bounds must be finite with v_max > v_min")
     if v < v_min - BOUND_SLACK or v > v_max + BOUND_SLACK:

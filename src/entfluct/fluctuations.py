@@ -45,14 +45,13 @@ class FluctuationReport(Frozen):
     _FIELDS = ("expectations", "v_tot", "ce_residual", "concurrence_variance")
 
 
-def fluctuation_report(psi: StateVector, basis: ObservableBasis, v_min: float | None = None,
-                       v_max: float | None = None) -> FluctuationReport:
+def fluctuation_report(psi: StateVector, basis: ObservableBasis, bounds: tuple | None = None) -> FluctuationReport:
     """Assemble the full report. The variance concurrence sqrt((V_tot - v_min) /
-    (v_max - v_min)), clamped to [0, 1], is included only when both bounds are
-    supplied. psi's components must be in the basis's own representation; its
-    label is not checked."""
+    (v_max - v_min)), clamped to [0, 1], is included only when the bounds pair
+    (v_min, v_max) is supplied. psi's components must be in the basis's own
+    representation; its label is not checked."""
     exps = tuple(moments(psi.amplitudes[None], basis)[1][0].tolist())
-    return FluctuationReport(exps, *variance_report(exps, basis.casimir, v_min, v_max))
+    return FluctuationReport(exps, *variance_report(exps, basis.casimir, bounds))
 
 
 def total_variance(psi: StateVector, basis: ObservableBasis) -> float:

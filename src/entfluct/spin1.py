@@ -63,17 +63,15 @@ def concurrence_spherical(psi: StateVector) -> float:
     return spherical_concurrence(*psi.require("spherical", 3))
 
 
-def zero_projection_axis(psi: StateVector, tol: float = CE_TOL_DEFAULT) -> tuple | None:
+def zero_projection_axis(psi: StateVector) -> tuple | None:
     """Axis with (near-)vanishing spin projection, or None.
 
     CE states are exactly those with spin projection zero onto some direction;
-    for canonical phi <= tol that direction is mu, with residual
-    |S_mu psi| = sin(phi) <= 10 tol.
+    for canonical phi <= CE_TOL_DEFAULT that direction is mu, with residual
+    |S_mu psi| = sin(phi) <= phi.
     """
-    if not 0 < tol < math.inf:
-        raise ValueError("tolerance must be positive and finite")
     form = canonical_form(psi)
-    return form.mu if form.phi <= tol else None
+    return form.mu if form.phi <= CE_TOL_DEFAULT else None
 
 
 def ce_basis():

@@ -8,7 +8,7 @@ states are StateVector(amplitudes, "qubit-pair") over |uu>, |ud>, |du>, |dd>.
 
 import math
 
-from .core import PROJECT_TOL_DEFAULT, SINGLET_NORM, SQRT2, pair_concurrence
+from .core import PROJECT_TOL, SINGLET_NORM, SQRT2, pair_concurrence
 from .records import StateVector
 
 
@@ -44,19 +44,17 @@ def sector_split(chi: StateVector):
     return (uu, mid, mid, dd), singlet_amplitude
 
 
-def project_spin1(chi: StateVector, tol: float = PROJECT_TOL_DEFAULT) -> StateVector:
+def project_spin1(chi: StateVector) -> StateVector:
     """Inverse of embed_symmetric on the triplet sector, renormalized, by `pair_sectors`.
 
-    Rejects states with an antisymmetric component above tol: they do not lie
-    in the spin-1 subspace.
+    Rejects states with an antisymmetric component above PROJECT_TOL: they do
+    not lie in the spin-1 subspace.
     """
-    if not tol >= 0:  # also NaN
-        raise ValueError(f"tol must be >= 0, got {tol}")
     _, anti, _, _, triplet = pair_sectors(*chi.require("qubit-pair"))
     if triplet is None:
         raise ValueError("state has zero symmetric part (pure singlet)")
-    if abs(anti) > tol:
-        raise ValueError(f"antisymmetric component {abs(anti):.3e} exceeds tolerance {tol:.3e}")
+    if abs(anti) > PROJECT_TOL:
+        raise ValueError(f"antisymmetric component {abs(anti):.3e} exceeds tolerance {PROJECT_TOL:.3e}")
     return StateVector(triplet, "spherical")
 
 

@@ -54,7 +54,7 @@ def test_criterion_1_four_oracle_concurrence_agreement():
         values = [
             concurrence_spherical(psi),
             concurrence_from_phi(canonical_form(to_cartesian(psi)).phi),
-            fluctuation_report(psi, SPIN1, 1.0, 2.0).concurrence_variance,
+            fluctuation_report(psi, SPIN1, (1.0, 2.0)).concurrence_variance,
             pure_concurrence(embed_symmetric(psi)),
         ]
         worst = max(worst, max(abs(a - b) for a in values for b in values))

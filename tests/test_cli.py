@@ -803,10 +803,11 @@ class TestColdPath:
     cli once, as __main__: no module it imports imports `entfluct.cli` again."""
 
     def test_importing_the_cli_imports_none_of_the_excluded(self):
-        code, _, modules = _child(["-c", "import entfluct.cli, sys; "
-                                         "assert not {'numpy', 'dataclasses', 'inspect', 'numbers'} & {*sys.modules}"])
+        code, _, modules = _child(["-c", "import entfluct.cli, entfluct.twoqubit, entfluct.spin1, sys; "
+                                         "assert not {'numpy', 'dataclasses', 'inspect', 'numbers', "
+                                         "'entfluct.presets'} & {*sys.modules}"])
         assert code == 0
-        assert "entfluct.core" in modules and not _excluded(modules)
+        assert "entfluct.core" in modules and not _excluded(modules) and "entfluct.presets" not in modules
 
     def test_a_state_is_built_and_compared_without_numpy(self):
         code, _, modules = _child(["-c", "from entfluct.records import StateVector; import sys; "

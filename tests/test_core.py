@@ -193,7 +193,7 @@ def _public_document(a, basis, system, tol):
     psi = StateVector(a, basis)
     if system == "spin1":
         sph_psi = psi if basis == "spherical" else to_spherical(psi)
-        report = fluctuation_report(sph_psi, spin_generators(1), 1.0, 2.0)
+        report = fluctuation_report(sph_psi, spin_generators(1), (1.0, 2.0))
         form = canonical_form(psi if basis == "cartesian" else to_cartesian(psi))
         concurrences = {"spherical_formula": concurrence_spherical(sph_psi),
                         "canonical_phi": concurrence_from_phi(form.phi),
@@ -201,7 +201,7 @@ def _public_document(a, basis, system, tol):
                         "two_qubit_det": pure_concurrence(embed_symmetric(sph_psi))}
         nu_defined = form.nu is not None
     else:
-        report = fluctuation_report(psi, local_two_qubit_basis(), 1.0, 1.5)
+        report = fluctuation_report(psi, local_two_qubit_basis(), (1.0, 1.5))
         concurrences = {"variance_ratio": report.concurrence_variance, "two_qubit_det": pure_concurrence(psi)}
         nu_defined = None
     cross = entfluct.cli._concurrence_json(concurrences)

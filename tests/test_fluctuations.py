@@ -179,7 +179,7 @@ class TestMoments:
         # |a|^2 - 1 = 1e-13 is accepted; V_tot must still be that of a / |a|
         psi = StateVector([1.00000000000005, 0, 0], "spherical")
         assert total_variance(psi, SPIN1) == pytest.approx(1.0, abs=1e-15)
-        assert fluctuation_report(psi, SPIN1, 1.0, 2.0).concurrence_variance <= 5e-8
+        assert fluctuation_report(psi, SPIN1, (1.0, 2.0)).concurrence_variance <= 5e-8
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
@@ -248,38 +248,41 @@ class TestCompletelyEntangled:
 
 class TestVarianceConcurrence:
     def test_m0(self):
-        assert fluctuation_report(sph([0, 1, 0]), SPIN1, 1.0, 2.0).concurrence_variance == pytest.approx(1.0)
+        assert fluctuation_report(sph([0, 1, 0]), SPIN1, (1.0, 2.0)).concurrence_variance == pytest.approx(1.0)
 
     def test_m_plus1(self):
-        assert fluctuation_report(sph([1, 0, 0]), SPIN1, 1.0, 2.0).concurrence_variance == pytest.approx(0.0, abs=1e-7)
+        assert fluctuation_report(sph([1, 0, 0]), SPIN1, (1.0, 2.0)).concurrence_variance == pytest.approx(0.0, abs=1e-7)
 
     def test_matches_cos_2phi(self):
         rng = np.random.default_rng(9)
         for _ in range(50):
             psi = random_state(rng, 3)
-            c = fluctuation_report(psi, SPIN1, 1.0, 2.0).concurrence_variance
+            c = fluctuation_report(psi, SPIN1, (1.0, 2.0)).concurrence_variance
             phi = canonical_form(to_cartesian(psi)).phi
             assert c == pytest.approx(abs(np.cos(2 * phi)), abs=1e-9)
 
     def test_rejects_inverted_bounds(self):
         with pytest.raises(ValueError):
-            fluctuation_report(sph([0, 1, 0]), SPIN1, 2.0, 1.0)
+            fluctuation_report(sph([0, 1, 0]), SPIN1, (2.0, 1.0))
 
-    @pytest.mark.parametrize("v_min,v_max", [
-        (np.nan, 2.0), (1.0, np.nan), (1.0, np.inf), (-np.inf, 2.0), (1.0, None), (None, 2.0),
-    ])
-    def test_rejects_non_finite_or_single_bounds(self, v_min, v_max):
+    @pytest.mark.parametrize("bounds", [(np.nan, 2.0), (1.0, np.nan), (1.0, np.inf), (-np.inf, 2.0)])
+    def test_rejects_non_finite_bounds(self, bounds):
         with pytest.raises(ValueError, match="bounds"):
-            fluctuation_report(sph([0, 1, 0]), SPIN1, v_min, v_max)
+            fluctuation_report(sph([0, 1, 0]), SPIN1, bounds)
+
+    @pytest.mark.parametrize("bounds", [2.0, (1.0, 1.5, 2.0)])
+    def test_rejects_bounds_that_are_not_a_pair(self, bounds):
+        with pytest.raises((TypeError, ValueError)):
+            fluctuation_report(sph([0, 1, 0]), SPIN1, bounds)
 
     def test_rejects_inconsistent_bounds(self):
         with pytest.raises(ValueError):
-            fluctuation_report(sph([0, 1, 0]), SPIN1, 3.0, 4.0)
+            fluctuation_report(sph([0, 1, 0]), SPIN1, (3.0, 4.0))
 
 
 class TestReport:
     def test_full_report(self):
-        report = fluctuation_report(sph([0, 1, 0]), SPIN1, 1.0, 2.0)
+        report = fluctuation_report(sph([0, 1, 0]), SPIN1, (1.0, 2.0))
         assert report.v_tot == pytest.approx(2.0, abs=1e-12)
         assert report.ce_residual < 1e-12
         assert report.concurrence_variance == pytest.approx(1.0)

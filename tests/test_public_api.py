@@ -3,6 +3,7 @@ pinned here, so that a new public name needs a deliberate edit of this list:
 a name stays only if the paper's physics or the command-line front end needs
 it, not because a test calls it."""
 
+import inspect
 import types
 
 import entfluct
@@ -60,3 +61,15 @@ def test_canonical_form_is_a_plain_report():
     fields = list(form._FIELDS)
     assert fields == ["theta", "phi", "mu", "nu"]
     assert [name for name in dir(form) if not name.startswith("_") and name not in fields] == []
+
+
+def test_no_public_function_takes_a_tolerance():
+    # every threshold the library applies is read from core's tolerance block
+    functions = [getattr(entfluct, name) for name in entfluct.__all__]
+    functions = [f for f in functions if callable(f) and not inspect.isclass(f)]
+    tuned = [(f.__name__, p) for f in functions for p in inspect.signature(f).parameters if "tol" in p]
+    assert functions and tuned == []
+
+
+def test_fluctuation_report_takes_the_bounds_as_one_pair():
+    assert list(inspect.signature(entfluct.fluctuation_report).parameters) == ["psi", "basis", "bounds"]

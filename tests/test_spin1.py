@@ -16,7 +16,7 @@ from entfluct import (
     to_spherical,
     zero_projection_axis,
 )
-from entfluct.core import PHI_SLACK
+from entfluct.core import CE_TOL_DEFAULT, PHI_SLACK
 from util import random_orthogonal, random_orthonormal_pair, random_state, state_from_canonical
 
 SQ2 = np.sqrt(2.0)
@@ -233,11 +233,14 @@ class TestZeroProjectionAxis:
     def test_coherent_has_none(self):
         assert zero_projection_axis(cart([1 / SQ2, 1j / SQ2, 0])) is None
 
-    @pytest.mark.parametrize("bad", [np.inf, np.nan, 0.0, -1.0])
-    def test_tolerance_must_be_positive_and_finite(self, bad):
-        # at tol = inf the coherent |+1> would get the axis [-1, 0, 0], residual sin(pi/4)
-        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
-            zero_projection_axis(to_cartesian(sph([1, 0, 0])), bad)
+    @pytest.mark.parametrize("scale,found", [(0.5, True), (2.0, False)])
+    def test_phi_threshold_is_ce_tol_default(self, scale, found):
+        mu, nu = (0.6, 0.0, 0.8), (0.0, 1.0, 0.0)
+        axis = zero_projection_axis(state_from_canonical(0.3, scale * CE_TOL_DEFAULT, mu, nu))
+        if found:
+            assert np.allclose(axis, mu, atol=1e-12)
+        else:
+            assert axis is None
 
     def test_ce_basis_members(self):
         for psi in ce_basis():
@@ -257,13 +260,13 @@ class TestZeroProjectionAxis:
             psi_c = StateVector(
                 np.exp(1j * theta) * (r @ np.array([0, 0, 1.0])), "cartesian"
             )
-            assert zero_projection_axis(psi_c, 1e-9) is not None
+            assert zero_projection_axis(psi_c) is not None
             flag = fluctuation_report(to_spherical(psi_c), basis).ce_residual <= 1e-9
             assert flag
         for _ in range(20):
             psi = random_state(rng, 3)
             psi_c = to_cartesian(psi)
-            has_axis = zero_projection_axis(psi_c, 1e-9) is not None
+            has_axis = zero_projection_axis(psi_c) is not None
             flag = fluctuation_report(psi, basis).ce_residual <= 1e-9
             assert has_axis == flag
 

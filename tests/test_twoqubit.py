@@ -13,6 +13,7 @@ from entfluct import (
     singlet,
     spin_generators,
 )
+from entfluct.core import PROJECT_TOL
 from util import random_state
 
 SQ2 = np.sqrt(2.0)
@@ -75,17 +76,26 @@ class TestProjectSpin1:
         eps = 1e-10
         a = np.array([0, 1 / SQ2 + eps, 1 / SQ2 - eps, 0])
         chi = pair(a / np.linalg.norm(a))
-        assert np.allclose(project_spin1(chi, tol=1e-9).amplitudes, [0, 1, 0], atol=1e-9)
+        assert np.allclose(project_spin1(chi).amplitudes, [0, 1, 0], atol=1e-9)
 
     def test_large_antisymmetric_part_rejected(self):
         a = np.array([0.5, 0.7, 0.1, 0.5])
         chi = pair(a / np.linalg.norm(a))
         with pytest.raises(ValueError, match="antisymmetric"):
-            project_spin1(chi, tol=1e-9)
+            project_spin1(chi)
 
-    def test_nan_tolerance_rejected(self):
-        with pytest.raises(ValueError, match="tol must be"):
-            project_spin1(pair([1.0, 0.0, 0.0, 0.0]), tol=np.nan)
+    @pytest.mark.parametrize("scale,accepted", [(0.5, True), (2.0, False)])
+    def test_singlet_amplitude_threshold_is_project_tol(self, scale, accepted):
+        # a unit pair whose singlet amplitude is scale * PROJECT_TOL, on top of |0> = (|ud> + |du>)/sqrt(2)
+        a = scale * PROJECT_TOL
+        s = np.sqrt(1 - a * a)
+        chi = pair([0, (s + a) / SQ2, (s - a) / SQ2, 0])
+        assert abs(sector_split(chi)[1]) == pytest.approx(a, rel=1e-6)
+        if accepted:
+            assert np.allclose(project_spin1(chi).amplitudes, [0, 1, 0], atol=1e-12)
+        else:
+            with pytest.raises(ValueError, match=f"exceeds tolerance {PROJECT_TOL:.3e}"):
+                project_spin1(chi)
 
 
 class TestSinglet:
