@@ -5,7 +5,9 @@ part moved. Run it on two trees and compare the lines:
     PYTHONPATH=src python tests/traffic.py
 
 It prints `<part> <sha256>` for each part, then the overall sha256 alone on
-the last line. The parts, in this order:
+the last line; with `--record` it also writes them, with the Python and numpy
+versions that made them, to `tests/traffic_digests.json`, which
+`tests/test_traffic.py` holds every part against. The parts, in this order:
 - `cli`: the stdout and exit code of a fixed set of CLI runs, in-process through
   `cli.main`: `preset list`, `preset show` and `preset analyze` of every
   preset, seeded `analyze` in both formats with and without `--normalize` on
@@ -34,7 +36,8 @@ the last line. The parts, in this order:
   norm. Each seed draws its own start set from one Philox stream.
 
 It calls nothing but `cli.main` and the public search functions. pytest does
-not collect it.
+not collect it; a change that moves an output records the file again and names
+each part that moved.
 """
 
 import contextlib
@@ -46,6 +49,7 @@ import json
 import math
 import os
 import pathlib
+import platform
 import sys
 from unittest import mock
 
@@ -57,6 +61,8 @@ import workloads  # noqa: E402  (bench/workloads.py)
 from entfluct import (SearchConfig, local_two_qubit_basis, maximize_total_variance,  # noqa: E402
                       minimize_total_variance, spin_generators)
 from entfluct.cli import main  # noqa: E402
+
+RECORD = pathlib.Path(__file__).with_name("traffic_digests.json")
 
 
 def _unit(rng, dim: int) -> np.ndarray:
@@ -163,9 +169,14 @@ class _Tee:
 
 
 if __name__ == "__main__":
-    total = hashlib.sha256()
+    total, digests = hashlib.sha256(), {}
     for name, traffic in parts():
         tee = _Tee(total)
         traffic(tee)
-        print(name, tee.part.hexdigest())
+        digests[name] = tee.part.hexdigest()
+        print(name, digests[name])
     print(total.hexdigest())
+    if sys.argv[1:] == ["--record"]:
+        record = {"python": platform.python_version(), "numpy": np.__version__, "parts": digests,
+                  "overall": total.hexdigest()}
+        RECORD.write_text(json.dumps(record, indent=2) + "\n")
