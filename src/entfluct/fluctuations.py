@@ -18,8 +18,10 @@ from .records import Frozen, StateVector
 
 
 def _apply(ops: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """O x, (N, len(ops), d), for the rows of x (N, d): one stacked matmul, each row rounded alike for any N."""
-    return (ops @ x[:, None, :, None])[..., 0]
+    """O x, (N, len(ops), d), for the rows of x (N, d): each row times the (d, k d) table of the k operators
+    stacked, a transposed view (a copy would round a row differently as N changes), each row rounded alike for
+    any N."""
+    return (x[:, None, :] @ ops.reshape(-1, ops.shape[-1]).T).reshape(len(x), *ops.shape[:2])
 
 
 def moments(a: np.ndarray, basis: ObservableBasis):

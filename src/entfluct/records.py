@@ -97,14 +97,15 @@ class SearchConfig(Frozen):
         import numbers  # here, not at the top: no command but search builds a config
 
         for name, value in (("restarts", restarts), ("max_iterations", max_iterations), ("seed", seed)):
-            # an int or numpy integer, not a bool, float or string
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            # an int or numpy integer, not a bool, float or string; a plain int skips the slower ABC check
+            if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         restarts, max_iterations, seed = int(restarts), int(max_iterations), int(seed)
         if restarts < 1 or max_iterations < 1:
             raise ValueError("restarts and max_iterations must be positive")
         tol = step_tolerance  # a real number, not a bool or string
-        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < math.inf:
+        if (type(tol) is not float and (isinstance(tol, bool) or not isinstance(tol, numbers.Real))
+                or not 0 < tol < math.inf):
             raise ValueError("step_tolerance must be positive and finite")
         if mode not in MODES:
             raise ValueError("mode must be 'maximize' or 'minimize'")

@@ -9,8 +9,8 @@ search evaluates that polynomial on a 128-point grid, one matmul with a module
 table of the grid's four line terms padded by one cyclic neighbour at each end,
 so a grid point's neighbours are slices, and polishes the best grid point of each
 of its (at most two) local maxima with two clipped Newton steps that compute the
-first two derivatives alone; V itself is evaluated once more, to pick the best
-polished point. The gradient is 2 (F - <F>) a with F = c - 2 sum_i <O_i> O_i.
+first two derivatives alone, the first from a table of their sines on the grid;
+V itself is evaluated once more, to pick the best polished point. The gradient is 2 (F - <F>) a with F = c - 2 sum_i <O_i> O_i.
 Maximize steps along the damped Gauss-Newton direction of the CE condition
 <O_i> = 0. Minimize first moves each start to the lowest eigenvector of F there,
 which never raises V. On a Lie-algebra basis (spin j, its rotations and unitary
@@ -23,8 +23,8 @@ on one Philox stream keyed by the seed, handed the key directly so that it draws
 no OS entropy, and advance together as the rows of one (R, d) array, every
 operation (eigh and solve too) row by row: the first R' restarts of an R-restart
 search are the R'-restart search with the same seed. At d <= 4 numpy's per-call
-overhead is the cost: the search makes few calls, and enters no numpy wrapper
-but np.where's dispatcher, without changing the IEEE operations or their order.
+overhead is the cost: the search makes few calls, and enters no Python function
+of numpy, wrapper or dispatcher, without changing the IEEE operations or their order.
 """
 
 import math
@@ -103,6 +103,7 @@ _GRID_TERMS = _line_terms(_GRID[np.arange(-1, len(_GRID) + 1) % len(_GRID)])  # 
 _NEWTON_STEPS = 2
 # sin s, cos s, sin 2s, cos 2s = sin(s * _NEWTON_FREQ + _NEWTON_PHASE)
 _NEWTON_FREQ, _NEWTON_PHASE = np.array([[1.0, 1.0, 2.0, 2.0], [0.0, np.pi / 2, 0.0, np.pi / 2]])[:, :, None, None]
+_NEWTON_SINES = np.sin(_NEWTON_FREQ[..., 0] * _GRID + _NEWTON_PHASE[..., 0])  # (4, 128): those factors on the grid
 # d1 and -d2 of c1 cos s + s1 sin s + c2 cos 2s + s2 sin 2s are sums over those
 # four factors, each times a coefficient (index into c1, s1, c2, s2) and a weight
 _NEWTON_COEF = np.array([[0, 1, 2, 3], [1, 0, 3, 2]])
@@ -117,16 +118,19 @@ def _best_angle(coef: np.ndarray):
     the two polished ones, the grid point on ties."""
     rows = np.arange(len(coef))
     padded = coef @ _GRID_TERMS
-    grid_gain = padded[:, 1:-1]
-    peaks = np.where(grid_gain >= np.maximum(padded[:, :-2], padded[:, 2:]), grid_gain, -np.inf)
+    peaks = padded[:, 1:-1]  # the grid's gains, then -inf off its local maxima
+    peaks[peaks < np.maximum(padded[:, :-2], padded[:, 2:])] = -np.inf
     top = peaks.argmax(axis=-1)
     peaks[rows, top] = -np.inf
-    s = _GRID[np.array([top, top, peaks.argmax(axis=-1)])]  # the top grid point, then one seed per local maximum
+    seeds = np.array([top, top, peaks.argmax(axis=-1)])  # the top grid point, then one seed per local maximum
+    s = _GRID[seeds]
     newton = _NEWTON_WEIGHT * coef.T[_NEWTON_COEF][:, :, None, :]
-    for _ in range(_NEWTON_STEPS):
-        d1, bend = np.add.reduce(newton * np.sin(_NEWTON_FREQ * s[1:] + _NEWTON_PHASE), axis=1)
-        step = d1 / np.where(bend > 0, bend, np.inf)  # no step where the curvature is not negative
-        s[1:] += np.minimum(np.maximum(step, -_CLIP), _CLIP)
+    for step in range(_NEWTON_STEPS):
+        sines = np.sin(_NEWTON_FREQ * s[1:] + _NEWTON_PHASE) if step else _NEWTON_SINES[:, seeds[1:]]
+        d1, bend = np.add.reduce(newton * sines, axis=1)
+        # no step where the curvature is not negative
+        shift = np.divide(d1, bend, out=np.zeros(d1.shape), where=bend > 0)
+        s[1:] += np.minimum(np.maximum(shift, -_CLIP), _CLIP)
     gain = np.add.reduce(coef.T[:, None, :] * _line_terms(s), axis=0)
     best = gain.argmax(axis=0)
     return s[best, rows], gain[best, rows]
@@ -153,7 +157,7 @@ def _search(basis: ObservableBasis, config: SearchConfig, mode: str, state_label
     ascent, floor = sign * (basis.dim > 1), GRADIENT_FLOOR * _EPS * basis.casimir * math.sqrt(basis.dim)
     draws = np.random.Generator(np.random.Philox(_PhiloxKey(config.seed))).standard_normal(
         (config.restarts, 2, basis.dim))
-    a = draws[:, 0] + 1j * draws[:, 1]
+    a = draws.transpose(0, 2, 1).copy().view(complex)[..., 0]  # draws[:, 0] + 1j draws[:, 1]
     if not maximize:  # start at the lowest eigenvector of c - 2 sum_i <O_i> O_i: |<O>| there is no smaller
         f = moments(a, basis)[1] @ basis.operators.reshape(len(basis), -1)  # sum_i <O_i> O_i, flattened
         # np.linalg.eigh's gufunc: its wrapper's type checks and errstate cost more than a (16, 4, 4) stack,
@@ -179,7 +183,7 @@ def _search(basis: ObservableBasis, config: SearchConfig, mode: str, state_label
             gram = h.view(float) @ h.view(float).swapaxes(1, 2)  # Re<h_i|h_j>, then + mu on the diagonal
             gram.reshape(len(gram), -1)[:, ::len(basis) + 1] += mu[:, None]  # a view: matmul's output is C-ordered
             # np.linalg.solve's gufunc, as for eigh: G + mu is positive definite, mu >= eps c > 0
-            direction = -(_umath_linalg.solve(gram, e[..., None], signature="dd->d").swapaxes(1, 2) @ h)[:, 0]
+            direction = -(_umath_linalg.solve1(gram, e, signature="dd->d")[:, None, :] @ h)[:, 0]
             direction = direction - _inner(a, direction)[:, None] * a  # back onto the tangent space
         dn = np.sqrt(_inner(direction, direction).real)[:, None]
         d = np.divide(direction, dn, out=np.zeros(direction.shape, complex), where=dn > 0)
@@ -192,7 +196,10 @@ def _search(basis: ObservableBasis, config: SearchConfig, mode: str, state_label
 
     values, stops = v.tolist(), stop.tolist()
     # best V; on exact ties the first that stopped on the gradient, else the first
-    best_k = min(range(len(values)), key=lambda k: (-sign * values[k], stops[k] != 0))
+    best = max(values) if maximize else min(values)
+    best_k = values.index(best)
+    if stops[best_k]:
+        best_k = next((k for k, value in enumerate(values) if value == best and not stops[k]), best_k)
     return SearchResult(
         best_state=StateVector(a[best_k].tolist(), state_label),
         best_value=values[best_k],

@@ -223,6 +223,19 @@ class TestKernel:
     def test_bases_match_the_loop(self, name):
         self.check_against_the_loop(self.BASES[name])
 
+    @pytest.mark.parametrize("basis", [*(spin_generators(j) for j in (1, 1.5, 3, 10, 40)), local_two_qubit_basis()],
+                             ids=["j1", "j3/2", "j3", "j10", "j40", "pair"])
+    def test_apply_rounds_as_the_batched_product_at_any_row_count(self, basis):
+        # bit for bit the batched matmul (ops @ x[:, None, :, None])[..., 0] that _apply was before it
+        # became a product with the stacked table, and each row bit for bit its own one-row call
+        ops = basis.operators
+        for n in (1, 3, 16):
+            x = self.rows(basis.dim)[:n]
+            oa = _apply(ops, x)
+            assert oa.tobytes() == (ops @ x[:, None, :, None])[..., 0].tobytes()
+            for k in range(n):
+                assert oa[k].tobytes() == _apply(ops, x[k : k + 1])[0].tobytes()
+
 
 class TestCompletelyEntangled:
     def test_m0_is_ce(self):

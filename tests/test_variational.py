@@ -138,6 +138,18 @@ class TestLineSearch:
         coef = np.stack([eps * np.cos(psi), eps * np.sin(psi), np.cos(2 * phi), np.sin(2 * phi)], axis=-1)
         self.check_global(sign * coef, sign)
 
+    def test_newton_table_holds_the_sines_at_every_grid_point(self):
+        # the first Newton step reads its factors from the table at the seeds' grid indexes:
+        # bit for bit what np.sin gives at those points, at any row count
+        table, grid = variational._NEWTON_SINES, variational._GRID
+        freq, phase = variational._NEWTON_FREQ, variational._NEWTON_PHASE
+        assert table.shape == (4, len(grid))
+        assert table.tobytes() == np.sin(freq * grid + phase)[:, 0].tobytes()
+        for n, point in enumerate(grid):
+            for rows in (1, 16):
+                at_seeds = np.sin(freq * np.full((2, rows), point) + phase)
+                assert at_seeds.tobytes() == table[:, np.full((2, rows), n)].tobytes()
+
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_zero_row_has_no_gain(self, sign):
         # a flat line gains nothing, so the restart stops on "stall"
@@ -554,9 +566,23 @@ class TestDeterminismAndConsistency:
             SearchConfig(step_tolerance=bad)
 
     def test_config_stores_the_tolerance_as_float(self):
-        for tol in (np.float32(0.5), np.int64(1), 2):
+        for tol in (np.float32(0.5), np.float64(0.25), np.int64(1), 2):
             config = SearchConfig(step_tolerance=tol)
             assert type(config.step_tolerance) is float and config.step_tolerance == tol
+
+    def test_config_stores_an_int_subclass_as_int(self):
+        # plain ints take a fast path; any other integral type takes the full check and is stored as int
+        class Count(int):
+            pass
+
+        config = SearchConfig(restarts=Count(3), max_iterations=Count(7), seed=Count(9))
+        assert (config.restarts, config.max_iterations, config.seed) == (3, 7, 9)
+        assert {type(config.restarts), type(config.max_iterations), type(config.seed)} == {int}
+
+    @pytest.mark.parametrize("field", ["restarts", "max_iterations", "step_tolerance", "seed", "mode"])
+    def test_config_rejects_true_for_every_field(self, field):
+        with pytest.raises(ValueError, match=field):
+            SearchConfig(**{field: True})
 
     def test_config_is_immutable(self):
         config = SearchConfig()
@@ -608,9 +634,9 @@ class TestDeterminismAndConsistency:
         z = x[:, 0] + 1j * x[:, 1]
         assert np.array_equal(starts[0], z / np.sqrt(_inner(z, z).real)[:, None])
 
-    def test_search_enters_only_the_where_dispatcher_of_numpy(self):
+    def test_search_enters_no_numpy_python_function(self):
         # at d <= 4 numpy's Python-level wrappers cost more than the arithmetic: the search calls
-        # C entry points (the linalg gufuncs, ufuncs, array methods) and only np.where's dispatcher
+        # C entry points alone (the linalg gufuncs, ufuncs, array methods), not even a dispatcher
         numpy_dir = os.path.join(os.path.dirname(np.__file__), "")
         entered = set()
 
@@ -625,7 +651,7 @@ class TestDeterminismAndConsistency:
                 minimize_total_variance(basis, SearchConfig(seed=1, mode="minimize"), state_label=label)
         finally:
             sys.setprofile(None)
-        assert entered == {"where"}
+        assert entered == set()
 
     @pytest.mark.parametrize("seed", [0, 5, 123456789, 2**63 + 5, 2**64 - 1])
     def test_keyed_stream_is_philox_keyed_by_the_seed(self, seed):
