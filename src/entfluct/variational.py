@@ -57,6 +57,11 @@ def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.add.reduce(x.conj() * y, axis=-1)
 
 
+def _norm(x: np.ndarray) -> np.ndarray:
+    """Row-wise |x| of a C-ordered complex (R, d), from its real and imaginary parts."""
+    return np.sqrt(np.add.reduce(np.square(x.view(float)), axis=-1))
+
+
 def _value_and_gradient(a: np.ndarray, basis: ObservableBasis):
     """V = c - sum_i <O_i>^2 (clamped to 0 from -VARIANCE_CLAMP, an error below), the gradient
     -4 sum_i <O_i> h_i, O a, <O>, the centred h_i = O_i a - <O_i> a and sum_i <O_i>^2 for every unit row of a (R, d)."""
@@ -66,15 +71,15 @@ def _value_and_gradient(a: np.ndarray, basis: ObservableBasis):
     v = basis.casimir - square
     if np.minimum.reduce(v, axis=None) < -VARIANCE_CLAMP:
         raise ValueError("total variance is negative beyond tolerance")
-    return np.maximum(v, 0.0), -4.0 * np.add.reduce(e[:, :, None] * h, axis=1), oa, e, h, square
+    return np.maximum(v, 0.0), (e[:, None, :] @ h)[:, 0] * -4.0, oa, e, h, square
 
 
 def _line_coefficients(d, oa, e, basis: ObservableBasis) -> np.ndarray:
     """(c1, s1, c2, s2) of V(a cos t + d sin t) = c0 + c1 cos s + s1 sin s
     + c2 cos 2s + s2 sin 2s, s = 2t, for every row, from O a and <O> at a; (R, 4)."""
-    dc = d.conj()[:, None, :]
-    m = (e + np.add.reduce(dc * _apply(basis.operators, d), axis=-1).real) / 2
-    u, r = e - m, np.add.reduce(dc * oa, axis=-1).real  # r = Re<d|O|a> = Re<a|O|d>, O Hermitian
+    dc = d.conj()[:, :, None]
+    m = (e + (_apply(basis.operators, d) @ dc)[..., 0].real) / 2
+    u, r = e - m, (oa @ dc)[..., 0].real  # r = Re<d|O|a> = Re<a|O|d>, O Hermitian
     terms = np.empty((4, *e.shape))  # m u, m r, u^2 - r^2, u r, summed over i in one reduce
     np.multiply(m, u, out=terms[0])
     np.multiply(m, r, out=terms[1])
@@ -170,7 +175,7 @@ def _search(basis: ObservableBasis, config: SearchConfig, mode: str, state_label
     for n in range(1, config.max_iterations + 2):
         v, g, oa, e, h, square = _value_and_gradient(a, basis)
         xi = ascent * (g - _inner(a, g)[:, None] * a)  # tangent ascent of sign * V; CP^0 has none
-        gnorm = np.sqrt(_inner(xi, xi).real)
+        gnorm = _norm(xi)
         running = stop < 0
         iterations[running] = min(n, config.max_iterations)
         stop[running & (gnorm <= config.step_tolerance)] = 0
