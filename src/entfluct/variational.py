@@ -10,7 +10,8 @@ table of the grid's four line terms padded by one cyclic neighbour at each end,
 so a grid point's neighbours are slices, and polishes the best grid point of each
 of its (at most two) local maxima with two clipped Newton steps that compute the
 first two derivatives alone, the first from a table of their sines on the grid;
-V itself is evaluated once more, to pick the best polished point. The gradient is 2 (F - <F>) a with F = c - 2 sum_i <O_i> O_i.
+V itself is evaluated once more, to pick the best polished point. The gradient
+is 2 (F - <F>) a with F = c - 2 sum_i <O_i> O_i.
 Maximize steps along the damped Gauss-Newton direction of the CE condition
 <O_i> = 0. Minimize first moves each start to the lowest eigenvector of F there,
 which never raises V. On a Lie-algebra basis (spin j, its rotations and unitary
@@ -55,11 +56,6 @@ class SearchResult(Frozen):
 def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Row-wise <x|y> over the last axis."""
     return np.add.reduce(x.conj() * y, axis=-1)
-
-
-def _norm(x: np.ndarray) -> np.ndarray:
-    """Row-wise |x| of a C-ordered complex (R, d), from its real and imaginary parts."""
-    return np.sqrt(np.add.reduce(np.square(x.view(float)), axis=-1))
 
 
 def _value_and_gradient(a: np.ndarray, basis: ObservableBasis):
@@ -175,7 +171,7 @@ def _search(basis: ObservableBasis, config: SearchConfig, mode: str, state_label
     for n in range(1, config.max_iterations + 2):
         v, g, oa, e, h, square = _value_and_gradient(a, basis)
         xi = ascent * (g - _inner(a, g)[:, None] * a)  # tangent ascent of sign * V; CP^0 has none
-        gnorm = _norm(xi)
+        gnorm = np.sqrt(np.add.reduce(np.square(xi.view(float)), axis=-1))  # |xi| from its real view
         running = stop < 0
         iterations[running] = min(n, config.max_iterations)
         stop[running & (gnorm <= config.step_tolerance)] = 0
