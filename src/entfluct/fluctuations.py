@@ -18,9 +18,8 @@ from .records import Frozen, StateVector
 
 
 def _apply(ops: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """O x, (N, len(ops), d), for the rows of x (N, d): each row times the (d, k d) table of the stacked
-    operators. The table is a transposed view, with which each row is rounded alike for any N; a C-ordered
-    copy would round a row differently as N changes."""
+    """O x, (N, len(ops), d), for the rows of x (N, d): each row times the stacked operators' (d, k d) table,
+    a transposed view, which rounds each row alike for any N (a C-ordered copy would not)."""
     return (x[:, None, :] @ ops.reshape(-1, ops.shape[-1]).T).reshape(len(x), *ops.shape[:2])
 
 

@@ -129,8 +129,7 @@ def _best_angle(coef: np.ndarray):
     for step in range(_NEWTON_STEPS):
         sines = np.sin(_NEWTON_FREQ * s[1:] + _NEWTON_PHASE) if step else _NEWTON_SINES[:, seeds[1:]]
         d1, bend = np.add.reduce(newton * sines, axis=1)
-        # no step where the curvature is not negative
-        shift = np.divide(d1, bend, out=np.zeros(d1.shape), where=bend > 0)
+        shift = np.divide(d1, bend, out=np.zeros(d1.shape), where=bend > 0)  # no step unless d2 < 0
         s[1:] += np.minimum(np.maximum(shift, -_CLIP), _CLIP)
     gain = np.add.reduce(coef.T[:, None, :] * _line_terms(s), axis=0)
     best = gain.argmax(axis=0)
@@ -198,9 +197,8 @@ def _search(basis: ObservableBasis, config: SearchConfig, mode: str, state_label
     values, stops = v.tolist(), stop.tolist()
     # best V; on exact ties the first that stopped on the gradient, else the first
     best = max(values) if maximize else min(values)
-    best_k = values.index(best)
-    if stops[best_k]:
-        best_k = next((k for k, value in enumerate(values) if value == best and not stops[k]), best_k)
+    tied = [k for k, value in enumerate(values) if value == best]
+    best_k = next((k for k in tied if not stops[k]), tied[0])
     return SearchResult(
         best_state=StateVector(a[best_k].tolist(), state_label),
         best_value=values[best_k],

@@ -24,8 +24,8 @@ import traffic
 
 RECORD = json.loads(traffic.RECORD.read_text())
 _PARTS = list(traffic.parts())
-_PYTHON_TEXT = {"cli", "cli-stderr"}
-_NUMPY_FREE = {"cli-stderr", "bulk"}
+_PYTHON_TEXT = {"cli", "cli-stderr"}  # argparse's help and usage text
+_ANY_NUMPY = {"cli-stderr", "bulk"}  # Python float arithmetic on states numpy draws
 
 
 def _minor(version: str) -> str:
@@ -40,7 +40,7 @@ def test_every_part_is_recorded():
 def test_part_matches_its_recorded_digest(name, part):
     if name in _PYTHON_TEXT and _minor(platform.python_version()) != _minor(RECORD["python"]):
         pytest.skip(f"argparse text recorded under Python {RECORD['python']}")
-    if name not in _NUMPY_FREE and np.__version__ != RECORD["numpy"]:
+    if name not in _ANY_NUMPY and np.__version__ != RECORD["numpy"]:
         pytest.skip(f"numpy arithmetic recorded under numpy {RECORD['numpy']}")
     digest = hashlib.sha256()
     part(digest)
