@@ -169,13 +169,15 @@ def _search(basis: ObservableBasis, config: SearchConfig, mode: str, state_label
     # a stopped row takes steps of 0, so the last evaluation holds its final state
     for n in range(1, config.max_iterations + 2):
         v, g, oa, e, h, square = _value_and_gradient(a, basis)
-        xi = ascent * (g - _inner(a, g)[:, None] * a)  # tangent ascent of sign * V; CP^0 has none
+        xi = g - _inner(a, g)[:, None] * a  # tangent ascent of sign * V; CP^0 has none
+        if ascent != 1.0:
+            xi *= ascent
         gnorm = np.sqrt(np.add.reduce(np.square(xi.view(float)), axis=-1))  # |xi| from its real view
         running = stop < 0
-        iterations[running] = min(n, config.max_iterations)
+        iterations += running  # the cap's last evaluation counts one over, taken off at the end
         stop[running & (gnorm <= config.step_tolerance)] = 0
         stop[(stop < 0) & (gnorm <= floor)] = 1  # rounding floor
-        if n > config.max_iterations or np.logical_and.reduce(stop >= 0, axis=None):
+        if n > config.max_iterations or np.minimum.reduce(stop) >= 0:
             break
         direction = xi
         if maximize:  # damped Gauss-Newton towards r = <O> = 0, an ascent: Re<xi, step> = 4 r G (G + mu)^-1 r
@@ -203,10 +205,10 @@ def _search(basis: ObservableBasis, config: SearchConfig, mode: str, state_label
         best_state=StateVector(a[best_k].tolist(), state_label),
         best_value=values[best_k],
         converged=stops[best_k] == 0,
-        iterations_used=int(iterations[best_k]),
+        iterations_used=min(int(iterations[best_k]), config.max_iterations),
         best_restart=best_k,
         restart_values=tuple(values),
-        restart_stop=tuple(map(STOP_REASONS.__getitem__, stops)),
+        restart_stop=tuple([STOP_REASONS[k] for k in stops]),
         restart_gradients=tuple(gnorm.tolist()),
     )
 
