@@ -87,26 +87,26 @@ def _read_state(args) -> tuple:
     return [z / n for z in unit], basis_label, norm
 
 
-def _checked(amps, label: str, system: str, needs: str, hint: str = "") -> None:
-    """A usage error unless amps is a state of its label (StateVector's checks)
-    that `system` takes, with its amplitude count."""
+def _checked(amps, label: str, system: str, needs: str, pair_hint: str = "") -> None:
+    """A usage error unless amps is a state of its label (StateVector's checks) that `system` takes, with its
+    amplitude count; its text, formatted only then, is `needs` with {system} filled in, pair_hint on a pair."""
     try:
         check_state(amps, label)
     except ValueError as exc:
         raise UsageError(str(exc))
     _, labels, n, _, _ = _SYSTEMS[system]
     if label not in labels or len(amps) != n:
-        raise UsageError(f"{needs} a {n}-component {' or '.join(labels)} state{hint}")
+        hint = pair_hint if label == "qubit-pair" else ""
+        raise UsageError(f"{needs.format(system=system)} a {n}-component {' or '.join(labels)} state{hint}")
 
 
-def _concurrence_json(concurrences: dict) -> dict:
-    """Add to `concurrences` the cross-check of the exactly conditioned formulas
-    against each other and of the variance ratio against each of them."""
-    exact = [v for name, v in concurrences.items() if name != "variance_ratio"]
+def _concurrence_json(concurrences: dict, exact: tuple) -> dict:
+    """Add to `concurrences` the cross-check of the exactly conditioned formulas, `exact` as they were
+    computed, against each other and of the variance ratio against each of them."""
     lo, hi, ratio = min(exact), max(exact), concurrences["variance_ratio"]
     # the largest |a - b| over the pairs, as rounding is monotone
     delta_exact, delta_variance = hi - lo, max(abs(ratio - lo), abs(ratio - hi))
-    finite = all(map(math.isfinite, concurrences.values()))  # min and max skip a NaN
+    finite = math.isfinite(ratio) and all(map(math.isfinite, exact))  # min and max skip a NaN
     concurrences["max_pairwise_delta"] = max(delta_exact, delta_variance) if finite else math.nan
     concurrences["cross_check_tolerance"] = CROSS_CHECK_TOL
     concurrences["consistent"] = finite and delta_exact <= CROSS_CHECK_TOL and delta_variance <= VARIANCE_CROSS_TOL
@@ -121,8 +121,7 @@ def build_analysis(amps, basis_label: str, system: str, tol: float, original_nor
     echo = _state_json(a, basis_label)
     if original_norm is not None:
         echo["original_norm"] = original_norm
-    hint = "; for a qubit pair pass --system two-qubit" if basis_label == "qubit-pair" else ""
-    _checked(a, basis_label, system, f"{system} analysis needs", hint)  # the one check of the state
+    _checked(a, basis_label, system, "{system} analysis needs", "; for a qubit pair pass --system two-qubit")
     basis, _, _, casimir, bounds = _SYSTEMS[system]
     form = None
     if system == "spin1":
@@ -134,16 +133,14 @@ def build_analysis(amps, basis_label: str, system: str, tol: float, original_nor
                 "nu_defined": nu is not None}
         p, z, m = sph
         mid = z / SQRT2  # the triplet embedding |0> -> (|ud> + |du>)/sqrt(2)
-        concurrences = {
-            "spherical_formula": spherical_concurrence(p, z, m),
-            "canonical_phi": concurrence_from_phi(phi),
-            "variance_ratio": ratio,
-            "two_qubit_det": pair_concurrence(p, mid, mid, m),
-        }
+        exact = spherical_concurrence(p, z, m), concurrence_from_phi(phi), pair_concurrence(p, mid, mid, m)
+        concurrences = {"spherical_formula": exact[0], "canonical_phi": exact[1], "variance_ratio": ratio,
+                        "two_qubit_det": exact[2]}
     else:
         exps = pair_expectations(*a)
         v_tot, residual, ratio = variance_report(exps, casimir, bounds)
-        concurrences = {"variance_ratio": ratio, "two_qubit_det": pair_concurrence(*a)}
+        exact = (pair_concurrence(*a),)
+        concurrences = {"variance_ratio": ratio, "two_qubit_det": exact[0]}
     return {
         "schema_version": SCHEMA_VERSION,
         "system": system,
@@ -159,7 +156,7 @@ def build_analysis(amps, basis_label: str, system: str, tol: float, original_nor
             "concurrence_variance": ratio,
         },
         "canonical_form": form,
-        "concurrence": _concurrence_json(concurrences),
+        "concurrence": _concurrence_json(concurrences, exact),
         "ce": {
             "completely_entangled": bool(residual <= tol),  # a numpy tol would give a numpy bool
             "residual": residual,

@@ -233,7 +233,15 @@ class TestContainers:
         with pytest.raises(ValueError, match="non-finite"):
             StateVector([bad, 1.0, 0.0], "spherical")
 
-    @pytest.mark.parametrize("amps", [[1e200, 0, 0], [1.5e308 + 1.5e308j, 0, 0], [1e-200, 0, 0]])
+    @pytest.mark.parametrize("amps", [[3, np.nan, 0], [1e200, np.nan, 0], [1.5e308 + 1.5e308j, np.inf, 0]])
+    def test_non_finite_part_outranks_a_large_part_before_it(self, amps):
+        # the norm test stops at the first part above 2, or whose abs overflows: the scan that
+        # follows still finds the non-finite part after it
+        with pytest.raises(ValueError, match="non-finite"):
+            StateVector(amps, "spherical")
+
+    @pytest.mark.parametrize("amps", [[1e200, 0, 0], [1.5e308 + 1.5e308j, 0, 0], [1e-200, 0, 0],
+                                      [1, 1.5e308 + 1.5e308j, 0]])
     def test_finite_state_of_extreme_norm_is_not_normalized(self, amps):
         # sum_k |a_k|^2 overflows to inf or underflows to 0: finite amplitudes are never
         # called non-finite, and no RuntimeWarning is raised (pytest makes one an error)

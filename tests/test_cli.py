@@ -260,24 +260,29 @@ class TestAnalyze:
         assert conc["consistent"] is False
         assert conc["max_pairwise_delta"] == pytest.approx(0.5)
 
-    @pytest.mark.parametrize("oracle", ["spherical_formula", "canonical_phi", "variance_ratio", "two_qubit_det"])
-    def test_non_finite_concurrence_fails_the_cross_check(self, capsys, monkeypatch, oracle):
-        # max() drops a NaN unless it comes first, so whichever oracle yields it, it must not pass
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("system,oracle", [
+        ("spin1", "spherical_formula"), ("spin1", "canonical_phi"), ("spin1", "variance_ratio"),
+        ("spin1", "two_qubit_det"), ("two-qubit", "variance_ratio"), ("two-qubit", "two_qubit_det"),
+    ])
+    def test_non_finite_concurrence_fails_the_cross_check(self, capsys, monkeypatch, system, oracle, bad):
+        # max() drops a NaN unless it comes first, and an infinity in one oracle would read as a
+        # delta: whichever oracle of either system yields one, the cross-check must not pass
         report = entfluct.cli.variance_report
         patch = {
-            "spherical_formula": ("spherical_concurrence", lambda *args: math.nan),
-            "canonical_phi": ("concurrence_from_phi", lambda phi: math.nan),
-            "variance_ratio": ("variance_report", lambda *args: (*report(*args)[:2], math.nan)),
-            "two_qubit_det": ("pair_concurrence", lambda *args: math.nan),
+            "spherical_formula": ("spherical_concurrence", lambda *args: bad),
+            "canonical_phi": ("concurrence_from_phi", lambda phi: bad),
+            "variance_ratio": ("variance_report", lambda *args: (*report(*args)[:2], bad)),
+            "two_qubit_det": ("pair_concurrence", lambda *args: bad),
         }
         monkeypatch.setattr(entfluct.cli, *patch[oracle])
-        code, out, err = run(
-            capsys, monkeypatch, ["analyze", "--format", "json"], state_json([0.6, 0.48j, 0.64], "spherical")
-        )
+        state = state_json([0.6, 0.48j, 0.64], "spherical") if system == "spin1" else \
+            state_json([0.6, 0.48j, 0, 0.64], "qubit-pair")
+        code, out, err = run(capsys, monkeypatch, ["analyze", "--system", system, "--format", "json"], state)
         assert code == 1
         assert "inconsistency" in err
         conc = json.loads(out)["concurrence"]
-        assert math.isnan(conc[oracle])
+        assert repr(conc[oracle]) == repr(bad)
         assert math.isnan(conc["max_pairwise_delta"])
         assert conc["consistent"] is False
 

@@ -195,16 +195,19 @@ def _public_document(a, basis, system, tol):
         sph_psi = psi if basis == "spherical" else to_spherical(psi)
         report = fluctuation_report(sph_psi, spin_generators(1), (1.0, 2.0))
         form = canonical_form(psi if basis == "cartesian" else to_cartesian(psi))
-        concurrences = {"spherical_formula": concurrence_spherical(sph_psi),
-                        "canonical_phi": concurrence_from_phi(form.phi),
+        exact = (concurrence_spherical(sph_psi), concurrence_from_phi(form.phi),
+                 pure_concurrence(embed_symmetric(sph_psi)))
+        concurrences = {"spherical_formula": exact[0],
+                        "canonical_phi": exact[1],
                         "variance_ratio": report.concurrence_variance,
-                        "two_qubit_det": pure_concurrence(embed_symmetric(sph_psi))}
+                        "two_qubit_det": exact[2]}
         nu_defined = form.nu is not None
     else:
         report = fluctuation_report(psi, local_two_qubit_basis(), (1.0, 1.5))
-        concurrences = {"variance_ratio": report.concurrence_variance, "two_qubit_det": pure_concurrence(psi)}
+        exact = (pure_concurrence(psi),)
+        concurrences = {"variance_ratio": report.concurrence_variance, "two_qubit_det": exact[0]}
         nu_defined = None
-    cross = entfluct.cli._concurrence_json(concurrences)
+    cross = entfluct.cli._concurrence_json(concurrences, exact)
     return report, cross, nu_defined, bool(report.ce_residual <= tol)
 
 
