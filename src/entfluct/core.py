@@ -60,9 +60,9 @@ def check_state_label(label: str, dim: int) -> None:
 
 def is_normalized(amps) -> bool:
     """|sum_k |a_k|^2 - 1| <= NORM_TOL for a sequence of Python complexes, the
-    one test of StateVector and the CLI. Each |a_k| is taken once and squared
-    while all are <= 2 (a unit state has no |a_k| > 1 + NORM_TOL, no square up
-    to 4 overflows); a state failing that is a ValueError if a part is non-finite."""
+    one test of StateVector and the CLI. Each |a_k| is taken once, squared while
+    all are <= 2 (a unit state has none > 1 + NORM_TOL; no square of one <= 2
+    overflows); a state failing that is a ValueError if any part is non-finite."""
     norm2 = 0.0
     try:
         for h in map(abs, amps):

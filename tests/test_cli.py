@@ -276,8 +276,8 @@ class TestAnalyze:
             "two_qubit_det": ("pair_concurrence", lambda *args: bad),
         }
         monkeypatch.setattr(entfluct.cli, *patch[oracle])
-        state = state_json([0.6, 0.48j, 0.64], "spherical") if system == "spin1" else \
-            state_json([0.6, 0.48j, 0, 0.64], "qubit-pair")
+        state = {"spin1": state_json([0.6, 0.48j, 0.64], "spherical"),
+                 "two-qubit": state_json([0.6, 0.48j, 0, 0.64], "qubit-pair")}[system]
         code, out, err = run(capsys, monkeypatch, ["analyze", "--system", system, "--format", "json"], state)
         assert code == 1
         assert "inconsistency" in err
