@@ -44,8 +44,8 @@ print(f"spin-1 minimizer has canonical phi = {phi:.10f} (pi/4 = {np.pi/4:.10f})"
 
 print()
 local = local_two_qubit_basis()
-up = maximize_total_variance(local, state_label="qubit-pair")
-down = minimize_total_variance(local, state_label="qubit-pair")
+up = maximize_total_variance(local)
+down = minimize_total_variance(local)
 print(f"two-qubit local algebra: V in [{down.best_value:.10f}, {up.best_value:.10f}]")
 print("minimum 1 is reached at product states (each qubit contributes 1/2);")
 print("maximum 3/2 at maximally entangled states with zero Bloch vectors.")

@@ -12,7 +12,8 @@ import math
 
 import numpy as np
 
-from .core import COMMUTATOR_TOL, HALF_INTEGER_TOL, HERMITICITY_TOL, ORTHOGONALITY_TOL, SCALAR_CASIMIR_TOL
+from .core import (COMMUTATOR_TOL, HALF_INTEGER_TOL, HERMITICITY_TOL, ORTHOGONALITY_TOL, SCALAR_CASIMIR_TOL,
+                   check_state_label)
 from .records import Frozen
 
 
@@ -23,13 +24,14 @@ class ObservableBasis(Frozen):
     label). The Casimir sum C = sum_i O_i^2 must be c I within
     SCALAR_CASIMIR_TOL, as it is on an irreducible representation (Schur's
     lemma), else ValueError; `casimir` is c, the mean of its diagonal (spin j:
-    j(j+1), the local qubit pair: 3/2). Equality is identity, so a basis is
-    hashable."""
+    j(j+1), the local qubit pair: 3/2). `state_label` names the state
+    representation the basis acts on, checked against d by `check_state_label`.
+    Equality is identity, so a basis is hashable."""
 
-    _FIELDS = ("operators", "label")
+    _FIELDS = ("operators", "label", "state_label")
     __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __init__(self, operators, label: str = ""):
+    def __init__(self, operators, label: str = "", state_label: str = "spherical"):
         ops = np.array(operators, dtype=complex)  # a ragged stack raises ValueError
         if ops.ndim != 3 or ops.shape[1] != ops.shape[2] or 0 in ops.shape:
             raise ValueError(f"expected a nonempty (k, d, d) stack of square matrices, got shape {ops.shape}")
@@ -38,6 +40,7 @@ class ObservableBasis(Frozen):
         if np.max(np.abs(ops - ops.conj().transpose(0, 2, 1))) > HERMITICITY_TOL:
             raise ValueError(f"basis element is not Hermitian within {HERMITICITY_TOL:g}; refusing to symmetrize")
         ops.setflags(write=False)
+        check_state_label(state_label, ops.shape[1])
         if label.startswith("su2-spin-"):
             self._check_su2_commutation(ops)
         dim = ops.shape[1]
@@ -45,7 +48,7 @@ class ObservableBasis(Frozen):
         c = float(np.trace(c_op).real) / dim
         if np.max(np.abs(c_op - c * np.eye(dim))) > SCALAR_CASIMIR_TOL * max(1.0, abs(c)):
             raise ValueError(f"Casimir sum C = sum_i O_i^2 is not a scalar within {SCALAR_CASIMIR_TOL:g}")
-        vars(self).update(operators=ops, label=label, casimir=c)
+        vars(self).update(operators=ops, label=label, state_label=state_label, casimir=c)
 
     @staticmethod
     def _check_su2_commutation(ops):
@@ -99,11 +102,12 @@ def local_two_qubit_basis() -> ObservableBasis:
     """{s_a (x) I, I (x) s_a} on the qubit pair, basis order uu, ud, du, dd;
     built once."""
     half, eye = spin_generators(0.5).operators, np.eye(2)
-    return ObservableBasis([np.kron(o, eye) for o in half] + [np.kron(eye, o) for o in half], label="local-2qubit")
+    return ObservableBasis([np.kron(o, eye) for o in half] + [np.kron(eye, o) for o in half], label="local-2qubit",
+                           state_label="qubit-pair")
 
 
 def rotate_basis(basis: ObservableBasis, rotation) -> ObservableBasis:
-    """Orthogonal recombination O'_a = sum_b R_ab O_b of a three-element basis."""
+    """Orthogonal recombination O'_a = sum_b R_ab O_b of a three-element basis, on the same state label."""
     r = np.asarray(rotation, dtype=float)
     if len(basis) != 3:
         raise ValueError("rotate_basis requires exactly three basis elements")
@@ -111,4 +115,4 @@ def rotate_basis(basis: ObservableBasis, rotation) -> ObservableBasis:
         raise ValueError(f"rotation must be 3x3, got shape {r.shape}")
     if np.max(np.abs(r.T @ r - np.eye(3))) > ORTHOGONALITY_TOL:
         raise ValueError(f"rotation matrix is not orthogonal within {ORTHOGONALITY_TOL:g}")
-    return ObservableBasis(np.einsum("ab,bij->aij", r, basis.operators), label=f"rotated:{basis.label}")
+    return ObservableBasis(np.einsum("ab,bij->aij", r, basis.operators), f"rotated:{basis.label}", basis.state_label)

@@ -28,9 +28,9 @@ from .core import (CE_TOL_DEFAULT, CROSS_CHECK_TOL, MODES, SQRT2, STATE_BASIS_LA
 SCHEMA_VERSION = 1
 
 # system -> (label of its observable basis, the state labels it takes, their
-# amplitude count, the basis's Casimir c, closed-form (V_min, V_max)); a
-# searched state gets the first label. `analyze` reads the label and c from
-# here and needs no basis; `search` builds it.
+# amplitude count, the basis's Casimir c, closed-form (V_min, V_max)); the
+# first state label is the basis's `state_label`. `analyze` reads the label and
+# c from here and needs no basis; `search` builds it.
 _SYSTEMS = {
     # irreducible su(2): V_tot = j(j+1) - |<S>|^2 runs from j (coherent,
     # |<S>| = j) to j(j+1) (CE), here from 1 to 2
@@ -218,8 +218,7 @@ def cmd_search(args) -> int:
 
     run = maximize_total_variance if config.mode == "maximize" else minimize_total_variance
     basis = spin_generators(1) if args.system == "spin1" else local_two_qubit_basis()
-    _, labels, _, _, _ = _SYSTEMS[args.system]
-    result = run(basis, config, state_label=labels[0])
+    result = run(basis, config)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "system": args.system,

@@ -49,8 +49,8 @@ class FluctuationReport(Frozen):
 def fluctuation_report(psi: StateVector, basis: ObservableBasis, bounds: tuple | None = None) -> FluctuationReport:
     """Assemble the full report. The variance concurrence sqrt((V_tot - v_min) /
     (v_max - v_min)), clamped to [0, 1], is included only when the bounds pair
-    (v_min, v_max) is supplied. psi's components must be in the basis's own
-    representation; its label is not checked."""
+    (v_min, v_max) is supplied. psi must carry the basis's state label and dimension, else ValueError."""
+    psi.require(basis.state_label, basis.dim)
     exps = tuple(moments(psi.amplitudes[None], basis)[1][0].tolist())
     return FluctuationReport(exps, *variance_report(exps, basis.casimir, bounds))
 

@@ -35,7 +35,7 @@ from numpy.linalg import _umath_linalg  # the gufuncs of np.linalg.solve and eig
 from numpy.random.bit_generator import ISeedSequence
 
 from .algebra import ObservableBasis
-from .core import GRADIENT_FLOOR, VARIANCE_CLAMP, check_state_label
+from .core import GRADIENT_FLOOR, VARIANCE_CLAMP
 from .fluctuations import _apply, moments
 from .records import Frozen, SearchConfig, StateVector
 
@@ -44,10 +44,10 @@ _EPS = np.finfo(float).eps
 
 
 class SearchResult(Frozen):
-    """The restart of best V is returned, its index `best_restart`; among exact ties of V, the
-    first that stopped on the gradient, else the first. `converged`: the returned restart stopped
-    on the gradient. Per restart, in tuples: final value, stop reason (one of STOP_REASONS),
-    tangent-gradient norm at the end."""
+    """The restart of best V is returned as `best_state`, labelled with the basis's `state_label`, its index
+    `best_restart`; among exact ties of V, the first that stopped on the gradient, else the first. `converged`:
+    the returned restart stopped on the gradient. Per restart, in tuples: final value, stop reason (one of
+    STOP_REASONS), tangent-gradient norm at the end."""
 
     _FIELDS = ("best_state", "best_value", "converged", "iterations_used", "best_restart", "restart_values",
                "restart_stop", "restart_gradients")
@@ -147,11 +147,12 @@ class _PhiloxKey(ISeedSequence):
         return np.array([self.seed, 0], dtype=np.uint64)
 
 
-def _search(basis: ObservableBasis, config: SearchConfig, mode: str, state_label: str):
+def _search(basis: ObservableBasis, config: SearchConfig, mode: str, state_label: str | None):
     config = config or SearchConfig(mode=mode)
     if config.mode != mode:
         raise ValueError(f"config.mode must be {mode!r}")
-    check_state_label(state_label, basis.dim)  # before the first draw, not at the returned state
+    if state_label not in (None, basis.state_label):  # the keyword may only repeat the basis's label
+        raise ValueError(f"state_label {state_label!r} differs from the basis's {basis.state_label!r}")
     maximize = mode == "maximize"
     sign = 1.0 if maximize else -1.0
     ascent, floor = sign * (basis.dim > 1), GRADIENT_FLOOR * _EPS * basis.casimir * math.sqrt(basis.dim)
@@ -202,7 +203,7 @@ def _search(basis: ObservableBasis, config: SearchConfig, mode: str, state_label
     tied = [k for k, value in enumerate(values) if value == best]
     best_k = next((k for k in tied if not stops[k]), tied[0])
     return SearchResult(
-        best_state=StateVector(a[best_k].tolist(), state_label),
+        best_state=StateVector(a[best_k].tolist(), basis.state_label),
         best_value=values[best_k],
         converged=stops[best_k] == 0,
         iterations_used=min(int(iterations[best_k]), config.max_iterations),
@@ -214,20 +215,18 @@ def _search(basis: ObservableBasis, config: SearchConfig, mode: str, state_label
 
 
 def maximize_total_variance(
-    basis: ObservableBasis, config: SearchConfig = None, state_label: str = "spherical"
+    basis: ObservableBasis, config: SearchConfig = None, state_label: str | None = None
 ) -> SearchResult:
     """Search for the state of maximal total variance (a CE state). The maximizers
     are the zeros of r = <O>; each step searches along -sum_j x_j h_j, (G + mu) x = r,
-    h_i = O_i a - r_i a, with G_ij = Re<h_i|h_j> the covariance matrix of the basis (tr G = V).
-    The basis acts on the state_label representation; the label is checked for dimension only."""
+    h_i = O_i a - r_i a, with G_ij = Re<h_i|h_j> the covariance matrix of the basis (tr G = V)."""
     return _search(basis, config, "maximize", state_label)
 
 
 def minimize_total_variance(
-    basis: ObservableBasis, config: SearchConfig = None, state_label: str = "spherical"
+    basis: ObservableBasis, config: SearchConfig = None, state_label: str | None = None
 ) -> SearchResult:
     """Search for the state of minimal total variance (a coherent state). Each restart
     starts at the lowest eigenvector of F = c - 2 sum_i <O_i> O_i:
-    the coherent state along <S> (V = j) for spin j, a product of two (V = 1) for the pair.
-    The basis acts on the state_label representation; the label is checked for dimension only."""
+    the coherent state along <S> (V = j) for spin j, a product of two (V = 1) for the pair."""
     return _search(basis, config, "minimize", state_label)

@@ -13,6 +13,7 @@ from entfluct import (
     rotate_basis,
     sector_split,
     spin_generators,
+    spin_projection_operator,
     to_cartesian,
     to_spherical,
 )
@@ -165,6 +166,11 @@ class TestRotateBasis:
         with pytest.raises(ValueError):
             rotate_basis(local_two_qubit_basis(), np.eye(3))
 
+    def test_keeps_the_state_label(self):
+        cartesian = ObservableBasis([spin_projection_operator(e) for e in np.eye(3)], state_label="cartesian")
+        for basis in (spin_generators(1), cartesian):
+            assert rotate_basis(basis, random_orthogonal(np.random.default_rng(3))).state_label == basis.state_label
+
     def test_requires_a_3x3_rotation(self):
         with pytest.raises(ValueError, match="must be 3x3"):
             rotate_basis(spin_generators(1), np.eye(2))
@@ -202,6 +208,17 @@ class TestContainers:
     def test_su2_label_needs_three_generators(self):
         with pytest.raises(ValueError, match="exactly three generators"):
             ObservableBasis(spin_generators(1).operators[:2], label="su2-spin-1")
+
+    def test_state_label_defaults_to_spherical(self):
+        assert ObservableBasis(spin_generators(1).operators).state_label == "spherical"
+        assert spin_generators(1.5).state_label == "spherical"
+        assert local_two_qubit_basis().state_label == "qubit-pair"
+
+    @pytest.mark.parametrize("label,match", [("qubit-pair", "needs 4 amplitudes, got 21"),
+                                             ("cartesian", "needs 3 amplitudes"), ("cylindrical", "unknown")])
+    def test_basis_rejects_a_state_label_it_cannot_act_on(self, label, match):
+        with pytest.raises(ValueError, match=match):
+            ObservableBasis(spin_generators(10).operators, state_label=label)
 
     def test_basis_takes_any_array_like(self):
         mats = [m.tolist() for m in spin_generators(1).operators]

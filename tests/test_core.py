@@ -228,5 +228,6 @@ def test_every_verdict_is_the_public_pipelines(tol):
 def test_system_table_holds_the_bases_label_and_casimir():
     # analyze reads them from the table, search builds the basis: the two must agree
     for system, basis in (("spin1", spin_generators(1)), ("two-qubit", local_two_qubit_basis())):
-        label, _, dim, casimir, _ = entfluct.cli._SYSTEMS[system]
+        label, state_labels, dim, casimir, _ = entfluct.cli._SYSTEMS[system]
         assert (label, dim, casimir) == (basis.label, basis.dim, basis.casimir)
+        assert state_labels[0] == basis.state_label

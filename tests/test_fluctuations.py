@@ -55,12 +55,32 @@ class TestExpectation:
     def test_canonical_magnitude_is_sin_2phi(self):
         rng = np.random.default_rng(11)
         # {S_x, S_y, S_z} on Cartesian components, in the cross-product form
-        basis = ObservableBasis([spin_projection_operator(axis) for axis in np.eye(3)], label="su2-spin-1")
+        basis = ObservableBasis([spin_projection_operator(axis) for axis in np.eye(3)], label="su2-spin-1",
+                                state_label="cartesian")
         for phi in np.linspace(0.0, np.pi / 4, 9):
             mu, nu = random_orthonormal_pair(rng)
             psi = state_from_canonical(0.3, phi, mu, nu)
             mag = np.linalg.norm(fluctuation_report(psi, basis).expectations)
             assert mag == pytest.approx(np.sin(2 * phi), abs=1e-10)
+
+
+class TestStateLabel:
+    """A basis acts on one representation, its `state_label`: a state of another label or dimension is refused."""
+
+    def test_cartesian_components_on_the_spherical_generators(self):
+        psi = to_cartesian(sph([1, 0, 0]))  # V = 1 in its own representation; 1.25 read as spherical
+        for report in (fluctuation_report, total_variance):
+            with pytest.raises(ValueError, match="expected a 3-component spherical state, got a 3-component cartesian"):
+                report(psi, SPIN1)
+
+    def test_a_qubit_pair_on_the_spin_3_2_generators(self):
+        with pytest.raises(ValueError, match="expected a 4-component spherical state, got a 4-component qubit-pair"):
+            total_variance(StateVector([1, 0, 0, 0], "qubit-pair"), spin_generators(1.5))
+
+    def test_a_spherical_state_on_the_pair_basis(self):
+        with pytest.raises(ValueError, match="expected a 4-component qubit-pair state"):
+            total_variance(sph([1, 0, 0, 0]), local_two_qubit_basis())
+        assert total_variance(StateVector([1, 0, 0, 0], "qubit-pair"), local_two_qubit_basis()) == 1.0
 
 
 class TestTotalVariance:
@@ -158,7 +178,8 @@ class TestMoments:
         # the basis acts on the components as given: a spherical state on the spherical
         # generators and its cartesian components on the cartesian ones report the same
         # <S_i> within 4 eps and V within 8 eps (two roundings apart on values up to 2)
-        cartesian = ObservableBasis([spin_projection_operator(e) for e in np.eye(3)], label="su2-spin-1")
+        cartesian = ObservableBasis([spin_projection_operator(e) for e in np.eye(3)], label="su2-spin-1",
+                                    state_label="cartesian")
         states = [a for b in range(10) for a, basis, _ in workloads.bulk_batch(0, b) if basis == "spherical"]
         assert len(states) == 2579
         eps = np.finfo(float).eps

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from entfluct import (CanonicalForm, FluctuationReport, ObservableBasis, SearchConfig, SearchResult, StateVector,
-                      canonical_form, fluctuation_report, maximize_total_variance, spin_generators, to_cartesian)
+                      canonical_form, fluctuation_report, local_two_qubit_basis, maximize_total_variance,
+                      spin_generators, spin_projection_operator, to_cartesian)
 from entfluct.presets import PRESETS, Preset
 
 PSI = StateVector((0.6, 0.8j, 0), "spherical")
@@ -23,7 +24,7 @@ RECORDS = [
     (FluctuationReport, ((0.0, 0.0, 0.0), 2.0, 0.0, 1.0)),
     (CanonicalForm, (0.5, 0.25, (1.0, 0.0, 0.0), None)),
     (SearchResult, (PSI, 2.0, True, 3, 0, (2.0,), ("gradient",), (0.0,))),
-    (ObservableBasis, (spin_generators(1).operators, "su2-spin-1")),
+    (ObservableBasis, (spin_generators(1).operators, "su2-spin-1", "spherical")),
 ]
 IDS = [cls.__name__ for cls, _ in RECORDS]
 # the records built by the plain constructor of Frozen, with no field of a default value
@@ -114,6 +115,16 @@ class TestValue:
         assert record == again and hash(record) == hash(again)
         back = round_trip(record)
         assert back == record and hash(back) == hash(record)
+
+
+class TestBasisRoundTrip:
+    @pytest.mark.parametrize("round_trip", ROUND_TRIPS.values(), ids=ROUND_TRIPS)
+    def test_a_copy_keeps_the_state_label(self, round_trip):
+        cartesian = ObservableBasis([spin_projection_operator(e) for e in np.eye(3)], "su2-spin-1", "cartesian")
+        for basis in (local_two_qubit_basis(), cartesian):
+            back = round_trip(basis)
+            assert (back.label, back.state_label, back.casimir) == (basis.label, basis.state_label, basis.casimir)
+            assert np.array_equal(back.operators, basis.operators)
 
 
 class TestStateValue:

@@ -15,6 +15,7 @@ from entfluct import (
     local_two_qubit_basis,
     maximize_total_variance,
     minimize_total_variance,
+    pure_concurrence,
     spin_generators,
     to_cartesian,
     total_variance,
@@ -69,7 +70,7 @@ class TestGradient:
         (spin_generators(1.5), 4, "spherical"),
         (spin_generators(3), 7, "spherical"),
         (spin_generators(10), 21, "spherical"),
-        (random_basis(np.random.default_rng(5), 4), 4, "qubit-pair"),
+        (random_basis(np.random.default_rng(5), 4), 4, "spherical"),
     ])
     def test_matches_finite_differences(self, basis, dim, label):
         rng = np.random.default_rng(42)
@@ -89,7 +90,7 @@ class TestLineCoefficients:
         (spin_generators(3), "spherical"),
         (spin_generators(10), "spherical"),
         (local_two_qubit_basis(), "qubit-pair"),
-        (random_basis(np.random.default_rng(5), 4), "qubit-pair"),
+        (random_basis(np.random.default_rng(5), 4), "spherical"),
     ])
     def test_reproduce_v_on_the_great_circle(self, basis, label):
         rng = np.random.default_rng(77)
@@ -183,15 +184,31 @@ class TestMaximize:
         with pytest.raises(ValueError):
             maximize_total_variance(SPIN1, SearchConfig(mode="minimize"))
 
-    @pytest.mark.parametrize("label,match", [("qubit-pair", "needs 4 amplitudes, got 21"),
-                                             ("cartesian", "needs 3 amplitudes"), ("cylindrical", "unknown")])
-    def test_state_label_checked_before_searching(self, monkeypatch, label, match):
+    @pytest.mark.parametrize("basis,label", [(spin_generators(10), "qubit-pair"), (spin_generators(1), "cartesian"),
+                                             (spin_generators(10), "cylindrical"), (local_two_qubit_basis(), "spherical")],
+                             ids=["j10-qubit-pair", "j1-cartesian", "j10-cylindrical", "pair-spherical"])
+    def test_state_label_checked_before_searching(self, monkeypatch, basis, label):
+        # state_label= may only repeat the basis's own label; any other is refused before the first draw
         def no_search(*args):
             raise AssertionError("the search ran before the state label was checked")
 
         monkeypatch.setattr("entfluct.variational._value_and_gradient", no_search)
-        with pytest.raises(ValueError, match=match):
-            minimize_total_variance(spin_generators(10), SearchConfig(mode="minimize"), state_label=label)
+        monkeypatch.setattr("entfluct.variational._PhiloxKey", no_search)
+        for run, mode in ((maximize_total_variance, "maximize"), (minimize_total_variance, "minimize")):
+            with pytest.raises(ValueError, match=f"differs from the basis's {basis.state_label!r}"):
+                run(basis, SearchConfig(mode=mode), state_label=label)
+
+
+class TestStateLabelKeyword:
+    @pytest.mark.parametrize("mode", ["maximize", "minimize"])
+    @pytest.mark.parametrize("j", [None, 1, 1.5], ids=["qubit-pair", "j1", "j3/2"])
+    def test_the_basis_label_repeated_changes_nothing(self, j, mode):
+        # the call bench/workloads.py makes, with the label its basis carries
+        basis = local_two_qubit_basis() if j is None else spin_generators(j)
+        config = SearchConfig(restarts=16, seed=5, mode=mode)
+        run = maximize_total_variance if mode == "maximize" else minimize_total_variance
+        labelled = run(basis, config, state_label="qubit-pair" if j is None else "spherical")
+        assert labelled == run(basis, config) and labelled.best_state.basis_label == basis.state_label
 
 
 class TestMinimize:
@@ -211,6 +228,11 @@ class TestMinimize:
         assert result.best_value == pytest.approx(1.0, abs=1e-7)
         up_up = StateVector([1, 0, 0, 0], "qubit-pair")
         assert total_variance(up_up, basis) == pytest.approx(1.0, abs=1e-12)
+
+    def test_pair_search_labels_its_state_a_qubit_pair(self):
+        result = minimize_total_variance(local_two_qubit_basis())
+        assert result.best_state.basis_label == "qubit-pair"
+        assert pure_concurrence(result.best_state) <= 1e-6  # a product state: V = 1 + C^2 / 2 = 1
 
     @pytest.mark.parametrize("j", [0.5, 1, 1.5])
     def test_minimum_is_casimir_minus_j_squared(self, j):
@@ -295,7 +317,7 @@ class TestIterationBudget:
     @pytest.mark.parametrize("basis,label,mode,budget", [
         (spin_generators(1.5), "spherical", "maximize", 12),
         (spin_generators(1.5), "spherical", "minimize", 10),
-        (random_basis(np.random.default_rng(5), 4), "qubit-pair", "maximize", 12),
+        (random_basis(np.random.default_rng(5), 4), "spherical", "maximize", 12),
     ], ids=["maximize-spin-3/2", "minimize-spin-3/2", "maximize-random-C4"])
     def test_every_restart_stops_on_gradient(self, basis, label, mode, budget):
         run = maximize_total_variance if mode == "maximize" else minimize_total_variance
@@ -338,7 +360,7 @@ class TestRoundingFloor:
         (local_two_qubit_basis(), "qubit-pair", "maximize"),
         (spin_generators(1.5), "spherical", "maximize"),
         (spin_generators(3), "spherical", "maximize"),
-        (random_basis(np.random.default_rng(0), 4), "qubit-pair", "minimize"),
+        (random_basis(np.random.default_rng(0), 4), "spherical", "minimize"),
     ], ids=["qubit-pair-max", "spin-3/2-max", "spin-3-max", "random-C4-min"])
     def test_no_restart_reaches_the_cap(self, basis, label, mode):
         run = maximize_total_variance if mode == "maximize" else minimize_total_variance
@@ -403,9 +425,9 @@ class TestGaussNewtonDirection:
 ASCENT_BASES = [
     *[(spin_generators(j), "spherical") for j in (0.5, 1, 1.5, 10, 40)],
     (local_two_qubit_basis(), "qubit-pair"),
-    (random_basis(np.random.default_rng(5), 4), "qubit-pair"),
+    (random_basis(np.random.default_rng(5), 4), "spherical"),
     (random_basis(np.random.default_rng(5), 41), "spherical"),
-    (non_lie_basis(np.random.default_rng(7), 4), "qubit-pair"),
+    (non_lie_basis(np.random.default_rng(7), 4), "spherical"),
 ]
 ASCENT_IDS = ["j1/2", "j1", "j3/2", "j10", "j40", "qubit-pair", "random-C4", "random-C41", "non-lie-C4"]
 # every restart stops at iteration 1, so no line search runs: V is constant at spin 1/2,

@@ -137,10 +137,10 @@ def bulk_traffic(digest):
             _run(digest, ["analyze", "--system", system, "--format", "json"], _state(amps, label))
 
 
-def search_traffic(digest, basis, label: str, mode: str):
+def search_traffic(digest, basis, mode: str):
     run = maximize_total_variance if mode == "maximize" else minimize_total_variance
     for seed in range(0, 80, 16):
-        r = run(basis, SearchConfig(restarts=16, seed=seed, mode=mode), state_label=label)
+        r = run(basis, SearchConfig(restarts=16, seed=seed, mode=mode))
         digest.update(r.best_state.amplitudes.tobytes() + np.array(r.restart_values).tobytes()
                       + np.array(r.restart_gradients).tobytes())
         digest.update(repr((r.best_value, r.converged, r.iterations_used, r.restart_stop)).encode())
@@ -151,10 +151,10 @@ def parts():
     yield "cli", cli_traffic
     yield "cli-stderr", functools.partial(cli_traffic, stream="stderr")
     yield "bulk", bulk_traffic
-    problems = [(f"j={fractions.Fraction(j)}", spin_generators(j), "spherical") for j in (0.5, 1, 1.5, 2, 3, 10, 40)]
-    for name, basis, label in problems + [("pair", local_two_qubit_basis(), "qubit-pair")]:
+    problems = [(f"j={fractions.Fraction(j)}", spin_generators(j)) for j in (0.5, 1, 1.5, 2, 3, 10, 40)]
+    for name, basis in problems + [("pair", local_two_qubit_basis())]:
         for mode in ("maximize", "minimize"):
-            yield f"{name}-{mode[:3]}", functools.partial(search_traffic, basis=basis, label=label, mode=mode)
+            yield f"{name}-{mode[:3]}", functools.partial(search_traffic, basis=basis, mode=mode)
 
 
 class _Tee:
