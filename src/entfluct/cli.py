@@ -21,24 +21,12 @@ import math
 import os
 import sys
 
-from .core import (CE_TOL_DEFAULT, CROSS_CHECK_TOL, MODES, SQRT2, STATE_BASIS_LABELS, VARIANCE_CROSS_TOL, canonical,
-                   cartesian_of, check_state, concurrence_from_phi, is_normalized, pair_concurrence, pair_expectations,
-                   spherical_concurrence, spherical_of, spin1_expectations, variance_report)
+from .core import (CE_TOL_DEFAULT, CROSS_CHECK_TOL, MODES, SQRT2, STATE_BASIS_LABELS, SYSTEMS, VARIANCE_CROSS_TOL,
+                   canonical, cartesian_of, check_state, concurrence_from_phi, is_normalized, pair_concurrence,
+                   pair_expectations, spherical_concurrence, spherical_of, spin1_expectations, system_of,
+                   variance_report)
 
 SCHEMA_VERSION = 1
-
-# system -> (label of its observable basis, the state labels it takes, their
-# amplitude count, the basis's Casimir c, closed-form (V_min, V_max)); the
-# first state label is the basis's `state_label`. `analyze` reads the label and
-# c from here and needs no basis; `search` builds it.
-_SYSTEMS = {
-    # irreducible su(2): V_tot = j(j+1) - |<S>|^2 runs from j (coherent,
-    # |<S>| = j) to j(j+1) (CE), here from 1 to 2
-    "spin1": ("su2-spin-1", ("spherical", "cartesian"), 3, 2.0, (1.0, 2.0)),
-    # local basis on a pure pair: V_tot = 1 + C^2 / 2, from 1 (product) to 3/2
-    "two-qubit": ("local-2qubit", ("qubit-pair",), 4, 1.5, (1.0, 1.5)),
-}
-
 
 class UsageError(Exception):
     pass
@@ -87,17 +75,16 @@ def _read_state(args) -> tuple:
     return [z / n for z in unit], basis_label, norm
 
 
-def _checked(amps, label: str, system: str, needs: str, pair_hint: str = "") -> None:
+def _checked(amps, label: str, system: str, needs: str) -> None:
     """A usage error unless amps is a state of its label (StateVector's checks) that `system` takes, with its
-    amplitude count; its text, formatted only then, is `needs` with {system} filled in, pair_hint on a pair."""
+    amplitude count; its text, formatted only then, is `needs` with {system} filled in."""
     try:
         check_state(amps, label)
     except ValueError as exc:
         raise UsageError(str(exc))
-    _, labels, n, _, _ = _SYSTEMS[system]
+    _, labels, n, _, _ = SYSTEMS[system]
     if label not in labels or len(amps) != n:
-        hint = pair_hint if label == "qubit-pair" else ""
-        raise UsageError(f"{needs.format(system=system)} a {n}-component {' or '.join(labels)} state{hint}")
+        raise UsageError(f"{needs.format(system=system)} a {n}-component {' or '.join(labels)} state")
 
 
 def _concurrence_json(concurrences: dict, exact: tuple) -> dict:
@@ -113,16 +100,17 @@ def _concurrence_json(concurrences: dict, exact: tuple) -> dict:
     return concurrences
 
 
-def build_analysis(amps, basis_label: str, system: str, tol: float, original_norm):
-    """The analysis document of a state: amps is a sequence of numbers (a
-    numpy array too), checked here; every stage is a closed form of `core` on
-    its Python complexes."""
+def build_analysis(amps, basis_label: str, system: str | None, tol: float, original_norm):
+    """The analysis document of a state, analyzed as the system its label names: amps is a sequence of
+    numbers (a numpy array too), checked here; every stage is a closed form of `core` on its Python
+    complexes. `system` may only repeat the label's system (None: the label decides); another is a usage error."""
     a = tuple(map(complex, amps.tolist() if hasattr(amps, "tolist") else amps))
     echo = _state_json(a, basis_label)
     if original_norm is not None:
         echo["original_norm"] = original_norm
-    _checked(a, basis_label, system, "{system} analysis needs", "; for a qubit pair pass --system two-qubit")
-    basis, _, _, casimir, bounds = _SYSTEMS[system]
+    system = system_of(basis_label) if system is None else system
+    _checked(a, basis_label, system, "{system} analysis needs")
+    basis, _, _, casimir, bounds = SYSTEMS[system]
     form = None
     if system == "spin1":
         sph, cart = (spherical_of(*a), a) if basis_label == "cartesian" else (a, cartesian_of(*a))
@@ -217,11 +205,11 @@ def cmd_search(args) -> int:
     from .variational import maximize_total_variance, minimize_total_variance
 
     run = maximize_total_variance if config.mode == "maximize" else minimize_total_variance
-    basis = spin_generators(1) if args.system == "spin1" else local_two_qubit_basis()
-    result = run(basis, config)
+    system = args.system or "spin1"
+    result = run(spin_generators(1) if system == "spin1" else local_two_qubit_basis(), config)
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "system": args.system,
+        "system": system,
         "mode": config.mode,
         "best_value": result.best_value,
         "best_state": _state_json(result.best_state.components, result.best_state.basis_label),
@@ -268,8 +256,7 @@ def cmd_preset_analyze(args) -> int:
     state = preset.state
     if state is None:
         raise UsageError(f"preset {preset.id!r} is label-only: {preset.source_note}")
-    return _emit_analysis(build_analysis(state.components, state.basis_label, preset.system, args.tol, None),
-                          args.format)
+    return _emit_analysis(build_analysis(state.components, state.basis_label, None, args.tol, None), args.format)
 
 
 def cmd_convert(args) -> int:
@@ -304,7 +291,8 @@ def _positive_float(text: str) -> float:
 
 
 # every flag and argument, declared once, by a function called as a parser that takes it is built: so the preset
-# ids are read by their commands alone; a search flag left out is not set, and SearchConfig supplies its default
+# ids are read by their commands alone; a search flag left out is not set, and SearchConfig supplies its default;
+# --system left out is None: analyze takes the state's label's system, search spin1
 _FLAGS = {
     "id": lambda: dict(choices=tuple(_presets()), metavar="ID"),
     "--format": lambda: dict(choices=("text", "json"), default="text"),
@@ -312,7 +300,7 @@ _FLAGS = {
     "--tol": lambda: dict(type=_positive_float, default=CE_TOL_DEFAULT,
                           help="CE residual tolerance, finite and > 0 (default %(default)g)"),
     "--file": lambda: dict(help="read the state JSON from a file instead of stdin"),
-    "--system": lambda: dict(choices=tuple(_SYSTEMS), default="spin1"),
+    "--system": lambda: dict(choices=tuple(SYSTEMS)),
     "--mode": lambda: dict(choices=MODES, default=argparse.SUPPRESS),
     "--restarts": lambda: dict(type=int, default=argparse.SUPPRESS),
     "--seed": lambda: dict(type=int, default=argparse.SUPPRESS),

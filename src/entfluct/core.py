@@ -1,6 +1,6 @@
-"""The numpy-free core: every tolerance, the state labels and the one
-normalization rule, and the paper's closed forms that `analyze` runs for the two
-fixed systems on Python numbers; the records live in `records`.
+"""The numpy-free core: every tolerance, the state labels, the two fixed systems
+and the one normalization rule, and the paper's closed forms that `analyze` runs
+for those systems on Python numbers; the records live in `records`.
 
 On spin 1 and on the local qubit pair every expectation is a short closed form
 in the amplitudes, V_tot = c - sum_i <O_i>^2 with c the scalar Casimir sum, and
@@ -56,6 +56,24 @@ def check_state_label(label: str, dim: int) -> None:
     need = STATE_BASIS_LABELS[label]
     if need is not None and dim != need:
         raise ValueError(f"a {label} state needs {need} amplitudes, got {dim}")
+
+
+# system -> (label of its observable basis, the state labels it takes, their
+# amplitude count, the basis's Casimir c, closed-form (V_min, V_max)); the
+# first state label is the basis's `state_label`. `analyze` reads the label and
+# c from here and needs no basis; `search` builds it.
+SYSTEMS = {
+    # irreducible su(2): V_tot = j(j+1) - |<S>|^2 runs from j (coherent,
+    # |<S>| = j) to j(j+1) (CE), here from 1 to 2
+    "spin1": ("su2-spin-1", ("spherical", "cartesian"), 3, 2.0, (1.0, 2.0)),
+    # local basis on a pure pair: V_tot = 1 + C^2 / 2, from 1 (product) to 3/2
+    "two-qubit": ("local-2qubit", ("qubit-pair",), 4, 1.5, (1.0, 1.5)),
+}
+
+
+def system_of(label) -> str:
+    """The system whose state labels hold `label`; spin1 for any other label (or None)."""
+    return "two-qubit" if label in SYSTEMS["two-qubit"][1] else "spin1"
 
 
 def is_normalized(amps) -> bool:

@@ -12,20 +12,19 @@ Each state is a numpy-free `records.StateVector`, so `preset analyze` runs
 without numpy; `state.amplitudes` builds the array when first read.
 """
 
-from .core import CE_BASIS, SQRT2
+from .core import CE_BASIS, SQRT2, system_of
 from .records import Frozen, StateVector
 
 
 class Preset(Frozen):
-    """`state` is a StateVector, None for a label-only entry. `system` follows
-    from it: "two-qubit" for a qubit-pair state, else (label-only entries too)
-    "spin1"."""
+    """`state` is a StateVector, None for a label-only entry. `system` is its
+    label's, by `core.system_of` ("spin1" for a label-only entry)."""
 
     _FIELDS = ("id", "description", "state", "expected_concurrence", "source_note")
 
     @property
     def system(self) -> str:
-        return "two-qubit" if self.state is not None and self.state.basis_label == "qubit-pair" else "spin1"
+        return system_of(None if self.state is None else self.state.basis_label)
 
 
 # (representative state, its concurrence): the concurrences are literals, the

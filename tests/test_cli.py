@@ -190,10 +190,10 @@ class TestAnalyze:
         assert "norm overflows a float" in err
 
     def test_wrong_dimension_exits_2(self, capsys, monkeypatch):
-        code, _, _ = run(
-            capsys, monkeypatch, ["analyze"], state_json([1, 0, 0, 0], "qubit-pair")
+        code, out, _ = run(
+            capsys, monkeypatch, ["analyze", "--system", "spin1"], state_json([1, 0, 0, 0], "qubit-pair")
         )
-        assert code == 2
+        assert (code, out) == (2, "")
 
     def test_state_within_norm_tolerance_is_consistent(self, capsys, monkeypatch):
         # |a|^2 - 1 = 1e-13 is accepted; the variance route must see a / |a|
@@ -337,10 +337,12 @@ class TestAnalyze:
                 if isinstance(value, float):
                     assert float(shown) == pytest.approx(value, rel=1e-11), (argv, path)
 
-    def test_qubit_pair_as_spin1_names_the_two_qubit_system(self, capsys, monkeypatch):
-        code, out, err = run(capsys, monkeypatch, ["analyze"], state_json([1, 0, 0, 0], "qubit-pair"))
+    def test_qubit_pair_as_spin1_is_a_usage_error(self, capsys, monkeypatch):
+        # --system may only repeat the system that the state's label names
+        code, out, err = run(capsys, monkeypatch, ["analyze", "--system", "spin1"],
+                             state_json([1, 0, 0, 0], "qubit-pair"))
         assert (code, out) == (2, "")
-        assert "--system two-qubit" in err
+        assert err == "error: spin1 analysis needs a 3-component spherical or cartesian state\n"
         code, _, err = run(capsys, monkeypatch, ["analyze"], state_json([1, 0, 0, 0], "spherical"))
         assert code == 2
         assert "--system" not in err
@@ -1044,3 +1046,40 @@ class TestDocumentBoundary:
         for doc in (in_process, json.loads(out)):
             for echo in ("input", "state"):
                 assert signs(doc[echo]["components"]) == signs(pairs)
+
+
+class TestTheLabelDecidesTheSystem:
+    """A state is analyzed as the system its label names: without --system (system=None) the label
+    decides, and the flag (the argument) may only repeat it."""
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_pair_without_system_is_the_two_qubit_analysis(self, capsys, monkeypatch, fmt):
+        rng = np.random.default_rng(39)
+        pairs = [[1 / SQ2, 0, 0, -1 / SQ2], [0, 1, 0, 0], [1, 1j, 0, 0], [1] + [0] * 3, [2, 0, 0, 0]]
+        pairs += [[1, 1j] @ rng.normal(size=(2, 4)) for _ in range(4)]
+        for pair in pairs:
+            stdin = state_json(pair, "qubit-pair")
+            for flags in ([], ["--normalize"]):
+                plain = run(capsys, monkeypatch, ["analyze", "--format", fmt, *flags], stdin)
+                named = run(capsys, monkeypatch, ["analyze", "--format", fmt, *flags, "--system", "two-qubit"], stdin)
+                assert plain == named, (pair, flags)
+                if fmt == "json" and plain[0] == 0:
+                    assert json.loads(plain[1])["system"] == "two-qubit"
+
+    def test_no_system_is_the_call_with_the_labels(self):
+        states = [state for b in range(4) for state in workloads.bulk_batch(0, b)]
+        states += [(p.state.components, p.state.basis_label, p.system) for p in PRESETS.values() if p.state is not None]
+        assert {system for _, _, system in states} == {"spin1", "two-qubit"}
+        for amps, basis, system in states:
+            for tol in (CE_TOL_DEFAULT, 0.5):
+                assert build_analysis(amps, basis, None, tol, None) == build_analysis(amps, basis, system, tol, None)
+
+    @pytest.mark.parametrize("amps,basis,system,message", [
+        ([1, 0, 0, 0], "qubit-pair", "spin1", "spin1 analysis needs a 3-component spherical or cartesian state"),
+        ([1, 0, 0], "spherical", "two-qubit", "two-qubit analysis needs a 4-component qubit-pair state"),
+        ([0, 1, 0], "cartesian", "two-qubit", "two-qubit analysis needs a 4-component qubit-pair state"),
+    ])
+    def test_another_system_is_a_usage_error(self, amps, basis, system, message):
+        with pytest.raises(entfluct.cli.UsageError) as raised:
+            build_analysis(amps, basis, system, CE_TOL_DEFAULT, None)
+        assert str(raised.value) == message

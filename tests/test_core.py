@@ -20,9 +20,9 @@ from entfluct import (StateVector, canonical_form, concurrence_from_phi, concurr
                       fluctuation_report, local_two_qubit_basis, moments, pure_concurrence, spin_generators,
                       spin_projection_operator, to_cartesian, to_spherical, total_variance)
 import entfluct.twoqubit
-from entfluct.core import (CE_TOL_DEFAULT, CROSS_CHECK_TOL, NU_CUTOFF, SINGLET_NORM, SQRT2, canonical,
+from entfluct.core import (CE_TOL_DEFAULT, CROSS_CHECK_TOL, NU_CUTOFF, SINGLET_NORM, SQRT2, SYSTEMS, canonical,
                            cartesian_of, pair_concurrence, pair_expectations, spherical_concurrence, spherical_of,
-                           spin1_expectations, variance_report)
+                           spin1_expectations, system_of, variance_report)
 from entfluct.presets import PRESETS
 from entfluct.twoqubit import pair_sectors
 
@@ -214,7 +214,7 @@ def _public_document(a, basis, system, tol):
 @pytest.mark.parametrize("tol", [CE_TOL_DEFAULT, 0.5])
 def test_every_verdict_is_the_public_pipelines(tol):
     for a, basis in STATES:
-        system = "two-qubit" if basis == "qubit-pair" else "spin1"
+        system = system_of(basis)
         doc = entfluct.cli.build_analysis(a, basis, system, tol, None)
         report, cross, nu_defined, ce = _public_document(a, basis, system, tol)
         assert doc["ce"]["completely_entangled"] is ce, (basis, a)
@@ -228,6 +228,7 @@ def test_every_verdict_is_the_public_pipelines(tol):
 def test_system_table_holds_the_bases_label_and_casimir():
     # analyze reads them from the table, search builds the basis: the two must agree
     for system, basis in (("spin1", spin_generators(1)), ("two-qubit", local_two_qubit_basis())):
-        label, state_labels, dim, casimir, _ = entfluct.cli._SYSTEMS[system]
+        label, state_labels, dim, casimir, _ = SYSTEMS[system]
         assert (label, dim, casimir) == (basis.label, basis.dim, basis.casimir)
         assert state_labels[0] == basis.state_label
+        assert [system_of(state_label) for state_label in state_labels] == [system] * len(state_labels)
