@@ -26,7 +26,7 @@ PHI_SLACK = 1e-12  # rounding allowed outside [0, pi/4] for the canonical phi
 IMAG_TOL = 1e-10  # |Im <O>| accepted as rounding
 VARIANCE_CLAMP = 1e-12  # a negative total variance down to -VARIANCE_CLAMP is rounding, clamped to 0
 BOUND_SLACK = 1e-9  # V_tot may leave [V_min, V_max] by this much
-CE_TOL_DEFAULT = 1e-9  # --tol's default CE bound on max_i |<O_i>|, and the bound zero_projection_axis puts on phi
+CE_TOL_DEFAULT = 1e-9  # CE bound on the residual max_i |<O_i>|: --tol's default, and zero_projection_axis's
 NU_CUTOFF = 1e-9  # below this |Im| norm the canonical nu is undefined
 PROJECT_TOL = 1e-9  # largest singlet amplitude project_spin1 accepts
 SINGLET_NORM = 1e-12  # triplet-part norm below which a pair is a pure singlet

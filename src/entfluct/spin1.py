@@ -10,7 +10,7 @@ completely entangled states and phi = pi/4 the coherent ones.
 import math
 
 from .core import (CE_BASIS, CE_TOL_DEFAULT, UNIT_VECTOR_TOL, canonical, cartesian_of, check_phi, spherical_concurrence,
-                   spherical_of)
+                   spherical_of, spin1_expectations, variance_report)
 from .records import Frozen, StateVector
 
 
@@ -66,12 +66,13 @@ def concurrence_spherical(psi: StateVector) -> float:
 def zero_projection_axis(psi: StateVector) -> tuple | None:
     """Axis with (near-)vanishing spin projection, or None.
 
-    CE states are exactly those with spin projection zero onto some direction;
-    for canonical phi <= CE_TOL_DEFAULT that direction is mu, with residual
-    |S_mu psi| = sin(phi) <= phi.
+    CE states are exactly those with spin projection zero onto some direction,
+    the canonical mu. The axis exists where `analyze` calls the state CE: its
+    residual max_i |<S_i>| from `core.variance_report` (c = 2) within
+    CE_TOL_DEFAULT. Then |S_mu psi| = sin(phi) <= sin(2 phi) = |<S>| <= sqrt(3) CE_TOL_DEFAULT.
     """
-    form = canonical_form(psi)
-    return form.mu if form.phi <= CE_TOL_DEFAULT else None
+    residual = variance_report(spin1_expectations(*spherical_of(*psi.require("cartesian"))), 2.0)[1]
+    return canonical_form(psi).mu if residual <= CE_TOL_DEFAULT else None
 
 
 def ce_basis():

@@ -16,6 +16,7 @@ from entfluct import (
     to_spherical,
     zero_projection_axis,
 )
+from entfluct.cli import build_analysis
 from entfluct.core import CE_TOL_DEFAULT, PHI_SLACK
 from util import random_orthogonal, random_orthonormal_pair, random_state, state_from_canonical
 
@@ -241,6 +242,25 @@ class TestZeroProjectionAxis:
             assert np.allclose(axis, mu, atol=1e-12)
         else:
             assert axis is None
+
+    def test_axis_exists_where_analyze_calls_the_state_ce(self):
+        # the band of phi where 2 phi, the size of <S>, passes CE_TOL_DEFAULT and phi does not; the axis
+        # must follow analyze's verdict, max_i |<S_i>| against the same bound, on either side of it
+        rng = np.random.default_rng(39)
+        pairs = [((1, 0, 0), (0, 1, 0)), ((0, 0, 1), (1, 0, 0)), ((0.6, 0.0, 0.8), (0.0, 1.0, 0.0))]
+        pairs += [random_orthonormal_pair(rng) for _ in range(5)]
+        verdicts = set()
+        for mu, nu in pairs:
+            for theta in (0.0, 0.7):
+                for phi in (1e-10, 3e-10, 4.5e-10, 5.5e-10, 7e-10, 8e-10, 9.9e-10):
+                    psi = state_from_canonical(theta, phi, mu, nu)
+                    ce = build_analysis(psi.components, "cartesian", None, CE_TOL_DEFAULT, None)["ce"]
+                    axis = zero_projection_axis(psi)
+                    assert (axis is not None) is ce["completely_entangled"], (mu, nu, theta, phi, ce["residual"])
+                    if axis is not None:
+                        assert axis == canonical_form(psi).mu
+                    verdicts.add(ce["completely_entangled"])
+        assert verdicts == {True, False}
 
     def test_ce_basis_members(self):
         for psi in ce_basis():
