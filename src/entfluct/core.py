@@ -32,6 +32,7 @@ PROJECT_TOL = 1e-9  # largest singlet amplitude project_spin1 accepts
 SINGLET_NORM = 1e-12  # triplet-part norm below which a pair is a pure singlet
 STEP_TOL_DEFAULT = 1e-12  # tangent-gradient norm at which a search restart stops
 GRADIENT_FLOOR = 8  # tangent gradient, in eps c sqrt(d), at which a restart stops on stall (< 1e-12 for j <= 10)
+TIE_BAND = 64  # restart values within this many eps c of the best V tie (rounding spreads an extremum ~6 eps c)
 CROSS_CHECK_TOL = 1e-9  # agreement of the exactly conditioned concurrences
 SCALAR_CASIMIR_TOL = 1e-12  # max |C - c I| / max(1, |c|) of a basis: its C = sum_i O_i^2 must be the scalar c
 # sqrt((V - V_min)/(V_max - V_min)) loses half the working precision when the

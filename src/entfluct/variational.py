@@ -35,7 +35,7 @@ from numpy.linalg import _umath_linalg  # the gufuncs of np.linalg.solve and eig
 from numpy.random.bit_generator import ISeedSequence
 
 from .algebra import ObservableBasis
-from .core import GRADIENT_FLOOR, VARIANCE_CLAMP
+from .core import GRADIENT_FLOOR, TIE_BAND, VARIANCE_CLAMP
 from .fluctuations import _apply, moments
 from .records import Frozen, SearchConfig, StateVector
 
@@ -45,9 +45,9 @@ _EPS = np.finfo(float).eps
 
 class SearchResult(Frozen):
     """The restart of best V is returned as `best_state`, labelled with the basis's `state_label`, its index
-    `best_restart`; among exact ties of V, the first that stopped on the gradient, else the first. `converged`:
-    the returned restart stopped on the gradient. Per restart, in tuples: final value, stop reason (one of
-    STOP_REASONS), tangent-gradient norm at the end."""
+    `best_restart`; among restarts within TIE_BAND eps c of the best V (rounding's ties), the first that stopped on
+    the gradient, else the first. `converged`: the returned restart stopped on the gradient. Per restart, in tuples:
+    final value, stop reason (one of STOP_REASONS), tangent-gradient norm at the end."""
 
     _FIELDS = ("best_state", "best_value", "converged", "iterations_used", "best_restart", "restart_values",
                "restart_stop", "restart_gradients")
@@ -198,9 +198,9 @@ def _search(basis: ObservableBasis, config: SearchConfig, mode: str, state_label
     stop[stop < 0] = 2
 
     values, stops = v.tolist(), stop.tolist()
-    # best V; on exact ties the first that stopped on the gradient, else the first
+    # best V; on ties within the rounding band the first that stopped on the gradient, else the first
     best = max(values) if maximize else min(values)
-    tied = [k for k, value in enumerate(values) if value == best]
+    tied = [k for k, value in enumerate(values) if abs(value - best) <= TIE_BAND * _EPS * basis.casimir]
     best_k = next((k for k in tied if not stops[k]), tied[0])
     return SearchResult(
         best_state=StateVector(a[best_k].tolist(), basis.state_label),
