@@ -291,8 +291,7 @@ def _positive_float(text: str) -> float:
 
 
 # every flag and argument, declared once, by a function called as a parser that takes it is built: so the preset
-# ids are read by their commands alone; a search flag left out is not set, and SearchConfig supplies its default;
-# --system left out is None: analyze takes the state's label's system, search spin1
+# ids are read by their commands alone; a search flag left out is not set, and SearchConfig supplies its default
 _FLAGS = {
     "id": lambda: dict(choices=tuple(_presets()), metavar="ID"),
     "--format": lambda: dict(choices=("text", "json"), default="text"),
